@@ -3,7 +3,7 @@
 Simulates downlink cellular scenarios, builds interference graphs, and
 trains an attention-based association policy against an unsupervised
 network power objective, with signal-strength, genie-aided SINR, and
-exhaustive-search baselines for comparison.
+exact minimum-power baselines for comparison.
 """
 
 __version__ = "0.1.0"

@@ -66,10 +66,12 @@ def _generate_records(cfg: RunConfig) -> list:
     return records
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+def _write_dataset(cfg: RunConfig, out_dir) -> tuple[str, list]:
+    """Generate the dataset into out_dir: dataset.jsonl, then the
+    manifest.json that `_load_pairs` checks it against."""
+    os.makedirs(out_dir, exist_ok=True)
     records = _generate_records(cfg)
-    dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
+    dataset_path = os.path.join(out_dir, "dataset.jsonl")
     write_jsonl(dataset_path, records)
     manifest_cfg = cfg.to_dict()
     manifest_cfg.pop("out_dir", None)  # placement, not data
@@ -79,15 +81,43 @@ def cmd_gen(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "count": len(records),
     }
-    with open(os.path.join(cfg.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    return dataset_path, records
+
+
+def cmd_gen(cfg: RunConfig) -> int:
+    dataset_path, records = _write_dataset(cfg, cfg.out_dir)
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
     print(f"wrote {len(records)} records to {dataset_path}")
     return EXIT_OK
 
 
-def _load_pairs(dataset_path, cfg: RunConfig) -> list:
+def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
+    """Read a dataset after checking that the manifest.json next to it was
+    written for the run config's scenario section."""
+    manifest_path = os.path.join(os.path.dirname(dataset_path), "manifest.json")
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        made_for = dict(json.loads(text)["config"]["scenario"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"manifest {manifest_path} has no scenario config: {exc!r}"
+        ) from exc
+    wanted = cfg.to_dict()["scenario"]
+    if made_for != wanted:
+        diff = ", ".join(
+            f"{key} {made_for.get(key)!r} vs {wanted.get(key)!r}"
+            for key in sorted(set(made_for) | set(wanted))
+            if made_for.get(key) != wanted.get(key)
+        )
+        raise ConfigError(
+            f"dataset {dataset_path} was generated for another scenario: "
+            f"{manifest_path} and {config_path or 'the default config'} differ "
+            f"in {diff}"
+        )
     records = read_jsonl(dataset_path)
     return [Sample(*from_record(rec, cfg.scenario)) for rec in records]
 
@@ -151,8 +181,8 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None):
     return res
 
 
-def cmd_train(cfg: RunConfig, dataset_path, checkpoint) -> int:
-    pairs = _load_pairs(dataset_path, cfg)
+def cmd_train(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
+    pairs = _load_pairs(dataset_path, cfg, config_path)
     res = _train_to_dir(cfg, pairs, cfg.out_dir, checkpoint=checkpoint)
     print(
         f"trained to epoch {cfg.train.epochs}; best epoch {res.best_epoch}; "
@@ -167,10 +197,10 @@ def _checkpoint_stats(leftover, path) -> FeatureStats:
     return FeatureStats.from_dict(leftover["norm_stats"])
 
 
-def cmd_eval(cfg: RunConfig, dataset_path, checkpoint) -> int:
+def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     model, leftover = gat_mod.load_checkpoint(checkpoint)
     stats = _checkpoint_stats(leftover, checkpoint)
-    pairs = _load_pairs(dataset_path, cfg)
+    pairs = _load_pairs(dataset_path, cfg, config_path)
     if not pairs:
         raise ConfigError(f"dataset {dataset_path} is empty")
     demand = cfg.eval_demand_mbps()
@@ -307,9 +337,7 @@ def _train_bandwidth_point(payload) -> None:
     cfg = dataclasses.replace(
         cfg, scenario=dataclasses.replace(cfg.scenario, bandwidth_mhz=w)
     )
-    os.makedirs(sub_dir, exist_ok=True)
-    records = _generate_records(cfg)
-    write_jsonl(os.path.join(sub_dir, "dataset.jsonl"), records)
+    _, records = _write_dataset(cfg, sub_dir)
     pairs = [Sample(*from_record(rec, cfg.scenario)) for rec in records]
     _train_to_dir(cfg, pairs, sub_dir)
     with open(os.path.join(sub_dir, "DONE"), "w", encoding="utf-8") as fh:
@@ -407,8 +435,8 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
             )
         ratios = grid["ratio"]
         dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
-        if not os.path.exists(dataset_path):
-            write_jsonl(dataset_path, _generate_records(cfg))
+        if not os.path.exists(os.path.join(cfg.out_dir, "manifest.json")):
+            _write_dataset(cfg, cfg.out_dir)
         sub_dirs = [os.path.join(cfg.out_dir, f"ratio{r!r}") for r in ratios]
         payloads = [
             (cfg.to_dict(), r, dataset_path, sub)
@@ -499,9 +527,9 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return cmd_gen(cfg)
         if args.command == "train":
-            return cmd_train(cfg, args.dataset, args.checkpoint)
+            return cmd_train(cfg, args.dataset, args.checkpoint, args.config)
         if args.command == "eval":
-            return cmd_eval(cfg, args.dataset, args.checkpoint)
+            return cmd_eval(cfg, args.dataset, args.checkpoint, args.config)
         return cmd_sweep(cfg, args.kind, args.grid)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

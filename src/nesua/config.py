@@ -26,7 +26,9 @@ class EvalConfig:
     """Evaluation-side knobs shared by the eval and sweep commands."""
 
     subsinr_agg: str = "max"        # sub-band aggregation of the genie baseline
-    oracle_budget: int = 10_000_000  # max enumerated assignments, N^K
+    # eval runs the exact oracle when N^K fits; a search on a larger
+    # instance stops once it has visited this many nodes
+    oracle_budget: int = 10_000_000
     n_instances: int = 50            # sweep-time test-set size per grid point
     demand_mbps: float = 0.0         # 0 means: use scenario.ue_demand_mbps
 

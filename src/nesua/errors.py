@@ -14,7 +14,7 @@ class ContractError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """The exhaustive search space exceeds the enumeration budget."""
+    """The exact search visited more nodes than its budget allows."""
 
 
 class TrainingDiverged(RuntimeError):

@@ -2,7 +2,7 @@
 
 Every policy is reduced to a hard association and scored with the shared
 power model, so numbers are comparable across the learned policy, the
-heuristics, and the exhaustive oracle.  Sweep helpers aggregate per-instance
+heuristics, and the exact oracle.  Sweep helpers aggregate per-instance
 metrics into mean/standard-error tables ready for CSV plotting.
 """
 

@@ -127,18 +127,23 @@ def network_power_hard(
             f"association {s_hard.shape} and PRB demand {prb.shape} differ"
         )
     load = (s_hard * prb).sum(axis=0)
-    active = load > 0.0
-    c0, c1 = radio_coefficients(p)
-    eta = np.minimum(1.0, load / n_prb_total)
-    on_w = p.p_fixed_w + p.p_bb0_w + p.p_bb_slope_w * eta + c0 + c1 * eta
-    cell_w = np.where(active, on_w, p.p_sleep_w)
+    cell_w = cell_draw(load, p, n_prb_total)
     return NetworkPower(
         total_w=float(cell_w.sum()),
         cell_w=cell_w,
         load_prb=load,
-        active=active,
+        active=load > 0.0,
         overload=load > n_prb_total,
     )
+
+
+def cell_draw(load: np.ndarray, p: PowerParams, n_prb_total: int) -> np.ndarray:
+    """Per-cell draw for per-cell PRB loads: sleep power when a cell carries
+    nothing, the full model at its clipped utilization otherwise."""
+    c0, c1 = radio_coefficients(p)
+    eta = np.minimum(1.0, load / n_prb_total)
+    on_w = p.p_fixed_w + p.p_bb0_w + p.p_bb_slope_w * eta + c0 + c1 * eta
+    return np.where(load > 0.0, on_w, p.p_sleep_w)
 
 
 def network_power_soft(

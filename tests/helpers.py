@@ -3,6 +3,7 @@
 import numpy as np
 
 from nesua import autodiff as ad
+from nesua.power import network_power_hard, radio_coefficients
 
 
 def finite_difference_grad(f, x, h_scale=1e-5):
@@ -43,3 +44,49 @@ def check_grad(build_loss, arrays, rtol=1e-4, atol=1e-6):
         got = p.grad if p.grad is not None else np.zeros_like(fd)
         np.testing.assert_allclose(got, fd, rtol=rtol, atol=atol,
                                    err_msg=f"gradient mismatch on input {i}")
+
+
+def enumerate_oracle(prb, n_prb_total, p, chunk=1 << 16):
+    """Reference oracle: score all N^K assignments in numpy chunks.
+
+    Returns (assignment, power_w, feasible) under the contract of
+    `baselines.oracle_assignment`: cheapest feasible assignment, else the
+    cheapest overloaded one; ties to the lexicographically smallest
+    assignment, UE 0 being the most significant digit.
+    """
+    prb = np.asarray(prb, dtype=np.float64)
+    k, n = prb.shape
+    total = n**k
+    c0, c1 = radio_coefficients(p)
+    place = n ** np.arange(k - 1, -1, -1)
+
+    best_any = (np.inf, -1)
+    best_feasible = (np.inf, -1)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        digits = (idx[:, None] // place[None, :]) % n  # (C, K)
+        one_hot = digits[:, :, None] == np.arange(n)[None, None, :]
+        loads = np.einsum("ckn,kn->cn", one_hot, prb)
+        eta = np.minimum(1.0, loads / n_prb_total)
+        # same term order as network_power_hard so ties resolve identically
+        on_w = p.p_fixed_w + p.p_bb0_w + p.p_bb_slope_w * eta + c0 + c1 * eta
+        cell_w = np.where(loads > 0, on_w, p.p_sleep_w)
+        power = cell_w.sum(axis=1)
+        feasible = (loads <= n_prb_total).all(axis=1)
+
+        j = int(np.argmin(power))
+        if power[j] < best_any[0]:
+            best_any = (float(power[j]), int(idx[j]))
+        if feasible.any():
+            pw = np.where(feasible, power, np.inf)
+            j = int(np.argmin(pw))
+            if pw[j] < best_feasible[0]:
+                best_feasible = (float(pw[j]), int(idx[j]))
+
+    found = best_feasible[1] >= 0
+    chosen = best_feasible[1] if found else best_any[1]
+    assignment = ((chosen // place) % n).astype(np.int64)
+    s_hard = np.zeros((k, n))
+    s_hard[np.arange(k), assignment] = 1.0
+    power_w = network_power_hard(s_hard, prb, p, n_prb_total).total_w
+    return assignment, power_w, found

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import enumerate_oracle
 from nesua import baselines as bl
+from nesua import gat
 from nesua import scenario as sc
 from nesua.errors import BudgetExceededError, ConfigError
 from nesua.power import PowerParams, network_power_hard
@@ -150,18 +152,81 @@ def test_oracle_matches_independent_enumeration():
         assert res.feasible == (not key[0])
 
 
+def _assert_same_as_enumeration(prb, t, p, msg=""):
+    res = bl.oracle_assignment(prb, t, p)
+    assignment, power_w, feasible = enumerate_oracle(prb, t, p)
+    assert res.association.assignment.tolist() == assignment.tolist(), msg
+    assert res.power_w == power_w, msg
+    assert res.feasible == feasible, msg
+    return res
+
+
 def test_oracle_crosses_chunk_boundaries_consistently():
-    # force several enumeration chunks and compare against the one-chunk path
+    # the reference crosses several enumeration chunks on this instance
     prb = np.linspace(1.0, 12.0, 9 * 4).reshape(9, 4)
-    small = bl.oracle_assignment(prb, 51, DEFAULTS)
-    old = bl._CHUNK
-    try:
-        bl._CHUNK = 1000
-        chunked = bl.oracle_assignment(prb, 51, DEFAULTS)
-    finally:
-        bl._CHUNK = old
-    assert chunked.association.assignment.tolist() == small.association.assignment.tolist()
-    assert chunked.power_w == small.power_w
+    res = _assert_same_as_enumeration(prb, 51, DEFAULTS)
+    chunked = enumerate_oracle(prb, 51, DEFAULTS, chunk=1000)
+    assert res.association.assignment.tolist() == chunked[0].tolist()
+    assert res.power_w == chunked[1]
+
+
+def _random_instance(rng, trial):
+    """Small instance drawn to hit ties, fractions, overload, zero demand
+    and sleep draw."""
+    k = int(rng.integers(1, 8))
+    n = int(rng.integers(1, 5))
+    while n**k > 3000:
+        k -= 1
+    t = int(rng.choice([9, 51]))
+    kind = trial % 5
+    if kind == 0:  # integer demand, some of it over the carrier
+        prb = rng.integers(1, t + 4, size=(k, n)).astype(float)
+    elif kind == 1:  # non-integer demand
+        prb = rng.uniform(0.3, 0.7 * t, size=(k, n))
+    elif kind == 2:  # forced ties: every UE demands the same row
+        prb = np.tile(rng.integers(1, t // 2 + 2, size=n).astype(float), (k, 1))
+    elif kind == 3:  # duplicated decimal rows: ties that rounding can split
+        prb = np.round(rng.uniform(0.1, 0.5 * t, size=(k, n)), 1)
+        prb[k // 2:] = prb[: k - k // 2]
+    else:  # every cell over the carrier for at least one UE: often infeasible
+        prb = rng.integers(t // 2, t + 6, size=(k, n)).astype(float)
+        prb[0] = t + 1.0
+    if trial % 7 == 0:  # zero demand: a UE that leaves its cell asleep
+        prb[rng.random(prb.shape) < 0.3] = 0.0
+    sleep = float(rng.choice([0.0, 7.5, 40.0]))
+    p = PowerParams(p_sleep_w=sleep, p_bb_slope_w=float(rng.choice([20.0, 400.0])))
+    return prb, t, p
+
+
+def test_oracle_matches_enumeration_on_random_instances():
+    rng = np.random.default_rng(2024)
+    infeasible = fractional = 0
+    for trial in range(320):
+        prb, t, p = _random_instance(rng, trial)
+        res = _assert_same_as_enumeration(prb, t, p, f"trial {trial}")
+        infeasible += not res.feasible
+        fractional += bool((prb != np.round(prb)).any())
+    assert infeasible >= 20 and fractional >= 50
+
+
+@pytest.mark.parametrize("n,k", [(2, 18), (3, 12), (4, 9), (7, 7)])
+def test_oracle_matches_enumeration_on_deep_trees(n, k):
+    rng = np.random.default_rng(n * 100 + k)
+    t = 51
+    # total demand near the capacity of two cells, so packing decides
+    prb = rng.integers(1, 2 * 2 * t // k + 2, size=(k, n)).astype(float)
+    _assert_same_as_enumeration(prb, t, DEFAULTS)
+    # one demand row shared by every UE: many exact ties
+    _assert_same_as_enumeration(np.tile(prb[0], (k, 1)), t, PowerParams(p_sleep_w=7.5))
+
+
+def test_oracle_matches_enumeration_beyond_per_set_search():
+    # more cells than the per-set search handles: one unrestricted search
+    rng = np.random.default_rng(13)
+    n = bl._MAX_SET_CELLS + 3
+    for _ in range(3):
+        prb = rng.integers(1, 40, size=(3, n)).astype(float)
+        _assert_same_as_enumeration(prb, 51, PowerParams(p_sleep_w=7.5))
 
 
 def test_oracle_overload_fallback_is_flagged():
@@ -174,9 +239,50 @@ def test_oracle_overload_fallback_is_flagged():
 
 
 def test_oracle_budget_refusal():
+    # N^K is far above the budget, so the search stops after `budget` nodes
     prb = np.ones((30, 7))
     with pytest.raises(BudgetExceededError):
-        bl.oracle_assignment(prb, 51, DEFAULTS)
+        bl.oracle_assignment(prb, 51, DEFAULTS, budget=50)
+    res = bl.oracle_assignment(prb, 51, DEFAULTS)  # ~200 nodes
+    assert res.association.assignment.tolist() == [0] * 30
+
+
+def test_oracle_never_refuses_within_enumeration_budget():
+    # two 30-PRB UEs cannot share a cell: the search visits more nodes
+    # than the 7^2 assignments, yet a budget of N^K must still solve it
+    prb = np.full((2, 7), 30.0)
+    res = bl.oracle_assignment(prb, 51, DEFAULTS, budget=7**2)
+    assert res.association.assignment.tolist() == [0, 1]
+    with pytest.raises(BudgetExceededError):
+        bl.oracle_assignment(prb, 51, DEFAULTS, budget=7**2 - 1)
+
+
+def test_oracle_solves_paper_defaults_at_k20():
+    # 7^20 assignments: far beyond enumeration, solved exactly in milliseconds
+    cfg = sc.ScenarioConfig(n_ues=20)
+    model = gat.init_model(
+        3 * cfg.n_cells, cfg.n_cells, gat.GatConfig(hidden_dim=8), seed=0
+    )
+    for seed in range(3):
+        s = sc.generate_scenario(cfg, 300 + seed)
+        res = bl.associate_oracle(s, DEFAULTS)
+        assert res.feasible
+        g = sc.build_graph(s, cfg.gamma_th_db)
+        policies = {
+            "rsrp": bl.associate_rsrp(s),
+            "subsinr": bl.associate_ga_subsinr(s),
+            "gnn": gat.harden(gat.forward(g, model)),
+        }
+        for name, policy in policies.items():
+            net = network_power_hard(
+                policy.as_matrix(), s.prb_demand, DEFAULTS, s.n_prb_total
+            )
+            if net.overload.any():
+                # clipped draw: no feasible assignment competes with that; only
+                # the untrained model piles every UE onto one cell
+                assert name == "gnn", f"seed {seed}"
+                continue
+            assert res.power_w <= net.total_w, f"seed {seed} {name}"
 
 
 def test_oracle_dominates_signal_strength_policies():

@@ -121,6 +121,42 @@ def test_missing_dataset_exits_3(tmp_path):
     assert code == 3
 
 
+def test_dataset_from_another_scenario_exits_2(tmp_path, capsys):
+    # a 20 MHz dataset must not be trained or scored against a 5 MHz carrier
+    wide = _write_cfg(tmp_path, name="wide.json", scenario={"bandwidth_mhz": 20.0})
+    narrow = _write_cfg(tmp_path, name="narrow.json", scenario={"bandwidth_mhz": 5.0})
+    data_dir, run_dir = _gen_and_train(tmp_path, wide)
+    dataset = str(data_dir / "dataset.jsonl")
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", narrow, "--out", str(tmp_path / "t5"),
+        "--dataset", dataset,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(data_dir / "manifest.json") in err and narrow in err
+    code = cli.main([
+        "eval", "--config", narrow, "--out", str(tmp_path / "e5"),
+        "--dataset", dataset,
+        "--checkpoint", str(run_dir / "checkpoint_best.json"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "t5").exists() and not (tmp_path / "e5").exists()
+
+
+def test_dataset_without_manifest_exits_3(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg, "--out", str(data_dir)]) == 0
+    (data_dir / "manifest.json").unlink()
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "o"),
+        "--dataset", str(data_dir / "dataset.jsonl"),
+    ])
+    assert code == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus-command"])
