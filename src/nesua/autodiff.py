@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import decode_array, encode_array
 from .errors import ContractError, ShapeError
 
 
@@ -415,8 +416,8 @@ class AdamState:
             "beta2": self.beta2,
             "eps_stability": self.eps_stability,
             "step": self.step,
-            "m": [buf.tolist() for buf in self.m],
-            "v": [buf.tolist() for buf in self.v],
+            "m": [encode_array(buf) for buf in self.m],
+            "v": [encode_array(buf) for buf in self.v],
         }
 
     @classmethod
@@ -427,8 +428,8 @@ class AdamState:
             beta2=d["beta2"],
             eps_stability=d["eps_stability"],
             step=d["step"],
-            m=[np.asarray(buf, dtype=np.float64) for buf in d["m"]],
-            v=[np.asarray(buf, dtype=np.float64) for buf in d["v"]],
+            m=[decode_array(buf) for buf in d["m"]],
+            v=[decode_array(buf) for buf in d["v"]],
         )
 
 

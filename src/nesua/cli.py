@@ -95,16 +95,19 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
-    """Read a dataset after checking that the manifest.json next to it was
-    written for the run config's scenario section."""
+    """Read a dataset after checking the manifest.json next to it: it must
+    have been written for the run config's scenario section, and its
+    record count must match the dataset's."""
     manifest_path = os.path.join(os.path.dirname(dataset_path), "manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        made_for = dict(json.loads(text)["config"]["scenario"])
+        manifest = json.loads(text)
+        made_for = dict(manifest["config"]["scenario"])
+        count = manifest["count"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
-            f"manifest {manifest_path} has no scenario config: {exc!r}"
+            f"manifest {manifest_path} lacks config.scenario or count: {exc!r}"
         ) from exc
     wanted = cfg.to_dict()["scenario"]
     if made_for != wanted:
@@ -119,7 +122,18 @@ def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
             f"in {diff}"
         )
     records = read_jsonl(dataset_path)
-    return [Sample(*from_record(rec, cfg.scenario)) for rec in records]
+    if len(records) != count:
+        raise ConfigError(
+            f"dataset {dataset_path} holds {len(records)} records but "
+            f"{manifest_path} says {count}"
+        )
+    pairs = []
+    for i, rec in enumerate(records, 1):
+        try:
+            pairs.append(Sample(*from_record(rec, cfg.scenario)))
+        except ConfigError as exc:
+            raise ConfigError(f"dataset {dataset_path} record {i}: {exc}") from None
+    return pairs
 
 
 def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None):
@@ -143,7 +157,12 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None):
                 f"checkpoint {checkpoint} is not resumable: missing "
                 f"{', '.join(sorted(missing))}"
             )
-        adam = ad.AdamState.from_dict(leftover["adam"])
+        try:
+            adam = ad.AdamState.from_dict(leftover["adam"])
+        except (ConfigError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"checkpoint {checkpoint} has no readable optimizer state: {exc!r}"
+            ) from None
         start_epoch = int(leftover["epoch"])
         prior_history = [tuple(row) for row in leftover.get("history", [])]
     res = train(
@@ -352,10 +371,7 @@ def _train_lambda_point(payload) -> None:
     cfg = dataclasses.replace(
         cfg, loss=LossConfig(lambda1=lam1, lambda2=ratio * lam1)
     )
-    os.makedirs(sub_dir, exist_ok=True)
-    pairs = [
-        Sample(*from_record(rec, cfg.scenario)) for rec in read_jsonl(dataset_path)
-    ]
+    pairs = _load_pairs(dataset_path, cfg)
     _train_to_dir(cfg, pairs, sub_dir)
     with open(os.path.join(sub_dir, "DONE"), "w", encoding="utf-8") as fh:
         fh.write("ok\n")

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .baselines import HardAssociation
+from .codec import decode_array, encode_array
 from .errors import ConfigError, ShapeError
 from .scenario import GraphInstance
 
@@ -191,14 +192,12 @@ def harden(s) -> HardAssociation:
 
 
 def save_checkpoint(path, model: GatModel, extra: dict | None = None):
-    """Self-describing JSON: named parameter tensors plus hyperparameters."""
+    """Write one JSON document: the named parameters, each encoded exactly
+    by `codec.encode_array` as {"name", "dtype", "shape", "b64"}, the
+    architecture under "gat", and the keys of `extra` stored as given."""
     doc = {
         "params": [
-            {
-                "name": name,
-                "shape": list(t.shape),
-                "values": t.values.reshape(-1).tolist(),
-            }
+            {"name": name, **encode_array(t.values)}
             for name, t in model.named_parameters().items()
         ],
         "gat": {
@@ -216,24 +215,33 @@ def save_checkpoint(path, model: GatModel, extra: dict | None = None):
 
 def load_checkpoint(path) -> tuple[GatModel, dict]:
     """Rebuild the model; everything beyond params and gat keys is passed
-    back untouched."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    meta = doc["gat"]
-    cfg = GatConfig(
-        hidden_dim=meta["hidden_dim"],
-        negative_slope=meta["negative_slope"],
-        activation=meta["activation"],
-        readout_activation=meta["readout_activation"],
-        heads=meta.get("heads", 1),
-    )
-    by_name = {}
-    for entry in doc["params"]:
-        values = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        by_name[entry["name"]] = ad.parameter(values)
+    back untouched.
+
+    A file that is not JSON, lacks a key, holds a malformed or old-style
+    decimal-list parameter, or misses a parameter raises ConfigError
+    naming the file. A file that cannot be opened raises OSError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        meta = doc["gat"]
+        cfg = GatConfig(
+            hidden_dim=meta["hidden_dim"],
+            negative_slope=meta["negative_slope"],
+            activation=meta["activation"],
+            readout_activation=meta["readout_activation"],
+            heads=meta.get("heads", 1),
+        )
+        by_name = {
+            entry["name"]: ad.parameter(decode_array(entry))
+            for entry in doc["params"]
+        }
+        feat_dim, n_cells = meta["feat_dim"], meta["n_cells"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from None
     missing = [n for n in PARAM_NAMES if n not in by_name]
     if missing:
-        raise ConfigError(f"checkpoint lacks parameters: {missing}")
+        raise ConfigError(f"checkpoint {path} lacks parameters: {missing}")
     model = GatModel(
         layer1=GatLayerParams(
             w=by_name["gat1.W"], a=by_name["gat1.a"],
@@ -246,8 +254,8 @@ def load_checkpoint(path) -> tuple[GatModel, dict]:
         readout_q=by_name["readout.Q"],
         readout_b=by_name["readout.B"],
         config=cfg,
-        feat_dim=meta["feat_dim"],
-        n_cells=meta["n_cells"],
+        feat_dim=feat_dim,
+        n_cells=n_cells,
     )
     leftover = {k: v for k, v in doc.items() if k not in ("params", "gat")}
     return model, leftover

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .codec import decode_array, encode_array
 from .errors import ConfigError, ContractError
 
 SPEED_OF_LIGHT = 299792458.0
@@ -310,47 +311,62 @@ def normalize_features(g: GraphInstance, stats: FeatureStats) -> GraphInstance:
 
 
 # ---------------------------------------------------------------------------
-# dataset serialization: one self-describing record per line
+# dataset serialization: one self-describing record per line, every array
+# field encoded exactly by `codec.encode_array`
+
+_RECORD_ARRAYS = (
+    "bs_xy", "ue_xy", "sinr_db", "sinr_prb_db", "rsrp_dbm", "prb", "adj", "feat",
+)
 
 
 def to_record(s: Scenario, g: GraphInstance, config_digest: str = "") -> dict:
+    arrays = {
+        "bs_xy": s.bs_positions,
+        "ue_xy": s.ue_positions,
+        "sinr_db": s.sinr_wideband_db,
+        "sinr_prb_db": s.sinr_per_prb_db,
+        "rsrp_dbm": s.rsrp_dbm,
+        "prb": s.prb_demand,
+        "adj": g.adjacency.astype(np.int8),
+        "feat": g.features,
+    }
     return {
         "seed": int(s.seed),
         "config_digest": config_digest,
-        "bs_xy": s.bs_positions.tolist(),
-        "ue_xy": s.ue_positions.tolist(),
-        "sinr_db": s.sinr_wideband_db.tolist(),
-        "sinr_prb_db": s.sinr_per_prb_db.tolist(),
-        "rsrp_dbm": s.rsrp_dbm.tolist(),
-        "prb": s.prb_demand.tolist(),
-        "adj": g.adjacency.astype(int).tolist(),
-        "feat": g.features.tolist(),
+        **{key: encode_array(values) for key, values in arrays.items()},
     }
 
 
 def from_record(rec: dict, cfg: ScenarioConfig) -> tuple[Scenario, GraphInstance]:
-    """Rebuild the scenario/graph pair; distance comes back from geometry."""
-    bs = np.asarray(rec["bs_xy"], dtype=np.float64)
-    ue = np.asarray(rec["ue_xy"], dtype=np.float64)
+    """Rebuild the scenario/graph pair; distance comes back from geometry.
+
+    A record that is not one `to_record` writes raises ConfigError.
+    """
+    try:
+        seed = int(rec["seed"])
+        arr = {key: decode_array(rec[key]) for key in _RECORD_ARRAYS}
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed record: {exc!r}") from None
+    bs, ue = arr["bs_xy"], arr["ue_xy"]
     dh = np.linalg.norm(ue[:, None, :] - bs[None, :, :], axis=2)
     dist = np.sqrt(dh**2 + (cfg.h_tx_m - cfg.h_ue_m) ** 2)
     s = Scenario(
-        seed=int(rec["seed"]),
+        seed=seed,
         bs_positions=bs,
         ue_positions=ue,
         distance=dist,
-        sinr_wideband_db=np.asarray(rec["sinr_db"], dtype=np.float64),
-        sinr_per_prb_db=np.asarray(rec["sinr_prb_db"], dtype=np.float64),
-        rsrp_dbm=np.asarray(rec["rsrp_dbm"], dtype=np.float64),
-        prb_demand=np.asarray(rec["prb"], dtype=np.int64),
+        sinr_wideband_db=arr["sinr_db"],
+        sinr_per_prb_db=arr["sinr_prb_db"],
+        rsrp_dbm=arr["rsrp_dbm"],
+        prb_demand=arr["prb"],
         n_prb_total=cfg.n_prb_total,
     )
     g = GraphInstance(
-        features=np.asarray(rec["feat"], dtype=np.float64),
-        adjacency=np.asarray(rec["adj"], dtype=np.float64),
+        features=arr["feat"],
+        adjacency=arr["adj"].astype(np.float64),
         prb_matrix=s.prb_demand.astype(np.float64),
         n_prb_total=cfg.n_prb_total,
-        scenario_ref=f"seed:{rec['seed']}",
+        scenario_ref=f"seed:{seed}",
     )
     return s, g
 
@@ -362,10 +378,17 @@ def write_jsonl(path, records):
 
 
 def read_jsonl(path):
+    """Records of a JSON-lines file, skipping blank lines. A line that is
+    not JSON raises ConfigError naming the file and the line number."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                try:
+                    records.append(json.loads(line))
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"dataset {path} line {lineno} is not JSON: {exc}"
+                    ) from None
     return records

@@ -220,15 +220,15 @@ def test_adam_state_round_trips_through_dict():
     ad.adam_step([p], [np.array([0.3, -0.7])], state)
     clone = ad.AdamState.from_dict(state.to_dict())
     assert clone.step == state.step
-    np.testing.assert_allclose(clone.m[0], state.m[0])
-    np.testing.assert_allclose(clone.v[0], state.v[0])
+    np.testing.assert_array_equal(clone.m[0], state.m[0])
+    np.testing.assert_array_equal(clone.v[0], state.v[0])
 
     # both continue identically
     p2 = ad.parameter(p.values.copy())
     g = np.array([-0.2, 0.4])
     ad.adam_step([p], [g], state)
     ad.adam_step([p2], [g], clone)
-    np.testing.assert_allclose(p.values, p2.values)
+    np.testing.assert_array_equal(p.values, p2.values)
 
 
 def test_adam_skips_missing_gradients():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nesua import cli, gat
+from nesua.codec import decode_array
 from nesua.config import RunConfig
 from nesua.errors import ConfigError
 
@@ -455,3 +456,128 @@ def test_runconfig_rejects_unknown_sections():
         RunConfig.from_dict({"train": {"lambda3": 1.0}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"eval": {"subsinr_agg": "median"}})
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def test_truncated_checkpoint_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+    dataset = str(data_dir / "dataset.jsonl")
+    best, last = run_dir / "checkpoint_best.json", run_dir / "checkpoint_last.json"
+    _truncate(best)
+    _truncate(last)
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--config", cfg, "--out", str(tmp_path / "ev"),
+        "--dataset", dataset, "--checkpoint", str(best),
+    ])
+    assert code == 2
+    assert str(best) in capsys.readouterr().err
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "r2"),
+        "--dataset", dataset, "--checkpoint", str(last),
+    ])
+    assert code == 2
+    assert str(last) in capsys.readouterr().err
+
+
+def test_truncated_dataset_line_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg, "--out", str(data_dir)]) == 0
+    dataset = data_dir / "dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "o"),
+        "--dataset", str(dataset),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(dataset) in err and "line 6" in err
+
+
+def test_dataset_shorter_than_manifest_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg, "--out", str(data_dir)]) == 0
+    dataset = data_dir / "dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    dataset.write_text("\n".join(lines[:-1]) + "\n")
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "o"),
+        "--dataset", str(dataset),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(dataset) in err and str(data_dir / "manifest.json") in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_old_decimal_list_artifacts_exit_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+    dataset = data_dir / "dataset.jsonl"
+    best, last = run_dir / "checkpoint_best.json", run_dir / "checkpoint_last.json"
+
+    doc = json.loads(best.read_text())
+    doc["params"] = [
+        {"name": p["name"], "shape": p["shape"],
+         "values": decode_array(p).reshape(-1).tolist()}
+        for p in doc["params"]
+    ]
+    best.write_text(json.dumps(doc))
+    doc = json.loads(last.read_text())
+    doc["adam"]["m"] = [decode_array(b).tolist() for b in doc["adam"]["m"]]
+    last.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--config", cfg, "--out", str(tmp_path / "ev"),
+        "--dataset", str(dataset), "--checkpoint", str(best),
+    ])
+    assert code == 2
+    assert str(best) in capsys.readouterr().err
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "r2"),
+        "--dataset", str(dataset), "--checkpoint", str(last),
+    ])
+    assert code == 2
+    assert str(last) in capsys.readouterr().err
+
+    lines = dataset.read_text().splitlines()
+    old = json.loads(lines[1])
+    for key in ("sinr_prb_db", "feat"):  # the decimal-list layout of earlier versions
+        old[key] = decode_array(old[key]).tolist()
+    lines[1] = json.dumps(old, separators=(",", ":"))
+    dataset.write_text("\n".join(lines) + "\n")
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "r3"),
+        "--dataset", str(dataset),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(dataset) in err and "record 2" in err
+
+
+def test_sweep_lambda_checks_shared_dataset_count(tmp_path, capsys):
+    cfg = _sweep_cfg(tmp_path)
+    out = tmp_path / "sw"
+    assert cli.main(["gen", "--config", cfg, "--out", str(out)]) == 0
+    dataset = out / "dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    dataset.write_text("\n".join(lines[:-1]) + "\n")
+    capsys.readouterr()
+    code = cli.main([
+        "sweep", "lambda", "--config", cfg, "--out", str(out),
+        "--grid", "ratio=0",
+    ])
+    assert code == 2
+    assert str(out / "manifest.json") in capsys.readouterr().err
+    assert not (out / "ratio0" / "DONE").exists()
