@@ -4,8 +4,17 @@ Every operation returns a new Tensor that remembers its inputs and a
 closure implementing the exact reverse rule, so the executed ops form a
 computation record that backward() replays in reverse topological order.
 Only the primitives needed by the attention pipeline and the network
-power loss are provided; there is no broadcasting beyond what those
+power loss are provided (add, subtract, multiply, scale, matmul, linear,
+transpose, reshape, slice_rows, concat, the nonlinearities, the
+reductions and the cell gate); there is no broadcasting beyond what those
 compositions use.
+
+Gradient buffers: the first gradient a tensor receives is copied into a
+fresh C-ordered buffer as `g + 0.0`, so -0.0 lands as +0.0 exactly as if
+it were added to zeros, and later gradients are added into it in place.
+The copy is needed because reverse rules hand out views and shared
+arrays: `add` passes one gradient to both parents, `_unbroadcast` may
+return its input, and `transpose`, `reshape` and `concat` pass views.
 """
 
 from __future__ import annotations
@@ -39,8 +48,9 @@ class Tensor:
 
     def accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty(self.values.shape))
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -155,6 +165,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 b.accumulate(va.T @ g)
 
     return _result(out_values, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """x @ w.T for rows x (K, d_in) and a weight matrix w (d_out, d_in),
+    without a transpose node or its gradient buffer."""
+    vx, vw = x.values, w.values
+    if vx.ndim != 2 or vw.ndim != 2:
+        raise ShapeError(f"linear: expected matrices, got {vx.shape} and {vw.shape}")
+    if vx.shape[1] != vw.shape[1]:
+        raise ShapeError(f"linear: widths differ, {vx.shape} vs weight {vw.shape}")
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g @ vw)
+        if w.requires_grad:
+            w.accumulate(g.T @ vx)
+
+    return _result(vx @ vw.T, (x, w), backward)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -434,21 +462,48 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState):
-    """One in-place bias-corrected Adam update over matched param/grad lists."""
-    if len(params) != len(state.m):
+    """One in-place bias-corrected Adam update over matched param/grad lists.
+
+    Moments and parameters are updated in place through two scratch
+    arrays per parameter, one operation at a time in the order of
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g**2;
+    p -= lr (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps),
+    so the bits equal those of the expressions written out.
+    The gradients are not written to.
+    """
+    if not len(params) == len(state.m) == len(state.v):
         raise ShapeError(
-            f"adam_step: {len(params)} params vs state sized for {len(state.m)}"
+            f"adam_step: {len(params)} params vs state sized for "
+            f"{len(state.m)} and {len(state.v)} moments"
         )
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if m.shape != p.values.shape or v.shape != p.values.shape:
+            raise ShapeError(
+                f"adam_step: moments {m.shape} and {v.shape} vs param {p.values.shape}"
+            )
+        if g is not None and np.shape(g) != p.values.shape:
+            raise ShapeError(f"adam_step: grad {np.shape(g)} vs param {p.values.shape}")
     state.step += 1
     t = state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
+    b1, b2 = state.beta1, state.beta2
+    bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             continue
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.values.shape:
-            raise ShapeError(f"adam_step: grad {g.shape} vs param {p.values.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g**2
-        m_hat = state.m[i] / (1.0 - state.beta1**t)
-        v_hat = state.v[i] / (1.0 - state.beta2**t)
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps_stability)
+        s1 = np.empty(p.values.shape)
+        s2 = np.empty(p.values.shape)
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=s1)
+        np.add(m, s1, out=m)
+        np.square(g, out=s1)
+        np.multiply(s1, 1.0 - b2, out=s1)
+        np.multiply(v, b2, out=v)
+        np.add(v, s1, out=v)
+        np.divide(m, bias1, out=s1)
+        np.divide(v, bias2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, state.eps_stability, out=s2)
+        np.multiply(s1, state.lr, out=s1)
+        np.divide(s1, s2, out=s1)
+        np.subtract(p.values, s1, out=p.values)

@@ -16,6 +16,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import autodiff as ad
 from . import gat as gat_mod
 from .baselines import associate_ga_subsinr, associate_oracle, associate_rsrp
@@ -94,6 +96,44 @@ def cmd_gen(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _differing(found: dict, wanted: dict) -> str:
+    """'key found vs wanted' for every key on which two sections differ."""
+    return ", ".join(
+        f"{key} {found.get(key)!r} vs {wanted.get(key)!r}"
+        for key in sorted(set(found) | set(wanted))
+        if found.get(key) != wanted.get(key)
+    )
+
+
+def _check_architecture(model, checkpoint, cfg: RunConfig, config_path):
+    """Refuse a checkpoint whose `gat` section is not the run config's."""
+    found, wanted = model.config.to_dict(), cfg.gat.to_dict()
+    if found != wanted:
+        raise ConfigError(
+            f"checkpoint {checkpoint} was trained for another architecture: "
+            f"it and {config_path or 'the default config'} differ in "
+            f"{_differing(found, wanted)}"
+        )
+
+
+def _check_moments(adam: ad.AdamState, model, checkpoint):
+    """Refuse Adam moments that do not match the parameters one for one."""
+    params = model.named_parameters()
+    for key in ("m", "v"):
+        moments = getattr(adam, key)
+        if len(moments) != len(params):
+            raise ConfigError(
+                f"checkpoint {checkpoint} holds {len(moments)} adam.{key} "
+                f"moments for {len(params)} parameters"
+            )
+        for (name, p), buf in zip(params.items(), moments):
+            if buf.shape != p.shape or buf.dtype != np.float64:
+                raise ConfigError(
+                    f"checkpoint {checkpoint}: adam.{key} for {name} is "
+                    f"{buf.dtype} {buf.shape}, the parameter float64 {p.shape}"
+                )
+
+
 def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
     """Read a dataset after checking the manifest.json next to it: it must
     have been written for the run config's scenario section, and its
@@ -111,15 +151,10 @@ def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
         ) from exc
     wanted = cfg.to_dict()["scenario"]
     if made_for != wanted:
-        diff = ", ".join(
-            f"{key} {made_for.get(key)!r} vs {wanted.get(key)!r}"
-            for key in sorted(set(made_for) | set(wanted))
-            if made_for.get(key) != wanted.get(key)
-        )
         raise ConfigError(
             f"dataset {dataset_path} was generated for another scenario: "
             f"{manifest_path} and {config_path or 'the default config'} differ "
-            f"in {diff}"
+            f"in {_differing(made_for, wanted)}"
         )
     records = read_jsonl(dataset_path)
     if len(records) != count:
@@ -136,11 +171,13 @@ def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
     return pairs
 
 
-def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None):
+def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=None):
     """Split, train (optionally resuming), and persist the run artifacts.
 
     Resuming continues the epoch count from the checkpoint; best-model
-    tracking restarts from the resume point.
+    tracking restarts from the resume point. The checkpoint must have been
+    trained for the run config's `gat` section, and its Adam moments must
+    be float64 arrays shaped like the parameters they belong to.
     """
     train_s, test_s, stats = split_and_normalize(
         pairs, cfg.train.split_fraction, cfg.seed
@@ -151,6 +188,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None):
     prior_history = []
     if checkpoint:
         model, leftover = gat_mod.load_checkpoint(checkpoint)
+        _check_architecture(model, checkpoint, cfg, config_path)
         missing = {"adam", "epoch"} - set(leftover)
         if missing:
             raise ConfigError(
@@ -163,6 +201,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None):
             raise ConfigError(
                 f"checkpoint {checkpoint} has no readable optimizer state: {exc!r}"
             ) from None
+        _check_moments(adam, model, checkpoint)
         start_epoch = int(leftover["epoch"])
         prior_history = [tuple(row) for row in leftover.get("history", [])]
     res = train(
@@ -202,7 +241,9 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None):
 
 def cmd_train(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     pairs = _load_pairs(dataset_path, cfg, config_path)
-    res = _train_to_dir(cfg, pairs, cfg.out_dir, checkpoint=checkpoint)
+    res = _train_to_dir(
+        cfg, pairs, cfg.out_dir, checkpoint=checkpoint, config_path=config_path
+    )
     print(
         f"trained to epoch {cfg.train.epochs}; best epoch {res.best_epoch}; "
         f"outputs in {cfg.out_dir}"
@@ -218,6 +259,7 @@ def _checkpoint_stats(leftover, path) -> FeatureStats:
 
 def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     model, leftover = gat_mod.load_checkpoint(checkpoint)
+    _check_architecture(model, checkpoint, cfg, config_path)
     stats = _checkpoint_stats(leftover, checkpoint)
     pairs = _load_pairs(dataset_path, cfg, config_path)
     if not pairs:

@@ -121,7 +121,7 @@ def init_model(feat_dim: int, n_cells: int, cfg: GatConfig, seed: int) -> GatMod
 
 
 def _transformed(h: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:
-    return ad.matmul(h, ad.transpose(layer.w))
+    return ad.linear(h, layer.w)
 
 
 def attention_scores(h: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:

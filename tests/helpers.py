@@ -24,6 +24,30 @@ def finite_difference_grad(f, x, h_scale=1e-5):
     return g
 
 
+def reference_adam_step(params, grads, state):
+    """Reference Adam: the expression-per-line update `ad.adam_step` must
+    match bit for bit, rebinding fresh moment arrays each step."""
+    if len(params) != len(state.m):
+        raise ValueError(f"{len(params)} params vs state sized for {len(state.m)}")
+    state.step += 1
+    t = state.step
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g is None:
+            continue
+        g = np.asarray(g, dtype=np.float64)
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g**2
+        m_hat = state.m[i] / (1.0 - state.beta1**t)
+        v_hat = state.v[i] / (1.0 - state.beta2**t)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps_stability)
+
+
+def reference_transformed(h, layer):
+    """Reference layer transform h @ W.T built from `matmul` and a
+    `transpose` node, which `gat._transformed` must match bit for bit."""
+    return ad.matmul(h, ad.transpose(layer.w))
+
+
 def check_grad(build_loss, arrays, rtol=1e-4, atol=1e-6):
     """Compare reverse-mode gradients of build_loss against finite differences.
 

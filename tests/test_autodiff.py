@@ -6,7 +6,7 @@ import pytest
 from nesua import autodiff as ad
 from nesua.errors import ContractError, ShapeError
 
-from helpers import check_grad
+from helpers import check_grad, reference_adam_step
 
 
 def test_add_subtract_multiply_gradients():
@@ -55,6 +55,75 @@ def test_matmul_gradients():
     a = rng.normal(size=(5, 7))
     v = rng.normal(size=(7,))
     check_grad(lambda t: ad.sum_all(ad.matmul(t[0], t[1])), [a, v])
+
+
+@pytest.mark.parametrize(
+    "k, d_in, d_out", [(1, 21, 512), (50, 1, 512), (50, 21, 512), (50, 512, 512)]
+)
+def test_linear_is_bit_equal_to_matmul_of_transpose(k, d_in, d_out):
+    rng = np.random.default_rng(k + d_in + d_out)
+    x_values = rng.normal(size=(k, d_in))
+    w_values = rng.normal(size=(d_out, d_in))
+    upstream = ad.constant(rng.normal(size=(k, d_out)))
+    x, w = ad.parameter(x_values.copy()), ad.parameter(w_values.copy())
+    x_ref, w_ref = ad.parameter(x_values.copy()), ad.parameter(w_values.copy())
+    out = ad.linear(x, w)
+    out_ref = ad.matmul(x_ref, ad.transpose(w_ref))
+    assert out.values.tobytes() == out_ref.values.tobytes()
+    ad.backward(ad.sum_all(ad.multiply(out, upstream)))
+    ad.backward(ad.sum_all(ad.multiply(out_ref, upstream)))
+    assert x.grad.tobytes() == x_ref.grad.tobytes()
+    assert w.grad.tobytes() == w_ref.grad.tobytes()
+
+
+def test_linear_gradients_and_shape_errors():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        x = rng.normal(size=(5, 4))
+        w = rng.normal(size=(3, 4))
+        check_grad(lambda t: ad.trace_of_gram(ad.linear(t[0], t[1])), [x, w])
+    x = ad.constant(np.zeros((5, 4)))
+    with pytest.raises(ShapeError):
+        ad.linear(ad.constant(np.zeros(4)), ad.constant(np.zeros((3, 4))))
+    with pytest.raises(ShapeError):
+        ad.linear(x, ad.constant(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        ad.linear(x, ad.constant(np.zeros((3, 5))))
+
+
+def test_accumulate_gives_a_fresh_c_ordered_buffer():
+    x = ad.parameter(np.arange(6.0).reshape(2, 3))
+    xt = ad.transpose(x)
+    assert not xt.values.flags.c_contiguous
+    ad.backward(ad.trace_of_gram(xt))  # its gradient is an F-ordered array
+    assert xt.grad.flags.c_contiguous and xt.grad.flags.owndata
+    assert x.grad.flags.c_contiguous and x.grad.flags.owndata
+    np.testing.assert_array_equal(xt.grad, 2.0 * xt.values)
+    np.testing.assert_array_equal(x.grad, 2.0 * x.values)
+
+
+def test_accumulate_first_negative_zero_lands_as_positive_zero():
+    x = ad.parameter(np.array([1.0, 2.0]))
+    x.accumulate(np.array([-0.0, -0.0]))
+    assert not np.signbit(x.grad).any()
+    y = ad.parameter(np.array([1.0, 2.0]))
+    ad.backward(ad.sum_all(ad.multiply(y, ad.constant(np.array([-0.0, 3.0])))))
+    assert y.grad.tobytes() == np.array([0.0, 3.0]).tobytes()
+
+
+def test_add_parents_get_distinct_gradient_buffers():
+    a = ad.parameter(np.ones((2, 3)))
+    b = ad.parameter(np.ones((2, 3)))
+    out = ad.add(a, b)
+    ad.backward(ad.sum_all(out))
+    for one, other in ((a, b), (a, out), (b, out)):
+        assert not np.shares_memory(one.grad, other.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+    c = ad.parameter(np.ones(6))
+    view = ad.reshape(c, (2, 3))
+    ad.backward(ad.sum_all(view))
+    assert not np.shares_memory(c.grad, view.grad)
 
 
 def test_transpose_reshape_slice_concat_gradients():
@@ -238,6 +307,47 @@ def test_adam_skips_missing_gradients():
     ad.adam_step([p, q], [np.array([1.0]), None], state)
     assert q.values[0] == 2.0
     assert p.values[0] != 1.0
+
+
+def test_adam_step_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shapes = [(4, 3), (3,), (2, 2), ()]
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150])
+    params = [ad.parameter(rng.normal(size=shape)) for shape in shapes]
+    ref = [ad.parameter(p.values.copy()) for p in params]
+    state = ad.AdamState.for_params(params, lr=1e-2)
+    ref_state = ad.AdamState.for_params(ref, lr=1e-2)
+    for step in range(50):
+        grads = []
+        for i, shape in enumerate(shapes):
+            if (step + i) % 7 == 0:
+                grads.append(None)
+                continue
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+            flat = g.reshape(-1)
+            picks = rng.integers(0, flat.size, size=2)
+            flat[picks] = rng.choice(special, size=2)
+            grads.append(g)
+        before = [None if g is None else g.tobytes() for g in grads]
+        ad.adam_step(params, grads, state)
+        assert [None if g is None else g.tobytes() for g in grads] == before
+        reference_adam_step(ref, grads, ref_state)
+        assert state.step == ref_state.step == step + 1
+        for i, (p, q) in enumerate(zip(params, ref)):
+            assert p.values.tobytes() == q.values.tobytes(), (step, i)
+            assert state.m[i].tobytes() == ref_state.m[i].tobytes(), (step, i)
+            assert state.v[i].tobytes() == ref_state.v[i].tobytes(), (step, i)
+
+
+def test_adam_step_rejects_moments_shaped_unlike_their_parameter():
+    p = ad.parameter(np.array([1.0, 2.0, 3.0]))
+    for key, bad in (("m", np.zeros(1)), ("v", np.zeros((3, 1)))):
+        state = ad.AdamState.for_params([p], lr=0.1)
+        getattr(state, key)[0] = bad
+        with pytest.raises(ShapeError):
+            ad.adam_step([p], [np.ones(3)], state)
+        assert state.step == 0
+        np.testing.assert_array_equal(p.values, [1.0, 2.0, 3.0])
 
 
 def test_full_pipeline_gradient_composition():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nesua import cli, gat
-from nesua.codec import decode_array
+from nesua.codec import decode_array, encode_array
 from nesua.config import RunConfig
 from nesua.errors import ConfigError
 
@@ -581,3 +581,64 @@ def test_sweep_lambda_checks_shared_dataset_count(tmp_path, capsys):
     assert code == 2
     assert str(out / "manifest.json") in capsys.readouterr().err
     assert not (out / "ratio0" / "DONE").exists()
+
+
+@pytest.mark.parametrize(
+    "section, index, bad",
+    [
+        ("m", 0, np.zeros(16)),  # gat1.W is (4, 6): no broadcast fits
+        ("m", 5, np.zeros(1)),  # readout.B is (2,): (1,) would broadcast
+        ("v", 5, np.zeros(1)),
+        ("m", 1, np.zeros(8, dtype=np.int64)),  # right shape, not float64
+        ("v", None, None),  # one moment short
+    ],
+)
+def test_resume_with_mismatched_adam_moments_exits_2(
+    tmp_path, capsys, section, index, bad
+):
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+    last = run_dir / "checkpoint_last.json"
+    doc = json.loads(last.read_text())
+    if index is None:
+        doc["adam"][section].pop()
+    else:
+        doc["adam"][section][index] = encode_array(bad)
+    last.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "r2"),
+        "--dataset", str(data_dir / "dataset.jsonl"),
+        "--checkpoint", str(last),
+    ])
+    assert code == 2
+    assert str(last) in capsys.readouterr().err
+    assert not (tmp_path / "r2").exists()
+
+
+def test_checkpoint_for_another_architecture_exits_2(tmp_path, capsys):
+    narrow = _write_cfg(tmp_path, name="h8.json", gat={"hidden_dim": 8})
+    wide = _write_cfg(
+        tmp_path, name="h16.json",
+        gat={"hidden_dim": 16, "activation": "identity"},
+    )
+    data_dir, run_dir = _gen_and_train(tmp_path, narrow)
+    dataset = str(data_dir / "dataset.jsonl")
+    best, last = run_dir / "checkpoint_best.json", run_dir / "checkpoint_last.json"
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--config", wide, "--out", str(tmp_path / "ev"),
+        "--dataset", dataset, "--checkpoint", str(best),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(best) in err and wide in err
+    assert "hidden_dim" in err and "activation" in err
+    code = cli.main([
+        "train", "--config", wide, "--out", str(tmp_path / "r2"),
+        "--dataset", dataset, "--checkpoint", str(last),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(last) in err and wide in err and "hidden_dim" in err
+    assert not (tmp_path / "ev").exists() and not (tmp_path / "r2").exists()

@@ -13,7 +13,7 @@ from nesua.errors import ConfigError, ContractError, TrainingDiverged
 from nesua.power import PowerParams, network_power_soft
 from nesua.scenario import GraphInstance, ScenarioConfig
 
-from helpers import check_grad
+from helpers import check_grad, reference_adam_step, reference_transformed
 
 DEFAULTS = PowerParams()
 
@@ -268,6 +268,38 @@ def test_resume_matches_uninterrupted_run():
     assert half.history + resumed.history == full.history
     for p, q in zip(resumed.model.parameters(), full.model.parameters()):
         np.testing.assert_array_equal(p.values, q.values)
+
+
+def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
+    # the shipped layer transform and Adam step against the references
+    # they replaced: transpose node plus matmul, and fresh-array Adam
+    cfg = _tiny_cfg(n_ues=7)
+    graphs = _graphs(cfg, 6)
+    tc = tr.TrainConfig(dataset_size=6, epochs=4, lr=1e-2, shuffle_seed=5)
+    kw = dict(
+        tc=tc, lc=tr.LossConfig(lambda1=1.0, lambda2=0.2), params=DEFAULTS,
+        seed=3, test=graphs[5:],
+        gat_cfg=gat.GatConfig(hidden_dim=16, readout_activation="identity"),
+    )
+    shipped = tr.train(graphs[:5], **kw)
+    assert len({row[1] for row in shipped.history}) == 4  # the model does learn
+    monkeypatch.setattr(gat, "_transformed", reference_transformed)
+    monkeypatch.setattr(ad, "adam_step", reference_adam_step)
+    reference = tr.train(graphs[:5], **kw)
+
+    assert np.array(shipped.history).tobytes() == np.array(reference.history).tobytes()
+    assert shipped.best_epoch == reference.best_epoch
+    for ours, theirs in (
+        (shipped.model, reference.model),
+        (shipped.best_model, reference.best_model),
+    ):
+        for p, q in zip(ours.parameters(), theirs.parameters()):
+            assert p.values.tobytes() == q.values.tobytes()
+    a, b = shipped.adam_state, reference.adam_state
+    assert a.step == b.step == 4 * 5
+    for key in ("m", "v"):
+        for x, y in zip(getattr(a, key), getattr(b, key)):
+            assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
