@@ -9,12 +9,16 @@ transpose, reshape, slice_rows, concat, the nonlinearities, the
 reductions and the cell gate); there is no broadcasting beyond what those
 compositions use.
 
-Gradient buffers: the first gradient a tensor receives is copied into a
-fresh C-ordered buffer as `g + 0.0`, so -0.0 lands as +0.0 exactly as if
-it were added to zeros, and later gradients are added into it in place.
-The copy is needed because reverse rules hand out views and shared
-arrays: `add` passes one gradient to both parents, `_unbroadcast` may
-return its input, and `transpose`, `reshape` and `concat` pass views.
+Gradient buffers: the first gradient a tensor receives becomes its
+buffer as `g + 0.0`, so -0.0 lands as +0.0 exactly as if it were added
+to zeros, and later gradients are added into it in place. By default the
+first gradient is copied into a fresh C-ordered buffer, because reverse
+rules hand out views and shared arrays: `add` passes one gradient to both
+parents, `_unbroadcast` may return its input, and `transpose`, `reshape`
+and `concat` pass views. A rule that passes a product it has just
+computed and holds no other reference to, as `linear` does with both of
+its gradient products, says so with `fresh=True`; that product is then
+adopted, with `+ 0.0` applied in place, instead of copied.
 """
 
 from __future__ import annotations
@@ -46,9 +50,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def accumulate(self, g):
+    def accumulate(self, g, fresh=False):
+        """Add gradient g; `fresh=True` promises g is a new C-ordered
+        array shaped like the values that nothing else references."""
         if self.grad is None:
-            self.grad = np.add(g, 0.0, out=np.empty(self.values.shape))
+            out = g if fresh else np.empty(self.values.shape)
+            self.grad = np.add(g, 0.0, out=out)
         else:
             self.grad += g
 
@@ -169,7 +176,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """x @ w.T for rows x (K, d_in) and a weight matrix w (d_out, d_in),
-    without a transpose node or its gradient buffer."""
+    without a transpose node or its gradient buffer. Both gradient
+    products are fresh arrays and are adopted as first gradients."""
     vx, vw = x.values, w.values
     if vx.ndim != 2 or vw.ndim != 2:
         raise ShapeError(f"linear: expected matrices, got {vx.shape} and {vw.shape}")
@@ -178,9 +186,9 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(g @ vw)
+            x.accumulate(g @ vw, fresh=True)
         if w.requires_grad:
-            w.accumulate(g.T @ vx)
+            w.accumulate(g.T @ vx, fresh=True)
 
     return _result(vx @ vw.T, (x, w), backward)
 
@@ -461,14 +469,25 @@ class AdamState:
         )
 
 
+# Elements per Adam block. Two scratch blocks of 256 KB stay in cache and
+# are allocated once per step, where scratch the size of a 512x512 weight
+# (2 MB each) was faulted back in from the OS every step.
+_ADAM_BLOCK = 32768
+
+
 def adam_step(params, grads, state: AdamState):
     """One in-place bias-corrected Adam update over matched param/grad lists.
 
-    Moments and parameters are updated in place through two scratch
-    arrays per parameter, one operation at a time in the order of
+    Moments and parameters are updated in place, one operation at a time
+    in the order of
     m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g**2;
     p -= lr (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps),
-    so the bits equal those of the expressions written out.
+    so the bits equal those of the expressions written out. Each
+    parameter is walked in blocks of at most `_ADAM_BLOCK` elements
+    (contiguous flat slices for C-ordered arrays; `np.nditer` buffers any
+    other layout), and every block runs the whole sequence through two
+    scratch arrays of one block each, allocated once per call. Adam is
+    elementwise, so the blocking does not change a bit.
     The gradients are not written to.
     """
     if not len(params) == len(state.m) == len(state.v):
@@ -487,23 +506,30 @@ def adam_step(params, grads, state: AdamState):
     t = state.step
     b1, b2 = state.beta1, state.beta2
     bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+    scratch1, scratch2 = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             continue
-        g = np.asarray(g, dtype=np.float64)
-        s1 = np.empty(p.values.shape)
-        s2 = np.empty(p.values.shape)
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1.0 - b1, out=s1)
-        np.add(m, s1, out=m)
-        np.square(g, out=s1)
-        np.multiply(s1, 1.0 - b2, out=s1)
-        np.multiply(v, b2, out=v)
-        np.add(v, s1, out=v)
-        np.divide(m, bias1, out=s1)
-        np.divide(v, bias2, out=s2)
-        np.sqrt(s2, out=s2)
-        np.add(s2, state.eps_stability, out=s2)
-        np.multiply(s1, state.lr, out=s1)
-        np.divide(s1, s2, out=s1)
-        np.subtract(p.values, s1, out=p.values)
+        blocks = np.nditer(
+            [p.values, np.asarray(g, dtype=np.float64), m, v],
+            flags=["external_loop", "buffered", "zerosize_ok"],
+            op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
+            buffersize=_ADAM_BLOCK,
+        )
+        with blocks:
+            for pb, gb, mb, vb in blocks:
+                s1, s2 = scratch1[: pb.size], scratch2[: pb.size]
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, 1.0 - b1, out=s1)
+                np.add(mb, s1, out=mb)
+                np.square(gb, out=s1)
+                np.multiply(s1, 1.0 - b2, out=s1)
+                np.multiply(vb, b2, out=vb)
+                np.add(vb, s1, out=vb)
+                np.divide(mb, bias1, out=s1)
+                np.divide(vb, bias2, out=s2)
+                np.sqrt(s2, out=s2)
+                np.add(s2, state.eps_stability, out=s2)
+                np.multiply(s1, state.lr, out=s1)
+                np.divide(s1, s2, out=s1)
+                np.subtract(pb, s1, out=pb)

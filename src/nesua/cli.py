@@ -105,14 +105,25 @@ def _differing(found: dict, wanted: dict) -> str:
     )
 
 
-def _check_architecture(model, checkpoint, cfg: RunConfig, config_path):
-    """Refuse a checkpoint whose `gat` section is not the run config's."""
-    found, wanted = model.config.to_dict(), cfg.gat.to_dict()
+def _check_architecture(model, checkpoint, cfg: RunConfig, pairs, config_path):
+    """Refuse a checkpoint whose `gat` section is not the run config's, or
+    that was built for another cell count or another feature width than
+    the run config's scenario and its dataset."""
+    found = {
+        **model.config.to_dict(),
+        "n_cells": model.n_cells,
+        "feat_dim": model.feat_dim,
+    }
+    wanted = {
+        **cfg.gat.to_dict(),
+        "n_cells": cfg.scenario.n_cells,
+        "feat_dim": pairs[0].graph.features.shape[1],
+    }
     if found != wanted:
         raise ConfigError(
             f"checkpoint {checkpoint} was trained for another architecture: "
-            f"it and {config_path or 'the default config'} differ in "
-            f"{_differing(found, wanted)}"
+            f"it and {config_path or 'the default config'} with its dataset "
+            f"differ in {_differing(found, wanted)}"
         )
 
 
@@ -176,8 +187,9 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
 
     Resuming continues the epoch count from the checkpoint; best-model
     tracking restarts from the resume point. The checkpoint must have been
-    trained for the run config's `gat` section, and its Adam moments must
-    be float64 arrays shaped like the parameters they belong to.
+    trained for the run config's `gat` section, cell count and the
+    dataset's feature width, and its Adam moments must be float64 arrays
+    shaped like the parameters they belong to.
     """
     train_s, test_s, stats = split_and_normalize(
         pairs, cfg.train.split_fraction, cfg.seed
@@ -188,7 +200,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     prior_history = []
     if checkpoint:
         model, leftover = gat_mod.load_checkpoint(checkpoint)
-        _check_architecture(model, checkpoint, cfg, config_path)
+        _check_architecture(model, checkpoint, cfg, pairs, config_path)
         missing = {"adam", "epoch"} - set(leftover)
         if missing:
             raise ConfigError(
@@ -259,11 +271,11 @@ def _checkpoint_stats(leftover, path) -> FeatureStats:
 
 def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     model, leftover = gat_mod.load_checkpoint(checkpoint)
-    _check_architecture(model, checkpoint, cfg, config_path)
     stats = _checkpoint_stats(leftover, checkpoint)
     pairs = _load_pairs(dataset_path, cfg, config_path)
     if not pairs:
         raise ConfigError(f"dataset {dataset_path} is empty")
+    _check_architecture(model, checkpoint, cfg, pairs, config_path)
     demand = cfg.eval_demand_mbps()
     agg = cfg.eval.subsinr_agg
     k = pairs[0].scenario.n_ues

@@ -1,10 +1,10 @@
 """Two-layer graph attention network with a per-node softmax readout.
 
-Each layer scores every node pair from a shared attention vector over
-linearly transformed features, normalizes scores over the adjacency
-neighborhood (self-loops included), and mixes the transformed features
-with those weights. The readout maps final embeddings to one soft
-association row per UE on the cell simplex.
+Each layer transforms its input features once, hw = h @ W.T, scores
+every node pair from a shared attention vector over hw, normalizes the
+scores over the adjacency neighborhood (self-loops included), and mixes
+the same hw with those weights. The readout maps final embeddings to one
+soft association row per UE on the cell simplex.
 """
 
 from __future__ import annotations
@@ -124,14 +124,14 @@ def _transformed(h: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:
     return ad.linear(h, layer.w)
 
 
-def attention_scores(h: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:
-    """Pairwise scores rho(u,v) for all node pairs.
+def attention_scores(hw: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:
+    """Pairwise scores rho(u,v) for all node pairs from the layer's
+    transformed features hw = h @ W.T (`_transformed`).
 
     The scorer splits into a source and a destination half, so the K*K
     pair matrix is a broadcast sum of two length-K projections instead of
     K^2 concatenations.
     """
-    hw = _transformed(h, layer)
     k, d = hw.shape
     if layer.a.shape != (2 * d,):
         raise ShapeError(
@@ -143,18 +143,22 @@ def attention_scores(h: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:
     return ad.leaky_relu(pair, layer.negative_slope)
 
 
-def attention_weights(h: ad.Tensor, adjacency, layer: GatLayerParams) -> ad.Tensor:
-    """Scores normalized over each node's neighborhood; zero off-edges."""
-    return ad.row_softmax_masked(attention_scores(h, layer), adjacency)
+def attention_weights(hw: ad.Tensor, adjacency, layer: GatLayerParams) -> ad.Tensor:
+    """Scores of the transformed features hw normalized over each node's
+    neighborhood; zero off-edges."""
+    return ad.row_softmax_masked(attention_scores(hw, layer), adjacency)
 
 
 def gat_layer(
     h: ad.Tensor, adjacency, layer: GatLayerParams, activation: str = "relu"
 ) -> ad.Tensor:
-    """One attention round: mix transformed neighbor features with the
-    normalized attention weights, then apply the nonlinearity."""
-    att = attention_weights(h, adjacency, layer)
-    mixed = ad.matmul(att, _transformed(h, layer))
+    """One attention round: transform h once, score the transformed
+    features and mix them with the normalized attention weights, then
+    apply the nonlinearity. Both uses share the one transform node, so its
+    gradient reaches W as a single summed product."""
+    hw = _transformed(h, layer)
+    att = attention_weights(hw, adjacency, layer)
+    mixed = ad.matmul(att, hw)
     return _ACTIVATIONS[activation](mixed)
 
 

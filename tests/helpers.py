@@ -3,6 +3,7 @@
 import numpy as np
 
 from nesua import autodiff as ad
+from nesua import gat
 from nesua.power import network_power_hard, radio_coefficients
 
 
@@ -46,6 +47,16 @@ def reference_transformed(h, layer):
     """Reference layer transform h @ W.T built from `matmul` and a
     `transpose` node, which `gat._transformed` must match bit for bit."""
     return ad.matmul(h, ad.transpose(layer.w))
+
+
+def reference_gat_layer(h, adjacency, layer, activation="relu"):
+    """Reference GAT layer that transforms h twice, once to score the pairs
+    and once to aggregate; `gat.gat_layer`, which shares one transform,
+    must give the same forward bits."""
+    scores = gat.attention_scores(gat._transformed(h, layer), layer)
+    att = ad.row_softmax_masked(scores, adjacency)
+    mixed = ad.matmul(att, gat._transformed(h, layer))
+    return gat._ACTIVATIONS[activation](mixed)
 
 
 def check_grad(build_loss, arrays, rtol=1e-4, atol=1e-6):

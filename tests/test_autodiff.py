@@ -1,5 +1,7 @@
 """Gradient and contract checks for the reverse-mode engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,18 @@ def test_linear_is_bit_equal_to_matmul_of_transpose(k, d_in, d_out):
     ad.backward(ad.sum_all(ad.multiply(out_ref, upstream)))
     assert x.grad.tobytes() == x_ref.grad.tobytes()
     assert w.grad.tobytes() == w_ref.grad.tobytes()
+    # the adopted products are C-ordered buffers of their own, and the
+    # backward of a second forward adds into them in place
+    buffers = x.grad, w.grad
+    for buf in buffers:
+        assert buf.flags.c_contiguous and buf.flags.owndata
+    out = ad.linear(x, w)
+    out_ref = ad.matmul(x_ref, ad.transpose(w_ref))
+    ad.backward(ad.sum_all(ad.multiply(out, upstream)))
+    ad.backward(ad.sum_all(ad.multiply(out_ref, upstream)))
+    assert x.grad is buffers[0] and w.grad is buffers[1]
+    assert x.grad.tobytes() == x_ref.grad.tobytes()
+    assert w.grad.tobytes() == w_ref.grad.tobytes()
 
 
 def test_linear_gradients_and_shape_errors():
@@ -106,6 +120,11 @@ def test_accumulate_first_negative_zero_lands_as_positive_zero():
     x = ad.parameter(np.array([1.0, 2.0]))
     x.accumulate(np.array([-0.0, -0.0]))
     assert not np.signbit(x.grad).any()
+    # an adopted fresh product gets the same + 0.0, in place
+    fresh = ad.parameter(np.array([1.0, 2.0]))
+    product = np.array([-0.0, -0.0])
+    fresh.accumulate(product, fresh=True)
+    assert fresh.grad is product and not np.signbit(fresh.grad).any()
     y = ad.parameter(np.array([1.0, 2.0]))
     ad.backward(ad.sum_all(ad.multiply(y, ad.constant(np.array([-0.0, 3.0])))))
     assert y.grad.tobytes() == np.array([0.0, 3.0]).tobytes()
@@ -309,11 +328,13 @@ def test_adam_skips_missing_gradients():
     assert p.values[0] != 1.0
 
 
-def test_adam_step_matches_reference_bit_for_bit():
-    rng = np.random.default_rng(12)
-    shapes = [(4, 3), (3,), (2, 2), ()]
+def _check_adam_against_reference(shapes, seed, order="C"):
+    rng = np.random.default_rng(seed)
     special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150])
-    params = [ad.parameter(rng.normal(size=shape)) for shape in shapes]
+    params = [
+        ad.parameter(np.asarray(rng.normal(size=shape), order=order))
+        for shape in shapes
+    ]
     ref = [ad.parameter(p.values.copy()) for p in params]
     state = ad.AdamState.for_params(params, lr=1e-2)
     ref_state = ad.AdamState.for_params(ref, lr=1e-2)
@@ -337,6 +358,42 @@ def test_adam_step_matches_reference_bit_for_bit():
             assert p.values.tobytes() == q.values.tobytes(), (step, i)
             assert state.m[i].tobytes() == ref_state.m[i].tobytes(), (step, i)
             assert state.v[i].tobytes() == ref_state.v[i].tobytes(), (step, i)
+
+
+def test_adam_step_matches_reference_bit_for_bit():
+    _check_adam_against_reference([(4, 3), (3,), (2, 2), ()], seed=12)
+
+
+_BLOCK = ad._ADAM_BLOCK
+
+
+@pytest.mark.parametrize(
+    "shapes, order",
+    [
+        ([(_BLOCK - 1,), (_BLOCK,), (_BLOCK // 64, 64)], "C"),
+        ([(3 * _BLOCK + 17,), (512, 512), (512, 7), (_BLOCK // 8 + 1, 8)], "C"),
+        ([(300, 200), (7, 512)], "F"),
+    ],
+    ids=["up-to-one-block", "several-blocks-ragged-tail", "fortran-ordered"],
+)
+def test_adam_step_blocks_match_reference_bit_for_bit(shapes, order):
+    _check_adam_against_reference(shapes, seed=len(shapes), order=order)
+
+
+def test_adam_step_scratch_stays_below_one_megabyte():
+    # a 512x512 parameter is 2 MB; full-size scratch would peak at 4 MB
+    rng = np.random.default_rng(14)
+    p = ad.parameter(rng.normal(size=(512, 512)))
+    g = rng.normal(size=(512, 512))
+    state = ad.AdamState.for_params([p], lr=1e-3)
+    ad.adam_step([p], [g], state)
+    tracemalloc.start()
+    try:
+        ad.adam_step([p], [g], state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_adam_step_rejects_moments_shaped_unlike_their_parameter():

@@ -642,3 +642,38 @@ def test_checkpoint_for_another_architecture_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(last) in err and wide in err and "hidden_dim" in err
     assert not (tmp_path / "ev").exists() and not (tmp_path / "r2").exists()
+
+
+def test_checkpoint_for_another_cell_count_exits_2(tmp_path, capsys):
+    two = _write_cfg(tmp_path, name="n2.json")
+    three = _write_cfg(tmp_path, name="n3.json", scenario={"n_cells": 3})
+    _, run_dir = _gen_and_train(tmp_path, two)
+    data3 = tmp_path / "data3"
+    assert cli.main(["gen", "--config", three, "--out", str(data3)]) == 0
+    dataset = str(data3 / "dataset.jsonl")
+    best, last = run_dir / "checkpoint_best.json", run_dir / "checkpoint_last.json"
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--config", three, "--out", str(tmp_path / "ev"),
+        "--dataset", dataset, "--checkpoint", str(best),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(best) in err and three in err
+    assert "n_cells 2 vs 3" in err and "feat_dim 6 vs 9" in err
+    # 2 epochs left to run, and none: both refused before anything is written
+    for epochs, out in ((4, "r4"), (2, "r2")):
+        cfg = _write_cfg(
+            tmp_path, name=f"n3e{epochs}.json",
+            scenario={"n_cells": 3}, train={"epochs": epochs},
+        )
+        code = cli.main([
+            "train", "--config", cfg, "--out", str(tmp_path / out),
+            "--dataset", dataset, "--checkpoint", str(last),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(last) in err and cfg in err
+        assert "n_cells 2 vs 3" in err and "feat_dim 6 vs 9" in err
+        assert not (tmp_path / out).exists()
+    assert not (tmp_path / "ev").exists()

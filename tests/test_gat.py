@@ -8,7 +8,7 @@ from nesua import gat
 from nesua.errors import ConfigError, ShapeError
 from nesua.scenario import GraphInstance
 
-from helpers import check_grad
+from helpers import check_grad, reference_gat_layer
 
 
 def _random_adjacency(k, rng, p=0.5):
@@ -52,7 +52,7 @@ def test_attention_scores_match_scalar_computation():
     layer = gat.GatLayerParams(
         w=ad.parameter(w), a=ad.parameter(a), negative_slope=0.2
     )
-    scores = gat.attention_scores(h, layer).values
+    scores = gat.attention_scores(gat._transformed(h, layer), layer).values
     hw = h.values @ w.T
     for u in range(2):
         for v in range(2):
@@ -70,7 +70,7 @@ def test_zero_attention_vector_gives_uniform_weights():
         negative_slope=0.2,
     )
     adj = _random_adjacency(5, rng)
-    att = gat.attention_weights(h, adj, layer).values
+    att = gat.attention_weights(gat._transformed(h, layer), adj, layer).values
     for u in range(5):
         deg = adj[u].sum()
         np.testing.assert_allclose(att[u][adj[u] == 1], 1.0 / deg, rtol=1e-12)
@@ -85,7 +85,9 @@ def test_single_node_attends_only_to_itself():
         a=ad.parameter(rng.normal(size=6)),
         negative_slope=0.2,
     )
-    att = gat.attention_weights(h, np.ones((1, 1)), layer).values
+    att = gat.attention_weights(
+        gat._transformed(h, layer), np.ones((1, 1)), layer
+    ).values
     assert att[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -149,7 +151,7 @@ def test_attention_rows_sum_to_one_and_mask_is_exact():
             negative_slope=0.2,
         )
         adj = _random_adjacency(k, rng, p=0.3)
-        att = gat.attention_weights(h, adj, layer).values
+        att = gat.attention_weights(gat._transformed(h, layer), adj, layer).values
         np.testing.assert_allclose(att.sum(axis=1), np.ones(k), atol=1e-12)
         assert np.all(att[adj == 0] == 0.0)
 
@@ -184,6 +186,44 @@ def test_forward_composes_public_ops():
     h2 = gat.gat_layer(h1, g.adjacency, model.layer2, "relu")
     manual = gat.readout(h2, model).values
     np.testing.assert_allclose(s, manual, atol=1e-12)
+
+
+def test_forward_transforms_each_layer_once(monkeypatch):
+    rng = np.random.default_rng(74)
+    g = _instance(6, 3, rng)
+    model = _model(9, 3, hidden=5, seed=4)
+    calls = []
+    transformed = gat._transformed
+
+    def counting(h, layer):
+        calls.append(layer)
+        return transformed(h, layer)
+
+    monkeypatch.setattr(gat, "_transformed", counting)
+    gat.forward(g, model)
+    assert calls == [model.layer1, model.layer2]
+
+
+def test_shared_transform_matches_two_transform_layer():
+    # forward bits are those of a layer that transforms twice; gradients
+    # reach W as one summed product instead of two, so only rounding moves
+    rng = np.random.default_rng(75)
+    for trial in range(5):
+        g = _instance(7, 3, rng)
+        shared = _model(9, 3, hidden=16, seed=trial)
+        twice = _model(9, 3, hidden=16, seed=trial)
+        s = gat.forward(g, shared)
+        h = ad.constant(g.features)
+        for layer in (twice.layer1, twice.layer2):
+            h = reference_gat_layer(h, g.adjacency, layer, "relu")
+        s_ref = gat.readout(h, twice)
+        assert s.values.tobytes() == s_ref.values.tobytes()
+        probe = ad.constant(rng.normal(size=s.shape))
+        ad.backward(ad.sum_all(ad.multiply(s, probe)))
+        ad.backward(ad.sum_all(ad.multiply(s_ref, probe)))
+        for p, q in zip(shared.parameters(), twice.parameters()):
+            scale = np.abs(q.grad).max()
+            np.testing.assert_allclose(p.grad, q.grad, rtol=1e-9, atol=1e-12 * scale)
 
 
 def test_forward_rows_on_simplex_for_random_parameters():
