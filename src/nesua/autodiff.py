@@ -19,10 +19,22 @@ and `concat` pass views. A rule that passes a product it has just
 computed and holds no other reference to, as `linear` does with both of
 its gradient products, says so with `fresh=True`; that product is then
 adopted, with `+ 0.0` applied in place, instead of copied.
+
+Packed parameters: `pack_parameters` moves the values of several
+parameters into one C-ordered buffer, and `attach_grad_slots` gives each
+of them a `grad_slot`, its view of one gradient buffer of the same
+layout. A parameter's first gradient of a backward pass is written into
+its slot (as `g + 0.0`, or by `linear` straight through
+`np.matmul(..., out=)`) instead of a fresh buffer, so after backward the
+gradient buffer holds every parameter's gradient and one `adam_step`
+over the two buffers updates them all. Slots are never zero-filled: a
+parameter that got no gradient in a pass keeps `grad` None while its
+slot still holds the previous pass's gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +46,15 @@ from .errors import ContractError, ShapeError
 class Tensor:
     """A dense float64 array with an accumulated gradient buffer."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = (
+        "values", "grad", "grad_slot", "requires_grad", "_parents", "_backward"
+    )
 
     def __init__(self, values, requires_grad=False, _parents=()):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.grad_slot = None  # set by attach_grad_slots
         self._parents = _parents
         self._backward = None
 
@@ -52,9 +67,12 @@ class Tensor:
 
     def accumulate(self, g, fresh=False):
         """Add gradient g; `fresh=True` promises g is a new C-ordered
-        array shaped like the values that nothing else references."""
+        array shaped like the values that nothing else references. A
+        first gradient goes into `grad_slot` when the tensor has one."""
         if self.grad is None:
-            out = g if fresh else np.empty(self.values.shape)
+            out = self.grad_slot
+            if out is None:
+                out = g if fresh else np.empty(self.values.shape)
             self.grad = np.add(g, 0.0, out=out)
         else:
             self.grad += g
@@ -74,16 +92,18 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _result(values, parents, backward) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    out = Tensor(values, requires_grad=needs, _parents=tuple(parents) if needs else ())
-    if needs:
+def _result(values, parents: tuple, backward) -> Tensor:
+    if parents[0].requires_grad or any(p.requires_grad for p in parents[1:]):
+        out = Tensor(values, requires_grad=True, _parents=parents)
         out._backward = backward
-    return out
+        return out
+    return Tensor(values)
 
 
 def _unbroadcast(g, shape):
     # collapse gradient of a broadcast operand back to its original shape
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, n in enumerate(shape):
@@ -93,6 +113,8 @@ def _unbroadcast(g, shape):
 
 
 def _check_broadcast(op, a, b):
+    if a.shape == b.shape:
+        return
     try:
         return np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -177,7 +199,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """x @ w.T for rows x (K, d_in) and a weight matrix w (d_out, d_in),
     without a transpose node or its gradient buffer. Both gradient
-    products are fresh arrays and are adopted as first gradients."""
+    products are fresh arrays and are adopted as first gradients; a first
+    weight gradient is computed straight into w's `grad_slot` if it has
+    one."""
     vx, vw = x.values, w.values
     if vx.ndim != 2 or vw.ndim != 2:
         raise ShapeError(f"linear: expected matrices, got {vx.shape} and {vw.shape}")
@@ -188,7 +212,8 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate(g @ vw, fresh=True)
         if w.requires_grad:
-            w.accumulate(g.T @ vx, fresh=True)
+            out = w.grad_slot if w.grad is None else None
+            w.accumulate(np.matmul(g.T, vx, out=out), fresh=True)
 
     return _result(vx @ vw.T, (x, w), backward)
 
@@ -379,12 +404,16 @@ def complement_product_gate(s: Tensor) -> Tensor:
 
 
 def _topo_order(root: Tensor):
+    """Nodes the root depends on, inputs first. Clears the gradient of
+    every intermediate node on the way."""
     order = []
     seen = set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
+            if node._backward is not None:
+                node.grad = None
             order.append(node)
             continue
         if id(node) in seen:
@@ -400,7 +429,11 @@ def _topo_order(root: Tensor):
 def backward(loss: Tensor):
     """Populate .grad for every tensor the scalar loss depends on.
 
-    Gradients accumulate across calls; use zero_grad() between steps.
+    Leaf tensors (parameters) add each call's gradient to what they hold,
+    so calling backward again on the same graph, or on a new graph over
+    the same parameters, adds the gradient once more; use zero_grad()
+    between steps. Intermediate nodes start from no gradient on every
+    call.
     """
     if loss.shape != ():
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -416,6 +449,55 @@ def backward(loss: Tensor):
 def zero_grad(tensors):
     for t in tensors:
         t.zero_grad()
+
+
+# ---------------------------------------------------------------------------
+# packed parameters
+
+
+def pack(arrays) -> np.ndarray:
+    """A new 1-D float64 buffer holding the arrays back to back, each in
+    C order."""
+    return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+
+
+def unpack(flat: np.ndarray, shapes) -> list:
+    """Views of the 1-D buffer flat, one per shape, back to back."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
+def pack_parameters(tensors) -> Tensor:
+    """Move the tensors' values into one packed buffer.
+
+    Each tensor's `values` becomes its view of the buffer, so in-place
+    updates of the buffer are updates of the tensors. Returns a tensor
+    whose values are the buffer.
+    """
+    store = Tensor(pack([t.values for t in tensors]))
+    for t, view in zip(tensors, unpack(store.values, [t.shape for t in tensors])):
+        t.values = view
+    return store
+
+
+def attach_grad_slots(tensors) -> np.ndarray:
+    """A new gradient buffer laid out like `pack` of the tensors' values.
+
+    Each tensor's `grad_slot` becomes its view of the buffer, and a
+    gradient the tensor already holds is copied into it. Setting the
+    slots back to None releases the buffer.
+    """
+    buf = np.empty(sum(t.values.size for t in tensors))
+    for t, slot in zip(tensors, unpack(buf, [t.shape for t in tensors])):
+        t.grad_slot = slot
+        if t.grad is not None:
+            slot[...] = t.grad
+            t.grad = slot
+    return buf
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,14 @@ every node pair from a shared attention vector over hw, normalizes the
 scores over the adjacency neighborhood (self-loops included), and mixes
 the same hw with those weights. The readout maps final embeddings to one
 soft association row per UE on the cell simplex.
+
+A model's six parameters are views of one C-ordered float64 buffer,
+`GatModel.flat`, in `PARAM_NAMES` order. `GatModel` packs them when it
+is built (`autodiff.pack_parameters`), so every way of making a model,
+`init_model`, `load_checkpoint`, `training.clone_model` or explicit
+`GatLayerParams`, goes through that one place. While `training.train`
+runs, their first gradients of a backward pass land in the matching
+views of one gradient buffer of the same layout.
 """
 
 from __future__ import annotations
@@ -71,6 +79,13 @@ class GatLayerParams:
 
 @dataclass
 class GatModel:
+    """The attention layers and the readout over one packed buffer.
+
+    Building a model copies the given parameters' values into `flat` and
+    rebinds each parameter's `values` to its view of it. An in-place
+    update of `flat.values` is an update of every parameter.
+    """
+
     layer1: GatLayerParams
     layer2: GatLayerParams
     readout_q: ad.Tensor  # (hidden, n_cells)
@@ -78,6 +93,10 @@ class GatModel:
     config: GatConfig
     feat_dim: int
     n_cells: int
+    flat: ad.Tensor = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = ad.pack_parameters(self.parameters())
 
     def parameters(self) -> list[ad.Tensor]:
         return [
@@ -90,6 +109,16 @@ class GatModel:
         return dict(zip(PARAM_NAMES, self.parameters()))
 
 
+def _assemble(arrays, cfg: GatConfig, feat_dim: int, n_cells: int) -> GatModel:
+    """The model whose parameters, in PARAM_NAMES order, hold `arrays`."""
+    w1, a1, w2, a2, q, b = (ad.parameter(x) for x in arrays)
+    slope = cfg.negative_slope
+    return GatModel(
+        GatLayerParams(w1, a1, slope), GatLayerParams(w2, a2, slope), q, b,
+        config=cfg, feat_dim=feat_dim, n_cells=n_cells,
+    )
+
+
 def init_model(feat_dim: int, n_cells: int, cfg: GatConfig, seed: int) -> GatModel:
     """Seed-controlled uniform init in +-sqrt(6/(fan_in+fan_out))."""
     rng = np.random.default_rng(seed)
@@ -97,27 +126,17 @@ def init_model(feat_dim: int, n_cells: int, cfg: GatConfig, seed: int) -> GatMod
 
     def uniform(shape, fan_in, fan_out):
         lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return ad.parameter(rng.uniform(-lim, lim, size=shape))
+        return rng.uniform(-lim, lim, size=shape)
 
-    layer1 = GatLayerParams(
-        w=uniform((h, feat_dim), feat_dim, h),
-        a=uniform((2 * h,), 2 * h, 1),
-        negative_slope=cfg.negative_slope,
-    )
-    layer2 = GatLayerParams(
-        w=uniform((h, h), h, h),
-        a=uniform((2 * h,), 2 * h, 1),
-        negative_slope=cfg.negative_slope,
-    )
-    return GatModel(
-        layer1=layer1,
-        layer2=layer2,
-        readout_q=uniform((h, n_cells), h, n_cells),
-        readout_b=ad.parameter(np.zeros(n_cells)),
-        config=cfg,
-        feat_dim=feat_dim,
-        n_cells=n_cells,
-    )
+    arrays = [
+        uniform((h, feat_dim), feat_dim, h),
+        uniform((2 * h,), 2 * h, 1),
+        uniform((h, h), h, h),
+        uniform((2 * h,), 2 * h, 1),
+        uniform((h, n_cells), h, n_cells),
+        np.zeros(n_cells),
+    ]
+    return _assemble(arrays, cfg, feat_dim, n_cells)
 
 
 def _transformed(h: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:
@@ -236,30 +255,13 @@ def load_checkpoint(path) -> tuple[GatModel, dict]:
             readout_activation=meta["readout_activation"],
             heads=meta.get("heads", 1),
         )
-        by_name = {
-            entry["name"]: ad.parameter(decode_array(entry))
-            for entry in doc["params"]
-        }
+        by_name = {entry["name"]: decode_array(entry) for entry in doc["params"]}
         feat_dim, n_cells = meta["feat_dim"], meta["n_cells"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from None
     missing = [n for n in PARAM_NAMES if n not in by_name]
     if missing:
         raise ConfigError(f"checkpoint {path} lacks parameters: {missing}")
-    model = GatModel(
-        layer1=GatLayerParams(
-            w=by_name["gat1.W"], a=by_name["gat1.a"],
-            negative_slope=cfg.negative_slope,
-        ),
-        layer2=GatLayerParams(
-            w=by_name["gat2.W"], a=by_name["gat2.a"],
-            negative_slope=cfg.negative_slope,
-        ),
-        readout_q=by_name["readout.Q"],
-        readout_b=by_name["readout.B"],
-        config=cfg,
-        feat_dim=feat_dim,
-        n_cells=n_cells,
-    )
+    model = _assemble([by_name[n] for n in PARAM_NAMES], cfg, feat_dim, n_cells)
     leftover = {k: v for k, v in doc.items() if k not in ("params", "gat")}
     return model, leftover

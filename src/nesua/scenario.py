@@ -9,6 +9,7 @@ built from the PRB, distance, and SINR rows.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -126,8 +127,15 @@ def hex_layout(n_cells: int, inter_site_distance: float, region) -> np.ndarray:
     inter-site distance apart on a hexagonal lattice.
 
     Sites fill outward ring by ring in angle order, so the layout is
-    deterministic and compact for any cell count.
+    deterministic and compact for any cell count. Each layout is built
+    once per (n_cells, inter_site_distance, region); every call returns
+    a fresh copy of it.
     """
+    return _hex_layout(n_cells, inter_site_distance, tuple(region)).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def _hex_layout(n_cells: int, inter_site_distance: float, region: tuple) -> np.ndarray:
     width, height = float(region[0]), float(region[1])
     max_ring = int(math.ceil(math.sqrt(n_cells))) + 2
     pts = []

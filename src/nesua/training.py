@@ -9,13 +9,13 @@ epoch is one shuffled pass over the training split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import gat as gat_mod
-from .errors import ConfigError, ContractError, TrainingDiverged
+from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from .power import PowerParams, network_power_soft
 from .scenario import (
     FeatureStats,
@@ -140,23 +140,36 @@ class TrainResult:
 
 
 def clone_model(model: gat_mod.GatModel) -> gat_mod.GatModel:
-    return gat_mod.GatModel(
-        layer1=gat_mod.GatLayerParams(
-            w=ad.parameter(model.layer1.w.values.copy()),
-            a=ad.parameter(model.layer1.a.values.copy()),
-            negative_slope=model.layer1.negative_slope,
-        ),
-        layer2=gat_mod.GatLayerParams(
-            w=ad.parameter(model.layer2.w.values.copy()),
-            a=ad.parameter(model.layer2.a.values.copy()),
-            negative_slope=model.layer2.negative_slope,
-        ),
-        readout_q=ad.parameter(model.readout_q.values.copy()),
-        readout_b=ad.parameter(model.readout_b.values.copy()),
-        config=model.config,
-        feat_dim=model.feat_dim,
-        n_cells=model.n_cells,
+    """An independent model: one copy of the packed buffer."""
+    w1, a1, w2, a2, q, b = (ad.parameter(p.values) for p in model.parameters())
+    return replace(
+        model,
+        layer1=replace(model.layer1, w=w1, a=a1),
+        layer2=replace(model.layer2, w=w2, a=a2),
+        readout_q=q,
+        readout_b=b,
     )
+
+
+def _packed_adam(state: ad.AdamState, shapes) -> ad.AdamState:
+    """A copy of the state whose moments are packed like the parameters'
+    buffer, so one `adam_step` updates the whole model. The state's own
+    moments become views of the packed ones, so their arrays are freed."""
+    for key in ("m", "v"):
+        found = [np.shape(buf) for buf in getattr(state, key)]
+        if found != shapes:
+            raise ShapeError(f"adam.{key} is shaped {found}, the parameters {shapes}")
+    packed = replace(state, m=[ad.pack(state.m)], v=[ad.pack(state.v)])
+    _unpack_adam(packed, state, shapes)
+    return packed
+
+
+def _unpack_adam(packed: ad.AdamState, state: ad.AdamState, shapes):
+    """Bring the per-parameter state up to the packed one: its step, and
+    moments that are views of the packed moments."""
+    state.step = packed.step
+    state.m = ad.unpack(packed.m[0], shapes)
+    state.v = ad.unpack(packed.v[0], shapes)
 
 
 def _mean_loss(
@@ -190,6 +203,17 @@ def train(
     Passing model/adam_state/start_epoch resumes a prior run: the
     per-epoch shuffle is keyed by (shuffle_seed, epoch), so a resumed run
     walks the same instance order an uninterrupted run would.
+
+    Each step runs one `adam_step` over the model's packed buffer
+    (`GatModel.flat`), a gradient buffer of the same layout that the
+    parameters' gradients land in (`autodiff.attach_grad_slots`, released
+    when training ends) and Adam moments packed the same way. It checks
+    first that every parameter got a gradient: a parameter without one
+    would be updated from its slot's stale contents, so that raises
+    ContractError naming it. adam_state's moments become views of the
+    packed ones, and its step and moments are brought up to date at the
+    end of each epoch; the model and adam_state passed in are updated in
+    place.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -222,7 +246,11 @@ def train(
     best_model = clone_model(model)
     best_epoch = start_epoch
     best_test = math.inf
-    parameters = model.parameters()
+    named = model.named_parameters()
+    parameters = list(named.values())
+    shapes = [p.shape for p in parameters]
+    packed_adam = _packed_adam(adam_state, shapes)
+    flat, flat_grad = [model.flat], [ad.attach_grad_slots(parameters)]
 
     for epoch in range(start_epoch + 1, tc.epochs + 1):
         perm = np.random.default_rng([tc.shuffle_seed, epoch]).permutation(
@@ -238,9 +266,16 @@ def train(
                     f"non-finite loss at epoch {epoch}, instance {int(i)}"
                 )
             ad.backward(value)
-            ad.adam_step(parameters, [p.grad for p in parameters], adam_state)
+            missing = [name for name, p in named.items() if p.grad is None]
+            if missing:
+                raise ContractError(
+                    f"no gradient reached {', '.join(missing)} at epoch "
+                    f"{epoch}, instance {int(i)}"
+                )
+            ad.adam_step(flat, flat_grad, packed_adam)
             ad.zero_grad(parameters)
             epoch_losses.append(value.item())
+        _unpack_adam(packed_adam, adam_state, shapes)
 
         mean_train = float(np.mean(epoch_losses))
         mean_test = _mean_loss(test_set, model, lc, params)
@@ -253,6 +288,8 @@ def train(
             best_epoch = epoch
         if on_epoch is not None:
             on_epoch(epoch, model, adam_state, history[-1])
+    for p in parameters:
+        p.grad_slot = None  # releases the gradient buffer
 
     return TrainResult(
         model=model,

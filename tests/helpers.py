@@ -43,6 +43,32 @@ def reference_adam_step(params, grads, state):
         p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps_stability)
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def assert_packed(model, grad_buffer=None):
+    """Every named parameter's values are its own C-ordered view of
+    `model.flat`, in PARAM_NAMES order with nothing between them. With a
+    gradient buffer given, each parameter's gradient slot is the matching
+    view of it; without, the parameters have no slots."""
+    flat = model.flat.values
+    assert flat.ndim == 1 and flat.flags.c_contiguous and flat.flags.owndata
+    start = 0
+    for name, p in model.named_parameters().items():
+        stop = start + p.values.size
+        assert p.values.shape == p.shape and p.values.flags.c_contiguous, name
+        assert _address(p.values) == _address(flat[start:stop]), name
+        if grad_buffer is None:
+            assert p.grad_slot is None, name
+        else:
+            assert p.grad_slot.shape == p.shape, name
+            assert _address(p.grad_slot) == _address(grad_buffer[start:stop]), name
+            assert p.grad is None or p.grad is p.grad_slot, name
+        start = stop
+    assert start == flat.size
+
+
 def reference_transformed(h, layer):
     """Reference layer transform h @ W.T built from `matmul` and a
     `transpose` node, which `gat._transformed` must match bit for bit."""

@@ -259,6 +259,15 @@ def test_backward_accumulates_across_calls_until_zeroed():
     assert x.grad is None
 
 
+def test_backward_on_a_reused_graph_adds_the_gradient_once_per_call():
+    # intermediate nodes must not pass on the total of earlier calls
+    x = ad.parameter(np.array([1.0, 2.0]))
+    loss = ad.sum_all(ad.scale(ad.scale(x, 3.0), 1.0))
+    for calls in (1, 2, 3):
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, [3.0 * calls, 3.0 * calls])
+
+
 def test_backward_requires_scalar_loss():
     x = ad.parameter(np.zeros((2, 2)))
     with pytest.raises(ContractError):

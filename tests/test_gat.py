@@ -8,7 +8,7 @@ from nesua import gat
 from nesua.errors import ConfigError, ShapeError
 from nesua.scenario import GraphInstance
 
-from helpers import check_grad, reference_gat_layer
+from helpers import assert_packed, check_grad, reference_gat_layer
 
 
 def _random_adjacency(k, rng, p=0.5):
@@ -385,3 +385,83 @@ def test_init_is_seed_deterministic():
         not np.array_equal(ta.values, tc.values)
         for ta, tc in zip(a.parameters(), c.parameters())
     )
+
+
+# ---------------------------------------------------------------------------
+# the packed parameter buffer
+
+
+def test_init_model_packs_every_parameter():
+    model = _model(9, 3, hidden=5, seed=2)
+    assert_packed(model)
+    assert model.flat.values.size == 5 * 9 + 10 + 5 * 5 + 10 + 5 * 3 + 3
+    assert [p.shape for p in model.parameters()] == [
+        (5, 9), (10,), (5, 5), (10,), (5, 3), (3,)
+    ]
+
+
+def test_model_from_explicit_layer_params_is_packed():
+    rng = np.random.default_rng(76)
+    arrays = [rng.normal(size=s) for s in [(4, 6), (8,), (4, 4), (8,), (4, 2), (2,)]]
+    originals = [a.copy() for a in arrays]
+    p = [ad.parameter(a) for a in arrays]
+    model = gat.GatModel(
+        layer1=gat.GatLayerParams(p[0], p[1], 0.1),
+        layer2=gat.GatLayerParams(p[2], p[3], 0.3),
+        readout_q=p[4],
+        readout_b=p[5],
+        config=gat.GatConfig(hidden_dim=4),
+        feat_dim=6,
+        n_cells=2,
+    )
+    assert_packed(model)
+    assert model.parameters() == p  # the same tensors, now views
+    for tensor, original in zip(p, originals):
+        assert tensor.values.tobytes() == original.tobytes()
+    arrays[0][:] = 0.0  # the caller's arrays were copied, not adopted
+    assert model.layer1.w.values.tobytes() == originals[0].tobytes()
+
+
+def test_load_checkpoint_packs_every_parameter(tmp_path):
+    model = _model(9, 3, hidden=4, seed=9)
+    path = tmp_path / "model.json"
+    gat.save_checkpoint(path, model)
+    loaded, _ = gat.load_checkpoint(path)
+    assert_packed(loaded)
+    assert loaded.flat.values.tobytes() == model.flat.values.tobytes()
+
+
+def test_backward_writes_gradients_into_the_gradient_buffer():
+    rng = np.random.default_rng(77)
+    g = _instance(6, 3, rng)
+    model = _model(9, 3, hidden=5, seed=6)
+    twin = _model(9, 3, hidden=5, seed=6)  # same values, no slots
+    buffer = ad.attach_grad_slots(model.parameters())
+    probe = ad.constant(rng.normal(size=(6, 3)))
+    for m in (model, twin):
+        ad.backward(ad.sum_all(ad.multiply(gat.forward(g, m), probe)))
+    assert_packed(model, buffer)
+    assert_packed(twin)
+    grads = [p.grad for p in twin.parameters()]
+    assert buffer.tobytes() == ad.pack(grads).tobytes()
+    for m in (model, twin):  # a second pass overwrites the slots
+        ad.zero_grad(m.parameters())
+        ad.backward(ad.sum_all(ad.multiply(gat.forward(g, m), ad.scale(probe, 2.0))))
+    assert buffer.tobytes() == ad.pack([p.grad for p in twin.parameters()]).tobytes()
+
+
+def test_adam_update_of_the_buffer_is_visible_through_forward():
+    rng = np.random.default_rng(78)
+    g = _instance(5, 3, rng)
+    model = _model(9, 3, hidden=4, seed=7)
+    before = gat.forward(g, model).values
+    state = ad.AdamState(lr=1e-2, m=[np.zeros(model.flat.values.size)],
+                         v=[np.zeros(model.flat.values.size)])
+    ad.adam_step([model.flat], [rng.normal(size=model.flat.values.size)], state)
+    after = gat.forward(g, model).values
+    assert not np.array_equal(after, before)
+    rebuilt = gat._assemble(
+        [p.values.copy() for p in model.parameters()],
+        model.config, model.feat_dim, model.n_cells,
+    )
+    assert gat.forward(g, rebuilt).values.tobytes() == after.tobytes()

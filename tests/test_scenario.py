@@ -68,6 +68,23 @@ def test_hex_layout_rejects_small_region():
         sc.hex_layout(7, 1000.0, (1500.0, 1500.0))
 
 
+def test_hex_layout_refuses_a_small_region_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ConfigError):
+            sc.hex_layout(7, 1000.0, [1500.0, 1500.0])
+
+
+def test_mutating_a_hex_layout_leaves_the_next_one_intact():
+    first = sc.hex_layout(7, 1000.0, (3000.0, 3000.0))
+    expected = first.copy()
+    first[:] = -1.0
+    second = sc.hex_layout(7, 1000.0, [3000.0, 3000.0])
+    assert second is not first
+    assert second.tobytes() == expected.tobytes()
+    second[0, 0] = 5.0
+    assert sc.hex_layout(7, 1000.0, (3000.0, 3000.0)).tobytes() == expected.tobytes()
+
+
 def test_generate_is_deterministic():
     cfg = small_cfg()
     a = sc.generate_scenario(cfg, 123)

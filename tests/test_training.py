@@ -9,11 +9,16 @@ from nesua import autodiff as ad
 from nesua import gat
 from nesua import training as tr
 from nesua.baselines import oracle_assignment
-from nesua.errors import ConfigError, ContractError, TrainingDiverged
+from nesua.errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from nesua.power import PowerParams, network_power_soft
 from nesua.scenario import GraphInstance, ScenarioConfig
 
-from helpers import check_grad, reference_adam_step, reference_transformed
+from helpers import (
+    assert_packed,
+    check_grad,
+    reference_adam_step,
+    reference_transformed,
+)
 
 DEFAULTS = PowerParams()
 
@@ -300,6 +305,141 @@ def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
     for key in ("m", "v"):
         for x, y in zip(getattr(a, key), getattr(b, key)):
             assert x.tobytes() == y.tobytes()
+
+
+def test_clone_copies_the_buffer_and_keeps_the_layers():
+    rng = np.random.default_rng(79)
+    p = [ad.parameter(rng.normal(size=s))
+         for s in [(4, 6), (8,), (4, 4), (8,), (4, 2), (2,)]]
+    model = gat.GatModel(
+        layer1=gat.GatLayerParams(p[0], p[1], 0.1),
+        layer2=gat.GatLayerParams(p[2], p[3], 0.3),
+        readout_q=p[4],
+        readout_b=p[5],
+        config=gat.GatConfig(hidden_dim=4),
+        feat_dim=6,
+        n_cells=2,
+    )
+    twin = tr.clone_model(model)
+    assert_packed(twin)
+    assert twin.flat.values.tobytes() == model.flat.values.tobytes()
+    assert not np.shares_memory(twin.flat.values, model.flat.values)
+    assert (twin.layer1.negative_slope, twin.layer2.negative_slope) == (0.1, 0.3)
+    assert (twin.config, twin.feat_dim, twin.n_cells) == (model.config, 6, 2)
+
+
+def test_training_and_resume_keep_every_parameter_packed(tmp_path):
+    cfg = _tiny_cfg(n_ues=5)
+    graphs = _graphs(cfg, 4)
+    gcfg = gat.GatConfig(hidden_dim=6, readout_activation="identity")
+    tc = tr.TrainConfig(dataset_size=4, epochs=1, lr=1e-2, shuffle_seed=2)
+    model = gat.init_model(graphs[0].features.shape[1], 2, gcfg, 3)
+    res = tr.train(graphs[:3], tc, tr.LossConfig(), DEFAULTS, seed=3,
+                   model=model, test=graphs[3:])
+    assert res.model is model and res.adam_state.step == 3
+    for m in (res.model, res.best_model, tr.clone_model(res.model)):
+        assert_packed(m)
+
+    # a resume from the saved checkpoint, as `train --checkpoint` does it
+    path = tmp_path / "checkpoint.json"
+    gat.save_checkpoint(path, res.model, {"adam": res.adam_state.to_dict()})
+    loaded, leftover = gat.load_checkpoint(path)
+    adam = ad.AdamState.from_dict(leftover["adam"])
+    tc2 = tr.TrainConfig(dataset_size=4, epochs=2, lr=1e-2, shuffle_seed=2)
+    resumed = tr.train(graphs[:3], tc2, tr.LossConfig(), DEFAULTS, seed=3,
+                       model=loaded, adam_state=adam, start_epoch=1,
+                       test=graphs[3:])
+    assert_packed(resumed.model)
+    assert resumed.adam_state.step == 6
+
+
+def test_training_matches_per_parameter_reference_adam_bit_for_bit(monkeypatch):
+    # one Adam pass over the packed buffers against the six named
+    # parameters stepped one by one with the reference Adam
+    cfg = _tiny_cfg(n_ues=7)
+    graphs = _graphs(cfg, 6)
+    tc = tr.TrainConfig(dataset_size=6, epochs=4, lr=1e-2, shuffle_seed=5)
+    gcfg = gat.GatConfig(hidden_dim=16, readout_activation="identity")
+    lc = tr.LossConfig(lambda1=1.0, lambda2=0.2)
+
+    feat_dim = graphs[0].features.shape[1]
+    kw = dict(tc=tc, lc=lc, params=DEFAULTS, seed=3, test=graphs[5:])
+    shipped = tr.train(graphs[:5], model=gat.init_model(feat_dim, 2, gcfg, 3), **kw)
+    assert len({row[1] for row in shipped.history}) == 4  # the model does learn
+
+    model = gat.init_model(feat_dim, 2, gcfg, 3)
+    ref_state = ad.AdamState.for_params(model.parameters(), lr=tc.lr)
+
+    def per_parameter(params, grads, state):
+        assert params == [model.flat]
+        assert_packed(model, grads[0])
+        named = model.parameters()
+        reference_adam_step(named, [p.grad for p in named], ref_state)
+        state.step += 1
+
+    monkeypatch.setattr(ad, "adam_step", per_parameter)
+    reference = tr.train(graphs[:5], model=model, **kw)
+
+    assert np.array(shipped.history).tobytes() == np.array(reference.history).tobytes()
+    assert shipped.best_epoch == reference.best_epoch
+    for ours, theirs in (
+        (shipped.model, reference.model),
+        (shipped.best_model, reference.best_model),
+    ):
+        for p, q in zip(ours.parameters(), theirs.parameters()):
+            assert p.values.tobytes() == q.values.tobytes()
+    assert shipped.adam_state.step == ref_state.step == 4 * 5
+    for key in ("m", "v"):
+        for x, y in zip(getattr(shipped.adam_state, key), getattr(ref_state, key)):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_a_parameter_without_gradient_is_refused(monkeypatch):
+    # its slot of the gradient buffer still holds the last step's values
+    cfg = _tiny_cfg(n_ues=4)
+    graphs = _graphs(cfg, 3)
+    gcfg = gat.GatConfig(hidden_dim=4)
+    model = gat.init_model(graphs[0].features.shape[1], 2, gcfg, 1)
+    before = model.flat.values.copy()
+
+    def readout_without_bias(h_final, model):
+        logits = ad.relu(ad.matmul(h_final, model.readout_q))
+        k = h_final.shape[0]
+        return ad.row_softmax_masked(logits, np.ones((k, model.n_cells)))
+
+    monkeypatch.setattr(gat, "readout", readout_without_bias)
+    tc = tr.TrainConfig(dataset_size=3, epochs=1, lr=1e-2)
+    with pytest.raises(ContractError, match=r"readout\.B"):
+        tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=1,
+                 model=model, test=graphs[2:])
+    assert model.flat.values.tobytes() == before.tobytes()
+
+
+def test_adam_moments_shaped_unlike_their_parameters_are_refused():
+    # same element count, another shape: packing would hide the mismatch
+    cfg = _tiny_cfg(n_ues=4)
+    graphs = _graphs(cfg, 3)
+    model = gat.init_model(graphs[0].features.shape[1], 2, gat.GatConfig(hidden_dim=4), 1)
+    state = ad.AdamState.for_params(model.parameters())
+    state.v[0] = state.v[0].reshape(state.v[0].shape[::-1])
+    tc = tr.TrainConfig(dataset_size=3, epochs=1)
+    with pytest.raises(ShapeError, match="adam.v"):
+        tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=1,
+                 model=model, adam_state=state, test=graphs[2:])
+
+
+def test_checkpoint_with_adam_state_save_load_save_is_byte_identical(tmp_path):
+    cfg = _tiny_cfg(n_ues=4)
+    graphs = _graphs(cfg, 3)
+    tc = tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2)
+    res = tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=2,
+                   gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    gat.save_checkpoint(first, res.model, {"adam": res.adam_state.to_dict(), "epoch": 2})
+    loaded, leftover = gat.load_checkpoint(first)
+    adam = ad.AdamState.from_dict(leftover["adam"])
+    gat.save_checkpoint(second, loaded, {"adam": adam.to_dict(), "epoch": 2})
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
