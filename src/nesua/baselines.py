@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, ContractError
 from .power import PowerParams, cell_draw, network_power_hard, radio_coefficients
 from .scenario import Scenario
 
@@ -53,8 +53,15 @@ def associate_ga_subsinr(s: Scenario, agg: str = "max") -> HardAssociation:
     """Each UE on the cell with the best per-PRB SINR profile.
 
     agg picks the profile summary: the single best PRB, or the linear
-    mean of the best eight.
+    mean of the best eight. A scenario read back from a dataset record
+    carries no per-PRB SINR and raises ContractError; regenerate it from
+    its seed first.
     """
+    if s.sinr_per_prb_db is None:
+        raise ContractError(
+            f"scenario seed {s.seed} carries no per-PRB SINR: dataset records "
+            f"do not store it, regenerate the scenario from its seed"
+        )
     lin = 10.0 ** (s.sinr_per_prb_db / 10.0)
     if agg == "max":
         score = lin.max(axis=2)

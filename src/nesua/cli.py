@@ -38,6 +38,7 @@ from .evaluate import (
     write_sweep_csv,
 )
 from .scenario import (
+    RECORD_FIELDS,
     FeatureStats,
     build_graph,
     from_record,
@@ -182,6 +183,26 @@ def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
     return pairs
 
 
+def _with_sinr_cube(s, number, dataset_path, cfg: RunConfig):
+    """The scenario of record `number` with the per-PRB SINR that records
+    do not store, regenerated from its seed under the run config's
+    `scenario` section. Every array the record does store must be
+    bit-equal to the regenerated one, or ConfigError names the field."""
+    fresh = generate_scenario(cfg.scenario, s.seed)
+    for key, name in RECORD_FIELDS.items():
+        stored, rebuilt = getattr(s, name), getattr(fresh, name)
+        if (
+            stored.dtype != rebuilt.dtype
+            or stored.shape != rebuilt.shape
+            or stored.tobytes() != rebuilt.tobytes()
+        ):
+            raise ConfigError(
+                f"dataset {dataset_path} record {number}: stored {key} is not "
+                f"what seed {s.seed} generates under the run config"
+            )
+    return dataclasses.replace(s, sinr_per_prb_db=fresh.sinr_per_prb_db)
+
+
 def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=None):
     """Split, train (optionally resuming), and persist the run artifacts.
 
@@ -294,8 +315,8 @@ def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     lines = [",".join(header)]
     sums = {name: 0.0 for name in header[1:]}
     first_reports = None
-    for sample in pairs:
-        s = sample.scenario
+    for number, sample in enumerate(pairs, 1):
+        s = _with_sinr_cube(sample.scenario, number, dataset_path, cfg)
         graph = normalize_features(sample.graph, stats)
         gnn = evaluate_policy(
             gat_mod.harden(gat_mod.forward(graph, model)),
@@ -521,10 +542,19 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
             if shared_samples is None:
                 # all ratios share the dataset, split, and normalization
                 pairs = _load_pairs(dataset_path, cfg)
+                numbers = {id(p.scenario): i for i, p in enumerate(pairs, 1)}
                 _, test_s, _ = split_and_normalize(
                     pairs, cfg.train.split_fraction, cfg.seed
                 )
-                shared_samples = test_s
+                shared_samples = [
+                    Sample(
+                        _with_sinr_cube(
+                            p.scenario, numbers[id(p.scenario)], dataset_path, cfg
+                        ),
+                        p.graph,
+                    )
+                    for p in test_s
+                ]
         result = sweep_lambda(
             models, shared_samples, ratios, cfg.power, agg=agg, demand_mbps=demand
         )

@@ -44,7 +44,6 @@ class GatConfig:
     negative_slope: float = 0.2
     activation: str = "relu"
     readout_activation: str = "relu"
-    heads: int = 1  # reserved; only single-head attention is implemented
 
     def __post_init__(self):
         if self.hidden_dim < 1:
@@ -55,8 +54,6 @@ class GatConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.readout_activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown readout_activation {self.readout_activation!r}")
-        if self.heads != 1:
-            raise ConfigError("only heads=1 is supported")
 
     def to_dict(self):
         return {
@@ -64,7 +61,6 @@ class GatConfig:
             "negative_slope": self.negative_slope,
             "activation": self.activation,
             "readout_activation": self.readout_activation,
-            "heads": self.heads,
         }
 
 
@@ -253,7 +249,6 @@ def load_checkpoint(path) -> tuple[GatModel, dict]:
             negative_slope=meta["negative_slope"],
             activation=meta["activation"],
             readout_activation=meta["readout_activation"],
-            heads=meta.get("heads", 1),
         )
         by_name = {entry["name"]: decode_array(entry) for entry in doc["params"]}
         feat_dim, n_cells = meta["feat_dim"], meta["n_cells"]

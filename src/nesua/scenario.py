@@ -47,7 +47,6 @@ class ScenarioConfig:
     reuse_factor: float = 1.0 / 3.0
     gamma_th_db: float = 0.0
     ue_demand_mbps: float = 5.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_cells < 1:
@@ -97,7 +96,10 @@ class Scenario:
     ue_positions: np.ndarray       # (K, 2) m
     distance: np.ndarray           # (K, N) m, 3-D including antenna heights
     sinr_wideband_db: np.ndarray   # (K, N)
-    sinr_per_prb_db: np.ndarray    # (K, N, n_prb_total)
+    # (K, N, n_prb_total); None in a scenario read back by `from_record`,
+    # since records do not store it: `generate_scenario` at the same seed
+    # and config rebuilds it
+    sinr_per_prb_db: np.ndarray | None
     rsrp_dbm: np.ndarray           # (K, N)
     prb_demand: np.ndarray         # (K, N) int, in [1, n_prb_total]
     n_prb_total: int
@@ -322,22 +324,26 @@ def normalize_features(g: GraphInstance, stats: FeatureStats) -> GraphInstance:
 # dataset serialization: one self-describing record per line, every array
 # field encoded exactly by `codec.encode_array`
 
-_RECORD_ARRAYS = (
-    "bs_xy", "ue_xy", "sinr_db", "sinr_prb_db", "rsrp_dbm", "prb", "adj", "feat",
-)
+# record key -> Scenario field, for every scenario array a record stores
+RECORD_FIELDS = {
+    "bs_xy": "bs_positions",
+    "ue_xy": "ue_positions",
+    "sinr_db": "sinr_wideband_db",
+    "rsrp_dbm": "rsrp_dbm",
+    "prb": "prb_demand",
+}
 
 
 def to_record(s: Scenario, g: GraphInstance, config_digest: str = "") -> dict:
-    arrays = {
-        "bs_xy": s.bs_positions,
-        "ue_xy": s.ue_positions,
-        "sinr_db": s.sinr_wideband_db,
-        "sinr_prb_db": s.sinr_per_prb_db,
-        "rsrp_dbm": s.rsrp_dbm,
-        "prb": s.prb_demand,
-        "adj": g.adjacency.astype(np.int8),
-        "feat": g.features,
-    }
+    """One dataset line: the seed, the config digest, the scenario arrays
+    named in `RECORD_FIELDS`, the adjacency and the raw features.
+
+    The distance and the per-PRB SINR cube are not stored: the distance
+    follows from the positions, and the cube from (config, seed).
+    """
+    arrays = {key: getattr(s, name) for key, name in RECORD_FIELDS.items()}
+    arrays["adj"] = g.adjacency.astype(np.int8)
+    arrays["feat"] = g.features
     return {
         "seed": int(s.seed),
         "config_digest": config_digest,
@@ -346,13 +352,14 @@ def to_record(s: Scenario, g: GraphInstance, config_digest: str = "") -> dict:
 
 
 def from_record(rec: dict, cfg: ScenarioConfig) -> tuple[Scenario, GraphInstance]:
-    """Rebuild the scenario/graph pair; distance comes back from geometry.
+    """Rebuild the scenario/graph pair; distance comes back from geometry,
+    and `sinr_per_prb_db` is None.
 
     A record that is not one `to_record` writes raises ConfigError.
     """
     try:
         seed = int(rec["seed"])
-        arr = {key: decode_array(rec[key]) for key in _RECORD_ARRAYS}
+        arr = {key: decode_array(rec[key]) for key in (*RECORD_FIELDS, "adj", "feat")}
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed record: {exc!r}") from None
     bs, ue = arr["bs_xy"], arr["ue_xy"]
@@ -360,14 +367,10 @@ def from_record(rec: dict, cfg: ScenarioConfig) -> tuple[Scenario, GraphInstance
     dist = np.sqrt(dh**2 + (cfg.h_tx_m - cfg.h_ue_m) ** 2)
     s = Scenario(
         seed=seed,
-        bs_positions=bs,
-        ue_positions=ue,
         distance=dist,
-        sinr_wideband_db=arr["sinr_db"],
-        sinr_per_prb_db=arr["sinr_prb_db"],
-        rsrp_dbm=arr["rsrp_dbm"],
-        prb_demand=arr["prb"],
+        sinr_per_prb_db=None,
         n_prb_total=cfg.n_prb_total,
+        **{name: arr[key] for key, name in RECORD_FIELDS.items()},
     )
     g = GraphInstance(
         features=arr["feat"],

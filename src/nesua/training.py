@@ -50,7 +50,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     shuffle_seed: int = 0
-    checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:

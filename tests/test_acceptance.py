@@ -180,7 +180,7 @@ def test_adjacency_matches_triple_loop():
         gamma = float(rng.uniform(-5.0, 20.0))
         cfg = ScenarioConfig(
             n_cells=7, inter_site_distance=500.0, region=(2200.0, 2200.0),
-            n_ues=n_ues, gamma_th_db=gamma, rng_seed=0,
+            n_ues=n_ues, gamma_th_db=gamma,
         )
         s = generate_scenario(cfg, 20_000 + i)
         got = build_graph(s, gamma).adjacency
@@ -213,7 +213,7 @@ def test_oracle_dominates_every_policy():
         n_ues = int(rng.integers(2, 7))
         cfg = ScenarioConfig(
             n_cells=n_cells, inter_site_distance=500.0, region=(2200.0, 2200.0),
-            n_ues=n_ues, tx_power_dbm=46.0, rng_seed=0,
+            n_ues=n_ues, tx_power_dbm=46.0,
         )
         s = generate_scenario(cfg, 5000 + i)
         oracle = associate_oracle(s, PARAMS)
@@ -239,7 +239,7 @@ def test_oracle_dominates_every_policy():
 def test_small_instance_learning_tracks_oracle():
     cfg = ScenarioConfig(
         n_cells=3, inter_site_distance=500.0, region=(2200.0, 2200.0),
-        n_ues=6, rng_seed=0,
+        n_ues=6,
     )
     train_split, test_split, _ = prepare_dataset(cfg, 250, 0.8, seed=100)
     result = train(
@@ -274,7 +274,7 @@ def test_learned_policy_beats_rsrp_across_grid():
     for w_mhz in (20.0, 80.0):
         cfg = ScenarioConfig(
             n_cells=7, inter_site_distance=500.0, region=(2200.0, 2200.0),
-            n_ues=20, bandwidth_mhz=w_mhz, rng_seed=0,
+            n_ues=20, bandwidth_mhz=w_mhz,
         )
         train_split, test_split, stats = prepare_dataset(cfg, 200, 0.8, seed=100)
         result = train(
@@ -311,7 +311,7 @@ def test_learned_policy_beats_rsrp_across_grid():
 def test_balance_weight_sweep_removes_switch_off():
     cfg = ScenarioConfig(
         n_cells=7, inter_site_distance=500.0, region=(2200.0, 2200.0),
-        n_ues=100, ue_demand_mbps=20.0, gamma_th_db=15.0, rng_seed=0,
+        n_ues=100, ue_demand_mbps=20.0, gamma_th_db=15.0,
     )
     train_split, test_split, _ = prepare_dataset(cfg, 200, 0.8, seed=100)
     ratios = (0.0, 4.0, 64.0, 1024.0, 4096.0)

@@ -1,5 +1,6 @@
 """Association policy hand cases, oracle optimality, and dominance."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,7 +10,7 @@ from helpers import enumerate_oracle
 from nesua import baselines as bl
 from nesua import gat
 from nesua import scenario as sc
-from nesua.errors import BudgetExceededError, ConfigError
+from nesua.errors import BudgetExceededError, ConfigError, ContractError
 from nesua.power import PowerParams, network_power_hard
 
 DEFAULTS = PowerParams()
@@ -87,6 +88,14 @@ def test_ga_subsinr_mean_top8_can_differ_from_max():
     s = _scenario(per_prb=per)
     assert bl.associate_ga_subsinr(s, agg="max").assignment.tolist() == [1]
     assert bl.associate_ga_subsinr(s, agg="mean_top8").assignment.tolist() == [0]
+
+
+def test_ga_subsinr_refuses_a_scenario_without_its_cube():
+    s = dataclasses.replace(
+        _scenario(sinr_db=np.zeros((2, 3))), seed=41, sinr_per_prb_db=None
+    )
+    with pytest.raises(ContractError, match="seed 41"):
+        bl.associate_ga_subsinr(s)
 
 
 def test_flat_channel_makes_subsinr_match_rsrp():

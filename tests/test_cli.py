@@ -10,6 +10,7 @@ from nesua import cli, gat
 from nesua.codec import decode_array, encode_array
 from nesua.config import RunConfig
 from nesua.errors import ConfigError
+from nesua.scenario import generate_scenario
 
 
 def _cfg_dict(**over):
@@ -553,7 +554,7 @@ def test_old_decimal_list_artifacts_exit_2(tmp_path, capsys):
 
     lines = dataset.read_text().splitlines()
     old = json.loads(lines[1])
-    for key in ("sinr_prb_db", "feat"):  # the decimal-list layout of earlier versions
+    for key in ("rsrp_dbm", "feat"):  # the decimal-list layout of earlier versions
         old[key] = decode_array(old[key]).tolist()
     lines[1] = json.dumps(old, separators=(",", ":"))
     dataset.write_text("\n".join(lines) + "\n")
@@ -677,3 +678,91 @@ def test_checkpoint_for_another_cell_count_exits_2(tmp_path, capsys):
         assert "n_cells 2 vs 3" in err and "feat_dim 6 vs 9" in err
         assert not (tmp_path / out).exists()
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("key", ["rsrp_dbm", "ue_xy"])
+def test_eval_refuses_a_record_its_seed_does_not_regenerate(tmp_path, capsys, key):
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+    dataset = data_dir / "dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    rec = json.loads(lines[1])
+    values = decode_array(rec[key])
+    values[0, 0] += 1.0
+    rec[key] = encode_array(values)
+    lines[1] = json.dumps(rec, separators=(",", ":"))
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--config", cfg, "--out", str(tmp_path / "ev"),
+        "--dataset", str(dataset),
+        "--checkpoint", str(run_dir / "checkpoint_best.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(dataset) in err and "record 2:" in err and key in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_eval_rebuilds_the_sinr_cube_from_the_record_seed(tmp_path):
+    cfg_path = _write_cfg(tmp_path)
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg_path, "--out", str(data_dir)]) == 0
+    cfg = RunConfig.from_dict(_cfg_dict())
+    dataset = str(data_dir / "dataset.jsonl")
+    pairs = cli._load_pairs(dataset, cfg)
+    assert len(pairs) == 6
+    for number, sample in enumerate(pairs, 1):
+        assert sample.scenario.sinr_per_prb_db is None
+        rebuilt = cli._with_sinr_cube(sample.scenario, number, dataset, cfg)
+        fresh = generate_scenario(cfg.scenario, sample.scenario.seed)
+        cube = rebuilt.sinr_per_prb_db
+        assert cube.dtype == fresh.sinr_per_prb_db.dtype
+        assert cube.shape == fresh.sinr_per_prb_db.shape
+        assert cube.tobytes() == fresh.sinr_per_prb_db.tobytes()
+
+
+def test_train_never_regenerates_a_scenario(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path)
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg, "--out", str(data_dir)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("train regenerated a scenario")
+
+    monkeypatch.setattr(cli, "generate_scenario", refuse)
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "run"),
+        "--dataset", str(data_dir / "dataset.jsonl"),
+    ])
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("gat", "heads", 1), ("train", "checkpoint_every", 0), ("scenario", "rng_seed", 0)],
+)
+def test_deleted_config_keys_exit_2(tmp_path, capsys, section, key, value):
+    cfg = _write_cfg(tmp_path, **{section: {key: value}})
+    out = tmp_path / "o"
+    assert cli.main(["gen", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_whose_manifest_names_rng_seed_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg, "--out", str(data_dir)]) == 0
+    manifest_path = data_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["scenario"]["rng_seed"] = 0  # the layout of earlier versions
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "run"),
+        "--dataset", str(data_dir / "dataset.jsonl"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and "rng_seed" in err

@@ -51,7 +51,6 @@ def _cfg(**kw):
         region=(2200.0, 2200.0),
         n_ues=4,
         tx_power_dbm=40.0,
-        rng_seed=0,
     )
     base.update(kw)
     return ScenarioConfig(**base)

@@ -40,8 +40,6 @@ def test_config_validation():
         gat.GatConfig(negative_slope=-0.1)
     with pytest.raises(ConfigError):
         gat.GatConfig(activation="tanh")
-    with pytest.raises(ConfigError):
-        gat.GatConfig(heads=4)
 
 
 def test_attention_scores_match_scalar_computation():

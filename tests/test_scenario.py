@@ -1,5 +1,6 @@
 """Geometry, channel, demand, graph, and serialization checks."""
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ def small_cfg(**kw):
         n_ues=8,
         region=(2500.0, 2500.0),
         inter_site_distance=900.0,
-        rng_seed=0,
     )
     base.update(kw)
     return sc.ScenarioConfig(**base)
@@ -292,7 +292,11 @@ def test_dataset_round_trip(tmp_path):
     assert len(records) == 4
     for rec, (s, g) in zip(records, pairs):
         s2, g2 = sc.from_record(rec, cfg)
-        np.testing.assert_array_equal(s2.sinr_per_prb_db, s.sinr_per_prb_db)
+        assert s2.sinr_per_prb_db is None  # records do not store the cube
+        for name in (
+            "bs_positions", "ue_positions", "sinr_wideband_db", "rsrp_dbm",
+        ):
+            np.testing.assert_array_equal(getattr(s2, name), getattr(s, name))
         np.testing.assert_array_equal(s2.distance, s.distance)
         np.testing.assert_array_equal(s2.prb_demand, s.prb_demand)
         np.testing.assert_array_equal(g2.features, g.features)
@@ -306,6 +310,15 @@ def test_record_field_names_are_stable():
     rec = sc.to_record(s, sc.build_graph(s, 0.0))
     expected = {
         "seed", "config_digest", "bs_xy", "ue_xy", "sinr_db",
-        "sinr_prb_db", "rsrp_dbm", "prb", "adj", "feat",
+        "rsrp_dbm", "prb", "adj", "feat",
     }
     assert set(rec) == expected
+
+
+def test_paper_default_record_stays_small():
+    # the per-PRB SINR cube (K x N x T float64) would be 190,400 of its bytes
+    cfg = sc.ScenarioConfig()
+    s = sc.generate_scenario(cfg, 0)
+    rec = sc.to_record(s, sc.build_graph(s, cfg.gamma_th_db), "0" * 64)
+    assert "sinr_prb_db" not in rec
+    assert len(json.dumps(rec, separators=(",", ":"))) < 32 * 1024
