@@ -9,6 +9,22 @@ transpose, reshape, slice_rows, concat, the nonlinearities, the
 reductions and the cell gate); there is no broadcasting beyond what those
 compositions use.
 
+Fused nodes: the model and its loss run on five nodes that each do the
+work of a chain of primitives, with one hand-written backward rule:
+`attention_round` (score, mask, softmax and aggregate one GAT round),
+`softmax_readout`, `gated_load_cost` (the network power),
+`association_penalties` (the two regularisers) and `add_terms`. With the
+two `linear` transforms, a train step's graph is 8 nodes instead of 50,
+and the per-node bookkeeping (`_result`, `_topo_order`, `accumulate`)
+shrinks with it. A fused backward reproduces the chain's bits: it runs the
+chain's reverse operations in the chain's order, normalises each
+intermediate gradient with `+ 0.0` where the chain's first-gradient copy
+did, and feeds a tensor that several consumers reach in the order
+`backward` would have run them (the transformed features get the
+aggregation gradient, then the source and destination score gradients;
+the association gets the gate, load, trace and load-norm gradients). The
+chains they replace live on in the tests as bit-for-bit references.
+
 Gradient buffers: the first gradient a tensor receives becomes its
 buffer as `g + 0.0`, so -0.0 lands as +0.0 exactly as if it were added
 to zeros, and later gradients are added into it in place. By default the
@@ -39,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import decode_array, encode_array
+from .codec import decode_packed, encode_array
 from .errors import ContractError, ShapeError
 
 
@@ -312,25 +328,41 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     return _result(np.clip(x.values, lo, hi), (x,), backward)
 
 
+def _keep_mask(mask, shape, op):
+    """The entries a masked row softmax keeps: mask != 0, shaped like its
+    input, with at least one kept entry in every row."""
+    keep = (mask.values if isinstance(mask, Tensor) else np.asarray(mask)) != 0
+    if keep.shape != shape:
+        raise ShapeError(f"{op}: mask {keep.shape} vs input {shape}")
+    if not keep.any(axis=1).all():
+        raise ContractError(f"{op}: a row has no unmasked entries")
+    return keep
+
+
+def _softmax_rows(x, keep=None):
+    """Softmax of each row of x over its kept entries (all when keep is None)."""
+    shifted = x if keep is None else np.where(keep, x, -np.inf)
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_rows_grad(s, g):
+    """Gradient at the input of a row softmax whose output is s."""
+    dot = (g * s).sum(axis=1, keepdims=True)
+    return s * (g - dot)
+
+
 def row_softmax_masked(x: Tensor, mask) -> Tensor:
     """Softmax over the unmasked entries of each row.
 
     Masked entries are exactly 0 in the output and receive exactly 0
     gradient. Every row must keep at least one unmasked entry.
     """
-    keep = (mask.values if isinstance(mask, Tensor) else np.asarray(mask)) != 0
-    if keep.shape != x.shape:
-        raise ShapeError(f"row_softmax_masked: mask {keep.shape} vs input {x.shape}")
-    if not keep.any(axis=1).all():
-        raise ContractError("row_softmax_masked: a row has no unmasked entries")
-    shifted = np.where(keep, x.values, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = _softmax_rows(x.values, _keep_mask(mask, x.shape, "row_softmax_masked"))
 
     def backward(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        x.accumulate(s * (g - dot))
+        x.accumulate(_softmax_rows_grad(s, g))
 
     return _result(s, (x,), backward)
 
@@ -375,6 +407,18 @@ def l2_norm(x: Tensor) -> Tensor:
     return _result(norm, (x,), backward)
 
 
+def _leave_one_out_products(q):
+    """Per column of q, the products of the entries above and below each
+    row (prefix, suffix): their product leaves that row's factor out, and
+    is exact even when some factor is 0."""
+    prefix = np.ones_like(q)
+    suffix = np.ones_like(q)
+    if q.shape[0] > 1:
+        prefix[1:] = np.cumprod(q[:-1], axis=0)
+        suffix[:-1] = np.cumprod(q[::-1], axis=0)[-2::-1]
+    return prefix, suffix
+
+
 def complement_product_gate(s: Tensor) -> Tensor:
     """Per column n of a K-by-N matrix: 1 - prod_k (1 - s[k, n]).
 
@@ -387,16 +431,184 @@ def complement_product_gate(s: Tensor) -> Tensor:
     out_values = 1.0 - q.prod(axis=0)
 
     def backward(g):
-        # leave-one-out products via prefix/suffix cumulative products,
-        # exact even when some factor is 0
-        prefix = np.ones_like(q)
-        suffix = np.ones_like(q)
-        if q.shape[0] > 1:
-            prefix[1:] = np.cumprod(q[:-1], axis=0)
-            suffix[:-1] = np.cumprod(q[::-1], axis=0)[-2::-1]
+        prefix, suffix = _leave_one_out_products(q)
         s.accumulate(g[None, :] * prefix * suffix)
 
     return _result(out_values, (s,), backward)
+
+
+# ---------------------------------------------------------------------------
+# fused nodes: one node, and one backward rule, per chain of primitives
+# (see the module docstring for how their bits match the chains')
+
+
+def attention_round(hw: Tensor, a: Tensor, adjacency, negative_slope: float,
+                    relu: bool) -> Tensor:
+    """One graph attention round over transformed node features hw (K, d).
+
+    The scorer a (2d,) splits into a source and a destination half, so
+    the K-by-K pair scores are the broadcast sum of two length-K
+    projections, hw a_src + (hw a_dst)^T. The round returns
+    act(softmax(leaky_relu(scores)) @ hw): the softmax runs over each row's
+    neighbours (adjacency != 0, at least one per row), and act is relu or
+    the identity. Bit-equal, forward and backward, to slicing a, two
+    matmuls, reshapes, add, leaky_relu, row_softmax_masked, matmul and
+    relu; hw gets its aggregation gradient first, then the source and
+    destination score gradients.
+    """
+    vh = hw.values
+    k, d = vh.shape
+    if a.shape != (2 * d,):
+        raise ShapeError(f"attention vector {a.shape} does not fit width {d}")
+    keep = _keep_mask(adjacency, (k, k), "attention_round")
+    # copies, as `slice_rows` makes: the products see the chain's operands
+    a_src, a_dst = a.values[:d].copy(), a.values[d:].copy()
+    pair = (vh @ a_src).reshape(k, 1) + (vh @ a_dst).reshape(1, k)
+    nonneg = pair >= 0
+    slope = float(negative_slope)
+    att = _softmax_rows(np.where(nonneg, pair, slope * pair), keep)
+    mixed = att @ vh
+    on = mixed > 0
+    out_values = np.where(on, mixed, 0.0) if relu else mixed
+
+    def backward(g):
+        if relu:
+            g = g * on + 0.0
+        g_att = g @ vh.T + 0.0
+        g_pair = (_softmax_rows_grad(att, g_att) + 0.0) * np.where(nonneg, 1.0, slope) + 0.0
+        g_src = _unbroadcast(g_pair, (k, 1)).reshape(k) + 0.0
+        g_dst = _unbroadcast(g_pair, (1, k)).reshape(k) + 0.0
+        if hw.requires_grad:
+            hw.accumulate(att.T @ g, fresh=True)
+            hw.accumulate(np.outer(g_src, a_src))
+            hw.accumulate(np.outer(g_dst, a_dst))
+        if a.requires_grad:
+            g_a = np.empty(2 * d)
+            np.add(vh.T @ g_src, 0.0, out=g_a[:d])
+            np.add(vh.T @ g_dst, 0.0, out=g_a[d:])
+            a.accumulate(g_a, fresh=True)
+
+    return _result(out_values, (hw, a), backward)
+
+
+def softmax_readout(h: Tensor, q: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """Row softmax of act(h @ q + b) for rows h (K, d), weights q (d, N)
+    and a bias b that broadcasts to (K, N); act is relu or the identity.
+    Bit-equal, forward and backward, to matmul, add, relu and
+    row_softmax_masked under an all-ones mask."""
+    vh, vq = h.values, q.values
+    if vh.ndim != 2 or vq.ndim != 2:
+        raise ShapeError(f"softmax_readout: expected matrices, got {vh.shape} and {vq.shape}")
+    if vh.shape[1] != vq.shape[0]:
+        raise ShapeError(f"softmax_readout: inner dims differ, {vh.shape} @ {vq.shape}")
+    logits = vh @ vq
+    if (_check_broadcast("softmax_readout", logits, b) or logits.shape) != logits.shape:
+        raise ShapeError(f"softmax_readout: bias {b.shape} does not fit logits {logits.shape}")
+    logits = logits + b.values
+    on = logits > 0
+    if relu:
+        logits = np.where(on, logits, 0.0)
+    s = _softmax_rows(logits)
+
+    def backward(g):
+        g = _softmax_rows_grad(s, g) + 0.0
+        if relu:
+            g = g * on + 0.0
+        if h.requires_grad:
+            h.accumulate(g @ vq.T, fresh=True)
+        if q.requires_grad:
+            q.accumulate(vh.T @ g, fresh=True)
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g, b.shape))
+
+    return _result(s, (h, q, b), backward)
+
+
+def _check_association(op, s, demand):
+    if s.values.ndim != 2 or np.shape(demand) != s.shape:
+        raise ShapeError(f"{op}: association {s.shape} and demand {np.shape(demand)} differ")
+
+
+def gated_load_cost(s: Tensor, demand: np.ndarray, capacity: float, on_const: float,
+                    on_slope: float, offset: float) -> Tensor:
+    """sum_n gate_n (on_slope eta_n + on_const) + offset for an association
+    s (K, N) and a demand of the same shape: gate is
+    `complement_product_gate(s)` and eta_n = clip(load_n / capacity, 0, 1)
+    with load the column sums of s * demand. Bit-equal, forward and
+    backward, to multiply, transpose, row_sum, scale, clamp, the gate,
+    scale, add, multiply, sum_all and add; s gets its gate gradient first,
+    then its load gradient."""
+    _check_association("gated_load_cost", s, demand)
+    vs = s.values
+    n = vs.shape[1]
+    per_capacity = float(1.0 / capacity)
+    scaled = (vs * demand).T.sum(axis=1) * per_capacity
+    inside = (scaled >= 0.0) & (scaled <= 1.0)
+    slope = float(on_slope)
+    per_cell = np.clip(scaled, 0.0, 1.0) * slope + np.full(n, on_const)
+    q = 1.0 - vs
+    gate = 1.0 - q.prod(axis=0)
+
+    def backward(g):
+        g_cells = np.full(n, float(g) + 0.0)
+        g_gate = g_cells * per_cell + 0.0
+        g_per_cell = g_cells * gate + 0.0
+        prefix, suffix = _leave_one_out_products(q)
+        s.accumulate(g_gate[None, :] * prefix * suffix, fresh=True)
+        g_load = ((g_per_cell * slope + 0.0) * inside + 0.0) * per_capacity + 0.0
+        s.accumulate(g_load[None, :] * demand)
+
+    return _result((gate * per_cell).sum() + np.asarray(offset), (s,), backward)
+
+
+def association_penalties(s: Tensor, demand: np.ndarray, lambda1: float,
+                          lambda2: float) -> Tensor:
+    """The weighted regularisers of an association s (K, N), one entry per
+    positive weight, in this order: lambda1 (K - Tr(s s^T)) and
+    lambda2 |p_hat|_2, p_hat being the column sums of s * demand. Bit-equal,
+    forward and backward, to trace_of_gram, scale, add and scale, then
+    multiply, transpose, row_sum, l2_norm and scale; s gets the trace
+    gradient first."""
+    _check_association("association_penalties", s, demand)
+    vs = s.values
+    lambda1, lambda2 = float(lambda1), float(lambda2)
+    terms = []
+    if lambda1 > 0.0:
+        terms.append((float(vs.shape[0]) + (vs**2).sum() * -1.0) * lambda1)
+    if lambda2 > 0.0:
+        p_hat = (vs * demand).T.sum(axis=1)
+        norm = float(np.sqrt((p_hat**2).sum()))
+        terms.append(norm * lambda2)
+
+    def backward(g):
+        if lambda1 > 0.0:
+            g_trace = (float(g[0]) * lambda1 + 0.0) * -1.0 + 0.0
+            s.accumulate(2.0 * g_trace * vs)
+        if lambda2 > 0.0 and norm > 0.0:
+            g_hat = (float(g[-1]) * lambda2 + 0.0) * p_hat / norm + 0.0
+            s.accumulate(g_hat[None, :] * demand)
+
+    return _result(np.array(terms), (s,), backward)
+
+
+def add_terms(total: Tensor, terms: Tensor) -> Tensor:
+    """A scalar total plus each entry of the vector terms, added left to
+    right as a chain of `add` nodes would. The total comes first among the
+    parents, so `backward` runs the total's own rule before that of the
+    node that made the terms."""
+    if total.shape != () or terms.values.ndim != 1:
+        raise ShapeError(f"add_terms: expected a scalar and a vector, got {total.shape} and {terms.shape}")
+    value = total.values
+    for t in terms.values:
+        value = value + t
+
+    def backward(g):
+        if total.requires_grad:
+            total.accumulate(g)
+        if terms.requires_grad:
+            terms.accumulate(np.full(terms.shape, float(g)))
+
+    return _result(value, (total, terms), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +752,17 @@ class AdamState:
 
     @classmethod
     def from_dict(cls, d):
+        """The state `to_dict` wrote. Each of `m` and `v` is decoded into
+        the views of one packed buffer (`codec.decode_packed`), which
+        `training.train` adopts instead of packing a copy."""
         return cls(
             lr=d["lr"],
             beta1=d["beta1"],
             beta2=d["beta2"],
             eps_stability=d["eps_stability"],
             step=d["step"],
-            m=[decode_array(buf) for buf in d["m"]],
-            v=[decode_array(buf) for buf in d["v"]],
+            m=decode_packed(d["m"])[1],
+            v=decode_packed(d["v"])[1],
         )
 
 

@@ -59,21 +59,20 @@ EXIT_NUMERIC = 4
 EVAL_SEED_OFFSET = 1_000_000
 
 
-def _generate_records(cfg: RunConfig) -> list:
-    digest = cfg.digest()
-    records = []
+def _samples(cfg: RunConfig):
+    """The training scenarios of cfg, each with its graph, in seed order."""
     for i in range(cfg.train.dataset_size):
         s = generate_scenario(cfg.scenario, cfg.seed + i)
-        g = build_graph(s, cfg.scenario.gamma_th_db)
-        records.append(to_record(s, g, config_digest=digest))
-    return records
+        yield Sample(s, build_graph(s, cfg.scenario.gamma_th_db))
 
 
-def _write_dataset(cfg: RunConfig, out_dir) -> tuple[str, list]:
-    """Generate the dataset into out_dir: dataset.jsonl, then the
-    manifest.json that `_load_pairs` checks it against."""
+def _write_dataset(cfg: RunConfig, out_dir, samples) -> tuple[str, int]:
+    """Write samples into out_dir as dataset.jsonl, then the manifest.json
+    that `_load_pairs` checks it against; returns the dataset's path and
+    record count."""
     os.makedirs(out_dir, exist_ok=True)
-    records = _generate_records(cfg)
+    digest = cfg.digest()
+    records = [to_record(p.scenario, p.graph, config_digest=digest) for p in samples]
     dataset_path = os.path.join(out_dir, "dataset.jsonl")
     write_jsonl(dataset_path, records)
     manifest_cfg = cfg.to_dict()
@@ -87,13 +86,13 @@ def _write_dataset(cfg: RunConfig, out_dir) -> tuple[str, list]:
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return dataset_path, records
+    return dataset_path, len(records)
 
 
 def cmd_gen(cfg: RunConfig) -> int:
-    dataset_path, records = _write_dataset(cfg, cfg.out_dir)
+    dataset_path, count = _write_dataset(cfg, cfg.out_dir, _samples(cfg))
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
-    print(f"wrote {len(records)} records to {dataset_path}")
+    print(f"wrote {count} records to {dataset_path}")
     return EXIT_OK
 
 
@@ -431,8 +430,12 @@ def _train_bandwidth_point(payload) -> None:
     cfg = dataclasses.replace(
         cfg, scenario=dataclasses.replace(cfg.scenario, bandwidth_mhz=w)
     )
-    _, records = _write_dataset(cfg, sub_dir)
-    pairs = [Sample(*from_record(rec, cfg.scenario)) for rec in records]
+    # training reads no per-PRB SINR, so the cube is not kept for it
+    pairs = [
+        Sample(dataclasses.replace(p.scenario, sinr_per_prb_db=None), p.graph)
+        for p in _samples(cfg)
+    ]
+    _write_dataset(cfg, sub_dir, pairs)
     _train_to_dir(cfg, pairs, sub_dir)
     with open(os.path.join(sub_dir, "DONE"), "w", encoding="utf-8") as fh:
         fh.write("ok\n")
@@ -527,7 +530,7 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
         ratios = grid["ratio"]
         dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
         if not os.path.exists(os.path.join(cfg.out_dir, "manifest.json")):
-            _write_dataset(cfg, cfg.out_dir)
+            _write_dataset(cfg, cfg.out_dir, _samples(cfg))
         sub_dirs = [os.path.join(cfg.out_dir, f"ratio{r!r}") for r in ratios]
         payloads = [
             (cfg.to_dict(), r, dataset_path, sub)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import math
 
 import numpy as np
 
@@ -34,13 +35,9 @@ def encode_array(values) -> dict:
     }
 
 
-def decode_array(entry) -> np.ndarray:
-    """Native-order, writable array that owns its memory.
-
-    Raises ConfigError for anything `encode_array` cannot have written:
-    a missing key, an unknown dtype, a bad shape, invalid base64, or a
-    byte count that does not match the shape.
-    """
+def _header(entry) -> tuple[np.dtype, tuple, str]:
+    """The dtype, shape and base64 text of an array entry; ConfigError for
+    a missing key, an unknown dtype or a bad shape."""
     try:
         dtype, shape, text = entry["dtype"], entry["shape"], entry["b64"]
     except (KeyError, TypeError) as exc:
@@ -54,16 +51,75 @@ def decode_array(entry) -> np.ndarray:
         type(n) is int and n >= 0 for n in shape
     ):
         raise ConfigError(f"array shape {shape!r} is not a list of sizes")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except (binascii.Error, TypeError, ValueError) as exc:
-        raise ConfigError(f"array bytes are not valid base64: {exc}") from None
-    dt = np.dtype(dtype)
-    expected = dt.itemsize * int(np.prod(shape, dtype=np.int64))
-    if len(raw) != expected:
+    return np.dtype(dtype), tuple(shape), text
+
+
+# base64 characters decoded at a time: decoding holds one chunk's bytes
+# besides the array, not a second copy of it
+_CHUNK = 1 << 16
+
+
+def _decode_into(out: np.ndarray, dt: np.dtype, text):
+    """Write the array that base64 text holds as raw dt bytes into out, a
+    C-ordered native-order array of dt's kind; ConfigError for invalid
+    base64 or a byte count other than out's.
+
+    Chunks hold whole 4-character groups and each is checked as
+    `base64.b64decode(..., validate=True)` checks the whole text; padding
+    may only end the last one.
+    """
+    if not isinstance(text, str) or len(text) % 4:
+        raise ConfigError("array bytes are not valid base64")
+    size = len(text) // 4 * 3 - (2 if text.endswith("==") else text.endswith("="))
+    if size != out.nbytes:
         raise ConfigError(
-            f"array of shape {shape} and dtype {dtype} needs {expected} bytes, "
-            f"got {len(raw)}"
+            f"array of shape {list(out.shape)} and dtype {dt.str} needs "
+            f"{out.nbytes} bytes, got {size}"
         )
-    # astype copies out of the read-only bytes buffer into native order
-    return np.frombuffer(raw, dtype=dt).reshape(shape).astype(dt.newbyteorder("="))
+    raw = memoryview(out).cast("B")
+    for start in range(0, len(text), _CHUNK):
+        piece = text[start:start + _CHUNK]
+        try:
+            if start + _CHUNK < len(text) and piece.endswith("="):
+                raise ValueError("padding before the end")
+            data = base64.b64decode(piece, validate=True)
+        except (binascii.Error, ValueError) as exc:
+            raise ConfigError(f"array bytes are not valid base64: {exc}") from None
+        at = start // 4 * 3
+        raw[at:at + len(data)] = data
+    if not dt.isnative:
+        out.byteswap(inplace=True)
+
+
+def decode_array(entry) -> np.ndarray:
+    """Native-order, writable array that owns its memory.
+
+    Raises ConfigError for anything `encode_array` cannot have written:
+    a missing key, an unknown dtype, a bad shape, invalid base64, or a
+    byte count that does not match the shape.
+    """
+    dt, shape, text = _header(entry)
+    out = np.empty(shape, dtype=dt.newbyteorder("="))
+    _decode_into(out, dt, text)
+    return out
+
+
+def decode_packed(entries) -> tuple[np.ndarray, list]:
+    """float64 entries decoded back to back into one new 1-D buffer.
+
+    Returns the buffer and each entry's C-ordered view of it. Raises
+    ConfigError as `decode_array` does, and for an entry whose dtype is
+    not float64; the buffer is allocated once every header is checked.
+    """
+    headers = [_header(entry) for entry in entries]
+    for dt, shape, _ in headers:
+        if dt.str != "<f8":
+            raise ConfigError(f"expected a float64 array, got dtype {dt.str} {list(shape)}")
+    flat = np.empty(sum(math.prod(shape) for _, shape, _ in headers))
+    views, start = [], 0
+    for dt, shape, text in headers:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        _decode_into(views[-1], dt, text)
+        start = stop
+    return flat, views

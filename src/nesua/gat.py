@@ -1,10 +1,13 @@
 """Two-layer graph attention network with a per-node softmax readout.
 
-Each layer transforms its input features once, hw = h @ W.T, scores
-every node pair from a shared attention vector over hw, normalizes the
-scores over the adjacency neighborhood (self-loops included), and mixes
-the same hw with those weights. The readout maps final embeddings to one
-soft association row per UE on the cell simplex.
+Each layer transforms its input features once, hw = h @ W.T
+(`autodiff.linear`), then runs one `autodiff.attention_round` over them:
+score every node pair from a shared attention vector over hw, normalize
+the scores over the adjacency neighborhood (self-loops included), mix the
+same hw with those weights and apply the nonlinearity. The readout maps
+final embeddings to one soft association row per UE on the cell simplex
+with one `autodiff.softmax_readout`. A forward pass is therefore five
+autodiff nodes, each with one backward rule.
 
 A model's six parameters are views of one C-ordered float64 buffer,
 `GatModel.flat`, in `PARAM_NAMES` order. `GatModel` packs them when it
@@ -18,22 +21,20 @@ views of one gradient buffer of the same layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .baselines import HardAssociation
-from .codec import decode_array, encode_array
+from .codec import decode_packed, encode_array
 from .errors import ConfigError, ShapeError
 from .scenario import GraphInstance
 
 PARAM_NAMES = ("gat1.W", "gat1.a", "gat2.W", "gat2.a", "readout.Q", "readout.B")
 
-_ACTIVATIONS = {
-    "relu": ad.relu,
-    "identity": lambda t: t,
-}
+# activation name -> whether it is relu, the flag the fused nodes take
+_ACTIVATIONS = {"relu": True, "identity": False}
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,10 @@ class GatModel:
 
     Building a model copies the given parameters' values into `flat` and
     rebinds each parameter's `values` to its view of it. An in-place
-    update of `flat.values` is an update of every parameter.
+    update of `flat.values` is an update of every parameter. A caller
+    whose parameters already are, in order, the views of one fresh 1-D
+    buffer (`load_checkpoint`) passes it as `packed`, and it is adopted
+    without a copy.
     """
 
     layer1: GatLayerParams
@@ -89,10 +93,14 @@ class GatModel:
     config: GatConfig
     feat_dim: int
     n_cells: int
+    packed: InitVar[np.ndarray | None] = None
     flat: ad.Tensor = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.flat = ad.pack_parameters(self.parameters())
+    def __post_init__(self, packed):
+        if packed is None:
+            self.flat = ad.pack_parameters(self.parameters())
+        else:
+            self.flat = ad.Tensor(packed)
 
     def parameters(self) -> list[ad.Tensor]:
         return [
@@ -105,13 +113,14 @@ class GatModel:
         return dict(zip(PARAM_NAMES, self.parameters()))
 
 
-def _assemble(arrays, cfg: GatConfig, feat_dim: int, n_cells: int) -> GatModel:
-    """The model whose parameters, in PARAM_NAMES order, hold `arrays`."""
+def _assemble(arrays, cfg: GatConfig, feat_dim: int, n_cells: int, packed=None) -> GatModel:
+    """The model whose parameters, in PARAM_NAMES order, hold `arrays`;
+    with `packed` given, the arrays are its views and the model adopts it."""
     w1, a1, w2, a2, q, b = (ad.parameter(x) for x in arrays)
     slope = cfg.negative_slope
     return GatModel(
         GatLayerParams(w1, a1, slope), GatLayerParams(w2, a2, slope), q, b,
-        config=cfg, feat_dim=feat_dim, n_cells=n_cells,
+        config=cfg, feat_dim=feat_dim, n_cells=n_cells, packed=packed,
     )
 
 
@@ -139,50 +148,38 @@ def _transformed(h: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:
     return ad.linear(h, layer.w)
 
 
-def attention_scores(hw: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:
-    """Pairwise scores rho(u,v) for all node pairs from the layer's
-    transformed features hw = h @ W.T (`_transformed`).
-
-    The scorer splits into a source and a destination half, so the K*K
-    pair matrix is a broadcast sum of two length-K projections instead of
-    K^2 concatenations.
-    """
-    k, d = hw.shape
-    if layer.a.shape != (2 * d,):
-        raise ShapeError(
-            f"attention vector {layer.a.shape} does not fit width {d}"
-        )
-    src = ad.matmul(hw, ad.slice_rows(layer.a, 0, d))
-    dst = ad.matmul(hw, ad.slice_rows(layer.a, d, 2 * d))
-    pair = ad.add(ad.reshape(src, (k, 1)), ad.reshape(dst, (1, k)))
-    return ad.leaky_relu(pair, layer.negative_slope)
-
-
-def attention_weights(hw: ad.Tensor, adjacency, layer: GatLayerParams) -> ad.Tensor:
-    """Scores of the transformed features hw normalized over each node's
-    neighborhood; zero off-edges."""
-    return ad.row_softmax_masked(attention_scores(hw, layer), adjacency)
+def _is_relu(activation: str) -> bool:
+    if activation not in _ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}")
+    return _ACTIVATIONS[activation]
 
 
 def gat_layer(
     h: ad.Tensor, adjacency, layer: GatLayerParams, activation: str = "relu"
 ) -> ad.Tensor:
-    """One attention round: transform h once, score the transformed
-    features and mix them with the normalized attention weights, then
-    apply the nonlinearity. Both uses share the one transform node, so its
-    gradient reaches W as a single summed product."""
+    """One attention round: transform h once (`_transformed`), then score
+    the transformed features, mix them with the normalized attention
+    weights and apply the nonlinearity in one `autodiff.attention_round`.
+    Both uses share the one transform node, so its gradient reaches W as a
+    single summed product."""
     hw = _transformed(h, layer)
-    att = attention_weights(hw, adjacency, layer)
-    mixed = ad.matmul(att, hw)
-    return _ACTIVATIONS[activation](mixed)
+    return ad.attention_round(
+        hw, layer.a, adjacency, layer.negative_slope, _is_relu(activation)
+    )
 
 
 def readout(h_final: ad.Tensor, model: GatModel) -> ad.Tensor:
-    """Per-node soft association over cells."""
-    logits = ad.add(ad.matmul(h_final, model.readout_q), model.readout_b)
-    logits = _ACTIVATIONS[model.config.readout_activation](logits)
-    k = h_final.shape[0]
-    return ad.row_softmax_masked(logits, np.ones((k, model.n_cells)))
+    """Per-node soft association over cells: the row softmax of
+    act(h_final @ Q + B), one `autodiff.softmax_readout`."""
+    if model.readout_q.shape[1:] != (model.n_cells,):
+        raise ShapeError(
+            f"readout weights {model.readout_q.shape} do not map to "
+            f"{model.n_cells} cells"
+        )
+    return ad.softmax_readout(
+        h_final, model.readout_q, model.readout_b,
+        _is_relu(model.config.readout_activation),
+    )
 
 
 def forward(g: GraphInstance, model: GatModel) -> ad.Tensor:
@@ -234,11 +231,13 @@ def save_checkpoint(path, model: GatModel, extra: dict | None = None):
 
 def load_checkpoint(path) -> tuple[GatModel, dict]:
     """Rebuild the model; everything beyond params and gat keys is passed
-    back untouched.
+    back untouched. The parameters are decoded straight into the views of
+    the model's packed buffer (`codec.decode_packed`).
 
-    A file that is not JSON, lacks a key, holds a malformed or old-style
-    decimal-list parameter, or misses a parameter raises ConfigError
-    naming the file. A file that cannot be opened raises OSError.
+    A file that is not JSON, lacks a key, holds a malformed, non-float64
+    or old-style decimal-list parameter, or misses a parameter raises
+    ConfigError naming the file. A file that cannot be opened raises
+    OSError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -250,13 +249,17 @@ def load_checkpoint(path) -> tuple[GatModel, dict]:
             activation=meta["activation"],
             readout_activation=meta["readout_activation"],
         )
-        by_name = {entry["name"]: decode_array(entry) for entry in doc["params"]}
+        by_name = {entry["name"]: entry for entry in doc["params"]}
         feat_dim, n_cells = meta["feat_dim"], meta["n_cells"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from None
     missing = [n for n in PARAM_NAMES if n not in by_name]
     if missing:
         raise ConfigError(f"checkpoint {path} lacks parameters: {missing}")
-    model = _assemble([by_name[n] for n in PARAM_NAMES], cfg, feat_dim, n_cells)
+    try:
+        flat, views = decode_packed([by_name[n] for n in PARAM_NAMES])
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from None
+    model = _assemble(views, cfg, feat_dim, n_cells, packed=flat)
     leftover = {k: v for k, v in doc.items() if k not in ("params", "gat")}
     return model, leftover

@@ -155,7 +155,8 @@ def network_power_soft(
     and its load to the S-weighted PRB sum; both the load-dependent terms and
     the constant on-cost are scaled by the gate, so the expression reproduces
     network_power_hard exactly at one-hot corners (a gate of 0 must erase the
-    radio draw of an empty cell, not just its fixed part).
+    radio draw of an empty cell, not just its fixed part). The whole draw is
+    one autodiff node, `autodiff.gated_load_cost`.
     """
     if s.values.ndim != 2:
         raise ContractError(f"association tensor must be 2-D, got shape {s.shape}")
@@ -163,12 +164,10 @@ def network_power_soft(
     prb = np.asarray(prb, dtype=np.float64)
     if prb.shape != (k, n):
         raise ContractError(f"association {s.values.shape} and PRB demand {prb.shape} differ")
-    load = ad.row_sum(ad.transpose(ad.multiply(s, ad.constant(prb))))
-    eta = ad.clamp(ad.scale(load, 1.0 / n_prb_total), 0.0, 1.0)
-    gate = ad.complement_product_gate(s)
     c0, c1 = radio_coefficients(p)
-    on_const = p.p_fixed_w - p.p_sleep_w + p.p_bb0_w + c0
-    on_slope = p.p_bb_slope_w + c1
-    per_cell_on = ad.add(ad.scale(eta, on_slope), ad.constant(np.full(n, on_const)))
-    total_on = ad.sum_all(ad.multiply(gate, per_cell_on))
-    return ad.add(total_on, ad.constant(np.asarray(n * p.p_sleep_w)))
+    return ad.gated_load_cost(
+        s, prb, n_prb_total,
+        on_const=p.p_fixed_w - p.p_sleep_w + p.p_bb0_w + c0,
+        on_slope=p.p_bb_slope_w + c1,
+        offset=n * p.p_sleep_w,
+    )

@@ -71,18 +71,18 @@ def loss(
     lc: LossConfig,
     n_prb_total: int,
 ) -> ad.Tensor:
-    """Soft network power + lambda1*(K - Tr(S S^T)) + lambda2*|p_hat|_2."""
-    k = s.values.shape[0]
+    """Soft network power + lambda1*(K - Tr(S S^T)) + lambda2*|p_hat|_2.
+
+    Three autodiff nodes: the power (`network_power_soft`), the penalties
+    with a positive weight (`autodiff.association_penalties`) and their
+    sum (`autodiff.add_terms`), which adds the terms to the power in that
+    order.
+    """
     total = network_power_soft(s, prb, params, n_prb_total)
-    if lc.lambda1 > 0.0:
-        sharpness = ad.add(
-            ad.constant(np.asarray(float(k))),
-            ad.scale(ad.trace_of_gram(s), -1.0),
-        )
-        total = ad.add(total, ad.scale(sharpness, lc.lambda1))
-    if lc.lambda2 > 0.0:
-        p_hat = ad.row_sum(ad.transpose(ad.multiply(s, ad.constant(prb))))
-        total = ad.add(total, ad.scale(ad.l2_norm(p_hat), lc.lambda2))
+    if lc.lambda1 > 0.0 or lc.lambda2 > 0.0:
+        prb = np.asarray(prb, dtype=np.float64)
+        penalties = ad.association_penalties(s, prb, lc.lambda1, lc.lambda2)
+        total = ad.add_terms(total, penalties)
     return total
 
 
@@ -150,6 +150,24 @@ def clone_model(model: gat_mod.GatModel) -> gat_mod.GatModel:
     )
 
 
+def _packed(moments, shapes) -> np.ndarray:
+    """The moments back to back in one float64 buffer: the buffer they are
+    already the C-ordered views of, in order (as `AdamState.from_dict`
+    decodes them), else a packed copy."""
+    base = moments[0].base if moments else None
+    if (
+        isinstance(base, np.ndarray)
+        and base.ndim == 1
+        and base.dtype == np.float64
+        and base.size == sum(math.prod(shape) for shape in shapes)
+        and all(m.base is base and m.flags.c_contiguous for m in moments)
+        and [m.__array_interface__["data"] for m in moments]
+        == [v.__array_interface__["data"] for v in ad.unpack(base, shapes)]
+    ):
+        return base
+    return ad.pack(moments)
+
+
 def _packed_adam(state: ad.AdamState, shapes) -> ad.AdamState:
     """A copy of the state whose moments are packed like the parameters'
     buffer, so one `adam_step` updates the whole model. The state's own
@@ -158,7 +176,7 @@ def _packed_adam(state: ad.AdamState, shapes) -> ad.AdamState:
         found = [np.shape(buf) for buf in getattr(state, key)]
         if found != shapes:
             raise ShapeError(f"adam.{key} is shaped {found}, the parameters {shapes}")
-    packed = replace(state, m=[ad.pack(state.m)], v=[ad.pack(state.v)])
+    packed = replace(state, m=[_packed(state.m, shapes)], v=[_packed(state.v, shapes)])
     _unpack_adam(packed, state, shapes)
     return packed
 

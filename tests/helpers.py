@@ -4,6 +4,7 @@ import numpy as np
 
 from nesua import autodiff as ad
 from nesua import gat
+from nesua.errors import ShapeError
 from nesua.power import network_power_hard, radio_coefficients
 
 
@@ -75,14 +76,96 @@ def reference_transformed(h, layer):
     return ad.matmul(h, ad.transpose(layer.w))
 
 
+def attention_scores(hw, layer):
+    """Pairwise scores rho(u,v) for all node pairs from the layer's
+    transformed features hw = h @ W.T, composed from primitives: the
+    scorer splits into a source and a destination half, so the K*K pair
+    matrix is a broadcast sum of two length-K projections."""
+    k, d = hw.shape
+    if layer.a.shape != (2 * d,):
+        raise ShapeError(
+            f"attention vector {layer.a.shape} does not fit width {d}"
+        )
+    src = ad.matmul(hw, ad.slice_rows(layer.a, 0, d))
+    dst = ad.matmul(hw, ad.slice_rows(layer.a, d, 2 * d))
+    pair = ad.add(ad.reshape(src, (k, 1)), ad.reshape(dst, (1, k)))
+    return ad.leaky_relu(pair, layer.negative_slope)
+
+
+def attention_weights(hw, adjacency, layer):
+    """Scores of the transformed features hw normalized over each node's
+    neighborhood; zero off-edges."""
+    return ad.row_softmax_masked(attention_scores(hw, layer), adjacency)
+
+
+def reference_attention_round(hw, a, adjacency, negative_slope, relu):
+    """Reference for `ad.attention_round`, composed from primitives."""
+    layer = gat.GatLayerParams(w=None, a=a, negative_slope=negative_slope)
+    mixed = ad.matmul(attention_weights(hw, adjacency, layer), hw)
+    return ad.relu(mixed) if relu else mixed
+
+
+def reference_softmax_readout(h, q, b, relu):
+    """Reference for `ad.softmax_readout`, composed from primitives."""
+    logits = ad.add(ad.matmul(h, q), b)
+    if relu:
+        logits = ad.relu(logits)
+    return ad.row_softmax_masked(logits, np.ones(logits.shape))
+
+
+def reference_gated_load_cost(s, demand, capacity, on_const, on_slope, offset):
+    """Reference for `ad.gated_load_cost`, composed from primitives."""
+    n = s.shape[1]
+    load = ad.row_sum(ad.transpose(ad.multiply(s, ad.constant(demand))))
+    eta = ad.clamp(ad.scale(load, 1.0 / capacity), 0.0, 1.0)
+    gate = ad.complement_product_gate(s)
+    per_cell_on = ad.add(ad.scale(eta, on_slope), ad.constant(np.full(n, on_const)))
+    total_on = ad.sum_all(ad.multiply(gate, per_cell_on))
+    return ad.add(total_on, ad.constant(np.asarray(offset)))
+
+
+def reference_association_penalties(s, demand, lambda1, lambda2):
+    """Reference for `ad.association_penalties`, composed from primitives.
+    Returns a list of scalar tensors, which only `reference_add_terms`
+    takes."""
+    terms = []
+    if lambda1 > 0.0:
+        sharpness = ad.add(
+            ad.constant(np.asarray(float(s.shape[0]))),
+            ad.scale(ad.trace_of_gram(s), -1.0),
+        )
+        terms.append(ad.scale(sharpness, lambda1))
+    if lambda2 > 0.0:
+        p_hat = ad.row_sum(ad.transpose(ad.multiply(s, ad.constant(demand))))
+        terms.append(ad.scale(ad.l2_norm(p_hat), lambda2))
+    return terms
+
+
+def reference_add_terms(total, terms):
+    """Reference for `ad.add_terms` over `reference_association_penalties`:
+    one `add` node per term."""
+    for term in terms:
+        total = ad.add(total, term)
+    return total
+
+
+# every fused node and the composed reference that replaces it
+REFERENCE_NODES = {
+    "attention_round": reference_attention_round,
+    "softmax_readout": reference_softmax_readout,
+    "gated_load_cost": reference_gated_load_cost,
+    "association_penalties": reference_association_penalties,
+    "add_terms": reference_add_terms,
+}
+
+
 def reference_gat_layer(h, adjacency, layer, activation="relu"):
     """Reference GAT layer that transforms h twice, once to score the pairs
     and once to aggregate; `gat.gat_layer`, which shares one transform,
     must give the same forward bits."""
-    scores = gat.attention_scores(gat._transformed(h, layer), layer)
-    att = ad.row_softmax_masked(scores, adjacency)
+    att = attention_weights(gat._transformed(h, layer), adjacency, layer)
     mixed = ad.matmul(att, gat._transformed(h, layer))
-    return gat._ACTIVATIONS[activation](mixed)
+    return ad.relu(mixed) if activation == "relu" else mixed
 
 
 def check_grad(build_loss, arrays, rtol=1e-4, atol=1e-6):

@@ -87,6 +87,17 @@ def _check_primitives(rng):
     mask = rng.integers(0, 2, size=(3, 4)).astype(float)
     mask[mask.sum(axis=1) == 0, 0] = 1.0
     slope = float(rng.uniform(0.05, 0.95))
+    # the fused nodes draw from a child stream, so every draw of the
+    # primitives above and of the loss check after stays as it was
+    fused = rng.spawn(1)[0]
+    hw = fused.normal(0.0, 1.0, (3, 4))
+    scorer = fused.normal(0.0, 1.0, (8,))
+    adjacency = (fused.uniform(size=(3, 3)) < 0.5).astype(float)
+    np.fill_diagonal(adjacency, 1.0)
+    bias = fused.normal(0.0, 1.0, (2,))
+    demand = fused.uniform(1.0, 20.0, (3, 4))
+    total = np.asarray(fused.normal(0.0, 1.0))
+    terms = fused.normal(0.0, 1.0, (2,))
 
     cases = [
         (lambda p: _weighted_sum(ad.add(p[0], p[1]), rng), [a, b]),
@@ -109,6 +120,14 @@ def _check_primitives(rng):
         (lambda p: ad.trace_of_gram(p[0]), [a]),
         (lambda p: ad.l2_norm(p[0]), [vec]),
         (lambda p: _weighted_sum(ad.complement_product_gate(p[0]), rng), [gate_in]),
+        (lambda p: _weighted_sum(ad.attention_round(p[0], p[1], adjacency, slope, True), rng),
+         [hw, scorer]),
+        (lambda p: _weighted_sum(ad.softmax_readout(p[0], p[1], p[2], True), rng),
+         [a, m_right, bias]),
+        (lambda p: ad.gated_load_cost(p[0], demand, 200.0, 150.0, 30.0, 7.0), [gate_in]),
+        (lambda p: _weighted_sum(ad.association_penalties(p[0], demand, 0.7, 0.3), rng),
+         [gate_in]),
+        (lambda p: ad.add_terms(p[0], p[1]), [total, terms]),
     ]
     for build, arrays in cases:
         check_grad(build, arrays, rtol=1e-4, atol=1e-6)
@@ -152,7 +171,7 @@ def test_gradients_match_finite_differences():
         _check_primitives(rng)
         _check_loss_gradient(rng)
     _report(1, "gradient checks", True,
-            "all primitives + end-to-end loss, 100 seeds, rtol 1e-4")
+            "all primitives, fused nodes + end-to-end loss, 100 seeds, rtol 1e-4")
 
 
 # ---------------------------------------------------------------------------

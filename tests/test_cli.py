@@ -367,6 +367,33 @@ def test_sweep_bandwidth_end_to_end(tmp_path):
         assert dict(zip(header, line.split(",")))["status"] == "ok"
 
 
+def test_sweep_bandwidth_trains_on_the_samples_it_generated(tmp_path, monkeypatch):
+    cfg = _sweep_cfg(tmp_path)
+    out = tmp_path / "sw"
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("the bandwidth sweep decoded a record it had made")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "from_record", no_decoding)
+        code = cli.main([
+            "sweep", "bandwidth", "--config", cfg, "--out", str(out),
+            "--grid", "w=20,40;k=2",
+        ])
+    assert code == 0
+    assert len(list(out.glob("sweep_bandwidth_*.csv"))) == 1
+    # training on the records read back, as sub-runs did before, gives the
+    # same bytes
+    for point in ("w20", "w40"):
+        sub = out / point
+        run_cfg = RunConfig.from_dict(json.loads((sub / "config.json").read_text()))
+        again = tmp_path / f"again_{point}"
+        cli._train_to_dir(run_cfg, cli._load_pairs(str(sub / "dataset.jsonl"), run_cfg),
+                          str(again))
+        for name in ("history.csv", "checkpoint_last.json", "checkpoint_best.json"):
+            assert _read(sub / name) == _read(again / name), f"{point}/{name}"
+
+
 def test_sweep_lambda_end_to_end(tmp_path):
     cfg = _sweep_cfg(tmp_path)
     out = tmp_path / "sw"

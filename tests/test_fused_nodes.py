@@ -1,0 +1,191 @@
+"""The fused autodiff nodes against the primitive chains they replace:
+bit-equal values and gradients, finite differences at the edge cases,
+and the checks the primitives made."""
+
+import numpy as np
+import pytest
+
+from nesua import autodiff as ad
+from nesua.errors import ContractError, ShapeError
+from nesua.power import PowerParams, network_power_soft
+
+from helpers import REFERENCE_NODES, check_grad
+
+FUSED = {name: getattr(ad, name) for name in REFERENCE_NODES}
+
+
+def _adjacency(k, rng, p=0.5):
+    a = (rng.uniform(size=(k, k)) < p).astype(float)
+    a = np.maximum(a, a.T)
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+def _weighted(out):
+    # deterministic non-uniform weights, so every evaluation sees one map
+    if out.shape == ():
+        return out
+    w = np.cos(np.arange(float(out.values.size))).reshape(out.shape) + 0.5
+    return ad.sum_all(ad.multiply(out, ad.constant(w)))
+
+
+def _attention(k, slope, relu, adjacency=None, width=4):
+    if adjacency is None:
+        adjacency = _adjacency(k, np.random.default_rng(k))
+
+    def arrays(rng):
+        return [rng.normal(size=(k, width)), rng.normal(size=(2 * width,))]
+
+    def build(nodes, p):
+        return nodes["attention_round"](p[0], p[1], adjacency, slope, relu)
+
+    return arrays, build
+
+
+def _readout(n, relu):
+    def arrays(rng):
+        return [rng.normal(size=(5, 3)), rng.normal(size=(3, n)), rng.normal(size=(n,))]
+
+    def build(nodes, p):
+        return nodes["softmax_readout"](p[0], p[1], p[2], relu)
+
+    return arrays, build
+
+
+def _power(n, zero_column=False):
+    demand = np.random.default_rng(1).uniform(1.0, 20.0, (4, n))
+
+    def arrays(rng):
+        s = rng.uniform(0.05, 0.95, (4, n))
+        if zero_column:
+            s[:, 0] = 0.0
+        return [s]
+
+    def build(nodes, p):
+        return nodes["gated_load_cost"](p[0], demand, 200.0, 150.0, 30.0, 7.0)
+
+    return arrays, build
+
+
+def _penalties(lambda1, lambda2, zero=False, n=3):
+    demand = np.random.default_rng(2).uniform(1.0, 20.0, (4, n))
+
+    def arrays(rng):
+        return [np.zeros((4, n)) if zero else rng.uniform(0.05, 0.95, (4, n))]
+
+    def build(nodes, p):
+        # s also feeds the total, as the association feeds the power
+        penalties = nodes["association_penalties"](p[0], demand, lambda1, lambda2)
+        return nodes["add_terms"](_weighted(p[0]), penalties)
+
+    return arrays, build
+
+
+def _terms():
+    def arrays(rng):
+        return [np.asarray(rng.normal()), rng.normal(size=(3,))]
+
+    def build(nodes, p):
+        return nodes["add_terms"](p[0], p[1])
+
+    return arrays, build
+
+
+CASES = {
+    "attention": _attention(5, 0.2, True),
+    "attention-identity": _attention(5, 0.2, False),
+    "attention-slope-0": _attention(5, 0.0, True),
+    "attention-k1": _attention(1, 0.2, True),
+    "attention-self-only": _attention(4, 0.2, True, adjacency=np.eye(4)),
+    "attention-one-neighbour": _attention(
+        3, 0.2, False, adjacency=np.array([[0.0, 1, 0], [1, 1, 1], [0, 1, 1]])
+    ),
+    "readout": _readout(3, True),
+    "readout-identity": _readout(3, False),
+    "readout-one-cell": _readout(1, True),
+    "power": _power(3),
+    "power-one-cell": _power(1),
+    "power-empty-cell": _power(3, zero_column=True),
+    "penalties": _penalties(0.7, 0.3),
+    "penalties-lambda1-0": _penalties(0.0, 0.3),
+    "penalties-lambda2-0": _penalties(0.7, 0.0),
+    "penalties-zero-load": _penalties(0.7, 0.3, zero=True),
+    "penalties-one-cell": _penalties(0.7, 0.3, n=1),
+    "add-terms": _terms(),
+}
+
+
+# `add_terms` is checked against its reference in the penalties cases: the
+# reference sums the list of scalar tensors that the penalties reference makes
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c != "add-terms"])
+def test_fused_node_is_bit_equal_to_its_reference(case):
+    arrays_of, build = CASES[case]
+    for seed in range(5):
+        arrays = arrays_of(np.random.default_rng(seed))
+        runs = []
+        for nodes in (FUSED, REFERENCE_NODES):
+            params = [ad.parameter(a.copy()) for a in arrays]
+            out = build(nodes, params)
+            ad.backward(_weighted(out))
+            runs.append((out.values.tobytes(), [p.grad.tobytes() for p in params]))
+        assert runs[0] == runs[1], f"seed {seed}"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fused_node_gradient_matches_finite_differences(case):
+    arrays_of, build = CASES[case]
+    for seed in range(3):
+        arrays = arrays_of(np.random.default_rng(10 + seed))
+        check_grad(lambda p: _weighted(build(FUSED, p)), arrays, rtol=1e-4, atol=1e-6)
+
+
+def test_fused_nodes_are_one_node_each():
+    rng = np.random.default_rng(3)
+    hw, a = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(rng.normal(size=6))
+    out = ad.attention_round(hw, a, _adjacency(4, rng), 0.2, True)
+    assert out._parents == (hw, a) and out._backward is not None
+    const = ad.attention_round(ad.constant(hw.values), ad.constant(a.values),
+                               np.ones((4, 4)), 0.2, True)
+    assert not const.requires_grad and const._backward is None
+
+
+def test_attention_round_keeps_the_primitive_checks():
+    rng = np.random.default_rng(4)
+    hw = ad.parameter(rng.normal(size=(3, 4)))
+    with pytest.raises(ShapeError):  # scorer for another width
+        ad.attention_round(hw, ad.parameter(np.zeros(6)), np.ones((3, 3)), 0.2, True)
+    a = ad.parameter(np.zeros(8))
+    with pytest.raises(ShapeError):  # mask of another shape
+        ad.attention_round(hw, a, np.ones((3, 4)), 0.2, True)
+    empty_row = np.ones((3, 3))
+    empty_row[1] = 0.0
+    with pytest.raises(ContractError):
+        ad.attention_round(hw, a, empty_row, 0.2, True)
+
+
+def test_softmax_readout_checks_shapes():
+    h = ad.parameter(np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        ad.softmax_readout(h, ad.parameter(np.ones((2, 5))), ad.parameter(np.zeros(5)), True)
+    with pytest.raises(ShapeError):
+        ad.softmax_readout(h, ad.parameter(np.ones((3, 5))), ad.parameter(np.zeros(4)), True)
+    with pytest.raises(ShapeError):  # a bias that would widen the logits
+        ad.softmax_readout(h, ad.parameter(np.ones((3, 5))),
+                           ad.parameter(np.zeros((2, 4, 5))), True)
+
+
+def test_loss_nodes_check_the_association():
+    s = ad.parameter(np.full((4, 3), 1.0 / 3.0))
+    with pytest.raises(ShapeError):
+        ad.gated_load_cost(s, np.ones((4, 2)), 51, 1.0, 1.0, 0.0)
+    with pytest.raises(ShapeError):
+        ad.association_penalties(s, np.ones((3, 3)), 1.0, 1.0)
+    with pytest.raises(ShapeError):
+        ad.add_terms(s, ad.constant(np.ones(2)))
+    # network_power_soft keeps its own contract errors in front of the node
+    with pytest.raises(ContractError):
+        network_power_soft(ad.parameter(np.ones(3)), np.ones(3), PowerParams(), 51)
+    with pytest.raises(ContractError):
+        network_power_soft(s, np.ones((4, 2)), PowerParams(), 51)

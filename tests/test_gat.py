@@ -1,5 +1,10 @@
 """Attention mechanics, readout, locality, and checkpoint round-trips."""
 
+import base64
+import json
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +13,13 @@ from nesua import gat
 from nesua.errors import ConfigError, ShapeError
 from nesua.scenario import GraphInstance
 
-from helpers import assert_packed, check_grad, reference_gat_layer
+from helpers import (
+    assert_packed,
+    attention_scores,
+    attention_weights,
+    check_grad,
+    reference_gat_layer,
+)
 
 
 def _random_adjacency(k, rng, p=0.5):
@@ -50,7 +61,7 @@ def test_attention_scores_match_scalar_computation():
     layer = gat.GatLayerParams(
         w=ad.parameter(w), a=ad.parameter(a), negative_slope=0.2
     )
-    scores = gat.attention_scores(gat._transformed(h, layer), layer).values
+    scores = attention_scores(gat._transformed(h, layer), layer).values
     hw = h.values @ w.T
     for u in range(2):
         for v in range(2):
@@ -68,7 +79,7 @@ def test_zero_attention_vector_gives_uniform_weights():
         negative_slope=0.2,
     )
     adj = _random_adjacency(5, rng)
-    att = gat.attention_weights(gat._transformed(h, layer), adj, layer).values
+    att = attention_weights(gat._transformed(h, layer), adj, layer).values
     for u in range(5):
         deg = adj[u].sum()
         np.testing.assert_allclose(att[u][adj[u] == 1], 1.0 / deg, rtol=1e-12)
@@ -83,7 +94,7 @@ def test_single_node_attends_only_to_itself():
         a=ad.parameter(rng.normal(size=6)),
         negative_slope=0.2,
     )
-    att = gat.attention_weights(
+    att = attention_weights(
         gat._transformed(h, layer), np.ones((1, 1)), layer
     ).values
     assert att[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -149,7 +160,7 @@ def test_attention_rows_sum_to_one_and_mask_is_exact():
             negative_slope=0.2,
         )
         adj = _random_adjacency(k, rng, p=0.3)
-        att = gat.attention_weights(gat._transformed(h, layer), adj, layer).values
+        att = attention_weights(gat._transformed(h, layer), adj, layer).values
         np.testing.assert_allclose(att.sum(axis=1), np.ones(k), atol=1e-12)
         assert np.all(att[adj == 0] == 0.0)
 
@@ -427,6 +438,42 @@ def test_load_checkpoint_packs_every_parameter(tmp_path):
     loaded, _ = gat.load_checkpoint(path)
     assert_packed(loaded)
     assert loaded.flat.values.tobytes() == model.flat.values.tobytes()
+
+
+def test_load_checkpoint_decodes_into_the_packed_buffer(tmp_path, monkeypatch):
+    # paper size: the parameters are one 2.2 MB buffer, gat2.W 2 MB of it
+    model = gat.init_model(21, 7, gat.GatConfig(), 0)
+    path = tmp_path / "model.json"
+    gat.save_checkpoint(path, model)
+    doc = json.loads(path.read_text())
+    # the parse is the same on both paths; leave it out of the peaks
+    monkeypatch.setattr(gat, "json", SimpleNamespace(load=lambda fh: doc))
+
+    def decode_then_pack():
+        # the load path before: each parameter decoded whole into its own
+        # array, then packed into a copy
+        arrays = {}
+        for e in doc["params"]:
+            raw = base64.b64decode(e["b64"], validate=True)
+            arrays[e["name"]] = np.frombuffer(raw, e["dtype"]).reshape(e["shape"]).astype("=f8")
+        return gat._assemble([arrays[n] for n in gat.PARAM_NAMES],
+                             model.config, 21, 7)
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            loaded = load()
+            return tracemalloc.get_traced_memory()[1], loaded
+        finally:
+            tracemalloc.stop()
+
+    before, _ = peak(decode_then_pack)
+    after, loaded = peak(lambda: gat.load_checkpoint(path)[0])
+    buffer = model.flat.values.nbytes
+    assert loaded.flat.values.tobytes() == model.flat.values.tobytes()
+    assert_packed(loaded)
+    assert after <= before - buffer
+    assert after <= buffer + (1 << 20)
 
 
 def test_backward_writes_gradients_into_the_gradient_buffer():

@@ -307,6 +307,98 @@ def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
             assert x.tobytes() == y.tobytes()
 
 
+def _run_and_resume(graphs, gcfg, tmp_path, tag):
+    """train for 4 epochs, then 2 epochs resumed to 4 through a checkpoint
+    file; the results of both"""
+    lc = tr.LossConfig(lambda1=1.0, lambda2=0.2)
+    kw = dict(lc=lc, params=DEFAULTS, seed=3, test=graphs[8:])
+    full = tr.train(graphs[:8], tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3,
+                                               shuffle_seed=5), gat_cfg=gcfg, **kw)
+    half = tr.train(graphs[:8], tr.TrainConfig(dataset_size=10, epochs=2, lr=1e-3,
+                                               shuffle_seed=5), gat_cfg=gcfg, **kw)
+    path = tmp_path / f"{tag}.json"
+    gat.save_checkpoint(path, half.model, {"adam": half.adam_state.to_dict()})
+    loaded, leftover = gat.load_checkpoint(path)
+    resumed = tr.train(
+        graphs[:8], tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3, shuffle_seed=5),
+        model=loaded, adam_state=ad.AdamState.from_dict(leftover["adam"]),
+        start_epoch=2, **kw,
+    )
+    return full, resumed
+
+
+def _fingerprint(res):
+    adam = res.adam_state
+    return (
+        np.array(res.history).tobytes(),
+        res.best_epoch,
+        res.model.flat.values.tobytes(),
+        res.best_model.flat.values.tobytes(),
+        adam.step,
+        [x.tobytes() for x in adam.m + adam.v],
+    )
+
+
+def test_fused_nodes_train_and_resume_like_their_references(reference_nodes, tmp_path):
+    # K=7 and hidden 32, the scale at which the per-node cost dominated
+    graphs = _graphs(_tiny_cfg(n_ues=7), 10)
+    gcfg = gat.GatConfig(hidden_dim=32)
+    shipped = _run_and_resume(graphs, gcfg, tmp_path, "shipped")
+    assert len({row[1] for row in shipped[0].history}) == 4  # the model does learn
+    reference_nodes()
+    reference = _run_and_resume(graphs, gcfg, tmp_path, "reference")
+    for ours, theirs in zip(shipped, reference):
+        assert _fingerprint(ours) == _fingerprint(theirs)
+
+
+def _nodes_with_backward(root):
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward is not None
+        stack.extend(p for p in node._parents if p.requires_grad)
+    return count
+
+
+def _step_loss(graph, model):
+    s = gat.forward(graph, model)
+    return tr.loss(s, graph.prb_matrix, DEFAULTS, tr.LossConfig(), graph.n_prb_total)
+
+
+def test_a_train_step_is_at_most_eight_backward_nodes(reference_nodes):
+    graph = _graphs(_tiny_cfg(n_ues=7), 1)[0]
+    model = gat.init_model(graph.features.shape[1], 2, gat.GatConfig(hidden_dim=32), 0)
+    # two transforms, two attention rounds, the readout, the power, the
+    # penalties and their sum
+    assert _nodes_with_backward(_step_loss(graph, model)) <= 8
+    reference_nodes()
+    assert _nodes_with_backward(_step_loss(graph, model)) == 50
+
+
+def test_resumed_adam_moments_are_trained_in_their_decoded_buffer():
+    cfg = _tiny_cfg(n_ues=4)
+    graphs = _graphs(cfg, 3)
+    tc = tr.TrainConfig(dataset_size=3, epochs=1, lr=1e-2)
+    res = tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=2,
+                   gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
+    adam = ad.AdamState.from_dict(res.adam_state.to_dict())
+    decoded_m, decoded_v = adam.m[0].base, adam.v[0].base
+    tc2 = tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2)
+    tr.train(graphs[:2], tc2, tr.LossConfig(), DEFAULTS, seed=2, model=res.model,
+             adam_state=adam, start_epoch=1, test=graphs[2:])
+    assert adam.m[0].base is decoded_m and adam.v[0].base is decoded_v
+    assert adam.step == 4
+    # moments that are not one buffer's views in order are packed into a copy
+    separate = ad.AdamState.for_params(res.model.parameters()).m
+    swapped = [adam.m[1], adam.m[0], *adam.m[2:]]
+    for moments in (separate, swapped):
+        packed = tr._packed(moments, [m.shape for m in moments])
+        assert not any(np.shares_memory(packed, m) for m in moments)
+
+
 def test_clone_copies_the_buffer_and_keeps_the_layers():
     rng = np.random.default_rng(79)
     p = [ad.parameter(rng.normal(size=s))
