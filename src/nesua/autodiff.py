@@ -442,6 +442,28 @@ def complement_product_gate(s: Tensor) -> Tensor:
 # (see the module docstring for how their bits match the chains')
 
 
+def _relu(x):
+    """`np.where(x > 0, x, 0.0)` bit for bit, without a branch per element:
+    fmax maps NaN to 0.0, and `+= 0.0` turns the -0.0 that it may keep for
+    a -0.0 input into +0.0."""
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
+
+
+def _positive(x):
+    """1.0 where x > 0, else 0.0, as float64: a product with it is that
+    with the bool mask `x > 0`, without casting the bools on the fly."""
+    return (x > 0).astype(np.float64)
+
+
+def _leaky_scale(x, negative_slope):
+    """`np.where(x >= 0, 1.0, negative_slope)` without a branch per
+    element: x times it is leaky_relu(x) bit for bit (x * 1.0 is x), and it
+    is leaky_relu's derivative."""
+    return np.array([float(negative_slope), 1.0]).take((x >= 0).view(np.uint8))
+
+
 def attention_round(hw: Tensor, a: Tensor, adjacency, negative_slope: float,
                     relu: bool) -> Tensor:
     """One graph attention round over transformed node features hw (K, d).
@@ -464,24 +486,25 @@ def attention_round(hw: Tensor, a: Tensor, adjacency, negative_slope: float,
     # copies, as `slice_rows` makes: the products see the chain's operands
     a_src, a_dst = a.values[:d].copy(), a.values[d:].copy()
     pair = (vh @ a_src).reshape(k, 1) + (vh @ a_dst).reshape(1, k)
-    nonneg = pair >= 0
-    slope = float(negative_slope)
-    att = _softmax_rows(np.where(nonneg, pair, slope * pair), keep)
+    scale = _leaky_scale(pair, negative_slope)
+    att = _softmax_rows(pair * scale, keep)
     mixed = att @ vh
-    on = mixed > 0
-    out_values = np.where(on, mixed, 0.0) if relu else mixed
+    out_values = _relu(mixed) if relu else mixed
 
     def backward(g):
         if relu:
-            g = g * on + 0.0
+            g = g * _positive(mixed)
+            g += 0.0
         g_att = g @ vh.T + 0.0
-        g_pair = (_softmax_rows_grad(att, g_att) + 0.0) * np.where(nonneg, 1.0, slope) + 0.0
+        g_pair = (_softmax_rows_grad(att, g_att) + 0.0) * scale + 0.0
         g_src = _unbroadcast(g_pair, (k, 1)).reshape(k) + 0.0
         g_dst = _unbroadcast(g_pair, (1, k)).reshape(k) + 0.0
         if hw.requires_grad:
             hw.accumulate(att.T @ g, fresh=True)
-            hw.accumulate(np.outer(g_src, a_src))
-            hw.accumulate(np.outer(g_dst, a_dst))
+            # the two rank-1 products, one after the other in one buffer
+            rank1 = np.multiply.outer(g_src, a_src)
+            hw.accumulate(rank1)
+            hw.accumulate(np.multiply.outer(g_dst, a_dst, out=rank1))
         if a.requires_grad:
             g_a = np.empty(2 * d)
             np.add(vh.T @ g_src, 0.0, out=g_a[:d])
@@ -505,15 +528,13 @@ def softmax_readout(h: Tensor, q: Tensor, b: Tensor, relu: bool) -> Tensor:
     if (_check_broadcast("softmax_readout", logits, b) or logits.shape) != logits.shape:
         raise ShapeError(f"softmax_readout: bias {b.shape} does not fit logits {logits.shape}")
     logits = logits + b.values
-    on = logits > 0
-    if relu:
-        logits = np.where(on, logits, 0.0)
-    s = _softmax_rows(logits)
+    s = _softmax_rows(_relu(logits) if relu else logits)
 
     def backward(g):
         g = _softmax_rows_grad(s, g) + 0.0
         if relu:
-            g = g * on + 0.0
+            g *= _positive(logits)
+            g += 0.0
         if h.requires_grad:
             h.accumulate(g @ vq.T, fresh=True)
         if q.requires_grad:
@@ -739,15 +760,17 @@ class AdamState:
             v=[np.zeros_like(p.values) for p in params],
         )
 
-    def to_dict(self):
+    def to_dict(self, deferred: bool = False):
+        """JSON-ready state; with `deferred`, the moments' base64 text is
+        left to `codec.write_json` (`codec.encode_array`)."""
         return {
             "lr": self.lr,
             "beta1": self.beta1,
             "beta2": self.beta2,
             "eps_stability": self.eps_stability,
             "step": self.step,
-            "m": [encode_array(buf) for buf in self.m],
-            "v": [encode_array(buf) for buf in self.v],
+            "m": [encode_array(buf, deferred) for buf in self.m],
+            "v": [encode_array(buf, deferred) for buf in self.v],
         }
 
     @classmethod

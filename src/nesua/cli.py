@@ -258,7 +258,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
         {
             **common,
             "epoch": cfg.train.epochs,
-            "adam": res.adam_state.to_dict(),
+            "adam": res.adam_state.to_dict(deferred=True),
             "history": [list(row) for row in full_history],
         },
     )

@@ -5,12 +5,17 @@ its dtype and shape: {"dtype": "<f8", "shape": [3, 4], "b64": "..."}.
 Every value, NaN payloads and -0.0 included, comes back bit for bit, and
 writing or parsing one costs a memory copy instead of a decimal
 conversion per element.
+
+Files that hold large arrays (the checkpoints) are written by
+`write_json`, which writes each array's base64 bytes straight to the file
+instead of building them as one JSON string first.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import json
 import math
 
 import numpy as np
@@ -21,18 +26,81 @@ from .errors import ConfigError, ContractError
 DTYPES = ("<f8", "<i8", "|i1")
 
 
-def encode_array(values) -> dict:
-    """JSON-ready dict holding the array's little-endian bytes."""
+# base64 characters decoded, or written, at a time: decoding holds one
+# chunk's bytes besides the array, not a second copy of it
+_CHUNK = 1 << 16
+
+
+class Payload:
+    """The base64 text of an array's bytes, encoded as `write_json` writes
+    it. It holds the array, not a copy: the bytes written are those the
+    array has at the time of the write."""
+
+    __slots__ = ("arr",)
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr  # C-ordered
+
+    def write_to(self, fh):
+        """Write the base64 text to binary file fh, a chunk of whole
+        3-byte groups at a time, so the chunks concatenate to it."""
+        raw = self.arr.reshape(-1).view(np.uint8)
+        step = _CHUNK // 4 * 3
+        for start in range(0, raw.size, step):
+            fh.write(base64.b64encode(raw[start:start + step]))
+
+
+def encode_array(values, deferred: bool = False) -> dict:
+    """JSON-ready dict holding the array's little-endian bytes. With
+    `deferred`, its "b64" is a `Payload` for `write_json` to write."""
     arr = np.asarray(values)
     dtype = arr.dtype.newbyteorder("<")
     if dtype.str not in DTYPES:
         raise ContractError(f"cannot encode arrays of dtype {arr.dtype}")
-    raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+    raw = np.ascontiguousarray(arr, dtype=dtype)
     return {
         "dtype": dtype.str,
         "shape": list(arr.shape),
-        "b64": base64.b64encode(raw).decode("ascii"),
+        "b64": Payload(raw) if deferred else base64.b64encode(raw).decode("ascii"),
     }
+
+
+# what json lays out in place of each Payload; a document string that
+# holds it too is caught by counting the pieces
+_MARK = "\x00payload\x00"
+_ESCAPED_MARK = json.dumps(_MARK)
+
+
+def write_json(path, doc):
+    """Write the bytes of `json.dump(doc, fh); fh.write("\\n")` to path,
+    where each `Payload` in doc stands for its base64 text.
+
+    json lays out the document with a marker in place of every payload,
+    and each payload's bytes are written where its marker was, one chunk
+    at a time: base64 needs no escaping, so the text skips json's string
+    escaper, and one chunk of it is in memory at a time instead of the
+    whole document. Raises ContractError if a string in doc holds the
+    marker, and TypeError for a value json cannot write.
+    """
+    payloads = []
+
+    def hold(obj):
+        if not isinstance(obj, Payload):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        payloads.append(obj)
+        return _MARK
+
+    pieces = json.dumps(doc, default=hold).split(_ESCAPED_MARK)
+    if len(pieces) != len(payloads) + 1:
+        raise ContractError(f"a string in the document holds the marker {_MARK!r}")
+    with open(path, "wb") as fh:
+        fh.write(pieces[0].encode("ascii"))
+        for payload, piece in zip(payloads, pieces[1:]):
+            fh.write(b'"')
+            payload.write_to(fh)
+            fh.write(b'"')
+            fh.write(piece.encode("ascii"))
+        fh.write(b"\n")
 
 
 def _header(entry) -> tuple[np.dtype, tuple, str]:
@@ -52,11 +120,6 @@ def _header(entry) -> tuple[np.dtype, tuple, str]:
     ):
         raise ConfigError(f"array shape {shape!r} is not a list of sizes")
     return np.dtype(dtype), tuple(shape), text
-
-
-# base64 characters decoded at a time: decoding holds one chunk's bytes
-# besides the array, not a second copy of it
-_CHUNK = 1 << 16
 
 
 def _decode_into(out: np.ndarray, dt: np.dtype, text):

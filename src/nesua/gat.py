@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .baselines import HardAssociation
-from .codec import decode_packed, encode_array
+from .codec import decode_packed, encode_array, write_json
 from .errors import ConfigError, ShapeError
 from .scenario import GraphInstance
 
@@ -210,10 +210,16 @@ def harden(s) -> HardAssociation:
 def save_checkpoint(path, model: GatModel, extra: dict | None = None):
     """Write one JSON document: the named parameters, each encoded exactly
     by `codec.encode_array` as {"name", "dtype", "shape", "b64"}, the
-    architecture under "gat", and the keys of `extra` stored as given."""
+    architecture under "gat", and the keys of `extra` stored as given.
+
+    The bytes are those of `json.dump(doc, fh)` and a newline;
+    `codec.write_json` writes them, each parameter's base64 text, and
+    that of every deferred payload in `extra` (the Adam moments of
+    `AdamState.to_dict(deferred=True)`), straight to the file.
+    """
     doc = {
         "params": [
-            {"name": name, **encode_array(t.values)}
+            {"name": name, **encode_array(t.values, deferred=True)}
             for name, t in model.named_parameters().items()
         ],
         "gat": {
@@ -222,11 +228,8 @@ def save_checkpoint(path, model: GatModel, extra: dict | None = None):
             "n_cells": model.n_cells,
         },
     }
-    for key, value in (extra or {}).items():
-        doc[key] = value
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    doc.update(extra or {})
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> tuple[GatModel, dict]:

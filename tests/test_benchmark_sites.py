@@ -40,3 +40,17 @@ def test_every_counted_primitive_resolves():
     autodiff = importlib.import_module("nesua.autodiff")
     missing = [name for name in SPANS.PRIMITIVES if not callable(getattr(autodiff, name, None))]
     assert missing == []
+
+
+def test_tracer_installs_and_restores_the_activation_table():
+    # `Tracer.install` walks `nesua.gat._ACTIVATIONS` with `.items()` and
+    # `uninstall` restores it as a dict: another type stops every traced run
+    gat = importlib.import_module("nesua.gat")
+    assert isinstance(gat._ACTIVATIONS, dict)
+    before = dict(gat._ACTIVATIONS)
+    tracer = SPANS.Tracer("test")
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert gat._ACTIVATIONS == before

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from nesua.codec import decode_array, encode_array
+from nesua import codec
+from nesua.codec import decode_array, encode_array, write_json
 from nesua.errors import ConfigError, ContractError
 
 _SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0])
@@ -79,3 +80,63 @@ def test_malformed_entries_raise_config_error(entry):
 def test_unsupported_dtype_is_not_encoded():
     with pytest.raises(ContractError):
         encode_array(np.zeros(2, dtype=np.float32))
+
+
+def _reference_bytes(doc, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+# byte counts around the writer's chunk of whole 3-byte groups
+_STEP = codec._CHUNK // 4 * 3
+
+
+@pytest.mark.parametrize(
+    "nbytes", [0, 1, 2, 3, _STEP - 1, _STEP, _STEP + 1, 2 * _STEP, 2 * _STEP + 2]
+)
+def test_write_json_equals_json_dump_bit_for_bit(tmp_path, nbytes):
+    rng = np.random.default_rng(nbytes)
+    arrays = [
+        rng.integers(-128, 128, size=nbytes, dtype=np.int8),
+        _SPECIALS,
+        (np.arange(12.0).reshape(3, 4) / 7.0).T,
+        np.array(2.5),
+    ]
+    doc = {
+        "arrays": [encode_array(a, deferred=True) for a in arrays],
+        "nested": {"one": encode_array(arrays[0], deferred=True), "text": "\u00e9\x00\"/"},
+        "numbers": [np.nan, -np.inf, 1e300, -0.0, 2**70, True, None],
+        1.5: "a float key", 3: "an int key", None: "a null key",
+    }
+    reference = {
+        "arrays": [encode_array(a) for a in arrays],
+        "nested": {"one": encode_array(arrays[0]), "text": doc["nested"]["text"]},
+        **{k: v for k, v in doc.items() if k not in ("arrays", "nested")},
+    }
+    write_json(tmp_path / "raw.json", doc)
+    assert (tmp_path / "raw.json").read_bytes() == _reference_bytes(reference, tmp_path / "ref.json")
+    back = json.loads((tmp_path / "raw.json").read_text())
+    for entry, a in zip(back["arrays"], arrays):
+        assert decode_array(entry).tobytes() == a.astype(a.dtype.newbyteorder("=")).tobytes()
+
+
+def test_encode_array_payload_is_json_text_unless_deferred():
+    entry = encode_array(_SPECIALS)
+    assert isinstance(entry["b64"], str)
+    assert json.loads(json.dumps(entry)) == entry
+    deferred = encode_array(_SPECIALS, deferred=True)
+    assert isinstance(deferred["b64"], codec.Payload)
+    assert {**deferred, "b64": entry["b64"]} == entry
+    with pytest.raises(TypeError):  # json itself cannot write a payload
+        json.dumps(deferred)
+
+
+def test_write_json_rejects_what_it_cannot_write_exactly(tmp_path):
+    payload = encode_array(np.arange(3.0), deferred=True)
+    with pytest.raises(ContractError):  # a string that holds the marker
+        write_json(tmp_path / "a.json", {"note": codec._MARK, "x": payload})
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "b.json", {"x": payload, "y": object()})
+    assert not (tmp_path / "a.json").exists() and not (tmp_path / "b.json").exists()

@@ -42,9 +42,10 @@ def _attention(k, slope, relu, adjacency=None, width=4):
     return arrays, build
 
 
-def _readout(n, relu):
+def _readout(n, relu, k=5, width=3):
     def arrays(rng):
-        return [rng.normal(size=(5, 3)), rng.normal(size=(3, n)), rng.normal(size=(n,))]
+        return [rng.normal(size=(k, width)), rng.normal(size=(width, n)),
+                rng.normal(size=(n,))]
 
     def build(nodes, p):
         return nodes["softmax_readout"](p[0], p[1], p[2], relu)
@@ -115,13 +116,25 @@ CASES = {
 }
 
 
+# paper width (K=50, d=512, 7 cells): the masks and selects span many
+# SIMD registers, so their vector loops run, not only the scalar tails
+PAPER_CASES = {
+    "attention-paper": _attention(50, 0.2, True, width=512),
+    "attention-paper-identity": _attention(50, 0.2, False, width=512),
+    "readout-paper": _readout(7, True, k=50, width=512),
+    "readout-paper-identity": _readout(7, False, k=50, width=512),
+}
+
+
 # `add_terms` is checked against its reference in the penalties cases: the
 # reference sums the list of scalar tensors that the penalties reference makes
 
 
-@pytest.mark.parametrize("case", [c for c in CASES if c != "add-terms"])
+@pytest.mark.parametrize(
+    "case", [c for c in CASES if c != "add-terms"] + list(PAPER_CASES)
+)
 def test_fused_node_is_bit_equal_to_its_reference(case):
-    arrays_of, build = CASES[case]
+    arrays_of, build = {**CASES, **PAPER_CASES}[case]
     for seed in range(5):
         arrays = arrays_of(np.random.default_rng(seed))
         runs = []
@@ -139,6 +152,34 @@ def test_fused_node_gradient_matches_finite_differences(case):
     for seed in range(3):
         arrays = arrays_of(np.random.default_rng(10 + seed))
         check_grad(lambda p: _weighted(build(FUSED, p)), arrays, rtol=1e-4, atol=1e-6)
+
+
+def _edge_values(n, shift):
+    """n values cycling through signed zeros, infinities, NaNs (one with a
+    payload), subnormals and normal numbers; the cycle length is coprime
+    with every SIMD width, so each value meets every lane and the tail."""
+    specials = np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+        2.2e-308, -2.2e-308, 1.5, -1.5, 0.2, -3.0e300, 3.0e300,
+    ])
+    specials[4] = np.frombuffer(np.uint64(0x7FF8_0000_0000_0123).tobytes(), np.float64)[0]
+    return np.roll(np.resize(specials, n), shift)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 1001])
+def test_branch_free_masks_equal_the_selects_bit_for_bit(n):
+    # `ad._relu` is np.fmax plus `+= 0.0`: on its own, np.fmax(-0.0, 0.0)
+    # can give -0.0 (numpy 2.4, AVX-512, in the first tail lane), where
+    # the select gives +0.0
+    for shift in range(15):
+        x = _edge_values(n, shift)
+        assert ad._relu(x).tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        assert ad._positive(x).tobytes() == np.where(x > 0, 1.0, 0.0).tobytes()
+        for slope in (0.0, 0.2, 1.0, 3.0):
+            scale = ad._leaky_scale(x, slope)
+            assert scale.tobytes() == np.where(x >= 0, 1.0, slope).tobytes()
+            with np.errstate(invalid="ignore"):  # 0 * inf
+                assert (x * scale).tobytes() == np.where(x >= 0, x, slope * x).tobytes()
 
 
 def test_fused_nodes_are_one_node_each():

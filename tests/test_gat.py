@@ -10,6 +10,7 @@ import pytest
 
 from nesua import autodiff as ad
 from nesua import gat
+from nesua.codec import encode_array
 from nesua.errors import ConfigError, ShapeError
 from nesua.scenario import GraphInstance
 
@@ -369,6 +370,86 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(
         gat.forward(g, model).values, gat.forward(g, loaded).values
     )
+
+
+def _json_dump_bytes(model, extra, path):
+    """The checkpoint `save_checkpoint` must write, laid out by json.dump."""
+    doc = {
+        "params": [
+            {"name": name, **encode_array(t.values)}
+            for name, t in model.named_parameters().items()
+        ],
+        "gat": {**model.config.to_dict(), "feat_dim": model.feat_dim,
+                "n_cells": model.n_cells},
+        **extra,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+def _trained_adam(model, seed):
+    state = ad.AdamState.for_params(model.parameters(), lr=1e-3)
+    rng = np.random.default_rng(seed)
+    for buf in state.m + state.v:
+        buf[...] = rng.normal(size=buf.shape) ** 2
+    state.step = 11
+    return state
+
+
+def test_saved_checkpoints_are_the_bytes_of_json_dump(tmp_path):
+    # resumable: Adam state, history and norm_stats beside the parameters
+    model = _model(9, 3, hidden=6, seed=5)
+    state = _trained_adam(model, 1)
+    common = {"config_digest": "ab12", "norm_stats": {"mean": [0.5, -0.0], "std": [1.0, 2.0]}}
+    history = [[0, 1.25, float("nan")], [1, 0.75, float("inf")]]
+    gat.save_checkpoint(tmp_path / "last.json", model, {
+        **common, "epoch": 2, "adam": state.to_dict(deferred=True), "history": history,
+    })
+    assert (tmp_path / "last.json").read_bytes() == _json_dump_bytes(
+        model, {**common, "epoch": 2, "adam": state.to_dict(), "history": history},
+        tmp_path / "last_ref.json",
+    )
+    # best: parameters that hold every special value; gat2.W (96 x 96)
+    # spans more than one of the writer's chunks
+    best = _model(9, 3, hidden=96, seed=6)
+    specials = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308]
+    for p in best.parameters():
+        p.values.reshape(-1)[: len(specials)] = specials[: p.values.size]
+    gat.save_checkpoint(tmp_path / "best.json", best, {**common, "epoch": 1})
+    assert (tmp_path / "best.json").read_bytes() == _json_dump_bytes(
+        best, {**common, "epoch": 1}, tmp_path / "best_ref.json"
+    )
+    loaded, _ = gat.load_checkpoint(tmp_path / "best.json")
+    assert loaded.flat.values.tobytes() == best.flat.values.tobytes()
+
+
+def test_adam_to_dict_stays_json_text_and_round_trips():
+    state = _trained_adam(_model(9, 3, hidden=5, seed=8), 2)
+    text = json.dumps(state.to_dict())
+    for back in (ad.AdamState.from_dict(state.to_dict()), ad.AdamState.from_dict(json.loads(text))):
+        assert back.step == state.step and back.lr == state.lr
+        for got, want in zip(back.m + back.v, state.m + state.v):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_saving_a_paper_size_checkpoint_holds_no_copy_of_its_text(tmp_path):
+    # hidden 512 with Adam state: an 8.9 MB checkpoint_last.json, which
+    # json.dump of the encoded document wrote at a +8.2 MB peak
+    model = gat.init_model(21, 7, gat.GatConfig(), 0)
+    state = _trained_adam(model, 3)
+    path = tmp_path / "checkpoint_last.json"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        gat.save_checkpoint(path, model, {"epoch": 1, "adam": state.to_dict(deferred=True)})
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 8_000_000
+    assert peak < size / 2
 
 
 def test_checkpoint_missing_param_rejected(tmp_path):
