@@ -803,11 +803,11 @@ def adam_step(params, grads, state: AdamState):
     m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g**2;
     p -= lr (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps),
     so the bits equal those of the expressions written out. Each
-    parameter is walked in blocks of at most `_ADAM_BLOCK` elements
-    (contiguous flat slices for C-ordered arrays; `np.nditer` buffers any
-    other layout), and every block runs the whole sequence through two
-    scratch arrays of one block each, allocated once per call. Adam is
-    elementwise, so the blocking does not change a bit.
+    parameter, whatever its layout, is walked by one buffered `np.nditer`
+    in blocks of at most `_ADAM_BLOCK` elements, and every block runs the
+    whole sequence through two scratch arrays of one block each,
+    allocated once per call. Adam is elementwise, so the blocking does
+    not change a bit.
     The gradients are not written to.
     """
     if not len(params) == len(state.m) == len(state.v):

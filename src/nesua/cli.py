@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .scenario import (
     build_graph,
     from_record,
     generate_scenario,
+    iter_scenarios,
     normalize_features,
     read_jsonl,
     to_record,
@@ -61,8 +61,8 @@ EVAL_SEED_OFFSET = 1_000_000
 
 def _samples(cfg: RunConfig):
     """The training scenarios of cfg, each with its graph, in seed order."""
-    for i in range(cfg.train.dataset_size):
-        s = generate_scenario(cfg.scenario, cfg.seed + i)
+    seeds = range(cfg.seed, cfg.seed + cfg.train.dataset_size)
+    for s in iter_scenarios(cfg.scenario, seeds):
         yield Sample(s, build_graph(s, cfg.scenario.gamma_th_db))
 
 
@@ -145,6 +145,21 @@ def _check_moments(adam: ad.AdamState, model, checkpoint):
                 )
 
 
+def _check_optimizer(adam: ad.AdamState, checkpoint, cfg: RunConfig, config_path):
+    """Refuse to resume under Adam settings other than the checkpoint's:
+    the run would keep the checkpoint's, while `history.csv` records the
+    run config's `lr`."""
+    keys = ("lr", "beta1", "beta2")
+    found = {key: getattr(adam, key) for key in keys}
+    wanted = {key: getattr(cfg.train, key) for key in keys}
+    if found != wanted:
+        raise ConfigError(
+            f"checkpoint {checkpoint} was trained with other optimizer settings: "
+            f"it and {config_path or 'the default config'} differ in "
+            f"{_differing(found, wanted)}"
+        )
+
+
 def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
     """Read a dataset after checking the manifest.json next to it: it must
     have been written for the run config's scenario section, and its
@@ -208,8 +223,9 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     Resuming continues the epoch count from the checkpoint; best-model
     tracking restarts from the resume point. The checkpoint must have been
     trained for the run config's `gat` section, cell count and the
-    dataset's feature width, and its Adam moments must be float64 arrays
-    shaped like the parameters they belong to.
+    dataset's feature width with the run config's Adam `lr`, `beta1` and
+    `beta2`, and its Adam moments must be float64 arrays shaped like the
+    parameters they belong to.
     """
     train_s, test_s, stats = split_and_normalize(
         pairs, cfg.train.split_fraction, cfg.seed
@@ -234,6 +250,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
                 f"checkpoint {checkpoint} has no readable optimizer state: {exc!r}"
             ) from None
         _check_moments(adam, model, checkpoint)
+        _check_optimizer(adam, checkpoint, cfg, config_path)
         start_epoch = int(leftover["epoch"])
         prior_history = [tuple(row) for row in leftover.get("history", [])]
     res = train(
@@ -469,6 +486,9 @@ def _run_workers(worker, payloads, sub_dirs):
         for payload, _ in todo:
             worker(payload)
         return
+    # imported here: the pool's import costs every other command time and memory
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         list(pool.map(worker, [payload for payload, _ in todo]))
 
@@ -481,8 +501,8 @@ def _load_point_model(sub_dir):
 
 def _eval_samples(cfg: RunConfig, stats: FeatureStats) -> list:
     samples = []
-    for j in range(cfg.eval.n_instances):
-        s = generate_scenario(cfg.scenario, cfg.seed + EVAL_SEED_OFFSET + j)
+    first = cfg.seed + EVAL_SEED_OFFSET
+    for s in iter_scenarios(cfg.scenario, range(first, first + cfg.eval.n_instances)):
         g = build_graph(s, cfg.scenario.gamma_th_db)
         samples.append(Sample(s, normalize_features(g, stats)))
     return samples

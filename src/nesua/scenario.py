@@ -5,6 +5,13 @@ UEs dropped uniformly, distances, per-PRB and wideband SINR, RSRP, and
 per-UE-per-cell PRB demand. The graph view connects UEs that share at
 least one cell where both clear an SINR threshold, with node features
 built from the PRB, distance, and SINR rows.
+
+Scenarios are drawn a chunk of seeds at a time (`generate_scenarios`,
+`iter_scenarios`). Each seed keeps its own random stream, so a scenario's
+bits do not depend on the chunk it was drawn in; `generate_scenario` is a
+chunk of one. The chunk size is a memory bound, not a knob: a chunk holds
+at most `CHUNK_CUBE_BYTES` of per-PRB SINR, and its temporaries scale
+with that.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ SPEED_OF_LIGHT = 299792458.0
 SUBCARRIERS_PER_PRB = 12
 THERMAL_NOISE_DBM_HZ = -174.0
 SPECTRAL_EFFICIENCY_CAP = 7.4  # bit/s/Hz, keeps demand finite at huge SINR
+# Per-PRB SINR bytes in one `generate_scenarios` chunk at the most (see
+# `chunk_size`); the chunk's other cube-sized temporaries scale with it
+CHUNK_CUBE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -186,6 +196,22 @@ def reuse_groups(cfg: ScenarioConfig) -> np.ndarray:
     return np.arange(cfg.n_cells) % cfg.n_reuse_groups
 
 
+def chunk_size(cfg: ScenarioConfig) -> int:
+    """Seeds per `generate_scenarios` call: as many as keep the chunk's
+    per-PRB cube within `CHUNK_CUBE_BYTES`, and at least one."""
+    cube_bytes = cfg.n_ues * cfg.n_cells * cfg.n_prb_total * 8
+    return max(1, CHUNK_CUBE_BYTES // cube_bytes)
+
+
+def iter_scenarios(cfg: ScenarioConfig, seeds):
+    """The scenarios of the seeds, in order, drawn `chunk_size(cfg)` seeds
+    per `generate_scenarios` call."""
+    seeds = list(seeds)
+    step = chunk_size(cfg)
+    for start in range(0, len(seeds), step):
+        yield from generate_scenarios(cfg, seeds[start:start + step])
+
+
 def generate_scenario(
     cfg: ScenarioConfig,
     seed: int,
@@ -198,53 +224,80 @@ def generate_scenario(
     how many random numbers are drawn, so a scenario stays comparable to
     its noisy twin at the same seed.
     """
-    rng = np.random.default_rng(seed)
-    bs = hex_layout(cfg.n_cells, cfg.inter_site_distance, cfg.region)
-    ue = rng.uniform((0.0, 0.0), cfg.region, size=(cfg.n_ues, 2))
+    return generate_scenarios(cfg, [seed], shadowing, fading)[0]
 
-    dh = np.linalg.norm(ue[:, None, :] - bs[None, :, :], axis=2)
+
+def generate_scenarios(
+    cfg: ScenarioConfig,
+    seeds,
+    shadowing: bool = True,
+    fading: bool = True,
+) -> list[Scenario]:
+    """`generate_scenario` of each seed, computed as one chunk.
+
+    Each seed draws from its own `default_rng(seed)`: UE positions, then
+    shadowing, then per-PRB fading. The channel math after the draws runs
+    once over arrays with the seeds on a leading axis, every operation
+    elementwise or within one seed, so each scenario's bits are those of
+    a chunk of one. Each scenario gets its own copy of the base-station
+    positions; its other arrays are views of the chunk's, disjoint from
+    the other scenarios'.
+    """
+    seeds = list(seeds)
+    b, k, n, t = len(seeds), cfg.n_ues, cfg.n_cells, cfg.n_prb_total
+    ue = np.empty((b, k, 2))
+    shadow_db = np.empty((b, k, n))
+    fade_gain = np.empty((b, k, n, t))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        ue[i] = rng.uniform((0.0, 0.0), cfg.region, size=(k, 2))
+        shadow_db[i] = rng.normal(0.0, cfg.shadowing_sigma_db, size=(k, n))
+        fade_gain[i] = rng.exponential(1.0, size=(k, n, t))
+    if not shadowing:
+        shadow_db = np.zeros_like(shadow_db)
+    if not fading:
+        fade_gain = np.ones_like(fade_gain)
+
+    bs = hex_layout(cfg.n_cells, cfg.inter_site_distance, cfg.region)
+    dh = np.linalg.norm(ue[:, :, None, :] - bs[None, None, :, :], axis=3)
     dz = cfg.h_tx_m - cfg.h_ue_m
     dist = np.sqrt(dh**2 + dz**2)
 
     pl0 = free_space_reference_db(cfg.carrier_ghz)
     pathloss_db = pl0 + 10.0 * cfg.pathloss_exponent * np.log10(dist)
-    shadow_db = rng.normal(0.0, cfg.shadowing_sigma_db, size=dist.shape)
-    if not shadowing:
-        shadow_db = np.zeros_like(shadow_db)
-
-    t = cfg.n_prb_total
-    fade_gain = rng.exponential(1.0, size=(cfg.n_ues, cfg.n_cells, t))
-    if not fading:
-        fade_gain = np.ones_like(fade_gain)
-
     array_gain_db = 10.0 * math.log10(cfg.n_tx_antennas)
     rx_mean_dbm = cfg.tx_power_dbm + array_gain_db - pathloss_db - shadow_db
-    rx_mw = 10.0 ** (rx_mean_dbm[:, :, None] / 10.0) * fade_gain
+    # the fading draws become the received powers in place
+    rx_mw = np.multiply(10.0 ** (rx_mean_dbm[..., None] / 10.0), fade_gain, out=fade_gain)
 
     noise_mw = 10.0 ** (noise_power_dbm(cfg) / 10.0)
     groups = reuse_groups(cfg)
     same_group = groups[None, :] == groups[:, None]  # (N, N)
     interferers = same_group & ~np.eye(cfg.n_cells, dtype=bool)
-    # interference at UE k for serving cell n: co-channel received powers
-    interf_mw = np.einsum("kmt,nm->knt", rx_mw, interferers.astype(float))
-    sinr_lin = rx_mw / (noise_mw + interf_mw)
-
-    sinr_per_prb_db = 10.0 * np.log10(sinr_lin)
-    sinr_wideband_db = 10.0 * np.log10(sinr_lin.mean(axis=2))
+    # interference at UE k for serving cell n: co-channel received powers;
+    # the buffer then holds the SINR, then its dB values
+    sinr = np.einsum("bkmt,nm->bknt", rx_mw, interferers.astype(float))
+    np.add(noise_mw, sinr, out=sinr)
+    np.divide(rx_mw, sinr, out=sinr)
+    sinr_wideband_db = 10.0 * np.log10(sinr.mean(axis=3))
+    sinr_per_prb_db = np.multiply(10.0, np.log10(sinr, out=sinr), out=sinr)
     rsrp_dbm = cfg.tx_power_dbm - pathloss_db - shadow_db
+    prb_demand = _prb_demand(sinr_wideband_db, cfg.ue_demand_mbps, cfg, t)
 
-    partial = Scenario(
-        seed=seed,
-        bs_positions=bs,
-        ue_positions=ue,
-        distance=dist,
-        sinr_wideband_db=sinr_wideband_db,
-        sinr_per_prb_db=sinr_per_prb_db,
-        rsrp_dbm=rsrp_dbm,
-        prb_demand=np.zeros_like(dist, dtype=np.int64),
-        n_prb_total=t,
-    )
-    return replace(partial, prb_demand=compute_prb_demand(partial, cfg.ue_demand_mbps, cfg))
+    return [
+        Scenario(
+            seed=seed,
+            bs_positions=bs.copy(),
+            ue_positions=ue[i],
+            distance=dist[i],
+            sinr_wideband_db=sinr_wideband_db[i],
+            sinr_per_prb_db=sinr_per_prb_db[i],
+            rsrp_dbm=rsrp_dbm[i],
+            prb_demand=prb_demand[i],
+            n_prb_total=t,
+        )
+        for i, seed in enumerate(seeds)
+    ]
 
 
 def compute_prb_demand(
@@ -255,16 +308,21 @@ def compute_prb_demand(
     Capped-Shannon rate per PRB from the wideband SINR; always at least
     one PRB, never more than a full carrier.
     """
+    return _prb_demand(s.sinr_wideband_db, demand_mbps, cfg, s.n_prb_total)
+
+
+def _prb_demand(sinr_wideband_db, demand_mbps, cfg: ScenarioConfig, n_prb_total):
+    """`compute_prb_demand` over a wideband SINR array of any shape."""
     if demand_mbps <= 0:
         raise ContractError(f"demand_mbps must be > 0, got {demand_mbps}")
-    sinr_lin = 10.0 ** (s.sinr_wideband_db / 10.0)
+    sinr_lin = 10.0 ** (sinr_wideband_db / 10.0)
     se = np.minimum(np.log2(1.0 + sinr_lin), SPECTRAL_EFFICIENCY_CAP)
     rate_per_prb = cfg.prb_bandwidth_hz * se
     demand_bps = demand_mbps * 1e6
     with np.errstate(divide="ignore", over="ignore"):
         need = np.ceil(demand_bps / rate_per_prb)
-    need = np.where(np.isfinite(need), need, s.n_prb_total)
-    return np.clip(need, 1, s.n_prb_total).astype(np.int64)
+    need = np.where(np.isfinite(need), need, n_prb_total)
+    return np.clip(need, 1, n_prb_total).astype(np.int64)
 
 
 def build_graph(s: Scenario, gamma_th_db: float) -> GraphInstance:

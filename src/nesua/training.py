@@ -24,7 +24,7 @@ from .scenario import (
     ScenarioConfig,
     build_graph,
     feature_stats,
-    generate_scenario,
+    iter_scenarios,
     normalize_features,
 )
 
@@ -122,10 +122,10 @@ def prepare_dataset(
     """Generate, shuffle, split, and normalize a scenario dataset."""
     if size < 2:
         raise ContractError(f"dataset size must be >= 2, got {size}")
-    pairs = []
-    for i in range(size):
-        s = generate_scenario(cfg, seed + i)
-        pairs.append(Sample(scenario=s, graph=build_graph(s, cfg.gamma_th_db)))
+    pairs = [
+        Sample(scenario=s, graph=build_graph(s, cfg.gamma_th_db))
+        for s in iter_scenarios(cfg, range(seed, seed + size))
+    ]
     return split_and_normalize(pairs, split, seed)
 
 

@@ -1,11 +1,22 @@
 """Shared numeric test utilities."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from nesua import autodiff as ad
 from nesua import gat
 from nesua.errors import ShapeError
 from nesua.power import network_power_hard, radio_coefficients
+from nesua.scenario import (
+    Scenario,
+    compute_prb_demand,
+    free_space_reference_db,
+    hex_layout,
+    noise_power_dbm,
+    reuse_groups,
+)
 
 
 def finite_difference_grad(f, x, h_scale=1e-5):
@@ -234,3 +245,54 @@ def enumerate_oracle(prb, n_prb_total, p, chunk=1 << 16):
     s_hard[np.arange(k), assignment] = 1.0
     power_w = network_power_hard(s_hard, prb, p, n_prb_total).total_w
     return assignment, power_w, found
+
+
+def reference_generate_scenario(cfg, seed, shadowing=True, fading=True):
+    """Reference scenario draw, one seed at a time, that
+    `scenario.generate_scenarios` must match bit for bit in every field."""
+    rng = np.random.default_rng(seed)
+    bs = hex_layout(cfg.n_cells, cfg.inter_site_distance, cfg.region)
+    ue = rng.uniform((0.0, 0.0), cfg.region, size=(cfg.n_ues, 2))
+
+    dh = np.linalg.norm(ue[:, None, :] - bs[None, :, :], axis=2)
+    dz = cfg.h_tx_m - cfg.h_ue_m
+    dist = np.sqrt(dh**2 + dz**2)
+
+    pl0 = free_space_reference_db(cfg.carrier_ghz)
+    pathloss_db = pl0 + 10.0 * cfg.pathloss_exponent * np.log10(dist)
+    shadow_db = rng.normal(0.0, cfg.shadowing_sigma_db, size=dist.shape)
+    if not shadowing:
+        shadow_db = np.zeros_like(shadow_db)
+
+    t = cfg.n_prb_total
+    fade_gain = rng.exponential(1.0, size=(cfg.n_ues, cfg.n_cells, t))
+    if not fading:
+        fade_gain = np.ones_like(fade_gain)
+
+    array_gain_db = 10.0 * math.log10(cfg.n_tx_antennas)
+    rx_mean_dbm = cfg.tx_power_dbm + array_gain_db - pathloss_db - shadow_db
+    rx_mw = 10.0 ** (rx_mean_dbm[:, :, None] / 10.0) * fade_gain
+
+    noise_mw = 10.0 ** (noise_power_dbm(cfg) / 10.0)
+    groups = reuse_groups(cfg)
+    same_group = groups[None, :] == groups[:, None]  # (N, N)
+    interferers = same_group & ~np.eye(cfg.n_cells, dtype=bool)
+    interf_mw = np.einsum("kmt,nm->knt", rx_mw, interferers.astype(float))
+    sinr_lin = rx_mw / (noise_mw + interf_mw)
+
+    sinr_per_prb_db = 10.0 * np.log10(sinr_lin)
+    sinr_wideband_db = 10.0 * np.log10(sinr_lin.mean(axis=2))
+    rsrp_dbm = cfg.tx_power_dbm - pathloss_db - shadow_db
+
+    partial = Scenario(
+        seed=seed,
+        bs_positions=bs,
+        ue_positions=ue,
+        distance=dist,
+        sinr_wideband_db=sinr_wideband_db,
+        sinr_per_prb_db=sinr_per_prb_db,
+        rsrp_dbm=rsrp_dbm,
+        prb_demand=np.zeros_like(dist, dtype=np.int64),
+        n_prb_total=t,
+    )
+    return replace(partial, prb_demand=compute_prb_demand(partial, cfg.ue_demand_mbps, cfg))

@@ -1,13 +1,16 @@
-"""The benchmark's traced call sites still exist in nesua.
+"""The benchmark's traced call sites still exist in nesua and are reached.
 
 `perfbench/spans.py` wraps module attributes by name; a site that a
-refactor drops or renames is only reported as missing at benchmark time,
-and the layer it times reads zero. This test reads the site lists from
-that file (without changing it) and resolves every entry.
+refactor drops, renames or routes a command around is only reported at
+benchmark time, as missing or as a layer that reads zero. These tests read
+the site lists from that file (without changing it), resolve every entry,
+and run a small gen -> train -> eval through the traced sites.
 """
 
+import functools
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,46 @@ def test_tracer_installs_and_restores_the_activation_table():
     finally:
         tracer.uninstall()
     assert gat._ACTIVATIONS == before
+
+
+def test_a_traced_pipeline_reaches_every_span_site(tmp_path, monkeypatch):
+    # K=3 at N=7 keeps the exhaustive oracle within eval's budget
+    cli = importlib.import_module("nesua.cli")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"n_ues": 3},
+        "gat": {"hidden_dim": 4},
+        "train": {"dataset_size": 4, "epochs": 1},
+    }))
+    data, run, ev = (str(tmp_path / name) for name in ("data", "run", "ev"))
+    tracer = SPANS.Tracer("test")
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        calls = {}
+        for module_name, path, _ in SPANS.SPAN_SITES:
+            obj, attr = SPANS._resolve(module_name, path)
+            traced = getattr(obj, attr)
+
+            @functools.wraps(traced)
+            def counted(*args, _site=(module_name, path), _fn=traced, **kwargs):
+                calls[_site] = calls.get(_site, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(obj, attr, counted)
+        common = ["--config", str(cfg)]
+        assert cli.main(["gen", *common, "--out", data]) == 0
+        dataset = ["--dataset", str(tmp_path / "data" / "dataset.jsonl")]
+        assert cli.main(["train", *common, "--out", run, *dataset]) == 0
+        checkpoint = ["--checkpoint", str(tmp_path / "run" / "checkpoint_best.json")]
+        assert cli.main(["eval", *common, "--out", ev, *dataset, *checkpoint]) == 0
+    finally:
+        monkeypatch.undo()
+        tracer.uninstall()
+    unreached = [
+        f"{m}.{p}" for m, p, _ in SPANS.SPAN_SITES if calls.get((m, p), 0) < 1
+    ]
+    assert unreached == []
+    expected = {name for _, _, name in SPANS.SPAN_SITES} - {"gat.layer"}
+    spans = tracer.pass_stats()["spans"]
+    assert expected | {"gat.layer1", "gat.layer2"} <= set(spans)

@@ -10,7 +10,9 @@ from nesua import cli, gat
 from nesua.codec import decode_array, encode_array
 from nesua.config import RunConfig
 from nesua.errors import ConfigError
-from nesua.scenario import generate_scenario
+from nesua.scenario import build_graph, generate_scenario, to_record, write_jsonl
+
+from helpers import reference_generate_scenario
 
 
 def _cfg_dict(**over):
@@ -82,6 +84,23 @@ def test_gen_rerun_is_byte_identical(tmp_path):
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())
     assert ma["config_digest"] == mb["config_digest"]
+
+
+@pytest.mark.parametrize("n_ues, size", [(7, 53), (50, 8)])  # one chunk and a seed
+def test_gen_dataset_equals_one_written_from_per_seed_draws(tmp_path, n_ues, size):
+    path = tmp_path / "cfg.json"
+    doc = {"scenario": {"n_ues": n_ues}, "train": {"dataset_size": size}, "seed": 11}
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["gen", "--config", str(path), "--out", str(out)]) == 0
+    cfg = RunConfig.from_dict(doc)
+    records = []
+    for seed in range(11, 11 + size):
+        s = reference_generate_scenario(cfg.scenario, seed)
+        g = build_graph(s, cfg.scenario.gamma_th_db)
+        records.append(to_record(s, g, config_digest=cfg.digest()))
+    write_jsonl(tmp_path / "reference.jsonl", records)
+    assert _read(out / "dataset.jsonl") == _read(tmp_path / "reference.jsonl")
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -225,6 +244,26 @@ def test_train_resume_matches_uninterrupted_run(tmp_path):
     assert _read(resumed / "checkpoint_last.json") == _read(
         run_full / "checkpoint_last.json"
     )
+
+
+def test_resume_under_other_optimizer_settings_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+    other = _write_cfg(
+        tmp_path, name="other.json", train={"epochs": 4, "lr": 0.5, "beta2": 0.99}
+    )
+    last = run_dir / "checkpoint_last.json"
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", other, "--out", str(tmp_path / "r2"),
+        "--dataset", str(data_dir / "dataset.jsonl"), "--checkpoint", str(last),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(last) in err and other in err
+    assert "lr 0.001 vs 0.5" in err and "beta2 0.999 vs 0.99" in err
+    assert "beta1" not in err
+    assert not (tmp_path / "r2").exists()
 
 
 def test_resume_rejects_bare_checkpoint(tmp_path):

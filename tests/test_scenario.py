@@ -1,5 +1,6 @@
 """Geometry, channel, demand, graph, and serialization checks."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from nesua import scenario as sc
 from nesua.errors import ConfigError, ContractError
+
+from helpers import reference_generate_scenario
 
 
 def small_cfg(**kw):
@@ -322,3 +325,78 @@ def test_paper_default_record_stays_small():
     rec = sc.to_record(s, sc.build_graph(s, cfg.gamma_th_db), "0" * 64)
     assert "sinr_prb_db" not in rec
     assert len(json.dumps(rec, separators=(",", ":"))) < 32 * 1024
+
+
+def assert_same_scenario(got, want):
+    """Every field of two scenarios is equal; arrays in dtype, shape and
+    bytes."""
+    for f in dataclasses.fields(sc.Scenario):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def _chunk_counts(cfg):
+    chunk = sc.chunk_size(cfg)
+    return [c for c in (1, chunk - 1, chunk, chunk + 1) if c >= 1]
+
+
+# at reuse 1/3 each of the 7 cells has at most 2 co-channel interferers,
+# so the interference sum is exact in any order; at reuse 1 all 6 other
+# cells add non-zero terms and a reordered sum over cells changes bits
+@pytest.mark.parametrize("reuse_factor", [1.0 / 3.0, 0.5, 1.0])
+@pytest.mark.parametrize("n_ues", [7, 50])
+@pytest.mark.parametrize(
+    "shadowing, fading", [(True, True), (False, True), (True, False)]
+)
+def test_chunked_draws_match_the_per_seed_reference_bit_for_bit(
+    n_ues, shadowing, fading, reuse_factor
+):
+    cfg = sc.ScenarioConfig(n_ues=n_ues, reuse_factor=reuse_factor)
+    for count in _chunk_counts(cfg):
+        seeds = list(range(900, 900 + count))
+        got = sc.generate_scenarios(cfg, seeds, shadowing, fading)
+        assert [s.seed for s in got] == seeds
+        for s in got:
+            assert_same_scenario(
+                s, reference_generate_scenario(cfg, s.seed, shadowing, fading)
+            )
+
+
+@pytest.mark.parametrize("n_ues", [7, 50])
+def test_iter_scenarios_crosses_chunks_in_seed_order(n_ues):
+    cfg = sc.ScenarioConfig(n_ues=n_ues)
+    for count in _chunk_counts(cfg):
+        seeds = list(range(40, 40 + count))
+        got = list(sc.iter_scenarios(cfg, seeds))
+        assert [s.seed for s in got] == seeds
+        for s in got:
+            assert_same_scenario(s, reference_generate_scenario(cfg, s.seed))
+
+
+def test_single_seed_draw_is_a_chunk_of_one():
+    cfg = small_cfg(reuse_factor=1.0)  # every other cell interferes
+    for seed in (0, 5):
+        assert_same_scenario(
+            sc.generate_scenario(cfg, seed), reference_generate_scenario(cfg, seed)
+        )
+
+
+def test_chunk_size_caps_the_per_prb_cube():
+    for n_ues, expected in ((7, 52), (50, 7), (10_000, 1)):
+        cfg = sc.ScenarioConfig(n_ues=n_ues)
+        cube = n_ues * cfg.n_cells * cfg.n_prb_total * 8
+        assert sc.chunk_size(cfg) == expected
+        if expected > 1:
+            assert expected * cube <= sc.CHUNK_CUBE_BYTES < (expected + 1) * cube
+
+
+def test_scenarios_of_one_chunk_do_not_share_writable_arrays():
+    a, b = sc.generate_scenarios(small_cfg(), [3, 4])
+    for f in dataclasses.fields(sc.Scenario):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert not np.shares_memory(x, y), f.name
