@@ -58,6 +58,10 @@ EXIT_NUMERIC = 4
 # sweep evaluation scenarios draw seeds from a range disjoint from training
 EVAL_SEED_OFFSET = 1_000_000
 
+# run config sections that define the training objective; checkpoint_last
+# stamps them, and a resume must run under the same ones
+OBJECTIVE_SECTIONS = ("loss", "power")
+
 
 def _samples(cfg: RunConfig):
     """The training scenarios of cfg, each with its graph, in seed order."""
@@ -160,6 +164,29 @@ def _check_optimizer(adam: ad.AdamState, checkpoint, cfg: RunConfig, config_path
         )
 
 
+def _objective(cfg: RunConfig) -> dict:
+    """The run config's `OBJECTIVE_SECTIONS`, as checkpoint_last stamps them."""
+    return {name: dataclasses.asdict(getattr(cfg, name)) for name in OBJECTIVE_SECTIONS}
+
+
+def _check_objective(leftover: dict, checkpoint, cfg: RunConfig, config_path):
+    """Refuse to resume under loss weights or power constants other than
+    the `loss` and `power` sections stamped in the checkpoint: the resumed
+    epochs would train on another objective, and `history.csv` and
+    `checkpoint_best` would mix the two."""
+    differing = []
+    for name, wanted in _objective(cfg).items():
+        found = leftover[name] if isinstance(leftover[name], dict) else {}
+        if found != wanted:
+            differing.append(f"{name}: {_differing(found, wanted)}")
+    if differing:
+        raise ConfigError(
+            f"checkpoint {checkpoint} was trained for another objective: "
+            f"it and {config_path or 'the default config'} differ in "
+            f"{'; '.join(differing)}"
+        )
+
+
 def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
     """Read a dataset after checking the manifest.json next to it: it must
     have been written for the run config's scenario section, and its
@@ -224,8 +251,8 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     tracking restarts from the resume point. The checkpoint must have been
     trained for the run config's `gat` section, cell count and the
     dataset's feature width with the run config's Adam `lr`, `beta1` and
-    `beta2`, and its Adam moments must be float64 arrays shaped like the
-    parameters they belong to.
+    `beta2`, `loss` weights and `power` constants, and its Adam moments
+    must be float64 arrays shaped like the parameters they belong to.
     """
     train_s, test_s, stats = split_and_normalize(
         pairs, cfg.train.split_fraction, cfg.seed
@@ -237,7 +264,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     if checkpoint:
         model, leftover = gat_mod.load_checkpoint(checkpoint)
         _check_architecture(model, checkpoint, cfg, pairs, config_path)
-        missing = {"adam", "epoch"} - set(leftover)
+        missing = {"adam", "epoch", *OBJECTIVE_SECTIONS} - set(leftover)
         if missing:
             raise ConfigError(
                 f"checkpoint {checkpoint} is not resumable: missing "
@@ -251,6 +278,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
             ) from None
         _check_moments(adam, model, checkpoint)
         _check_optimizer(adam, checkpoint, cfg, config_path)
+        _check_objective(leftover, checkpoint, cfg, config_path)
         start_epoch = int(leftover["epoch"])
         prior_history = [tuple(row) for row in leftover.get("history", [])]
     res = train(
@@ -276,6 +304,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
             **common,
             "epoch": cfg.train.epochs,
             "adam": res.adam_state.to_dict(deferred=True),
+            **_objective(cfg),
             "history": [list(row) for row in full_history],
         },
     )

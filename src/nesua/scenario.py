@@ -235,13 +235,16 @@ def generate_scenarios(
 ) -> list[Scenario]:
     """`generate_scenario` of each seed, computed as one chunk.
 
-    Each seed draws from its own `default_rng(seed)`: UE positions, then
-    shadowing, then per-PRB fading. The channel math after the draws runs
-    once over arrays with the seeds on a leading axis, every operation
-    elementwise or within one seed, so each scenario's bits are those of
-    a chunk of one. Each scenario gets its own copy of the base-station
-    positions; its other arrays are views of the chunk's, disjoint from
-    the other scenarios'.
+    Each seed draws from its own `default_rng(seed)`, straight into its
+    slices of the chunk's arrays: UE positions, then shadowing, then
+    per-PRB fading, as standard variates. The chunk is then scaled once,
+    with the arithmetic numpy's `uniform(0, region)`, `normal(0, sigma)`
+    and `exponential(1)` apply to the same variates, so the bits are
+    theirs. The channel math after the draws runs once over arrays with
+    the seeds on a leading axis, every operation elementwise or within
+    one seed, so each scenario's bits are those of a chunk of one. Each
+    scenario gets its own copy of the base-station positions; its other
+    arrays are views of the chunk's, disjoint from the other scenarios'.
     """
     seeds = list(seeds)
     b, k, n, t = len(seeds), cfg.n_ues, cfg.n_cells, cfg.n_prb_total
@@ -250,9 +253,15 @@ def generate_scenarios(
     fade_gain = np.empty((b, k, n, t))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        ue[i] = rng.uniform((0.0, 0.0), cfg.region, size=(k, 2))
-        shadow_db[i] = rng.normal(0.0, cfg.shadowing_sigma_db, size=(k, n))
-        fade_gain[i] = rng.exponential(1.0, size=(k, n, t))
+        rng.random(out=ue[i])
+        rng.standard_normal(out=shadow_db[i])
+        rng.standard_exponential(out=fade_gain[i])
+    # numpy's `low + (high - low) * u` and `loc + scale * z`, with low and
+    # loc 0: the `+= 0.0` turns the -0.0 of a zero sigma into numpy's 0.0
+    # (the outputs only subtract the shadowing, where the two signs agree)
+    ue *= np.asarray(cfg.region, dtype=np.float64)
+    shadow_db *= cfg.shadowing_sigma_db
+    shadow_db += 0.0
     if not shadowing:
         shadow_db = np.zeros_like(shadow_db)
     if not fading:

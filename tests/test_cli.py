@@ -86,10 +86,26 @@ def test_gen_rerun_is_byte_identical(tmp_path):
     assert ma["config_digest"] == mb["config_digest"]
 
 
-@pytest.mark.parametrize("n_ues, size", [(7, 53), (50, 8)])  # one chunk and a seed
-def test_gen_dataset_equals_one_written_from_per_seed_draws(tmp_path, n_ues, size):
+# one chunk and a seed; the last case draws with zero shadowing, where the
+# scaled shadowing draws are -0.0, in a non-square region
+@pytest.mark.parametrize(
+    "n_ues, size, scenario",
+    [
+        (7, 53, {}),
+        (50, 8, {}),
+        (7, 53, {"region": [3200.0, 2600.0], "shadowing_sigma_db": 0.0}),
+    ],
+    ids=["7-53", "50-8", "7-53-unshadowed-non-square"],
+)
+def test_gen_dataset_equals_one_written_from_per_seed_draws(
+    tmp_path, n_ues, size, scenario
+):
     path = tmp_path / "cfg.json"
-    doc = {"scenario": {"n_ues": n_ues}, "train": {"dataset_size": size}, "seed": 11}
+    doc = {
+        "scenario": {"n_ues": n_ues, **scenario},
+        "train": {"dataset_size": size},
+        "seed": 11,
+    }
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert cli.main(["gen", "--config", str(path), "--out", str(out)]) == 0
@@ -263,6 +279,56 @@ def test_resume_under_other_optimizer_settings_exits_2(tmp_path, capsys):
     assert str(last) in err and other in err
     assert "lr 0.001 vs 0.5" in err and "beta2 0.999 vs 0.99" in err
     assert "beta1" not in err
+    assert not (tmp_path / "r2").exists()
+
+
+@pytest.mark.parametrize(
+    "over, named",
+    [
+        ({"train": {"lambda2": 5}}, "loss: lambda2 0.1 vs 5"),
+        ({"power": {"p_fixed_w": 300.0}}, "power: p_fixed_w 100.0 vs 300.0"),
+    ],
+    ids=["loss", "power"],
+)
+def test_resume_under_another_objective_exits_2(tmp_path, capsys, over, named):
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+    last = run_dir / "checkpoint_last.json"
+    stamped = json.loads(last.read_text())
+    assert stamped["loss"] == {"lambda1": 1.0, "lambda2": 0.1}
+    assert stamped["power"]["p_fixed_w"] == 100.0
+    train = {"epochs": 4, **over.get("train", {})}
+    other = _write_cfg(tmp_path, name="other.json", **{**over, "train": train})
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", other, "--out", str(tmp_path / "r2"),
+        "--dataset", str(data_dir / "dataset.jsonl"), "--checkpoint", str(last),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(last) in err and other in err and named in err
+    assert "lambda1" not in err and "p_bb0_w" not in err
+    assert not (tmp_path / "r2").exists()
+
+
+@pytest.mark.parametrize("section", ["loss", "power"])
+def test_resume_rejects_a_checkpoint_without_the_objective_stamps(
+    tmp_path, capsys, section
+):
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+    last = run_dir / "checkpoint_last.json"
+    doc = json.loads(last.read_text())
+    del doc[section]
+    last.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "r2"),
+        "--dataset", str(data_dir / "dataset.jsonl"), "--checkpoint", str(last),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(last) in err and f"not resumable: missing {section}" in err
     assert not (tmp_path / "r2").exists()
 
 

@@ -400,3 +400,16 @@ def test_scenarios_of_one_chunk_do_not_share_writable_arrays():
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, np.ndarray):
             assert not np.shares_memory(x, y), f.name
+
+
+# the draws fill the chunk's buffers with standard variates and scale them
+# after the loop; a zero sigma scales half the shadowing draws to -0.0
+@pytest.mark.parametrize("sigma", [0.0, 6.0])
+def test_in_place_draws_match_the_reference_over_many_seeds(sigma):
+    for n_ues, count in ((1, 260), (7, 260), (50, 60)):
+        cfg = sc.ScenarioConfig(
+            n_ues=n_ues, region=(3200.0, 2600.0), shadowing_sigma_db=sigma
+        )
+        seeds = range(7000, 7000 + count)
+        for s in sc.iter_scenarios(cfg, seeds):
+            assert_same_scenario(s, reference_generate_scenario(cfg, s.seed))
