@@ -36,22 +36,23 @@ computed and holds no other reference to, as `linear` does with both of
 its gradient products, says so with `fresh=True`; that product is then
 adopted, with `+ 0.0` applied in place, instead of copied.
 
-Packed parameters: `pack_parameters` moves the values of several
-parameters into one C-ordered buffer, and `attach_grad_slots` gives each
-of them a `grad_slot`, its view of one gradient buffer of the same
-layout. A parameter's first gradient of a backward pass is written into
-its slot (as `g + 0.0`, or by `linear` straight through
-`np.matmul(..., out=)`) instead of a fresh buffer, so after backward the
-gradient buffer holds every parameter's gradient and one `adam_step`
-over the two buffers updates them all. Slots are never zero-filled: a
-parameter that got no gradient in a pass keeps `grad` None while its
-slot still holds the previous pass's gradient.
+Packed parameters: a model keeps its parameters back to back in one
+C-ordered buffer (`pack`), each parameter a tensor over its view of it
+(`unpack`). `attach_grad_slots` gives each of them a `grad_slot`, its
+view of one gradient buffer of the same layout. A parameter's first
+gradient of a backward pass is written into its slot (as `g + 0.0`, or by
+`linear` straight through `np.matmul(..., out=)`) instead of a fresh
+buffer, so after backward the gradient buffer holds every parameter's
+gradient. `AdamState` keeps each moment as one more buffer of that
+layout, and one `adam_step` over the four buffers updates them all. Slots
+are never zero-filled: a parameter that got no gradient in a pass keeps
+`grad` None while its slot still holds the previous pass's gradient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -704,19 +705,6 @@ def unpack(flat: np.ndarray, shapes) -> list:
     return views
 
 
-def pack_parameters(tensors) -> Tensor:
-    """Move the tensors' values into one packed buffer.
-
-    Each tensor's `values` becomes its view of the buffer, so in-place
-    updates of the buffer are updates of the tensors. Returns a tensor
-    whose values are the buffer.
-    """
-    store = Tensor(pack([t.values for t in tensors]))
-    for t, view in zip(tensors, unpack(store.values, [t.shape for t in tensors])):
-        t.values = view
-    return store
-
-
 def attach_grad_slots(tensors) -> np.ndarray:
     """A new gradient buffer laid out like `pack` of the tensors' values.
 
@@ -739,53 +727,55 @@ def attach_grad_slots(tensors) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Moment buffers and step counter for bias-corrected Adam."""
+    """Bias-corrected Adam's step counter and its two moments, each one
+    1-D float64 buffer laid out like the parameter buffer it steps."""
 
     lr: float = 5e-5
     beta1: float = 0.9
     beta2: float = 0.999
     eps_stability: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     @classmethod
-    def for_params(cls, params, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(cls, flat: Tensor, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-8):
+        """Zero moments for the packed parameter buffer `flat`."""
         return cls(
             lr=lr,
             beta1=beta1,
             beta2=beta2,
             eps_stability=eps,
-            m=[np.zeros_like(p.values) for p in params],
-            v=[np.zeros_like(p.values) for p in params],
+            m=np.zeros_like(flat.values),
+            v=np.zeros_like(flat.values),
         )
 
-    def to_dict(self, deferred: bool = False):
-        """JSON-ready state; with `deferred`, the moments' base64 text is
-        left to `codec.write_json` (`codec.encode_array`)."""
+    def to_dict(self, shapes, deferred: bool = False):
+        """JSON-ready state, each moment written as one array per parameter,
+        the buffer's views of `shapes` in order; with `deferred`, their
+        base64 text is left to `codec.write_json` (`codec.encode_array`)."""
         return {
             "lr": self.lr,
             "beta1": self.beta1,
             "beta2": self.beta2,
             "eps_stability": self.eps_stability,
             "step": self.step,
-            "m": [encode_array(buf, deferred) for buf in self.m],
-            "v": [encode_array(buf, deferred) for buf in self.v],
+            "m": [encode_array(buf, deferred) for buf in unpack(self.m, shapes)],
+            "v": [encode_array(buf, deferred) for buf in unpack(self.v, shapes)],
         }
 
     @classmethod
     def from_dict(cls, d):
-        """The state `to_dict` wrote. Each of `m` and `v` is decoded into
-        the views of one packed buffer (`codec.decode_packed`), which
-        `training.train` adopts instead of packing a copy."""
+        """The state `to_dict` wrote, each moment's arrays decoded back to
+        back into one buffer (`codec.decode_packed`)."""
         return cls(
             lr=d["lr"],
             beta1=d["beta1"],
             beta2=d["beta2"],
             eps_stability=d["eps_stability"],
             step=d["step"],
-            m=decode_packed(d["m"])[1],
-            v=decode_packed(d["v"])[1],
+            m=decode_packed(d["m"]),
+            v=decode_packed(d["v"]),
         )
 
 
@@ -795,61 +785,46 @@ class AdamState:
 _ADAM_BLOCK = 32768
 
 
-def adam_step(params, grads, state: AdamState):
-    """One in-place bias-corrected Adam update over matched param/grad lists.
+def adam_step(param: Tensor, grad: np.ndarray, state: AdamState):
+    """One in-place bias-corrected Adam update of a 1-D parameter buffer.
 
-    Moments and parameters are updated in place, one operation at a time
-    in the order of
+    The moments and the parameter are updated in place, one operation at
+    a time in the order of
     m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g**2;
     p -= lr (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps),
-    so the bits equal those of the expressions written out. Each
-    parameter, whatever its layout, is walked by one buffered `np.nditer`
-    in blocks of at most `_ADAM_BLOCK` elements, and every block runs the
-    whole sequence through two scratch arrays of one block each,
-    allocated once per call. Adam is elementwise, so the blocking does
-    not change a bit.
-    The gradients are not written to.
+    so the bits equal those of the expressions written out. The buffers
+    are walked in slices of at most `_ADAM_BLOCK` elements, and every
+    slice runs the whole sequence through two scratch arrays of one block
+    each, allocated once per call. Adam is elementwise, so the blocking
+    does not change a bit. The gradient is not written to.
     """
-    if not len(params) == len(state.m) == len(state.v):
-        raise ShapeError(
-            f"adam_step: {len(params)} params vs state sized for "
-            f"{len(state.m)} and {len(state.v)} moments"
-        )
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if m.shape != p.values.shape or v.shape != p.values.shape:
+    p = param.values
+    for key, buf in (("grad", grad), ("adam.m", state.m), ("adam.v", state.v)):
+        if p.ndim != 1 or np.shape(buf) != p.shape:
             raise ShapeError(
-                f"adam_step: moments {m.shape} and {v.shape} vs param {p.values.shape}"
+                f"adam_step: {key} is shaped {np.shape(buf)}, the parameter buffer {p.shape}"
             )
-        if g is not None and np.shape(g) != p.values.shape:
-            raise ShapeError(f"adam_step: grad {np.shape(g)} vs param {p.values.shape}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
     scratch1, scratch2 = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            continue
-        blocks = np.nditer(
-            [p.values, np.asarray(g, dtype=np.float64), m, v],
-            flags=["external_loop", "buffered", "zerosize_ok"],
-            op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
-            buffersize=_ADAM_BLOCK,
-        )
-        with blocks:
-            for pb, gb, mb, vb in blocks:
-                s1, s2 = scratch1[: pb.size], scratch2[: pb.size]
-                np.multiply(mb, b1, out=mb)
-                np.multiply(gb, 1.0 - b1, out=s1)
-                np.add(mb, s1, out=mb)
-                np.square(gb, out=s1)
-                np.multiply(s1, 1.0 - b2, out=s1)
-                np.multiply(vb, b2, out=vb)
-                np.add(vb, s1, out=vb)
-                np.divide(mb, bias1, out=s1)
-                np.divide(vb, bias2, out=s2)
-                np.sqrt(s2, out=s2)
-                np.add(s2, state.eps_stability, out=s2)
-                np.multiply(s1, state.lr, out=s1)
-                np.divide(s1, s2, out=s1)
-                np.subtract(pb, s1, out=pb)
+    g = np.asarray(grad, dtype=np.float64)
+    for start in range(0, p.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        pb, gb, mb, vb = p[block], g[block], state.m[block], state.v[block]
+        s1, s2 = scratch1[: pb.size], scratch2[: pb.size]
+        np.multiply(mb, b1, out=mb)
+        np.multiply(gb, 1.0 - b1, out=s1)
+        np.add(mb, s1, out=mb)
+        np.square(gb, out=s1)
+        np.multiply(s1, 1.0 - b2, out=s1)
+        np.multiply(vb, b2, out=vb)
+        np.add(vb, s1, out=vb)
+        np.divide(mb, bias1, out=s1)
+        np.divide(vb, bias2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, state.eps_stability, out=s2)
+        np.multiply(s1, state.lr, out=s1)
+        np.divide(s1, s2, out=s1)
+        np.subtract(pb, s1, out=pb)

@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import autodiff as ad
 from . import gat as gat_mod
 from .baselines import associate_ga_subsinr, associate_oracle, associate_rsrp
@@ -131,22 +129,21 @@ def _check_architecture(model, checkpoint, cfg: RunConfig, pairs, config_path):
         )
 
 
-def _check_moments(adam: ad.AdamState, model, checkpoint):
-    """Refuse Adam moments that do not match the parameters one for one."""
-    params = model.named_parameters()
+def _check_moments(adam_doc: dict, model, checkpoint):
+    """Refuse Adam moments that are not laid out like the parameters: one
+    entry per name of the model's table, in its order, each of its shape."""
+    table = gat_mod.param_shapes(model.feat_dim, model.n_cells, model.config)
     for key in ("m", "v"):
-        moments = getattr(adam, key)
-        if len(moments) != len(params):
+        entries = adam_doc[key]
+        if len(entries) != len(table):
             raise ConfigError(
-                f"checkpoint {checkpoint} holds {len(moments)} adam.{key} "
-                f"moments for {len(params)} parameters"
+                f"checkpoint {checkpoint} holds {len(entries)} adam.{key} "
+                f"moments for {len(table)} parameters"
             )
-        for (name, p), buf in zip(params.items(), moments):
-            if buf.shape != p.shape or buf.dtype != np.float64:
-                raise ConfigError(
-                    f"checkpoint {checkpoint}: adam.{key} for {name} is "
-                    f"{buf.dtype} {buf.shape}, the parameter float64 {p.shape}"
-                )
+        gat_mod.check_shapes(
+            [(name, entry["shape"]) for name, entry in zip(table, entries)],
+            table, f"checkpoint {checkpoint} adam.{key}",
+        )
 
 
 def _check_optimizer(adam: ad.AdamState, checkpoint, cfg: RunConfig, config_path):
@@ -276,7 +273,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
             raise ConfigError(
                 f"checkpoint {checkpoint} has no readable optimizer state: {exc!r}"
             ) from None
-        _check_moments(adam, model, checkpoint)
+        _check_moments(leftover["adam"], model, checkpoint)
         _check_optimizer(adam, checkpoint, cfg, config_path)
         _check_objective(leftover, checkpoint, cfg, config_path)
         start_epoch = int(leftover["epoch"])
@@ -303,7 +300,9 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
         {
             **common,
             "epoch": cfg.train.epochs,
-            "adam": res.adam_state.to_dict(deferred=True),
+            "adam": res.adam_state.to_dict(
+                [p.shape for p in res.model.params.values()], deferred=True
+            ),
             **_objective(cfg),
             "history": [list(row) for row in full_history],
         },
@@ -469,57 +468,68 @@ def _max_workers(n_points: int) -> int:
     return max(1, min(cap, n_points))
 
 
-def _train_bandwidth_point(payload) -> None:
-    """Sweep worker: generate and train one bandwidth configuration."""
-    cfg_dict, w, sub_dir = payload
+def _train_point(payload) -> None:
+    """Sweep worker: train one point's config into its directory, on the
+    shared dataset when one is named, else on samples it generates and
+    writes there first."""
+    cfg_dict, dataset_path, sub_dir = payload
     cfg = RunConfig.from_dict(cfg_dict)
-    cfg = dataclasses.replace(
-        cfg, scenario=dataclasses.replace(cfg.scenario, bandwidth_mhz=w)
-    )
-    # training reads no per-PRB SINR, so the cube is not kept for it
-    pairs = [
-        Sample(dataclasses.replace(p.scenario, sinr_per_prb_db=None), p.graph)
-        for p in _samples(cfg)
-    ]
-    _write_dataset(cfg, sub_dir, pairs)
+    if dataset_path is None:
+        # training reads no per-PRB SINR, so the cube is not kept for it
+        pairs = [
+            Sample(dataclasses.replace(p.scenario, sinr_per_prb_db=None), p.graph)
+            for p in _samples(cfg)
+        ]
+        _write_dataset(cfg, sub_dir, pairs)
+    else:
+        pairs = _load_pairs(dataset_path, cfg)
     _train_to_dir(cfg, pairs, sub_dir)
     with open(os.path.join(sub_dir, "DONE"), "w", encoding="utf-8") as fh:
         fh.write("ok\n")
 
 
-def _train_lambda_point(payload) -> None:
-    """Sweep worker: train one regularizer ratio on the shared dataset."""
-    cfg_dict, ratio, dataset_path, sub_dir = payload
-    cfg = RunConfig.from_dict(cfg_dict)
-    lam1 = cfg.loss.lambda1
-    cfg = dataclasses.replace(
-        cfg, loss=LossConfig(lambda1=lam1, lambda2=ratio * lam1)
-    )
-    pairs = _load_pairs(dataset_path, cfg)
-    _train_to_dir(cfg, pairs, sub_dir)
-    with open(os.path.join(sub_dir, "DONE"), "w", encoding="utf-8") as fh:
-        fh.write("ok\n")
+def _train_points(cfg: RunConfig, points, sub_dirs, dataset_path=None):
+    """Train each sweep point's config into its directory.
 
-
-def _run_workers(worker, payloads, sub_dirs):
-    """Run sweep workers, skipping sub-runs that already finished."""
-    todo = [
-        (payload, sub)
-        for payload, sub in zip(payloads, sub_dirs)
-        if not os.path.exists(os.path.join(sub, "DONE"))
-    ]
-    if not todo:
-        return
+    A point with a DONE file is reused only if its checkpoint_best.json
+    stamps the digest of the point's config. Any other finished point
+    raises ConfigError naming its directory before anything is written, so
+    a sweep never scores models trained under another config. Then the
+    sweep's config.json is written, and the shared dataset at
+    `dataset_path` if it has no manifest yet, and `_train_point` workers
+    train the other points, up to `_max_workers` at a time.
+    """
+    todo = []
+    for point_cfg, sub in zip(points, sub_dirs):
+        if not os.path.exists(os.path.join(sub, "DONE")):
+            todo.append((point_cfg.to_dict(), dataset_path, sub))
+            continue
+        with open(os.path.join(sub, "checkpoint_best.json"), "r", encoding="utf-8") as fh:
+            try:
+                stamped = json.load(fh).get("config_digest")
+            except (ValueError, AttributeError):
+                stamped = None
+        if stamped != point_cfg.digest():
+            raise ConfigError(
+                f"sweep point {sub} was trained under another config: its "
+                f"checkpoint_best.json stamps config_digest {stamped!r}, the "
+                f"point's config has {point_cfg.digest()!r}; remove the "
+                f"directory or sweep into another --out"
+            )
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
+    if dataset_path and not os.path.exists(os.path.join(cfg.out_dir, "manifest.json")):
+        _write_dataset(cfg, cfg.out_dir, _samples(cfg))
     workers = _max_workers(len(todo))
     if workers == 1:
-        for payload, _ in todo:
-            worker(payload)
+        for payload in todo:
+            _train_point(payload)
         return
     # imported here: the pool's import costs every other command time and memory
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(worker, [payload for payload, _ in todo]))
+        list(pool.map(_train_point, todo))
 
 
 def _load_point_model(sub_dir):
@@ -539,8 +549,6 @@ def _eval_samples(cfg: RunConfig, stats: FeatureStats) -> list:
 
 def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
     grid = _parse_grid(grid_text)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
     demand = cfg.eval_demand_mbps()
     agg = cfg.eval.subsinr_agg
 
@@ -551,23 +559,21 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
             )
         ws, ks = grid["w"], grid["k"]
         sub_dirs = [os.path.join(cfg.out_dir, f"w{w!r}") for w in ws]
-        payloads = [
-            (cfg.to_dict(), w, sub) for w, sub in zip(ws, sub_dirs)
+        points = [
+            dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, bandwidth_mhz=w))
+            for w in ws
         ]
-        _run_workers(_train_bandwidth_point, payloads, sub_dirs)
+        _train_points(cfg, points, sub_dirs)
         models = {}
         test_sets = {}
-        for w, sub in zip(ws, sub_dirs):
+        for w, point, sub in zip(ws, points, sub_dirs):
             model, stats = _load_point_model(sub)
             models[w] = model
             for k in ks:
-                point_cfg = dataclasses.replace(
-                    cfg,
-                    scenario=dataclasses.replace(
-                        cfg.scenario, bandwidth_mhz=w, n_ues=k
-                    ),
+                scenario = dataclasses.replace(point.scenario, n_ues=k)
+                test_sets[(w, k)] = _eval_samples(
+                    dataclasses.replace(point, scenario=scenario), stats
                 )
-                test_sets[(w, k)] = _eval_samples(point_cfg, stats)
         result = sweep_bandwidth(
             models, test_sets, ks, ws, cfg.power, agg=agg, demand_mbps=demand
         )
@@ -577,15 +583,14 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
                 f"lambda sweep grid needs key ratio, got {sorted(grid)}"
             )
         ratios = grid["ratio"]
-        dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
-        if not os.path.exists(os.path.join(cfg.out_dir, "manifest.json")):
-            _write_dataset(cfg, cfg.out_dir, _samples(cfg))
         sub_dirs = [os.path.join(cfg.out_dir, f"ratio{r!r}") for r in ratios]
-        payloads = [
-            (cfg.to_dict(), r, dataset_path, sub)
-            for r, sub in zip(ratios, sub_dirs)
+        lam1 = cfg.loss.lambda1
+        points = [
+            dataclasses.replace(cfg, loss=LossConfig(lambda1=lam1, lambda2=r * lam1))
+            for r in ratios
         ]
-        _run_workers(_train_lambda_point, payloads, sub_dirs)
+        dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
+        _train_points(cfg, points, sub_dirs, dataset_path)
         models = {}
         shared_samples = None
         for ratio, sub in zip(ratios, sub_dirs):

@@ -167,22 +167,21 @@ def decode_array(entry) -> np.ndarray:
     return out
 
 
-def decode_packed(entries) -> tuple[np.ndarray, list]:
-    """float64 entries decoded back to back into one new 1-D buffer.
+def decode_packed(entries) -> np.ndarray:
+    """float64 entries decoded back to back into one new 1-D buffer, each
+    in C order.
 
-    Returns the buffer and each entry's C-ordered view of it. Raises
-    ConfigError as `decode_array` does, and for an entry whose dtype is
-    not float64; the buffer is allocated once every header is checked.
+    Raises ConfigError as `decode_array` does, and for an entry whose dtype
+    is not float64; the buffer is allocated once every header is checked.
     """
     headers = [_header(entry) for entry in entries]
     for dt, shape, _ in headers:
         if dt.str != "<f8":
             raise ConfigError(f"expected a float64 array, got dtype {dt.str} {list(shape)}")
     flat = np.empty(sum(math.prod(shape) for _, shape, _ in headers))
-    views, start = [], 0
+    start = 0
     for dt, shape, text in headers:
         stop = start + math.prod(shape)
-        views.append(flat[start:stop].reshape(shape))
-        _decode_into(views[-1], dt, text)
+        _decode_into(flat[start:stop].reshape(shape), dt, text)
         start = stop
-    return flat, views
+    return flat

@@ -9,19 +9,22 @@ final embeddings to one soft association row per UE on the cell simplex
 with one `autodiff.softmax_readout`. A forward pass is therefore five
 autodiff nodes, each with one backward rule.
 
-A model's six parameters are views of one C-ordered float64 buffer,
-`GatModel.flat`, in `PARAM_NAMES` order. `GatModel` packs them when it
-is built (`autodiff.pack_parameters`), so every way of making a model,
-`init_model`, `load_checkpoint`, `training.clone_model` or explicit
-`GatLayerParams`, goes through that one place. While `training.train`
-runs, their first gradients of a backward pass land in the matching
-views of one gradient buffer of the same layout.
+One table lays out the parameters: `param_shapes(feat_dim, n_cells, cfg)`
+maps each of the six names, in order, to its shape. A model is its
+config, its sizes and one C-ordered float64 buffer, `GatModel.flat`,
+which holds the parameters back to back in table order; `GatModel.params`
+maps each name to a parameter over its view of that buffer, and only
+`GatModel` builds it. `init_model` packs its draws into the buffer,
+`load_checkpoint` decodes a checkpoint into it after checking every entry
+against the table, and `training.clone_model` copies it. While
+`training.train` runs, the parameters' gradients land in one gradient
+buffer of the same layout, and Adam's moments are two more.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +33,6 @@ from .baselines import HardAssociation
 from .codec import decode_packed, encode_array, write_json
 from .errors import ConfigError, ShapeError
 from .scenario import GraphInstance
-
-PARAM_NAMES = ("gat1.W", "gat1.a", "gat2.W", "gat2.a", "readout.Q", "readout.B")
 
 # activation name -> whether it is relu, the flag the fused nodes take
 _ACTIVATIONS = {"relu": True, "identity": False}
@@ -65,87 +66,84 @@ class GatConfig:
         }
 
 
-@dataclass
-class GatLayerParams:
-    """One attention layer: transform W (d_out x d_in), scorer a (2 d_out)."""
+def param_shapes(feat_dim: int, n_cells: int, cfg: GatConfig) -> dict[str, tuple]:
+    """The parameter table: each name, in layout order, with its shape.
+    Each layer has a transform W (d_out x d_in) and a scorer a (2 d_out);
+    the readout maps hidden features to cell logits, Q @ h + B."""
+    h = cfg.hidden_dim
+    return {
+        "gat1.W": (h, feat_dim),
+        "gat1.a": (2 * h,),
+        "gat2.W": (h, h),
+        "gat2.a": (2 * h,),
+        "readout.Q": (h, n_cells),
+        "readout.B": (n_cells,),
+    }
 
-    w: ad.Tensor
-    a: ad.Tensor
-    negative_slope: float
+
+def check_shapes(found: list, table: dict, where: str):
+    """Raise ConfigError naming `where` and the parameter unless the
+    (name, shape) pairs `found` give each of the table's names once, with
+    the table's shape."""
+    names = [name for name, _ in found]
+    for name, shape in found:
+        if name not in table:
+            raise ConfigError(f"{where} holds a parameter {name!r} the model does not have")
+        if names.count(name) > 1:
+            raise ConfigError(f"{where} holds {name} {names.count(name)} times")
+        if tuple(shape) != table[name]:
+            raise ConfigError(
+                f"{where}: {name} is shaped {list(shape)}, the model's {list(table[name])}"
+            )
+    missing = [name for name in table if name not in names]
+    if missing:
+        raise ConfigError(f"{where} lacks parameters: {missing}")
 
 
 @dataclass
 class GatModel:
-    """The attention layers and the readout over one packed buffer.
+    """The parameters of one architecture, packed in one buffer.
 
-    Building a model copies the given parameters' values into `flat` and
-    rebinds each parameter's `values` to its view of it. An in-place
-    update of `flat.values` is an update of every parameter. A caller
-    whose parameters already are, in order, the views of one fresh 1-D
-    buffer (`load_checkpoint`) passes it as `packed`, and it is adopted
-    without a copy.
+    `flat` holds them back to back in `param_shapes` order, and `params`
+    maps each name to a parameter whose values are its view of `flat`,
+    so an in-place update of `flat.values` is an update of every one.
     """
 
-    layer1: GatLayerParams
-    layer2: GatLayerParams
-    readout_q: ad.Tensor  # (hidden, n_cells)
-    readout_b: ad.Tensor  # (n_cells,)
     config: GatConfig
     feat_dim: int
     n_cells: int
-    packed: InitVar[np.ndarray | None] = None
-    flat: ad.Tensor = field(init=False, repr=False, compare=False)
+    flat: ad.Tensor = field(repr=False)
+    params: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, packed):
-        if packed is None:
-            self.flat = ad.pack_parameters(self.parameters())
-        else:
-            self.flat = ad.Tensor(packed)
-
-    def parameters(self) -> list[ad.Tensor]:
-        return [
-            self.layer1.w, self.layer1.a,
-            self.layer2.w, self.layer2.a,
-            self.readout_q, self.readout_b,
-        ]
-
-    def named_parameters(self) -> dict[str, ad.Tensor]:
-        return dict(zip(PARAM_NAMES, self.parameters()))
-
-
-def _assemble(arrays, cfg: GatConfig, feat_dim: int, n_cells: int, packed=None) -> GatModel:
-    """The model whose parameters, in PARAM_NAMES order, hold `arrays`;
-    with `packed` given, the arrays are its views and the model adopts it."""
-    w1, a1, w2, a2, q, b = (ad.parameter(x) for x in arrays)
-    slope = cfg.negative_slope
-    return GatModel(
-        GatLayerParams(w1, a1, slope), GatLayerParams(w2, a2, slope), q, b,
-        config=cfg, feat_dim=feat_dim, n_cells=n_cells, packed=packed,
-    )
+    def __post_init__(self):
+        table = param_shapes(self.feat_dim, self.n_cells, self.config)
+        views = ad.unpack(self.flat.values, table.values())
+        self.params = {name: ad.parameter(v) for name, v in zip(table, views)}
 
 
 def init_model(feat_dim: int, n_cells: int, cfg: GatConfig, seed: int) -> GatModel:
     """Seed-controlled uniform init in +-sqrt(6/(fan_in+fan_out))."""
     rng = np.random.default_rng(seed)
     h = cfg.hidden_dim
+    table = param_shapes(feat_dim, n_cells, cfg)
 
-    def uniform(shape, fan_in, fan_out):
+    def uniform(name, fan_in, fan_out):
         lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=shape)
+        return rng.uniform(-lim, lim, size=table[name])
 
     arrays = [
-        uniform((h, feat_dim), feat_dim, h),
-        uniform((2 * h,), 2 * h, 1),
-        uniform((h, h), h, h),
-        uniform((2 * h,), 2 * h, 1),
-        uniform((h, n_cells), h, n_cells),
-        np.zeros(n_cells),
+        uniform("gat1.W", feat_dim, h),
+        uniform("gat1.a", 2 * h, 1),
+        uniform("gat2.W", h, h),
+        uniform("gat2.a", 2 * h, 1),
+        uniform("readout.Q", h, n_cells),
+        np.zeros(table["readout.B"]),
     ]
-    return _assemble(arrays, cfg, feat_dim, n_cells)
+    return GatModel(cfg, feat_dim, n_cells, ad.Tensor(ad.pack(arrays)))
 
 
-def _transformed(h: ad.Tensor, layer: GatLayerParams) -> ad.Tensor:
-    return ad.linear(h, layer.w)
+def _transformed(h: ad.Tensor, w: ad.Tensor) -> ad.Tensor:
+    return ad.linear(h, w)
 
 
 def _is_relu(activation: str) -> bool:
@@ -155,29 +153,23 @@ def _is_relu(activation: str) -> bool:
 
 
 def gat_layer(
-    h: ad.Tensor, adjacency, layer: GatLayerParams, activation: str = "relu"
+    h: ad.Tensor, adjacency, w: ad.Tensor, a: ad.Tensor, negative_slope: float,
+    activation: str = "relu",
 ) -> ad.Tensor:
     """One attention round: transform h once (`_transformed`), then score
     the transformed features, mix them with the normalized attention
     weights and apply the nonlinearity in one `autodiff.attention_round`.
     Both uses share the one transform node, so its gradient reaches W as a
     single summed product."""
-    hw = _transformed(h, layer)
-    return ad.attention_round(
-        hw, layer.a, adjacency, layer.negative_slope, _is_relu(activation)
-    )
+    hw = _transformed(h, w)
+    return ad.attention_round(hw, a, adjacency, negative_slope, _is_relu(activation))
 
 
 def readout(h_final: ad.Tensor, model: GatModel) -> ad.Tensor:
     """Per-node soft association over cells: the row softmax of
     act(h_final @ Q + B), one `autodiff.softmax_readout`."""
-    if model.readout_q.shape[1:] != (model.n_cells,):
-        raise ShapeError(
-            f"readout weights {model.readout_q.shape} do not map to "
-            f"{model.n_cells} cells"
-        )
     return ad.softmax_readout(
-        h_final, model.readout_q, model.readout_b,
+        h_final, model.params["readout.Q"], model.params["readout.B"],
         _is_relu(model.config.readout_activation),
     )
 
@@ -189,10 +181,14 @@ def forward(g: GraphInstance, model: GatModel) -> ad.Tensor:
             f"feature width {g.features.shape[1]} vs model "
             f"width {model.feat_dim}"
         )
-    h0 = ad.constant(g.features)
-    h1 = gat_layer(h0, g.adjacency, model.layer1, model.config.activation)
-    h2 = gat_layer(h1, g.adjacency, model.layer2, model.config.activation)
-    return readout(h2, model)
+    p, cfg = model.params, model.config
+    h = ad.constant(g.features)
+    for layer in ("gat1", "gat2"):
+        h = gat_layer(
+            h, g.adjacency, p[f"{layer}.W"], p[f"{layer}.a"], cfg.negative_slope,
+            cfg.activation,
+        )
+    return readout(h, model)
 
 
 def harden(s) -> HardAssociation:
@@ -220,7 +216,7 @@ def save_checkpoint(path, model: GatModel, extra: dict | None = None):
     doc = {
         "params": [
             {"name": name, **encode_array(t.values, deferred=True)}
-            for name, t in model.named_parameters().items()
+            for name, t in model.params.items()
         ],
         "gat": {
             **model.config.to_dict(),
@@ -234,13 +230,15 @@ def save_checkpoint(path, model: GatModel, extra: dict | None = None):
 
 def load_checkpoint(path) -> tuple[GatModel, dict]:
     """Rebuild the model; everything beyond params and gat keys is passed
-    back untouched. The parameters are decoded straight into the views of
-    the model's packed buffer (`codec.decode_packed`).
+    back untouched. The parameters are decoded straight into the model's
+    packed buffer (`codec.decode_packed`).
 
     A file that is not JSON, lacks a key, holds a malformed, non-float64
-    or old-style decimal-list parameter, or misses a parameter raises
-    ConfigError naming the file. A file that cannot be opened raises
-    OSError.
+    or old-style decimal-list parameter, or whose parameters are not
+    those of the table built from its own `gat` section, `feat_dim` and
+    `n_cells` (a name the table does not give, a shape other than the
+    table's, a missing name) raises ConfigError naming the file. A file
+    that cannot be opened raises OSError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -252,17 +250,18 @@ def load_checkpoint(path) -> tuple[GatModel, dict]:
             activation=meta["activation"],
             readout_activation=meta["readout_activation"],
         )
-        by_name = {entry["name"]: entry for entry in doc["params"]}
         feat_dim, n_cells = meta["feat_dim"], meta["n_cells"]
+        by_name = {entry["name"]: entry for entry in doc["params"]}
+        found = [(entry["name"], tuple(entry["shape"])) for entry in doc["params"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from None
-    missing = [n for n in PARAM_NAMES if n not in by_name]
-    if missing:
-        raise ConfigError(f"checkpoint {path} lacks parameters: {missing}")
+    table = param_shapes(feat_dim, n_cells, cfg)
+    check_shapes(found, table, f"checkpoint {path}")
     try:
-        flat, views = decode_packed([by_name[n] for n in PARAM_NAMES])
-    except ConfigError as exc:
+        flat = decode_packed([by_name[name] for name in table])
+        # sizes stamped as non-integers, such as 4.0, cannot lay out a buffer
+        model = GatModel(cfg, feat_dim, n_cells, ad.Tensor(flat))
+    except (ConfigError, TypeError) as exc:
         raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from None
-    model = _assemble(views, cfg, feat_dim, n_cells, packed=flat)
     leftover = {k: v for k, v in doc.items() if k not in ("params", "gat")}
     return model, leftover

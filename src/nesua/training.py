@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gat as gat_mod
-from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
+from .errors import ConfigError, ContractError, TrainingDiverged
 from .power import PowerParams, network_power_soft
 from .scenario import (
     FeatureStats,
@@ -140,53 +140,7 @@ class TrainResult:
 
 def clone_model(model: gat_mod.GatModel) -> gat_mod.GatModel:
     """An independent model: one copy of the packed buffer."""
-    w1, a1, w2, a2, q, b = (ad.parameter(p.values) for p in model.parameters())
-    return replace(
-        model,
-        layer1=replace(model.layer1, w=w1, a=a1),
-        layer2=replace(model.layer2, w=w2, a=a2),
-        readout_q=q,
-        readout_b=b,
-    )
-
-
-def _packed(moments, shapes) -> np.ndarray:
-    """The moments back to back in one float64 buffer: the buffer they are
-    already the C-ordered views of, in order (as `AdamState.from_dict`
-    decodes them), else a packed copy."""
-    base = moments[0].base if moments else None
-    if (
-        isinstance(base, np.ndarray)
-        and base.ndim == 1
-        and base.dtype == np.float64
-        and base.size == sum(math.prod(shape) for shape in shapes)
-        and all(m.base is base and m.flags.c_contiguous for m in moments)
-        and [m.__array_interface__["data"] for m in moments]
-        == [v.__array_interface__["data"] for v in ad.unpack(base, shapes)]
-    ):
-        return base
-    return ad.pack(moments)
-
-
-def _packed_adam(state: ad.AdamState, shapes) -> ad.AdamState:
-    """A copy of the state whose moments are packed like the parameters'
-    buffer, so one `adam_step` updates the whole model. The state's own
-    moments become views of the packed ones, so their arrays are freed."""
-    for key in ("m", "v"):
-        found = [np.shape(buf) for buf in getattr(state, key)]
-        if found != shapes:
-            raise ShapeError(f"adam.{key} is shaped {found}, the parameters {shapes}")
-    packed = replace(state, m=[_packed(state.m, shapes)], v=[_packed(state.v, shapes)])
-    _unpack_adam(packed, state, shapes)
-    return packed
-
-
-def _unpack_adam(packed: ad.AdamState, state: ad.AdamState, shapes):
-    """Bring the per-parameter state up to the packed one: its step, and
-    moments that are views of the packed moments."""
-    state.step = packed.step
-    state.m = ad.unpack(packed.m[0], shapes)
-    state.v = ad.unpack(packed.v[0], shapes)
+    return replace(model, flat=ad.Tensor(model.flat.values.copy()))
 
 
 def _mean_loss(
@@ -221,16 +175,15 @@ def train(
     per-epoch shuffle is keyed by (shuffle_seed, epoch), so a resumed run
     walks the same instance order an uninterrupted run would.
 
-    Each step runs one `adam_step` over the model's packed buffer
-    (`GatModel.flat`), a gradient buffer of the same layout that the
-    parameters' gradients land in (`autodiff.attach_grad_slots`, released
-    when training ends) and Adam moments packed the same way. It checks
-    first that every parameter got a gradient: a parameter without one
-    would be updated from its slot's stale contents, so that raises
-    ContractError naming it. adam_state's moments become views of the
-    packed ones, and its step and moments are brought up to date at the
-    end of each epoch; the model and adam_state passed in are updated in
-    place.
+    Everything a step updates is laid out by the one parameter table
+    (`gat.param_shapes`): each step runs one `adam_step` over the model's
+    packed buffer (`GatModel.flat`), a gradient buffer of the same layout
+    that the parameters' gradients land in (`autodiff.attach_grad_slots`,
+    released when training ends) and adam_state's two moment buffers. It
+    checks first that every parameter got a gradient: a parameter without
+    one would be updated from its slot's stale contents, so that raises
+    ContractError naming it. The model and adam_state passed in are the
+    ones updated, in place.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -256,18 +209,15 @@ def train(
         )
     if adam_state is None:
         adam_state = ad.AdamState.for_params(
-            model.parameters(), lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2
+            model.flat, lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2
         )
 
     history = []
     best_model = clone_model(model)
     best_epoch = start_epoch
     best_test = math.inf
-    named = model.named_parameters()
-    parameters = list(named.values())
-    shapes = [p.shape for p in parameters]
-    packed_adam = _packed_adam(adam_state, shapes)
-    flat, flat_grad = [model.flat], [ad.attach_grad_slots(parameters)]
+    parameters = list(model.params.values())
+    flat_grad = ad.attach_grad_slots(parameters)
 
     for epoch in range(start_epoch + 1, tc.epochs + 1):
         perm = np.random.default_rng([tc.shuffle_seed, epoch]).permutation(
@@ -283,16 +233,15 @@ def train(
                     f"non-finite loss at epoch {epoch}, instance {int(i)}"
                 )
             ad.backward(value)
-            missing = [name for name, p in named.items() if p.grad is None]
+            missing = [name for name, p in model.params.items() if p.grad is None]
             if missing:
                 raise ContractError(
                     f"no gradient reached {', '.join(missing)} at epoch "
                     f"{epoch}, instance {int(i)}"
                 )
-            ad.adam_step(flat, flat_grad, packed_adam)
+            ad.adam_step(model.flat, flat_grad, adam_state)
             ad.zero_grad(parameters)
             epoch_losses.append(value.item())
-        _unpack_adam(packed_adam, adam_state, shapes)
 
         mean_train = float(np.mean(epoch_losses))
         mean_test = _mean_loss(test_set, model, lc, params)

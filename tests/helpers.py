@@ -38,21 +38,51 @@ def finite_difference_grad(f, x, h_scale=1e-5):
 
 
 def reference_adam_step(params, grads, state):
-    """Reference Adam: the expression-per-line update `ad.adam_step` must
-    match bit for bit, rebinding fresh moment arrays each step."""
+    """Reference Adam over lists: the expression-per-line update
+    `ad.adam_step` must match bit for bit. Each parameter steps on its own,
+    and each moment line is computed as a fresh array, then stored into the
+    moment array that `state` lists for the parameter, so moments given as
+    the table's views of packed buffers are updated in those buffers."""
     if len(params) != len(state.m):
         raise ValueError(f"{len(params)} params vs state sized for {len(state.m)}")
     state.step += 1
     t = state.step
     for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            continue
         g = np.asarray(g, dtype=np.float64)
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g**2
+        state.m[i][...] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i][...] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g**2
         m_hat = state.m[i] / (1.0 - state.beta1**t)
         v_hat = state.v[i] / (1.0 - state.beta2**t)
         p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps_stability)
+
+
+def reference_adam_step_over(shapes):
+    """An `ad.adam_step` stand-in that runs `reference_adam_step` over the
+    views of `shapes` (a parameter table's shapes) of the packed parameter,
+    gradient and moment buffers it is called with."""
+
+    def step(param, grad, state):
+        views = replace(state, m=ad.unpack(state.m, shapes), v=ad.unpack(state.v, shapes))
+        params = [ad.Tensor(view) for view in ad.unpack(param.values, shapes)]
+        reference_adam_step(params, ad.unpack(grad, shapes), views)
+        state.step = views.step
+
+    return step
+
+
+def shapes_of(model):
+    """The shapes of the model's parameters, in table order."""
+    return [p.shape for p in model.params.values()]
+
+
+def model_over(tensors, config, feat_dim, n_cells):
+    """A model whose named parameters are `tensors`, in table order, in
+    place of the views of its buffer: gradient checks read each tensor's
+    own gradient."""
+    flat = ad.Tensor(ad.pack([t.values for t in tensors]))
+    model = gat.GatModel(config, feat_dim, n_cells, flat)
+    model.params = dict(zip(model.params, tensors))
+    return model
 
 
 def _address(a):
@@ -61,13 +91,15 @@ def _address(a):
 
 def assert_packed(model, grad_buffer=None):
     """Every named parameter's values are its own C-ordered view of
-    `model.flat`, in PARAM_NAMES order with nothing between them. With a
+    `model.flat`, in table order with nothing between them. With a
     gradient buffer given, each parameter's gradient slot is the matching
     view of it; without, the parameters have no slots."""
     flat = model.flat.values
     assert flat.ndim == 1 and flat.flags.c_contiguous and flat.flags.owndata
+    table = gat.param_shapes(model.feat_dim, model.n_cells, model.config)
+    assert [(name, p.shape) for name, p in model.params.items()] == list(table.items())
     start = 0
-    for name, p in model.named_parameters().items():
+    for name, p in model.params.items():
         stop = start + p.values.size
         assert p.values.shape == p.shape and p.values.flags.c_contiguous, name
         assert _address(p.values) == _address(flat[start:stop]), name
@@ -81,38 +113,37 @@ def assert_packed(model, grad_buffer=None):
     assert start == flat.size
 
 
-def reference_transformed(h, layer):
+def reference_transformed(h, w):
     """Reference layer transform h @ W.T built from `matmul` and a
     `transpose` node, which `gat._transformed` must match bit for bit."""
-    return ad.matmul(h, ad.transpose(layer.w))
+    return ad.matmul(h, ad.transpose(w))
 
 
-def attention_scores(hw, layer):
+def attention_scores(hw, a, negative_slope):
     """Pairwise scores rho(u,v) for all node pairs from the layer's
-    transformed features hw = h @ W.T, composed from primitives: the
-    scorer splits into a source and a destination half, so the K*K pair
-    matrix is a broadcast sum of two length-K projections."""
+    transformed features hw = h @ W.T and its scorer a, composed from
+    primitives: the scorer splits into a source and a destination half, so
+    the K*K pair matrix is a broadcast sum of two length-K projections."""
     k, d = hw.shape
-    if layer.a.shape != (2 * d,):
+    if a.shape != (2 * d,):
         raise ShapeError(
-            f"attention vector {layer.a.shape} does not fit width {d}"
+            f"attention vector {a.shape} does not fit width {d}"
         )
-    src = ad.matmul(hw, ad.slice_rows(layer.a, 0, d))
-    dst = ad.matmul(hw, ad.slice_rows(layer.a, d, 2 * d))
+    src = ad.matmul(hw, ad.slice_rows(a, 0, d))
+    dst = ad.matmul(hw, ad.slice_rows(a, d, 2 * d))
     pair = ad.add(ad.reshape(src, (k, 1)), ad.reshape(dst, (1, k)))
-    return ad.leaky_relu(pair, layer.negative_slope)
+    return ad.leaky_relu(pair, negative_slope)
 
 
-def attention_weights(hw, adjacency, layer):
+def attention_weights(hw, adjacency, a, negative_slope):
     """Scores of the transformed features hw normalized over each node's
     neighborhood; zero off-edges."""
-    return ad.row_softmax_masked(attention_scores(hw, layer), adjacency)
+    return ad.row_softmax_masked(attention_scores(hw, a, negative_slope), adjacency)
 
 
 def reference_attention_round(hw, a, adjacency, negative_slope, relu):
     """Reference for `ad.attention_round`, composed from primitives."""
-    layer = gat.GatLayerParams(w=None, a=a, negative_slope=negative_slope)
-    mixed = ad.matmul(attention_weights(hw, adjacency, layer), hw)
+    mixed = ad.matmul(attention_weights(hw, adjacency, a, negative_slope), hw)
     return ad.relu(mixed) if relu else mixed
 
 
@@ -170,12 +201,12 @@ REFERENCE_NODES = {
 }
 
 
-def reference_gat_layer(h, adjacency, layer, activation="relu"):
+def reference_gat_layer(h, adjacency, w, a, negative_slope, activation="relu"):
     """Reference GAT layer that transforms h twice, once to score the pairs
     and once to aggregate; `gat.gat_layer`, which shares one transform,
     must give the same forward bits."""
-    att = attention_weights(gat._transformed(h, layer), adjacency, layer)
-    mixed = ad.matmul(att, gat._transformed(h, layer))
+    att = attention_weights(gat._transformed(h, w), adjacency, a, negative_slope)
+    mixed = ad.matmul(att, gat._transformed(h, w))
     return ad.relu(mixed) if activation == "relu" else mixed
 
 

@@ -28,7 +28,7 @@ from nesua.scenario import (
 )
 from nesua.training import LossConfig, TrainConfig, loss, prepare_dataset, train
 
-from helpers import check_grad
+from helpers import check_grad, model_over
 
 PARAMS = PowerParams()
 
@@ -145,21 +145,12 @@ def _check_loss_gradient(rng):
     cfg = gat.GatConfig(
         hidden_dim=hidden, activation="identity", readout_activation="identity"
     )
-    shapes = [(hidden, 3 * n), (2 * hidden,), (hidden, hidden), (2 * hidden,),
-              (hidden, n), (n,)]
+    shapes = gat.param_shapes(3 * n, n, cfg).values()
     arrays = [rng.normal(0.0, 0.5, s) for s in shapes]
     lc = LossConfig(lambda1=0.7, lambda2=0.3)
 
     def build(p):
-        model = gat.GatModel(
-            layer1=gat.GatLayerParams(w=p[0], a=p[1], negative_slope=0.2),
-            layer2=gat.GatLayerParams(w=p[2], a=p[3], negative_slope=0.2),
-            readout_q=p[4],
-            readout_b=p[5],
-            config=cfg,
-            feat_dim=3 * n,
-            n_cells=n,
-        )
+        model = model_over(p, cfg, 3 * n, n)
         return loss(gat.forward(g, model), g.prb_matrix, PARAMS, lc, g.n_prb_total)
 
     check_grad(build, arrays, rtol=1e-4, atol=1e-6)

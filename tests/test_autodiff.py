@@ -294,9 +294,9 @@ def test_deep_chain_does_not_overflow_recursion():
 def test_adam_first_step_moves_by_lr():
     # with a single constant gradient the bias-corrected step is exactly lr
     p = ad.parameter(np.array([1.0, 2.0, 3.0]))
-    state = ad.AdamState.for_params([p], lr=0.1)
+    state = ad.AdamState.for_params(p, lr=0.1)
     g = np.array([0.5, -2.0, 1e-12])
-    ad.adam_step([p], [g], state)
+    ad.adam_step(p, g, state)
     expected = np.array([1.0, 2.0, 3.0]) - 0.1 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(p.values, expected, rtol=1e-9)
     assert state.step == 1
@@ -304,69 +304,61 @@ def test_adam_first_step_moves_by_lr():
 
 def test_adam_constant_gradient_converges_on_quadratic():
     p = ad.parameter(np.array([5.0]))
-    state = ad.AdamState.for_params([p], lr=0.05)
+    state = ad.AdamState.for_params(p, lr=0.05)
     for _ in range(4000):
         g = 2.0 * p.values  # d/dp p^2
-        ad.adam_step([p], [g], state)
+        ad.adam_step(p, g, state)
     assert abs(p.values[0]) < 1e-3
 
 
 def test_adam_state_round_trips_through_dict():
     p = ad.parameter(np.array([1.0, -1.0]))
-    state = ad.AdamState.for_params([p], lr=0.01)
-    ad.adam_step([p], [np.array([0.3, -0.7])], state)
-    clone = ad.AdamState.from_dict(state.to_dict())
+    state = ad.AdamState.for_params(p, lr=0.01)
+    ad.adam_step(p, np.array([0.3, -0.7]), state)
+    clone = ad.AdamState.from_dict(state.to_dict([(1,), (1,)]))
     assert clone.step == state.step
-    np.testing.assert_array_equal(clone.m[0], state.m[0])
-    np.testing.assert_array_equal(clone.v[0], state.v[0])
+    np.testing.assert_array_equal(clone.m, state.m)
+    np.testing.assert_array_equal(clone.v, state.v)
 
     # both continue identically
     p2 = ad.parameter(p.values.copy())
     g = np.array([-0.2, 0.4])
-    ad.adam_step([p], [g], state)
-    ad.adam_step([p2], [g], clone)
+    ad.adam_step(p, g, state)
+    ad.adam_step(p2, g, clone)
     np.testing.assert_array_equal(p.values, p2.values)
 
 
-def test_adam_skips_missing_gradients():
-    p = ad.parameter(np.array([1.0]))
-    q = ad.parameter(np.array([2.0]))
-    state = ad.AdamState.for_params([p, q], lr=0.1)
-    ad.adam_step([p, q], [np.array([1.0]), None], state)
-    assert q.values[0] == 2.0
-    assert p.values[0] != 1.0
-
-
 def _check_adam_against_reference(shapes, seed, order="C"):
+    # one packed buffer against the reference stepping each of its views,
+    # held in `order`, on its own
     rng = np.random.default_rng(seed)
     special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150])
-    params = [
-        ad.parameter(np.asarray(rng.normal(size=shape), order=order))
-        for shape in shapes
-    ]
-    ref = [ad.parameter(p.values.copy()) for p in params]
-    state = ad.AdamState.for_params(params, lr=1e-2)
-    ref_state = ad.AdamState.for_params(ref, lr=1e-2)
+    flat = ad.parameter(ad.pack([rng.normal(size=shape) for shape in shapes]))
+    ref = [ad.parameter(np.asarray(v, order=order)) for v in ad.unpack(flat.values, shapes)]
+    size = flat.values.size
+    state = ad.AdamState.for_params(flat, lr=1e-2)
+    ref_state = ad.AdamState(
+        lr=1e-2, m=ad.unpack(np.zeros(size), shapes), v=ad.unpack(np.zeros(size), shapes)
+    )
     for step in range(50):
         grads = []
-        for i, shape in enumerate(shapes):
-            if (step + i) % 7 == 0:
-                grads.append(None)
-                continue
+        for shape in shapes:
             g = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape)
-            flat = g.reshape(-1)
-            picks = rng.integers(0, flat.size, size=2)
-            flat[picks] = rng.choice(special, size=2)
-            grads.append(g)
-        before = [None if g is None else g.tobytes() for g in grads]
-        ad.adam_step(params, grads, state)
-        assert [None if g is None else g.tobytes() for g in grads] == before
+            flat_g = g.reshape(-1)
+            picks = rng.integers(0, flat_g.size, size=2)
+            flat_g[picks] = rng.choice(special, size=2)
+            grads.append(np.asarray(g, order=order))
+        grad = ad.pack(grads)
+        before = grad.tobytes()
+        ad.adam_step(flat, grad, state)
+        assert grad.tobytes() == before
         reference_adam_step(ref, grads, ref_state)
         assert state.step == ref_state.step == step + 1
-        for i, (p, q) in enumerate(zip(params, ref)):
-            assert p.values.tobytes() == q.values.tobytes(), (step, i)
-            assert state.m[i].tobytes() == ref_state.m[i].tobytes(), (step, i)
-            assert state.v[i].tobytes() == ref_state.v[i].tobytes(), (step, i)
+        views = [ad.unpack(buf, shapes) for buf in (flat.values, state.m, state.v)]
+        for i, (p, m, v, q) in enumerate(zip(*views, ref)):
+            assert p.tobytes() == q.values.tobytes(), (step, i)
+            assert m.tobytes() == ref_state.m[i].tobytes(), (step, i)
+            assert v.tobytes() == ref_state.v[i].tobytes(), (step, i)
 
 
 def test_adam_step_matches_reference_bit_for_bit():
@@ -392,13 +384,13 @@ def test_adam_step_blocks_match_reference_bit_for_bit(shapes, order):
 def test_adam_step_scratch_stays_below_one_megabyte():
     # a 512x512 parameter is 2 MB; full-size scratch would peak at 4 MB
     rng = np.random.default_rng(14)
-    p = ad.parameter(rng.normal(size=(512, 512)))
-    g = rng.normal(size=(512, 512))
-    state = ad.AdamState.for_params([p], lr=1e-3)
-    ad.adam_step([p], [g], state)
+    p = ad.parameter(rng.normal(size=512 * 512))
+    g = rng.normal(size=512 * 512)
+    state = ad.AdamState.for_params(p, lr=1e-3)
+    ad.adam_step(p, g, state)
     tracemalloc.start()
     try:
-        ad.adam_step([p], [g], state)
+        ad.adam_step(p, g, state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -408,10 +400,10 @@ def test_adam_step_scratch_stays_below_one_megabyte():
 def test_adam_step_rejects_moments_shaped_unlike_their_parameter():
     p = ad.parameter(np.array([1.0, 2.0, 3.0]))
     for key, bad in (("m", np.zeros(1)), ("v", np.zeros((3, 1)))):
-        state = ad.AdamState.for_params([p], lr=0.1)
-        getattr(state, key)[0] = bad
+        state = ad.AdamState.for_params(p, lr=0.1)
+        setattr(state, key, bad)
         with pytest.raises(ShapeError):
-            ad.adam_step([p], [np.ones(3)], state)
+            ad.adam_step(p, np.ones(3), state)
         assert state.step == 0
         np.testing.assert_array_equal(p.values, [1.0, 2.0, 3.0])
 

@@ -240,8 +240,8 @@ def test_train_zero_epochs_equals_initialization(tmp_path):
     init = gat.init_model(
         6, 2, gat.GatConfig(hidden_dim=4, readout_activation="identity"), seed=1
     )
-    for name, tensor in model.named_parameters().items():
-        assert np.array_equal(tensor.values, init.named_parameters()[name].values)
+    for name, tensor in model.params.items():
+        assert np.array_equal(tensor.values, init.params[name].values)
 
 
 def test_train_resume_matches_uninterrupted_run(tmp_path):
@@ -898,3 +898,88 @@ def test_dataset_whose_manifest_names_rng_seed_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert str(manifest_path) in err and "rng_seed" in err
+
+
+def _doctor_best_checkpoint(run_dir, change):
+    best = run_dir / "checkpoint_best.json"
+    doc = json.loads(best.read_text())
+    change(doc)
+    best.write_text(json.dumps(doc))
+    return best
+
+
+def test_checkpoint_with_a_parameter_the_table_does_not_give_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+
+    def add_gat3(doc):
+        extra = dict(next(p for p in doc["params"] if p["name"] == "gat2.W"))
+        doc["params"].append({**extra, "name": "gat3.W"})
+
+    best = _doctor_best_checkpoint(run_dir, add_gat3)
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--config", cfg, "--out", str(tmp_path / "ev"),
+        "--dataset", str(data_dir / "dataset.jsonl"), "--checkpoint", str(best),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(best) in err and "gat3.W" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_checkpoint_whose_parameters_its_gat_section_does_not_shape_exits_2(
+    tmp_path, capsys
+):
+    # stamped hidden_dim 2 over parameters 4 wide, evaluated under a
+    # config that says 2 as well
+    _, run_dir = _gen_and_train(tmp_path, _write_cfg(tmp_path))
+    narrow = _write_cfg(tmp_path, name="h2.json", gat={"hidden_dim": 2})
+    data_dir = tmp_path / "data"
+    best = _doctor_best_checkpoint(run_dir, lambda doc: doc["gat"].update(hidden_dim=2))
+    capsys.readouterr()
+    code = cli.main([
+        "eval", "--config", narrow, "--out", str(tmp_path / "ev"),
+        "--dataset", str(data_dir / "dataset.jsonl"), "--checkpoint", str(best),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(best) in err and "gat1.W is shaped [4, 6]" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_checkpoint_last_is_laid_out_by_the_parameter_table(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    _, run_dir = _gen_and_train(tmp_path, cfg)
+    doc = json.loads((run_dir / "checkpoint_last.json").read_text())
+    table = gat.param_shapes(
+        6, 2, gat.GatConfig(hidden_dim=4, readout_activation="identity")
+    )
+    assert list(table) == ["gat1.W", "gat1.a", "gat2.W", "gat2.a", "readout.Q", "readout.B"]
+    assert [(p["name"], tuple(p["shape"])) for p in doc["params"]] == list(table.items())
+    for key in ("m", "v"):
+        assert [tuple(e["shape"]) for e in doc["adam"][key]] == list(table.values())
+
+
+@pytest.mark.parametrize(
+    "kind, grid, point",
+    [("lambda", "ratio=0", "ratio0"), ("bandwidth", "w=20;k=2", "w20")],
+    ids=["lambda", "bandwidth"],
+)
+def test_sweep_refuses_a_point_trained_under_another_config(
+    tmp_path, capsys, kind, grid, point
+):
+    out = tmp_path / "sw"
+    args = ["sweep", kind, "--out", str(out), "--grid", grid]
+    assert cli.main([*args, "--config", _sweep_cfg(tmp_path)]) == 0
+    written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    wider = _write_cfg(
+        tmp_path, name="wider.json", gat={"hidden_dim": 8},
+        train={"dataset_size": 4, "epochs": 3, "lr": 1e-3, "lambda1": 1.0, "lambda2": 0.1},
+        eval={"n_instances": 2},
+    )
+    capsys.readouterr()
+    assert cli.main([*args, "--config", wider]) == 2
+    assert str(out / point) in capsys.readouterr().err
+    # nothing trained or written: config.json still holds the first sweep's
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written

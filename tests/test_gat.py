@@ -19,7 +19,9 @@ from helpers import (
     attention_scores,
     attention_weights,
     check_grad,
+    model_over,
     reference_gat_layer,
+    shapes_of,
 )
 
 
@@ -59,10 +61,8 @@ def test_attention_scores_match_scalar_computation():
     h = ad.constant(np.array([[1.0, 2.0], [-0.5, 0.5]]))
     w = np.array([[0.3, -0.2], [0.1, 0.4], [-0.6, 0.2]])
     a = np.array([0.2, -0.1, 0.5, 0.3, 0.7, -0.4])
-    layer = gat.GatLayerParams(
-        w=ad.parameter(w), a=ad.parameter(a), negative_slope=0.2
-    )
-    scores = attention_scores(gat._transformed(h, layer), layer).values
+    w_t, a_t = ad.parameter(w), ad.parameter(a)
+    scores = attention_scores(gat._transformed(h, w_t), a_t, 0.2).values
     hw = h.values @ w.T
     for u in range(2):
         for v in range(2):
@@ -74,13 +74,9 @@ def test_attention_scores_match_scalar_computation():
 def test_zero_attention_vector_gives_uniform_weights():
     rng = np.random.default_rng(60)
     h = ad.constant(rng.normal(size=(5, 4)))
-    layer = gat.GatLayerParams(
-        w=ad.parameter(rng.normal(size=(3, 4))),
-        a=ad.parameter(np.zeros(6)),
-        negative_slope=0.2,
-    )
+    w, a = ad.parameter(rng.normal(size=(3, 4))), ad.parameter(np.zeros(6))
     adj = _random_adjacency(5, rng)
-    att = attention_weights(gat._transformed(h, layer), adj, layer).values
+    att = attention_weights(gat._transformed(h, w), adj, a, 0.2).values
     for u in range(5):
         deg = adj[u].sum()
         np.testing.assert_allclose(att[u][adj[u] == 1], 1.0 / deg, rtol=1e-12)
@@ -90,13 +86,9 @@ def test_zero_attention_vector_gives_uniform_weights():
 def test_single_node_attends_only_to_itself():
     rng = np.random.default_rng(61)
     h = ad.constant(rng.normal(size=(1, 4)))
-    layer = gat.GatLayerParams(
-        w=ad.parameter(rng.normal(size=(3, 4))),
-        a=ad.parameter(rng.normal(size=6)),
-        negative_slope=0.2,
-    )
+    w, a = ad.parameter(rng.normal(size=(3, 4))), ad.parameter(rng.normal(size=6))
     att = attention_weights(
-        gat._transformed(h, layer), np.ones((1, 1)), layer
+        gat._transformed(h, w), np.ones((1, 1)), a, 0.2
     ).values
     assert att[0, 0] == pytest.approx(1.0, abs=1e-15)
 
@@ -105,10 +97,10 @@ def test_uniform_attention_layer_averages_features():
     # zero scorer, two mutually connected nodes: output is the projected mean
     x = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
     w = np.array([[0.2, 0.1, -0.3], [0.5, -0.4, 0.6]])
-    layer = gat.GatLayerParams(
-        w=ad.parameter(w), a=ad.parameter(np.zeros(4)), negative_slope=0.2
-    )
-    out = gat.gat_layer(ad.constant(x), np.ones((2, 2)), layer, "relu").values
+    out = gat.gat_layer(
+        ad.constant(x), np.ones((2, 2)), ad.parameter(w), ad.parameter(np.zeros(4)),
+        0.2, "relu",
+    ).values
     expected = np.maximum((x @ w.T).mean(axis=0), 0.0)
     np.testing.assert_allclose(out[0], expected, rtol=1e-12)
     np.testing.assert_allclose(out[1], expected, rtol=1e-12)
@@ -142,10 +134,9 @@ def test_layer_matches_per_node_loop():
         w = rng.normal(size=(d_out, d_in))
         a = rng.normal(size=2 * d_out)
         adj = _random_adjacency(k, rng)
-        layer = gat.GatLayerParams(
-            w=ad.parameter(w), a=ad.parameter(a), negative_slope=0.2
-        )
-        fast = gat.gat_layer(ad.constant(h), adj, layer, "relu").values
+        fast = gat.gat_layer(
+            ad.constant(h), adj, ad.parameter(w), ad.parameter(a), 0.2, "relu"
+        ).values
         slow = _naive_layer(h, adj, w, a, 0.2, "relu")
         np.testing.assert_allclose(fast, slow, atol=1e-10, err_msg=f"trial {trial}")
 
@@ -155,13 +146,9 @@ def test_attention_rows_sum_to_one_and_mask_is_exact():
     for _ in range(20):
         k = int(rng.integers(2, 9))
         h = ad.constant(rng.normal(size=(k, 5)))
-        layer = gat.GatLayerParams(
-            w=ad.parameter(rng.normal(size=(4, 5))),
-            a=ad.parameter(rng.normal(size=8)),
-            negative_slope=0.2,
-        )
+        w, a = ad.parameter(rng.normal(size=(4, 5))), ad.parameter(rng.normal(size=8))
         adj = _random_adjacency(k, rng, p=0.3)
-        att = attention_weights(gat._transformed(h, layer), adj, layer).values
+        att = attention_weights(gat._transformed(h, w), adj, a, 0.2).values
         np.testing.assert_allclose(att.sum(axis=1), np.ones(k), atol=1e-12)
         assert np.all(att[adj == 0] == 0.0)
 
@@ -169,8 +156,8 @@ def test_attention_rows_sum_to_one_and_mask_is_exact():
 def test_readout_uniform_for_zero_parameters():
     rng = np.random.default_rng(64)
     model = _model(6, 4, hidden=5)
-    model.readout_q.values[:] = 0.0
-    model.readout_b.values[:] = 0.0
+    model.params["readout.Q"].values[:] = 0.0
+    model.params["readout.B"].values[:] = 0.0
     h = ad.constant(rng.normal(size=(3, 5)))
     s = gat.readout(h, model).values
     np.testing.assert_allclose(s, np.full((3, 4), 0.25), atol=1e-12)
@@ -178,8 +165,8 @@ def test_readout_uniform_for_zero_parameters():
 
 def test_readout_concentrates_on_dominant_logit():
     model = _model(6, 3, hidden=1, readout_activation="identity")
-    model.readout_q.values[:] = np.array([[10.0, 0.0, 0.0]])
-    model.readout_b.values[:] = 0.0
+    model.params["readout.Q"].values[:] = np.array([[10.0, 0.0, 0.0]])
+    model.params["readout.B"].values[:] = 0.0
     s = gat.readout(ad.constant(np.array([[1.0]])), model).values
     assert s[0, 0] > 0.9999
     assert s[0].sum() == pytest.approx(1.0, abs=1e-12)
@@ -191,9 +178,10 @@ def test_forward_composes_public_ops():
     model = _model(6, 2, hidden=5, seed=3)
     s = gat.forward(g, model).values
 
+    p = model.params
     h0 = ad.constant(g.features)
-    h1 = gat.gat_layer(h0, g.adjacency, model.layer1, "relu")
-    h2 = gat.gat_layer(h1, g.adjacency, model.layer2, "relu")
+    h1 = gat.gat_layer(h0, g.adjacency, p["gat1.W"], p["gat1.a"], 0.2, "relu")
+    h2 = gat.gat_layer(h1, g.adjacency, p["gat2.W"], p["gat2.a"], 0.2, "relu")
     manual = gat.readout(h2, model).values
     np.testing.assert_allclose(s, manual, atol=1e-12)
 
@@ -205,13 +193,13 @@ def test_forward_transforms_each_layer_once(monkeypatch):
     calls = []
     transformed = gat._transformed
 
-    def counting(h, layer):
-        calls.append(layer)
-        return transformed(h, layer)
+    def counting(h, w):
+        calls.append(w)
+        return transformed(h, w)
 
     monkeypatch.setattr(gat, "_transformed", counting)
     gat.forward(g, model)
-    assert calls == [model.layer1, model.layer2]
+    assert calls == [model.params["gat1.W"], model.params["gat2.W"]]
 
 
 def test_shared_transform_matches_two_transform_layer():
@@ -224,14 +212,17 @@ def test_shared_transform_matches_two_transform_layer():
         twice = _model(9, 3, hidden=16, seed=trial)
         s = gat.forward(g, shared)
         h = ad.constant(g.features)
-        for layer in (twice.layer1, twice.layer2):
-            h = reference_gat_layer(h, g.adjacency, layer, "relu")
+        for layer in ("gat1", "gat2"):
+            h = reference_gat_layer(
+                h, g.adjacency, twice.params[f"{layer}.W"], twice.params[f"{layer}.a"],
+                0.2, "relu",
+            )
         s_ref = gat.readout(h, twice)
         assert s.values.tobytes() == s_ref.values.tobytes()
         probe = ad.constant(rng.normal(size=s.shape))
         ad.backward(ad.sum_all(ad.multiply(s, probe)))
         ad.backward(ad.sum_all(ad.multiply(s_ref, probe)))
-        for p, q in zip(shared.parameters(), twice.parameters()):
+        for p, q in zip(shared.params.values(), twice.params.values()):
             scale = np.abs(q.grad).max()
             np.testing.assert_allclose(p.grad, q.grad, rtol=1e-9, atol=1e-12 * scale)
 
@@ -282,15 +273,11 @@ def test_locality_one_layer_exact():
     for i in range(k - 1):
         path[i, i + 1] = path[i + 1, i] = 1.0
     h = rng.normal(size=(k, 4))
-    layer = gat.GatLayerParams(
-        w=ad.parameter(rng.normal(size=(3, 4))),
-        a=ad.parameter(rng.normal(size=6)),
-        negative_slope=0.2,
-    )
-    base = gat.gat_layer(ad.constant(h), path, layer, "relu").values
+    w, a = ad.parameter(rng.normal(size=(3, 4))), ad.parameter(rng.normal(size=6))
+    base = gat.gat_layer(ad.constant(h), path, w, a, 0.2, "relu").values
     tweaked = h.copy()
     tweaked[2] += 10.0  # node 2 is outside the neighborhood of node 0
-    out = gat.gat_layer(ad.constant(tweaked), path, layer, "relu").values
+    out = gat.gat_layer(ad.constant(tweaked), path, w, a, 0.2, "relu").values
     assert np.array_equal(out[0], base[0])
     assert not np.array_equal(out[1], base[1])  # node 1 does see node 2
 
@@ -338,18 +325,10 @@ def test_end_to_end_gradients_match_finite_differences():
     g = _instance(k, n, rng)
     template = _model(3 * n, n, hidden=hidden, seed=5)
     weights = rng.normal(size=(k, n))  # random linear probe of S
-    arrays = [t.values.copy() for t in template.parameters()]
+    arrays = [t.values.copy() for t in template.params.values()]
 
     def build(params):
-        model = gat.GatModel(
-            layer1=gat.GatLayerParams(params[0], params[1], 0.2),
-            layer2=gat.GatLayerParams(params[2], params[3], 0.2),
-            readout_q=params[4],
-            readout_b=params[5],
-            config=template.config,
-            feat_dim=template.feat_dim,
-            n_cells=template.n_cells,
-        )
+        model = model_over(params, template.config, template.feat_dim, template.n_cells)
         return ad.sum_all(ad.multiply(gat.forward(g, model), ad.constant(weights)))
 
     check_grad(build, arrays, rtol=2e-4)
@@ -363,7 +342,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.json"
     gat.save_checkpoint(path, model, extra)
     loaded, leftover = gat.load_checkpoint(path)
-    for orig, new in zip(model.parameters(), loaded.parameters()):
+    for orig, new in zip(model.params.values(), loaded.params.values()):
         np.testing.assert_array_equal(orig.values, new.values)
     assert leftover["note"] == 7
     assert leftover["norm"]["std"] == [1.0] * 9
@@ -377,7 +356,7 @@ def _json_dump_bytes(model, extra, path):
     doc = {
         "params": [
             {"name": name, **encode_array(t.values)}
-            for name, t in model.named_parameters().items()
+            for name, t in model.params.items()
         ],
         "gat": {**model.config.to_dict(), "feat_dim": model.feat_dim,
                 "n_cells": model.n_cells},
@@ -390,9 +369,9 @@ def _json_dump_bytes(model, extra, path):
 
 
 def _trained_adam(model, seed):
-    state = ad.AdamState.for_params(model.parameters(), lr=1e-3)
+    state = ad.AdamState.for_params(model.flat, lr=1e-3)
     rng = np.random.default_rng(seed)
-    for buf in state.m + state.v:
+    for buf in (state.m, state.v):
         buf[...] = rng.normal(size=buf.shape) ** 2
     state.step = 11
     return state
@@ -405,17 +384,18 @@ def test_saved_checkpoints_are_the_bytes_of_json_dump(tmp_path):
     common = {"config_digest": "ab12", "norm_stats": {"mean": [0.5, -0.0], "std": [1.0, 2.0]}}
     history = [[0, 1.25, float("nan")], [1, 0.75, float("inf")]]
     gat.save_checkpoint(tmp_path / "last.json", model, {
-        **common, "epoch": 2, "adam": state.to_dict(deferred=True), "history": history,
+        **common, "epoch": 2, "adam": state.to_dict(shapes_of(model), deferred=True),
+        "history": history,
     })
     assert (tmp_path / "last.json").read_bytes() == _json_dump_bytes(
-        model, {**common, "epoch": 2, "adam": state.to_dict(), "history": history},
+        model, {**common, "epoch": 2, "adam": state.to_dict(shapes_of(model)), "history": history},
         tmp_path / "last_ref.json",
     )
     # best: parameters that hold every special value; gat2.W (96 x 96)
     # spans more than one of the writer's chunks
     best = _model(9, 3, hidden=96, seed=6)
     specials = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308]
-    for p in best.parameters():
+    for p in best.params.values():
         p.values.reshape(-1)[: len(specials)] = specials[: p.values.size]
     gat.save_checkpoint(tmp_path / "best.json", best, {**common, "epoch": 1})
     assert (tmp_path / "best.json").read_bytes() == _json_dump_bytes(
@@ -426,11 +406,13 @@ def test_saved_checkpoints_are_the_bytes_of_json_dump(tmp_path):
 
 
 def test_adam_to_dict_stays_json_text_and_round_trips():
-    state = _trained_adam(_model(9, 3, hidden=5, seed=8), 2)
-    text = json.dumps(state.to_dict())
-    for back in (ad.AdamState.from_dict(state.to_dict()), ad.AdamState.from_dict(json.loads(text))):
+    model = _model(9, 3, hidden=5, seed=8)
+    state = _trained_adam(model, 2)
+    text = json.dumps(state.to_dict(shapes_of(model)))
+    for back in (ad.AdamState.from_dict(state.to_dict(shapes_of(model))),
+                 ad.AdamState.from_dict(json.loads(text))):
         assert back.step == state.step and back.lr == state.lr
-        for got, want in zip(back.m + back.v, state.m + state.v):
+        for got, want in zip((back.m, back.v), (state.m, state.v)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -443,7 +425,9 @@ def test_saving_a_paper_size_checkpoint_holds_no_copy_of_its_text(tmp_path):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        gat.save_checkpoint(path, model, {"epoch": 1, "adam": state.to_dict(deferred=True)})
+        gat.save_checkpoint(
+            path, model, {"epoch": 1, "adam": state.to_dict(shapes_of(model), deferred=True)}
+        )
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -465,15 +449,36 @@ def test_checkpoint_missing_param_rejected(tmp_path):
         gat.load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "doctor, named",
+    [
+        (lambda doc: doc["params"].append({**doc["params"][2], "name": "gat3.W"}), "gat3.W"),
+        (lambda doc: doc["gat"].update(hidden_dim=2), "gat1.W is shaped [3, 6]"),
+        (lambda doc: doc["params"].insert(0, dict(doc["params"][0])), "gat1.W 2 times"),
+        (lambda doc: doc["gat"].update(hidden_dim=3.0), "unreadable"),
+    ],
+    ids=["unknown-name", "other-shape", "duplicate-name", "non-integer-size"],
+)
+def test_checkpoint_params_are_checked_against_the_table(tmp_path, doctor, named):
+    path = tmp_path / "model.json"
+    gat.save_checkpoint(path, _model(6, 2, hidden=3))
+    doc = json.loads(path.read_text())
+    doctor(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as refused:
+        gat.load_checkpoint(path)
+    assert str(path) in str(refused.value) and named in str(refused.value)
+
+
 def test_init_is_seed_deterministic():
     a = _model(6, 2, hidden=4, seed=42)
     b = _model(6, 2, hidden=4, seed=42)
     c = _model(6, 2, hidden=4, seed=43)
-    for ta, tb in zip(a.parameters(), b.parameters()):
+    for ta, tb in zip(a.params.values(), b.params.values()):
         np.testing.assert_array_equal(ta.values, tb.values)
     assert any(
         not np.array_equal(ta.values, tc.values)
-        for ta, tc in zip(a.parameters(), c.parameters())
+        for ta, tc in zip(a.params.values(), c.params.values())
     )
 
 
@@ -485,31 +490,9 @@ def test_init_model_packs_every_parameter():
     model = _model(9, 3, hidden=5, seed=2)
     assert_packed(model)
     assert model.flat.values.size == 5 * 9 + 10 + 5 * 5 + 10 + 5 * 3 + 3
-    assert [p.shape for p in model.parameters()] == [
+    assert [p.shape for p in model.params.values()] == [
         (5, 9), (10,), (5, 5), (10,), (5, 3), (3,)
     ]
-
-
-def test_model_from_explicit_layer_params_is_packed():
-    rng = np.random.default_rng(76)
-    arrays = [rng.normal(size=s) for s in [(4, 6), (8,), (4, 4), (8,), (4, 2), (2,)]]
-    originals = [a.copy() for a in arrays]
-    p = [ad.parameter(a) for a in arrays]
-    model = gat.GatModel(
-        layer1=gat.GatLayerParams(p[0], p[1], 0.1),
-        layer2=gat.GatLayerParams(p[2], p[3], 0.3),
-        readout_q=p[4],
-        readout_b=p[5],
-        config=gat.GatConfig(hidden_dim=4),
-        feat_dim=6,
-        n_cells=2,
-    )
-    assert_packed(model)
-    assert model.parameters() == p  # the same tensors, now views
-    for tensor, original in zip(p, originals):
-        assert tensor.values.tobytes() == original.tobytes()
-    arrays[0][:] = 0.0  # the caller's arrays were copied, not adopted
-    assert model.layer1.w.values.tobytes() == originals[0].tobytes()
 
 
 def test_load_checkpoint_packs_every_parameter(tmp_path):
@@ -537,8 +520,8 @@ def test_load_checkpoint_decodes_into_the_packed_buffer(tmp_path, monkeypatch):
         for e in doc["params"]:
             raw = base64.b64decode(e["b64"], validate=True)
             arrays[e["name"]] = np.frombuffer(raw, e["dtype"]).reshape(e["shape"]).astype("=f8")
-        return gat._assemble([arrays[n] for n in gat.PARAM_NAMES],
-                             model.config, 21, 7)
+        return gat.GatModel(model.config, 21, 7,
+                            ad.Tensor(ad.pack([arrays[n] for n in model.params])))
 
     def peak(load):
         tracemalloc.start()
@@ -562,18 +545,18 @@ def test_backward_writes_gradients_into_the_gradient_buffer():
     g = _instance(6, 3, rng)
     model = _model(9, 3, hidden=5, seed=6)
     twin = _model(9, 3, hidden=5, seed=6)  # same values, no slots
-    buffer = ad.attach_grad_slots(model.parameters())
+    buffer = ad.attach_grad_slots(list(model.params.values()))
     probe = ad.constant(rng.normal(size=(6, 3)))
     for m in (model, twin):
         ad.backward(ad.sum_all(ad.multiply(gat.forward(g, m), probe)))
     assert_packed(model, buffer)
     assert_packed(twin)
-    grads = [p.grad for p in twin.parameters()]
+    grads = [p.grad for p in twin.params.values()]
     assert buffer.tobytes() == ad.pack(grads).tobytes()
     for m in (model, twin):  # a second pass overwrites the slots
-        ad.zero_grad(m.parameters())
+        ad.zero_grad(m.params.values())
         ad.backward(ad.sum_all(ad.multiply(gat.forward(g, m), ad.scale(probe, 2.0))))
-    assert buffer.tobytes() == ad.pack([p.grad for p in twin.parameters()]).tobytes()
+    assert buffer.tobytes() == ad.pack([p.grad for p in twin.params.values()]).tobytes()
 
 
 def test_adam_update_of_the_buffer_is_visible_through_forward():
@@ -581,13 +564,13 @@ def test_adam_update_of_the_buffer_is_visible_through_forward():
     g = _instance(5, 3, rng)
     model = _model(9, 3, hidden=4, seed=7)
     before = gat.forward(g, model).values
-    state = ad.AdamState(lr=1e-2, m=[np.zeros(model.flat.values.size)],
-                         v=[np.zeros(model.flat.values.size)])
-    ad.adam_step([model.flat], [rng.normal(size=model.flat.values.size)], state)
+    state = ad.AdamState(lr=1e-2, m=np.zeros(model.flat.values.size),
+                         v=np.zeros(model.flat.values.size))
+    ad.adam_step(model.flat, rng.normal(size=model.flat.values.size), state)
     after = gat.forward(g, model).values
     assert not np.array_equal(after, before)
-    rebuilt = gat._assemble(
-        [p.values.copy() for p in model.parameters()],
+    rebuilt = gat.GatModel(
         model.config, model.feat_dim, model.n_cells,
+        ad.Tensor(ad.pack([p.values for p in model.params.values()])),
     )
     assert gat.forward(g, rebuilt).values.tobytes() == after.tobytes()

@@ -17,7 +17,9 @@ from helpers import (
     assert_packed,
     check_grad,
     reference_adam_step,
+    reference_adam_step_over,
     reference_transformed,
+    shapes_of,
 )
 
 DEFAULTS = PowerParams()
@@ -167,7 +169,7 @@ def test_zero_epochs_returns_initialization():
     gcfg = gat.GatConfig(hidden_dim=4)
     res = tr.train(graphs, tc, tr.LossConfig(), DEFAULTS, seed=11, gat_cfg=gcfg)
     fresh = gat.init_model(graphs[0].features.shape[1], 2, gcfg, 11)
-    for got, want in zip(res.model.parameters(), fresh.parameters()):
+    for got, want in zip(res.model.params.values(), fresh.params.values()):
         np.testing.assert_array_equal(got.values, want.values)
     assert res.history == []
 
@@ -183,7 +185,7 @@ def test_training_is_deterministic():
     a = tr.train(graphs, **kw)
     b = tr.train(graphs, **kw)
     assert a.history == b.history
-    for p, q in zip(a.model.parameters(), b.model.parameters()):
+    for p, q in zip(a.model.params.values(), b.model.params.values()):
         np.testing.assert_array_equal(p.values, q.values)
 
 
@@ -248,8 +250,8 @@ def test_gradient_reaches_every_parameter_group():
     res = tr.train(
         [g], tc, tr.LossConfig(), DEFAULTS, seed=8, gat_cfg=gcfg, test=[],
     )
-    for name, before, after in zip(
-        gat.PARAM_NAMES, fresh.parameters(), res.model.parameters()
+    for (name, before), after in zip(
+        fresh.params.items(), res.model.params.values()
     ):
         assert np.abs(after.values - before.values).max() > 0.0, name
 
@@ -271,7 +273,7 @@ def test_resume_matches_uninterrupted_run():
         model=half.model, adam_state=half.adam_state, start_epoch=3,
     )
     assert half.history + resumed.history == full.history
-    for p, q in zip(resumed.model.parameters(), full.model.parameters()):
+    for p, q in zip(resumed.model.params.values(), full.model.params.values()):
         np.testing.assert_array_equal(p.values, q.values)
 
 
@@ -288,8 +290,9 @@ def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
     )
     shipped = tr.train(graphs[:5], **kw)
     assert len({row[1] for row in shipped.history}) == 4  # the model does learn
+    shapes = [p.shape for p in shipped.model.params.values()]
     monkeypatch.setattr(gat, "_transformed", reference_transformed)
-    monkeypatch.setattr(ad, "adam_step", reference_adam_step)
+    monkeypatch.setattr(ad, "adam_step", reference_adam_step_over(shapes))
     reference = tr.train(graphs[:5], **kw)
 
     assert np.array(shipped.history).tobytes() == np.array(reference.history).tobytes()
@@ -298,12 +301,12 @@ def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
         (shipped.model, reference.model),
         (shipped.best_model, reference.best_model),
     ):
-        for p, q in zip(ours.parameters(), theirs.parameters()):
+        for p, q in zip(ours.params.values(), theirs.params.values()):
             assert p.values.tobytes() == q.values.tobytes()
     a, b = shipped.adam_state, reference.adam_state
     assert a.step == b.step == 4 * 5
     for key in ("m", "v"):
-        for x, y in zip(getattr(a, key), getattr(b, key)):
+        for x, y in zip(ad.unpack(getattr(a, key), shapes), ad.unpack(getattr(b, key), shapes)):
             assert x.tobytes() == y.tobytes()
 
 
@@ -317,7 +320,7 @@ def _run_and_resume(graphs, gcfg, tmp_path, tag):
     half = tr.train(graphs[:8], tr.TrainConfig(dataset_size=10, epochs=2, lr=1e-3,
                                                shuffle_seed=5), gat_cfg=gcfg, **kw)
     path = tmp_path / f"{tag}.json"
-    gat.save_checkpoint(path, half.model, {"adam": half.adam_state.to_dict()})
+    gat.save_checkpoint(path, half.model, {"adam": half.adam_state.to_dict(shapes_of(half.model))})
     loaded, leftover = gat.load_checkpoint(path)
     resumed = tr.train(
         graphs[:8], tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3, shuffle_seed=5),
@@ -335,7 +338,8 @@ def _fingerprint(res):
         res.model.flat.values.tobytes(),
         res.best_model.flat.values.tobytes(),
         adam.step,
-        [x.tobytes() for x in adam.m + adam.v],
+        adam.m.tobytes(),
+        adam.v.tobytes(),
     )
 
 
@@ -384,39 +388,28 @@ def test_resumed_adam_moments_are_trained_in_their_decoded_buffer():
     tc = tr.TrainConfig(dataset_size=3, epochs=1, lr=1e-2)
     res = tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=2,
                    gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
-    adam = ad.AdamState.from_dict(res.adam_state.to_dict())
-    decoded_m, decoded_v = adam.m[0].base, adam.v[0].base
+    adam = ad.AdamState.from_dict(res.adam_state.to_dict(shapes_of(res.model)))
+    decoded_m, decoded_v = adam.m, adam.v
     tc2 = tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2)
     tr.train(graphs[:2], tc2, tr.LossConfig(), DEFAULTS, seed=2, model=res.model,
              adam_state=adam, start_epoch=1, test=graphs[2:])
-    assert adam.m[0].base is decoded_m and adam.v[0].base is decoded_v
+    assert adam.m is decoded_m and adam.v is decoded_v
     assert adam.step == 4
-    # moments that are not one buffer's views in order are packed into a copy
-    separate = ad.AdamState.for_params(res.model.parameters()).m
-    swapped = [adam.m[1], adam.m[0], *adam.m[2:]]
-    for moments in (separate, swapped):
-        packed = tr._packed(moments, [m.shape for m in moments])
-        assert not any(np.shares_memory(packed, m) for m in moments)
 
 
 def test_clone_copies_the_buffer_and_keeps_the_layers():
     rng = np.random.default_rng(79)
-    p = [ad.parameter(rng.normal(size=s))
-         for s in [(4, 6), (8,), (4, 4), (8,), (4, 2), (2,)]]
+    arrays = [rng.normal(size=s) for s in [(4, 6), (8,), (4, 4), (8,), (4, 2), (2,)]]
     model = gat.GatModel(
-        layer1=gat.GatLayerParams(p[0], p[1], 0.1),
-        layer2=gat.GatLayerParams(p[2], p[3], 0.3),
-        readout_q=p[4],
-        readout_b=p[5],
         config=gat.GatConfig(hidden_dim=4),
         feat_dim=6,
         n_cells=2,
+        flat=ad.Tensor(ad.pack(arrays)),
     )
     twin = tr.clone_model(model)
     assert_packed(twin)
     assert twin.flat.values.tobytes() == model.flat.values.tobytes()
     assert not np.shares_memory(twin.flat.values, model.flat.values)
-    assert (twin.layer1.negative_slope, twin.layer2.negative_slope) == (0.1, 0.3)
     assert (twin.config, twin.feat_dim, twin.n_cells) == (model.config, 6, 2)
 
 
@@ -434,7 +427,7 @@ def test_training_and_resume_keep_every_parameter_packed(tmp_path):
 
     # a resume from the saved checkpoint, as `train --checkpoint` does it
     path = tmp_path / "checkpoint.json"
-    gat.save_checkpoint(path, res.model, {"adam": res.adam_state.to_dict()})
+    gat.save_checkpoint(path, res.model, {"adam": res.adam_state.to_dict(shapes_of(res.model))})
     loaded, leftover = gat.load_checkpoint(path)
     adam = ad.AdamState.from_dict(leftover["adam"])
     tc2 = tr.TrainConfig(dataset_size=4, epochs=2, lr=1e-2, shuffle_seed=2)
@@ -460,12 +453,16 @@ def test_training_matches_per_parameter_reference_adam_bit_for_bit(monkeypatch):
     assert len({row[1] for row in shipped.history}) == 4  # the model does learn
 
     model = gat.init_model(feat_dim, 2, gcfg, 3)
-    ref_state = ad.AdamState.for_params(model.parameters(), lr=tc.lr)
+    shapes = shapes_of(model)
+    size = model.flat.values.size
+    ref_state = ad.AdamState(
+        lr=tc.lr, m=ad.unpack(np.zeros(size), shapes), v=ad.unpack(np.zeros(size), shapes)
+    )
 
-    def per_parameter(params, grads, state):
-        assert params == [model.flat]
-        assert_packed(model, grads[0])
-        named = model.parameters()
+    def per_parameter(param, grad, state):
+        assert param is model.flat
+        assert_packed(model, grad)
+        named = list(model.params.values())
         reference_adam_step(named, [p.grad for p in named], ref_state)
         state.step += 1
 
@@ -478,11 +475,12 @@ def test_training_matches_per_parameter_reference_adam_bit_for_bit(monkeypatch):
         (shipped.model, reference.model),
         (shipped.best_model, reference.best_model),
     ):
-        for p, q in zip(ours.parameters(), theirs.parameters()):
+        for p, q in zip(ours.params.values(), theirs.params.values()):
             assert p.values.tobytes() == q.values.tobytes()
     assert shipped.adam_state.step == ref_state.step == 4 * 5
     for key in ("m", "v"):
-        for x, y in zip(getattr(shipped.adam_state, key), getattr(ref_state, key)):
+        for x, y in zip(ad.unpack(getattr(shipped.adam_state, key), shapes),
+                        getattr(ref_state, key)):
             assert x.tobytes() == y.tobytes()
 
 
@@ -495,7 +493,7 @@ def test_a_parameter_without_gradient_is_refused(monkeypatch):
     before = model.flat.values.copy()
 
     def readout_without_bias(h_final, model):
-        logits = ad.relu(ad.matmul(h_final, model.readout_q))
+        logits = ad.relu(ad.matmul(h_final, model.params["readout.Q"]))
         k = h_final.shape[0]
         return ad.row_softmax_masked(logits, np.ones((k, model.n_cells)))
 
@@ -508,12 +506,12 @@ def test_a_parameter_without_gradient_is_refused(monkeypatch):
 
 
 def test_adam_moments_shaped_unlike_their_parameters_are_refused():
-    # same element count, another shape: packing would hide the mismatch
+    # same element count, another shape
     cfg = _tiny_cfg(n_ues=4)
     graphs = _graphs(cfg, 3)
     model = gat.init_model(graphs[0].features.shape[1], 2, gat.GatConfig(hidden_dim=4), 1)
-    state = ad.AdamState.for_params(model.parameters())
-    state.v[0] = state.v[0].reshape(state.v[0].shape[::-1])
+    state = ad.AdamState.for_params(model.flat)
+    state.v = state.v.reshape(1, -1)
     tc = tr.TrainConfig(dataset_size=3, epochs=1)
     with pytest.raises(ShapeError, match="adam.v"):
         tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=1,
@@ -527,10 +525,11 @@ def test_checkpoint_with_adam_state_save_load_save_is_byte_identical(tmp_path):
     res = tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=2,
                    gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    gat.save_checkpoint(first, res.model, {"adam": res.adam_state.to_dict(), "epoch": 2})
+    shapes = shapes_of(res.model)
+    gat.save_checkpoint(first, res.model, {"adam": res.adam_state.to_dict(shapes), "epoch": 2})
     loaded, leftover = gat.load_checkpoint(first)
     adam = ad.AdamState.from_dict(leftover["adam"])
-    gat.save_checkpoint(second, loaded, {"adam": adam.to_dict(), "epoch": 2})
+    gat.save_checkpoint(second, loaded, {"adam": adam.to_dict(shapes), "epoch": 2})
     assert first.read_bytes() == second.read_bytes()
 
 
