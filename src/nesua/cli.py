@@ -18,7 +18,7 @@ import sys
 from . import autodiff as ad
 from . import gat as gat_mod
 from .baselines import associate_ga_subsinr, associate_oracle, associate_rsrp
-from .config import RunConfig, load_config, write_config
+from .config import RunConfig, load_config, require_same, write_config
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -56,10 +56,6 @@ EXIT_NUMERIC = 4
 # sweep evaluation scenarios draw seeds from a range disjoint from training
 EVAL_SEED_OFFSET = 1_000_000
 
-# run config sections that define the training objective; checkpoint_last
-# stamps them, and a resume must run under the same ones
-OBJECTIVE_SECTIONS = ("loss", "power")
-
 
 def _samples(cfg: RunConfig):
     """The training scenarios of cfg, each with its graph, in seed order."""
@@ -77,11 +73,9 @@ def _write_dataset(cfg: RunConfig, out_dir, samples) -> tuple[str, int]:
     records = [to_record(p.scenario, p.graph, config_digest=digest) for p in samples]
     dataset_path = os.path.join(out_dir, "dataset.jsonl")
     write_jsonl(dataset_path, records)
-    manifest_cfg = cfg.to_dict()
-    manifest_cfg.pop("out_dir", None)  # placement, not data
     manifest = {
-        "config": manifest_cfg,
-        "config_digest": cfg.digest(),
+        "config": cfg.stamp(),
+        "config_digest": digest,
         "seed": cfg.seed,
         "count": len(records),
     }
@@ -98,35 +92,28 @@ def cmd_gen(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _differing(found: dict, wanted: dict) -> str:
-    """'key found vs wanted' for every key on which two sections differ."""
-    return ", ".join(
-        f"{key} {found.get(key)!r} vs {wanted.get(key)!r}"
-        for key in sorted(set(found) | set(wanted))
-        if found.get(key) != wanted.get(key)
+def _architectures(model, cfg: RunConfig, pairs) -> tuple[dict, dict]:
+    """The model's architecture and the one the run config and its dataset
+    call for, as stamps: a `gat` section with the cell count and the
+    feature width."""
+    return (
+        {"gat": {**model.config.to_dict(), "n_cells": model.n_cells,
+                 "feat_dim": model.feat_dim}},
+        {"gat": {**cfg.gat.to_dict(), "n_cells": cfg.scenario.n_cells,
+                 "feat_dim": pairs[0].graph.features.shape[1]}},
     )
 
 
-def _check_architecture(model, checkpoint, cfg: RunConfig, pairs, config_path):
-    """Refuse a checkpoint whose `gat` section is not the run config's, or
-    that was built for another cell count or another feature width than
-    the run config's scenario and its dataset."""
-    found = {
-        **model.config.to_dict(),
-        "n_cells": model.n_cells,
-        "feat_dim": model.feat_dim,
-    }
-    wanted = {
-        **cfg.gat.to_dict(),
-        "n_cells": cfg.scenario.n_cells,
-        "feat_dim": pairs[0].graph.features.shape[1],
-    }
-    if found != wanted:
-        raise ConfigError(
-            f"checkpoint {checkpoint} was trained for another architecture: "
-            f"it and {config_path or 'the default config'} with its dataset "
-            f"differ in {_differing(found, wanted)}"
-        )
+def _resumable(stamp: dict) -> dict:
+    """A stamp without what a resume may change: `train.epochs`, the epoch
+    to train to, and the `eval` section, which training does not read. A
+    stamp that is not an object keeps nothing."""
+    if not isinstance(stamp, dict):
+        return {}
+    doc = {name: value for name, value in stamp.items() if name != "eval"}
+    if isinstance(doc.get("train"), dict):
+        doc["train"] = {k: v for k, v in doc["train"].items() if k != "epochs"}
+    return doc
 
 
 def _check_moments(adam_doc: dict, model, checkpoint):
@@ -146,44 +133,6 @@ def _check_moments(adam_doc: dict, model, checkpoint):
         )
 
 
-def _check_optimizer(adam: ad.AdamState, checkpoint, cfg: RunConfig, config_path):
-    """Refuse to resume under Adam settings other than the checkpoint's:
-    the run would keep the checkpoint's, while `history.csv` records the
-    run config's `lr`."""
-    keys = ("lr", "beta1", "beta2")
-    found = {key: getattr(adam, key) for key in keys}
-    wanted = {key: getattr(cfg.train, key) for key in keys}
-    if found != wanted:
-        raise ConfigError(
-            f"checkpoint {checkpoint} was trained with other optimizer settings: "
-            f"it and {config_path or 'the default config'} differ in "
-            f"{_differing(found, wanted)}"
-        )
-
-
-def _objective(cfg: RunConfig) -> dict:
-    """The run config's `OBJECTIVE_SECTIONS`, as checkpoint_last stamps them."""
-    return {name: dataclasses.asdict(getattr(cfg, name)) for name in OBJECTIVE_SECTIONS}
-
-
-def _check_objective(leftover: dict, checkpoint, cfg: RunConfig, config_path):
-    """Refuse to resume under loss weights or power constants other than
-    the `loss` and `power` sections stamped in the checkpoint: the resumed
-    epochs would train on another objective, and `history.csv` and
-    `checkpoint_best` would mix the two."""
-    differing = []
-    for name, wanted in _objective(cfg).items():
-        found = leftover[name] if isinstance(leftover[name], dict) else {}
-        if found != wanted:
-            differing.append(f"{name}: {_differing(found, wanted)}")
-    if differing:
-        raise ConfigError(
-            f"checkpoint {checkpoint} was trained for another objective: "
-            f"it and {config_path or 'the default config'} differ in "
-            f"{'; '.join(differing)}"
-        )
-
-
 def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
     """Read a dataset after checking the manifest.json next to it: it must
     have been written for the run config's scenario section, and its
@@ -193,19 +142,16 @@ def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
         text = fh.read()
     try:
         manifest = json.loads(text)
-        made_for = dict(manifest["config"]["scenario"])
+        made_for = {"scenario": dict(manifest["config"]["scenario"])}
         count = manifest["count"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"manifest {manifest_path} lacks config.scenario or count: {exc!r}"
         ) from exc
-    wanted = cfg.to_dict()["scenario"]
-    if made_for != wanted:
-        raise ConfigError(
-            f"dataset {dataset_path} was generated for another scenario: "
-            f"{manifest_path} and {config_path or 'the default config'} differ "
-            f"in {_differing(made_for, wanted)}"
-        )
+    require_same(
+        f"manifest {manifest_path} of dataset {dataset_path}", made_for,
+        {"scenario": cfg.stamp()["scenario"]}, config_path,
+    )
     records = read_jsonl(dataset_path)
     if len(records) != count:
         raise ConfigError(
@@ -245,11 +191,11 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     """Split, train (optionally resuming), and persist the run artifacts.
 
     Resuming continues the epoch count from the checkpoint; best-model
-    tracking restarts from the resume point. The checkpoint must have been
-    trained for the run config's `gat` section, cell count and the
-    dataset's feature width with the run config's Adam `lr`, `beta1` and
-    `beta2`, `loss` weights and `power` constants, and its Adam moments
-    must be float64 arrays shaped like the parameters they belong to.
+    tracking restarts from the resume point. The checkpoint must be the
+    run it continues: its stamp must be the run config's but for
+    `train.epochs` and the `eval` section, its architecture that of the
+    run config and the dataset's feature width, and its Adam moments
+    float64 arrays shaped like the parameters they belong to.
     """
     train_s, test_s, stats = split_and_normalize(
         pairs, cfg.train.split_fraction, cfg.seed
@@ -260,8 +206,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     prior_history = []
     if checkpoint:
         model, leftover = gat_mod.load_checkpoint(checkpoint)
-        _check_architecture(model, checkpoint, cfg, pairs, config_path)
-        missing = {"adam", "epoch", *OBJECTIVE_SECTIONS} - set(leftover)
+        missing = {"adam", "epoch", "config"} - set(leftover)
         if missing:
             raise ConfigError(
                 f"checkpoint {checkpoint} is not resumable: missing "
@@ -273,9 +218,12 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
             raise ConfigError(
                 f"checkpoint {checkpoint} has no readable optimizer state: {exc!r}"
             ) from None
+        built, wanted = _architectures(model, cfg, pairs)
+        require_same(
+            f"checkpoint {checkpoint}", {**_resumable(leftover["config"]), **built},
+            {**_resumable(cfg.stamp()), **wanted}, config_path,
+        )
         _check_moments(leftover["adam"], model, checkpoint)
-        _check_optimizer(adam, checkpoint, cfg, config_path)
-        _check_objective(leftover, checkpoint, cfg, config_path)
         start_epoch = int(leftover["epoch"])
         prior_history = [tuple(row) for row in leftover.get("history", [])]
     res = train(
@@ -293,7 +241,11 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     full_history = prior_history + res.history
     os.makedirs(out_dir, exist_ok=True)
     write_history(os.path.join(out_dir, "history.csv"), full_history)
-    common = {"config_digest": cfg.digest(), "norm_stats": stats.to_dict()}
+    common = {
+        "config": cfg.stamp(),
+        "config_digest": cfg.digest(),
+        "norm_stats": stats.to_dict(),
+    }
     gat_mod.save_checkpoint(
         os.path.join(out_dir, "checkpoint_last.json"),
         res.model,
@@ -303,7 +255,6 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
             "adam": res.adam_state.to_dict(
                 [p.shape for p in res.model.params.values()], deferred=True
             ),
-            **_objective(cfg),
             "history": [list(row) for row in full_history],
         },
     )
@@ -340,7 +291,7 @@ def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     pairs = _load_pairs(dataset_path, cfg, config_path)
     if not pairs:
         raise ConfigError(f"dataset {dataset_path} is empty")
-    _check_architecture(model, checkpoint, cfg, pairs, config_path)
+    require_same(f"checkpoint {checkpoint}", *_architectures(model, cfg, pairs), config_path)
     demand = cfg.eval_demand_mbps()
     agg = cfg.eval.subsinr_agg
     k = pairs[0].scenario.n_ues
@@ -488,11 +439,11 @@ def _train_point(payload) -> None:
         fh.write("ok\n")
 
 
-def _train_points(cfg: RunConfig, points, sub_dirs, dataset_path=None):
+def _train_points(cfg: RunConfig, points, sub_dirs, dataset_path=None, config_path=None):
     """Train each sweep point's config into its directory.
 
     A point with a DONE file is reused only if its checkpoint_best.json
-    stamps the digest of the point's config. Any other finished point
+    stamps the point's config (`require_same`). Any other finished point
     raises ConfigError naming its directory before anything is written, so
     a sweep never scores models trained under another config. Then the
     sweep's config.json is written, and the shared dataset at
@@ -504,18 +455,19 @@ def _train_points(cfg: RunConfig, points, sub_dirs, dataset_path=None):
         if not os.path.exists(os.path.join(sub, "DONE")):
             todo.append((point_cfg.to_dict(), dataset_path, sub))
             continue
-        with open(os.path.join(sub, "checkpoint_best.json"), "r", encoding="utf-8") as fh:
+        best = os.path.join(sub, "checkpoint_best.json")
+        with open(best, "r", encoding="utf-8") as fh:
             try:
-                stamped = json.load(fh).get("config_digest")
+                stamped = json.load(fh).get("config")
             except (ValueError, AttributeError):
                 stamped = None
-        if stamped != point_cfg.digest():
-            raise ConfigError(
-                f"sweep point {sub} was trained under another config: its "
-                f"checkpoint_best.json stamps config_digest {stamped!r}, the "
-                f"point's config has {point_cfg.digest()!r}; remove the "
-                f"directory or sweep into another --out"
+        try:
+            require_same(
+                f"checkpoint {best} of finished sweep point {sub}", stamped,
+                point_cfg.stamp(), config_path,
             )
+        except ConfigError as exc:
+            raise ConfigError(f"{exc}; remove {sub} or sweep into another --out") from None
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
     if dataset_path and not os.path.exists(os.path.join(cfg.out_dir, "manifest.json")):
@@ -547,7 +499,7 @@ def _eval_samples(cfg: RunConfig, stats: FeatureStats) -> list:
     return samples
 
 
-def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
+def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> int:
     grid = _parse_grid(grid_text)
     demand = cfg.eval_demand_mbps()
     agg = cfg.eval.subsinr_agg
@@ -563,7 +515,7 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
             dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, bandwidth_mhz=w))
             for w in ws
         ]
-        _train_points(cfg, points, sub_dirs)
+        _train_points(cfg, points, sub_dirs, config_path=config_path)
         models = {}
         test_sets = {}
         for w, point, sub in zip(ws, points, sub_dirs):
@@ -590,7 +542,7 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
             for r in ratios
         ]
         dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
-        _train_points(cfg, points, sub_dirs, dataset_path)
+        _train_points(cfg, points, sub_dirs, dataset_path, config_path)
         models = {}
         shared_samples = None
         for ratio, sub in zip(ratios, sub_dirs):
@@ -598,7 +550,7 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str) -> int:
             models[ratio] = model
             if shared_samples is None:
                 # all ratios share the dataset, split, and normalization
-                pairs = _load_pairs(dataset_path, cfg)
+                pairs = _load_pairs(dataset_path, cfg, config_path)
                 numbers = {id(p.scenario): i for i, p in enumerate(pairs, 1)}
                 _, test_s, _ = split_and_normalize(
                     pairs, cfg.train.split_fraction, cfg.seed
@@ -687,7 +639,7 @@ def main(argv=None) -> int:
             return cmd_train(cfg, args.dataset, args.checkpoint, args.config)
         if args.command == "eval":
             return cmd_eval(cfg, args.dataset, args.checkpoint, args.config)
-        return cmd_sweep(cfg, args.kind, args.grid)
+        return cmd_sweep(cfg, args.kind, args.grid, args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,9 +2,11 @@
 
 A run file is JSON with one object per section (`scenario`, `power`,
 `gat`, `train`, `eval`) plus global `seed` and `out_dir`.  Unknown keys
-are rejected so typos cannot silently fall back to defaults.  The digest
-of the merged configuration stamps datasets and checkpoints, tying every
-artifact to the exact settings that produced it.
+are rejected so typos cannot silently fall back to defaults, and keys
+typed `int` take JSON integers only.  `RunConfig.stamp` is the merged
+configuration without `out_dir`: manifests and checkpoints store it, with
+its digest, and `require_same` checks a stamp read back from an artifact
+against the run config.
 """
 
 from __future__ import annotations
@@ -56,10 +58,19 @@ def _field_names(cls) -> set:
     return {f.name for f in dataclasses.fields(cls)}
 
 
+def _require_int(value, where: str):
+    # bool is an int subclass, and a float such as 4.0 would pass int() checks
+    if type(value) is not int:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
 def _build_section(cls, data: dict, name: str):
     unknown = sorted(set(data) - _field_names(cls))
     if unknown:
         raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(unknown)}")
+    for f in dataclasses.fields(cls):
+        if f.type in (int, "int") and f.name in data:
+            _require_int(data[f.name], f"{name}.{f.name}")
     try:
         return cls(**data)
     except TypeError as exc:
@@ -101,7 +112,8 @@ class RunConfig:
         }
         kwargs["train"] = _build_section(TrainConfig, train_section, "train")
         kwargs["loss"] = _build_section(LossConfig, loss_section, "train")
-        kwargs["seed"] = int(data.get("seed", 0))
+        kwargs["seed"] = data.get("seed", 0)
+        _require_int(kwargs["seed"], "seed")
         kwargs["out_dir"] = str(data.get("out_dir", "runs"))
         return cls(**kwargs)
 
@@ -113,12 +125,16 @@ class RunConfig:
         doc["out_dir"] = self.out_dir
         return doc
 
-    def digest(self) -> str:
-        # out_dir is placement, not data: two runs of one experiment into
-        # different directories must stamp identical digests
+    def stamp(self) -> dict:
+        """The config as artifacts store it: `to_dict` without `out_dir`,
+        which is placement, not data, so two runs of one experiment into
+        different directories stamp the same config."""
         doc = self.to_dict()
         doc.pop("out_dir")
-        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return doc
+
+    def digest(self) -> str:
+        canon = json.dumps(self.stamp(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def eval_demand_mbps(self) -> float:
@@ -140,14 +156,38 @@ def load_config(path) -> dict:
 
 
 def write_config(cfg: RunConfig, path):
-    """Persist the effective merged configuration next to run outputs.
-
-    The output directory is dropped: placement is evident from where the
-    file sits, and keeping it out makes reruns into different directories
-    byte-identical.
-    """
-    doc = cfg.to_dict()
-    doc.pop("out_dir", None)
+    """Persist the run config's stamp next to run outputs."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(cfg.stamp(), fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def require_same(artifact: str, found, wanted: dict, config_path=None):
+    """Raise ConfigError unless `found`, a config stamp read back from
+    `artifact`, equals `wanted`, the part of the run config at
+    `config_path` that the artifact must match.
+
+    Both are laid out as `RunConfig.stamp` gives them: sections of keys,
+    and top-level values. The message names the artifact, the run config
+    and each differing key once, as `section: key found vs wanted`.
+    """
+    if not isinstance(found, dict):
+        raise ConfigError(f"{artifact} stamps no config")
+    differing = []
+    for name in sorted(set(found) | set(wanted)):
+        got, want = found.get(name), wanted.get(name)
+        if isinstance(got, dict) or isinstance(want, dict):
+            got = got if isinstance(got, dict) else {}
+            want = want if isinstance(want, dict) else {}
+            differing += [
+                f"{name}: {key} {got.get(key)!r} vs {want.get(key)!r}"
+                for key in sorted(set(got) | set(want))
+                if got.get(key) != want.get(key)
+            ]
+        elif got != want:
+            differing.append(f"{name}: {got!r} vs {want!r}")
+    if differing:
+        raise ConfigError(
+            f"{artifact} was made under another config: it and "
+            f"{config_path or 'the default config'} differ in {'; '.join(differing)}"
+        )

@@ -285,7 +285,7 @@ def test_resume_under_other_optimizer_settings_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "over, named",
     [
-        ({"train": {"lambda2": 5}}, "loss: lambda2 0.1 vs 5"),
+        ({"train": {"lambda2": 5}}, "train: lambda2 0.1 vs 5"),
         ({"power": {"p_fixed_w": 300.0}}, "power: p_fixed_w 100.0 vs 300.0"),
     ],
     ids=["loss", "power"],
@@ -295,8 +295,9 @@ def test_resume_under_another_objective_exits_2(tmp_path, capsys, over, named):
     data_dir, run_dir = _gen_and_train(tmp_path, cfg)
     last = run_dir / "checkpoint_last.json"
     stamped = json.loads(last.read_text())
-    assert stamped["loss"] == {"lambda1": 1.0, "lambda2": 0.1}
-    assert stamped["power"]["p_fixed_w"] == 100.0
+    assert stamped["config"]["train"]["lambda1"] == 1.0
+    assert stamped["config"]["train"]["lambda2"] == 0.1
+    assert stamped["config"]["power"]["p_fixed_w"] == 100.0
     train = {"epochs": 4, **over.get("train", {})}
     other = _write_cfg(tmp_path, name="other.json", **{**over, "train": train})
     capsys.readouterr()
@@ -311,15 +312,45 @@ def test_resume_under_another_objective_exits_2(tmp_path, capsys, over, named):
     assert not (tmp_path / "r2").exists()
 
 
-@pytest.mark.parametrize("section", ["loss", "power"])
-def test_resume_rejects_a_checkpoint_without_the_objective_stamps(
-    tmp_path, capsys, section
-):
+# each case trains on a dataset generated for its own config, so only the
+# checkpoint's stamp can refuse it
+@pytest.mark.parametrize(
+    "over, named",
+    [
+        ({"train": {"dataset_size": 8}}, "train: dataset_size 6 vs 8"),
+        ({"train": {"shuffle_seed": 3}}, "train: shuffle_seed 0 vs 3"),
+        ({"seed": 2}, "seed: 1 vs 2"),
+        ({"scenario": {"bandwidth_mhz": 10.0}}, "scenario: bandwidth_mhz 20.0 vs 10.0"),
+    ],
+    ids=["dataset_size", "shuffle_seed", "seed", "scenario"],
+)
+def test_resume_of_another_run_exits_2(tmp_path, capsys, over, named):
+    cfg = _write_cfg(tmp_path)
+    _, run_dir = _gen_and_train(tmp_path, cfg)
+    last = run_dir / "checkpoint_last.json"
+    train = {"epochs": 4, **over.get("train", {})}
+    other = _write_cfg(tmp_path, name="other.json", **{**over, "train": train})
+    other_data = tmp_path / "other_data"
+    assert cli.main(["gen", "--config", other, "--out", str(other_data)]) == 0
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", other, "--out", str(tmp_path / "r2"),
+        "--dataset", str(other_data / "dataset.jsonl"), "--checkpoint", str(last),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(last) in err and other in err and named in err
+    assert err.count(" vs ") == 1  # neither epochs nor anything else
+    assert not (tmp_path / "r2").exists()
+
+
+def test_resume_rejects_a_checkpoint_without_a_config_stamp(tmp_path, capsys):
+    # the layout of earlier versions, which stamped no config
     cfg = _write_cfg(tmp_path)
     data_dir, run_dir = _gen_and_train(tmp_path, cfg)
     last = run_dir / "checkpoint_last.json"
     doc = json.loads(last.read_text())
-    del doc[section]
+    del doc["config"]
     last.write_text(json.dumps(doc))
     capsys.readouterr()
     code = cli.main([
@@ -328,7 +359,7 @@ def test_resume_rejects_a_checkpoint_without_the_objective_stamps(
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(last) in err and f"not resumable: missing {section}" in err
+    assert str(last) in err and "not resumable: missing config" in err
     assert not (tmp_path / "r2").exists()
 
 
@@ -412,6 +443,30 @@ def test_eval_rerun_is_bit_identical(tmp_path):
         outs.append(out)
     for name in ("eval.csv", "eval_summary.json", "heatmap_sinr.csv"):
         assert _read(outs[0] / name) == _read(outs[1] / name)
+
+
+def test_eval_needs_only_the_checkpoint_architecture(tmp_path):
+    # a model trained at K=3 and 20 MHz is scored at K=5 and 10 MHz, also
+    # from a checkpoint without a config stamp, as earlier versions wrote
+    cfg = _write_cfg(tmp_path)
+    _, run_dir = _gen_and_train(tmp_path, cfg)
+    other = _write_cfg(
+        tmp_path, name="other.json", scenario={"n_ues": 5, "bandwidth_mhz": 10.0}
+    )
+    data = tmp_path / "data5"
+    assert cli.main(["gen", "--config", other, "--out", str(data)]) == 0
+    best = run_dir / "checkpoint_best.json"
+    unstamped = tmp_path / "unstamped.json"
+    doc = json.loads(best.read_text())
+    del doc["config"]
+    unstamped.write_text(json.dumps(doc))
+    for out, checkpoint in (("ev", best), ("ev_unstamped", unstamped)):
+        code = cli.main([
+            "eval", "--config", other, "--out", str(tmp_path / out),
+            "--dataset", str(data / "dataset.jsonl"), "--checkpoint", str(checkpoint),
+        ])
+        assert code == 0
+    assert _read(tmp_path / "ev" / "eval.csv") == _read(tmp_path / "ev_unstamped" / "eval.csv")
 
 
 def test_eval_omits_oracle_when_over_budget(tmp_path):
@@ -580,6 +635,30 @@ def test_runconfig_round_trip_and_digest_stability():
     assert moved.digest() == cfg.digest()
     changed = RunConfig.from_dict({**cfg.to_dict(), "seed": 99})
     assert changed.digest() != cfg.digest()
+
+
+# a float, bool or string where the config takes an integer
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("scenario", "n_ues", 3.0),
+        ("train", "dataset_size", 4.0),
+        ("gat", "hidden_dim", 4.0),
+        ("train", "epochs", 1.0),
+        ("train", "shuffle_seed", 0.5),
+        (None, "seed", "abc"),
+        (None, "seed", 3.7),
+        (None, "seed", True),
+    ],
+)
+def test_non_integer_for_an_integer_key_exits_2(tmp_path, capsys, section, key, value):
+    over = {key: value} if section is None else {section: {key: value}}
+    cfg = _write_cfg(tmp_path, **over)
+    out = tmp_path / "o"
+    assert cli.main(["gen", "--config", cfg, "--out", str(out)]) == 2
+    named = key if section is None else f"{section}.{key}"
+    assert f"{named} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runconfig_rejects_unknown_sections():
@@ -959,6 +1038,22 @@ def test_checkpoint_last_is_laid_out_by_the_parameter_table(tmp_path):
     assert [(p["name"], tuple(p["shape"])) for p in doc["params"]] == list(table.items())
     for key in ("m", "v"):
         assert [tuple(e["shape"]) for e in doc["adam"][key]] == list(table.values())
+
+
+def test_sweep_refuses_a_point_without_a_config_stamp(tmp_path, capsys):
+    # a point finished by an earlier version, which stamped no config
+    cfg = _sweep_cfg(tmp_path)
+    out = tmp_path / "sw"
+    args = ["sweep", "lambda", "--config", cfg, "--out", str(out), "--grid", "ratio=0"]
+    assert cli.main(args) == 0
+    best = out / "ratio0" / "checkpoint_best.json"
+    doc = json.loads(best.read_text())
+    del doc["config"]
+    best.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert str(best) in err and "stamps no config" in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Policy reports, gain arithmetic, sweep tables, and heatmap export."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,7 +245,7 @@ def test_sweep_csv_round_trip(tmp_path):
     res = ev.sweep_bandwidth(models, test_sets, [2], [20, 40], DEFAULTS)
     path = ev.write_sweep_csv(res, tmp_path, timestamp="fixed")
     assert os.path.basename(path) == "sweep_bandwidth_fixed.csv"
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     assert header[:4] == ["bandwidth_mhz", "n_ues", "status", "n_instances"]
     assert f"mean_{ev.SWEEP_COLUMNS[0]}" in header
@@ -274,17 +275,17 @@ def test_export_heatmaps_file_contract(tmp_path):
     ]
 
     # SINR matrix reproduces bit-for-bit through repr round-trip
-    rows = open(os.path.join(tmp_path, "heatmap_sinr.csv")).read().splitlines()
+    rows = (tmp_path / "heatmap_sinr.csv").read_text().splitlines()
     loaded = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.array_equal(loaded, s.sinr_wideband_db)
 
     # association files hold one-hot integer rows
-    rows = open(os.path.join(tmp_path, "heatmap_rsrp.csv")).read().splitlines()
+    rows = (tmp_path / "heatmap_rsrp.csv").read_text().splitlines()
     mat = np.array([[int(v) for v in row.split(",")] for row in rows])
     assert mat.shape == (s.n_ues, s.n_cells)
     assert np.array_equal(mat.sum(axis=1), np.ones(s.n_ues, dtype=int))
 
-    coords = open(os.path.join(tmp_path, "coordinates.csv")).read().splitlines()
+    coords = (tmp_path / "coordinates.csv").read_text().splitlines()
     assert coords[0] == "kind,index,x,y"
     assert len(coords) == 1 + s.n_cells + s.n_ues
 
