@@ -363,6 +363,37 @@ def test_resume_rejects_a_checkpoint_without_a_config_stamp(tmp_path, capsys):
     assert not (tmp_path / "r2").exists()
 
 
+# the objective lives in the stamp's `train` weights and its `power` section;
+# a stamp that lacks either must not resume under the run's objective
+@pytest.mark.parametrize("section", ["loss", "power"])
+def test_resume_rejects_a_checkpoint_without_the_objective_stamps(
+    tmp_path, capsys, section
+):
+    named = {
+        "loss": ["train: lambda1 None vs 1.0", "train: lambda2 None vs 0.1"],
+        "power": ["power: p_fixed_w None vs 100.0"],
+    }[section]
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+    last = run_dir / "checkpoint_last.json"
+    doc = json.loads(last.read_text())
+    if section == "loss":
+        del doc["config"]["train"]["lambda1"], doc["config"]["train"]["lambda2"]
+    else:
+        del doc["config"]["power"]
+    last.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "r2"),
+        "--dataset", str(data_dir / "dataset.jsonl"), "--checkpoint", str(last),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(last) in err and cfg in err
+    assert all(line in err for line in named)
+    assert not (tmp_path / "r2").exists()
+
+
 def test_resume_rejects_bare_checkpoint(tmp_path):
     cfg = _write_cfg(tmp_path)
     data_dir, run_dir = _gen_and_train(tmp_path, cfg)
