@@ -3,8 +3,10 @@
 Every command reads one merged configuration (file plus flag overrides),
 writes it back into the output directory, and keeps all numeric output
 free of timestamps so a rerun with the same settings reproduces the same
-bytes.  Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 numeric abort.
+bytes.  `eval` and both sweeps score every instance through one policy
+comparison, `_compare`; `eval` writes its rows, and a sweep aggregates
+them per grid point (`evaluate.write_sweep_csv`).  Exit codes: 0 success,
+2 configuration error, 3 I/O error, 4 numeric abort.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from . import autodiff as ad
 from . import gat as gat_mod
 from .baselines import associate_ga_subsinr, associate_oracle, associate_rsrp
-from .config import RunConfig, load_config, require_same, write_config
+from .config import RunConfig, load_config, require_finite, require_same, write_config
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -30,8 +32,6 @@ from .evaluate import (
     evaluate_policy,
     export_heatmaps,
     gain_percent,
-    sweep_bandwidth,
-    sweep_lambda,
     write_sweep_csv,
 )
 from .scenario import (
@@ -285,6 +285,44 @@ def _checkpoint_stats(leftover, path) -> FeatureStats:
     return FeatureStats.from_dict(leftover["norm_stats"])
 
 
+def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
+    """Score one instance under every policy: the model's hardened
+    association, strongest RSRP, sub-band SINR and, when asked, the exact
+    oracle. `sample` holds the scenario with its per-PRB SINR and the graph
+    normalized for `model`. Returns the `eval.csv` row without its seed, a
+    column -> value dict, and the policy reports in heatmap order."""
+    s = sample.scenario
+    demand = cfg.eval_demand_mbps()
+    gnn = evaluate_policy(
+        gat_mod.harden(gat_mod.forward(sample.graph, model)),
+        s, cfg.power, demand, policy_name="gnn",
+    )
+    rsrp = evaluate_policy(associate_rsrp(s), s, cfg.power, demand, policy_name="rsrp")
+    sub = evaluate_policy(
+        associate_ga_subsinr(s, agg=cfg.eval.subsinr_agg), s, cfg.power, demand,
+        policy_name="ga_subsinr",
+    )
+    row = {
+        "gnn_power_w": gnn.total_power_w,
+        "rsrp_power_w": rsrp.total_power_w,
+        "subsinr_power_w": sub.total_power_w,
+    }
+    reports = [gnn, rsrp, sub]
+    if with_oracle:
+        oracle = associate_oracle(s, cfg.power, budget=cfg.eval.oracle_budget)
+        orep = evaluate_policy(
+            oracle.association, s, cfg.power, demand, policy_name="oracle"
+        )
+        row["oracle_power_w"] = orep.total_power_w
+        row["oracle_feasible"] = int(oracle.feasible)
+        reports.append(orep)
+    row["gain_vs_rsrp_pct"] = gain_percent(gnn.total_power_w, rsrp.total_power_w)
+    row["gain_vs_subsinr_pct"] = gain_percent(gnn.total_power_w, sub.total_power_w)
+    row["gnn_switch_off"] = gnn.switched_off_count
+    row["gnn_gbr_ok"] = int(gnn.gbr_satisfied)
+    return row, reports
+
+
 def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     model, leftover = gat_mod.load_checkpoint(checkpoint)
     stats = _checkpoint_stats(leftover, checkpoint)
@@ -292,75 +330,34 @@ def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     if not pairs:
         raise ConfigError(f"dataset {dataset_path} is empty")
     require_same(f"checkpoint {checkpoint}", *_architectures(model, cfg, pairs), config_path)
-    demand = cfg.eval_demand_mbps()
-    agg = cfg.eval.subsinr_agg
-    k = pairs[0].scenario.n_ues
-    n = pairs[0].scenario.n_cells
-    with_oracle = n**k <= cfg.eval.oracle_budget
+    scenario = pairs[0].scenario
+    with_oracle = scenario.n_cells**scenario.n_ues <= cfg.eval.oracle_budget
 
-    header = ["seed", "gnn_power_w", "rsrp_power_w", "subsinr_power_w"]
-    if with_oracle:
-        header += ["oracle_power_w", "oracle_feasible"]
-    header += [
-        "gain_vs_rsrp_pct",
-        "gain_vs_subsinr_pct",
-        "gnn_switch_off",
-        "gnn_gbr_ok",
-    ]
-    lines = [",".join(header)]
-    sums = {name: 0.0 for name in header[1:]}
+    rows = []
     first_reports = None
     for number, sample in enumerate(pairs, 1):
         s = _with_sinr_cube(sample.scenario, number, dataset_path, cfg)
-        graph = normalize_features(sample.graph, stats)
-        gnn = evaluate_policy(
-            gat_mod.harden(gat_mod.forward(graph, model)),
-            s, cfg.power, demand, policy_name="gnn",
+        row, reports = _compare(
+            Sample(s, normalize_features(sample.graph, stats)), model, cfg, with_oracle
         )
-        rsrp = evaluate_policy(
-            associate_rsrp(s), s, cfg.power, demand, policy_name="rsrp"
-        )
-        sub = evaluate_policy(
-            associate_ga_subsinr(s, agg=agg), s, cfg.power, demand,
-            policy_name="ga_subsinr",
-        )
-        row = {
-            "gnn_power_w": gnn.total_power_w,
-            "rsrp_power_w": rsrp.total_power_w,
-            "subsinr_power_w": sub.total_power_w,
-        }
-        reports = [gnn, rsrp, sub]
-        if with_oracle:
-            oracle = associate_oracle(s, cfg.power, budget=cfg.eval.oracle_budget)
-            orep = evaluate_policy(
-                oracle.association, s, cfg.power, demand, policy_name="oracle"
-            )
-            row["oracle_power_w"] = orep.total_power_w
-            row["oracle_feasible"] = int(oracle.feasible)
-            reports.append(orep)
-        row["gain_vs_rsrp_pct"] = gain_percent(
-            row["gnn_power_w"], row["rsrp_power_w"]
-        )
-        row["gain_vs_subsinr_pct"] = gain_percent(
-            row["gnn_power_w"], row["subsinr_power_w"]
-        )
-        row["gnn_switch_off"] = gnn.switched_off_count
-        row["gnn_gbr_ok"] = int(gnn.gbr_satisfied)
-        cells = [str(s.seed)]
-        for name in header[1:]:
-            value = row[name]
-            cells.append(repr(value) if isinstance(value, float) else str(value))
-            sums[name] += value
-        lines.append(",".join(cells))
+        rows.append((s.seed, row))
         if first_reports is None:
             first_reports = (s, reports)
 
+    header = list(rows[0][1])
+    lines = [",".join(["seed", *header])]
+    for seed, row in rows:
+        cells = [repr(v) if isinstance(v, float) else str(v) for v in row.values()]
+        lines.append(",".join([str(seed), *cells]))
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "eval.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    summary = {"n_instances": len(pairs)}
-    for name in header[1:]:
-        summary[f"mean_{name}"] = sums[name] / len(pairs)
+    summary = {"n_instances": len(rows)}
+    for name in header:
+        total = 0.0  # plain left-to-right float sum: sum() and np.mean round otherwise
+        for _, row in rows:
+            total += row[name]
+        summary[f"mean_{name}"] = total / len(rows)
     with open(
         os.path.join(cfg.out_dir, "eval_summary.json"), "w", encoding="utf-8"
     ) as fh:
@@ -394,11 +391,13 @@ def _parse_grid(text: str) -> dict:
                 values.append(int(tok))
             except ValueError:
                 try:
-                    values.append(float(tok))
+                    value = float(tok)
                 except ValueError:
                     raise ConfigError(
                         f"grid value {tok!r} for key {key!r} is not a number"
                     ) from None
+                require_finite(value, f"grid value for key {key!r}")
+                values.append(value)
         grid[key.strip()] = values
     if not grid:
         raise ConfigError("empty grid")
@@ -500,10 +499,10 @@ def _eval_samples(cfg: RunConfig, stats: FeatureStats) -> list:
 
 
 def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> int:
+    """Train every grid point, then score each point's model on its
+    instances with `_compare` and write one row per point."""
     grid = _parse_grid(grid_text)
-    demand = cfg.eval_demand_mbps()
-    agg = cfg.eval.subsinr_agg
-
+    points = []  # (swept values, model, instances), in table order
     if kind == "bandwidth":
         if set(grid) != {"w", "k"}:
             raise ConfigError(
@@ -511,24 +510,18 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
             )
         ws, ks = grid["w"], grid["k"]
         sub_dirs = [os.path.join(cfg.out_dir, f"w{w!r}") for w in ws]
-        points = [
+        point_cfgs = [
             dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, bandwidth_mhz=w))
             for w in ws
         ]
-        _train_points(cfg, points, sub_dirs, config_path=config_path)
-        models = {}
-        test_sets = {}
-        for w, point, sub in zip(ws, points, sub_dirs):
+        _train_points(cfg, point_cfgs, sub_dirs, config_path=config_path)
+        for w, point, sub in zip(ws, point_cfgs, sub_dirs):
             model, stats = _load_point_model(sub)
-            models[w] = model
             for k in ks:
                 scenario = dataclasses.replace(point.scenario, n_ues=k)
-                test_sets[(w, k)] = _eval_samples(
-                    dataclasses.replace(point, scenario=scenario), stats
-                )
-        result = sweep_bandwidth(
-            models, test_sets, ks, ws, cfg.power, agg=agg, demand_mbps=demand
-        )
+                samples = _eval_samples(dataclasses.replace(point, scenario=scenario), stats)
+                points.append(({"bandwidth_mhz": w, "n_ues": k}, model, samples))
+        variable = "bandwidth"
     elif kind == "lambda":
         if set(grid) != {"ratio"}:
             raise ConfigError(
@@ -537,40 +530,34 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
         ratios = grid["ratio"]
         sub_dirs = [os.path.join(cfg.out_dir, f"ratio{r!r}") for r in ratios]
         lam1 = cfg.loss.lambda1
-        points = [
+        point_cfgs = [
             dataclasses.replace(cfg, loss=LossConfig(lambda1=lam1, lambda2=r * lam1))
             for r in ratios
         ]
         dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
-        _train_points(cfg, points, sub_dirs, dataset_path, config_path)
-        models = {}
-        shared_samples = None
+        _train_points(cfg, point_cfgs, sub_dirs, dataset_path, config_path)
+        # all ratios share the dataset, split, and normalization
+        pairs = _load_pairs(dataset_path, cfg, config_path)
+        numbers = {id(p.scenario): i for i, p in enumerate(pairs, 1)}
+        _, test_s, _ = split_and_normalize(pairs, cfg.train.split_fraction, cfg.seed)
+        samples = [
+            Sample(
+                _with_sinr_cube(p.scenario, numbers[id(p.scenario)], dataset_path, cfg),
+                p.graph,
+            )
+            for p in test_s
+        ]
         for ratio, sub in zip(ratios, sub_dirs):
-            model, stats = _load_point_model(sub)
-            models[ratio] = model
-            if shared_samples is None:
-                # all ratios share the dataset, split, and normalization
-                pairs = _load_pairs(dataset_path, cfg, config_path)
-                numbers = {id(p.scenario): i for i, p in enumerate(pairs, 1)}
-                _, test_s, _ = split_and_normalize(
-                    pairs, cfg.train.split_fraction, cfg.seed
-                )
-                shared_samples = [
-                    Sample(
-                        _with_sinr_cube(
-                            p.scenario, numbers[id(p.scenario)], dataset_path, cfg
-                        ),
-                        p.graph,
-                    )
-                    for p in test_s
-                ]
-        result = sweep_lambda(
-            models, shared_samples, ratios, cfg.power, agg=agg, demand_mbps=demand
-        )
+            points.append(({"lambda_ratio": ratio}, _load_point_model(sub)[0], samples))
+        variable = "lambda_ratio"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown sweep kind {kind!r}")
 
-    path = write_sweep_csv(result, cfg.out_dir)
+    table = [
+        (values, [_compare(sample, model, cfg)[0] for sample in samples])
+        for values, model, samples in points
+    ]
+    path = write_sweep_csv(variable, table, cfg.scenario.n_cells, cfg.out_dir)
     print(f"sweep table written to {path}")
     return EXIT_OK
 

@@ -2,11 +2,12 @@
 
 A run file is JSON with one object per section (`scenario`, `power`,
 `gat`, `train`, `eval`) plus global `seed` and `out_dir`.  Unknown keys
-are rejected so typos cannot silently fall back to defaults, and keys
-typed `int` take JSON integers only.  `RunConfig.stamp` is the merged
-configuration without `out_dir`: manifests and checkpoints store it, with
-its digest, and `require_same` checks a stamp read back from an artifact
-against the run config.
+are rejected so typos cannot silently fall back to defaults, a section
+must be a JSON object, keys typed `int` take JSON integers only, and keys
+typed `float` and each `region` extent take finite numbers only.
+`RunConfig.stamp` is the merged configuration without `out_dir`:
+manifests and checkpoints store it, with its digest, and `require_same`
+checks a stamp read back from an artifact against the run config.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -64,13 +66,36 @@ def _require_int(value, where: str):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
+def require_finite(value, where: str):
+    """Raise ConfigError naming `where` if `value` is a NaN or infinite
+    float: `json` reads NaN and Infinity, and `float` reads nan and inf."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _section(data: dict, name: str) -> dict:
+    """A copy of section `name` of a run file, which must be an object."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {name!r} must be an object, got {section!r}")
+    return dict(section)
+
+
 def _build_section(cls, data: dict, name: str):
     unknown = sorted(set(data) - _field_names(cls))
     if unknown:
         raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(unknown)}")
     for f in dataclasses.fields(cls):
-        if f.type in (int, "int") and f.name in data:
-            _require_int(data[f.name], f"{name}.{f.name}")
+        if f.name not in data:
+            continue
+        value, where = data[f.name], f"{name}.{f.name}"
+        if f.type in (int, "int"):
+            _require_int(value, where)
+        elif f.type in (float, "float"):
+            require_finite(value, where)
+        elif f.type in (tuple, "tuple") and isinstance(value, tuple):
+            for item in value:
+                require_finite(item, where)
     try:
         return cls(**data)
     except TypeError as exc:
@@ -98,15 +123,11 @@ class RunConfig:
             raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
         kwargs = {}
         for name, section_cls in _SECTIONS.items():
-            section = dict(data.get(name, {}))
-            if not isinstance(section, dict):
-                raise ConfigError(f"section {name!r} must be an object")
+            section = _section(data, name)
             if name == "scenario" and isinstance(section.get("region"), list):
                 section["region"] = tuple(section["region"])
             kwargs[name] = _build_section(section_cls, section, name)
-        train_section = dict(data.get("train", {}))
-        if not isinstance(train_section, dict):
-            raise ConfigError("section 'train' must be an object")
+        train_section = _section(data, "train")
         loss_section = {
             k: train_section.pop(k) for k in _LOSS_KEYS if k in train_section
         }

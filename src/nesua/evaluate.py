@@ -1,9 +1,11 @@
-"""Policy scoring, comparison sweeps, and plot-data export.
+"""Policy scoring, sweep tables, and plot-data export.
 
 Every policy is reduced to a hard association and scored with the shared
 power model, so numbers are comparable across the learned policy, the
-heuristics, and the exact oracle.  Sweep helpers aggregate per-instance
-metrics into mean/standard-error tables ready for CSV plotting.
+heuristics, and the exact oracle.  The comparison of all policies on one
+instance is `cli._compare`, which `eval` and both sweeps run;
+`write_sweep_csv` aggregates its per-instance rows into one
+mean/standard-error row per grid point, ready for CSV plotting.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gat as gat_mod
-from .baselines import HardAssociation, associate_ga_subsinr, associate_rsrp
+from .baselines import HardAssociation
 from .errors import ContractError
 from .power import PowerParams, network_power_hard
 from .scenario import Scenario
@@ -106,25 +107,6 @@ def gain_percent(p_gnn_w: float, p_base_w: float) -> float:
     return 100.0 * (p_base_w - p_gnn_w) / p_base_w
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point: swept values, status, and aggregated metrics."""
-
-    point: dict                # swept variable name(s) -> value
-    status: str                # "ok", "missing_model", or "missing_data"
-    n_instances: int
-    metrics: dict              # column -> (mean, standard error)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Grid of aggregated policy comparisons for one swept variable."""
-
-    variable: str
-    point_keys: tuple          # column names of the swept values
-    points: list
-
-
 def _mean_stderr(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
@@ -133,119 +115,39 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _point_metrics(
-    model: gat_mod.GatModel,
-    samples,
-    params: PowerParams,
-    agg: str,
-    demand_mbps: float,
-) -> dict:
-    """Per-instance policy comparison, aggregated to (mean, stderr) columns."""
-    per = {col: [] for col in SWEEP_COLUMNS}
-    for sample in samples:
-        s = sample.scenario
-        soft = gat_mod.forward(sample.graph, model)
-        gnn = evaluate_policy(gat_mod.harden(soft), s, params, demand_mbps)
-        rsrp = evaluate_policy(associate_rsrp(s), s, params, demand_mbps)
-        sub = evaluate_policy(
-            associate_ga_subsinr(s, agg=agg), s, params, demand_mbps
-        )
-        per["gnn_power_w"].append(gnn.total_power_w)
-        per["rsrp_power_w"].append(rsrp.total_power_w)
-        per["subsinr_power_w"].append(sub.total_power_w)
-        per["gain_vs_rsrp_pct"].append(
-            gain_percent(gnn.total_power_w, rsrp.total_power_w)
-        )
-        per["gain_vs_subsinr_pct"].append(
-            gain_percent(gnn.total_power_w, sub.total_power_w)
-        )
-        per["switch_off_count"].append(gnn.switched_off_count)
-        per["switch_off_fraction"].append(gnn.switched_off_count / s.n_cells)
-    return {col: _mean_stderr(vals) for col, vals in per.items()}
+def _sweep_values(rows, col: str, n_cells: int) -> list:
+    if col == "switch_off_count":
+        return [row["gnn_switch_off"] for row in rows]
+    if col == "switch_off_fraction":
+        return [row["gnn_switch_off"] / n_cells for row in rows]
+    return [row[col] for row in rows]
 
 
-def sweep_bandwidth(
-    models: dict,
-    test_sets: dict,
-    k_values,
-    w_values,
-    params: PowerParams,
-    agg: str = "max",
-    demand_mbps: float = 5.0,
-) -> SweepResult:
-    """Compare policies across a bandwidth x user-count grid.
-
-    `models` maps bandwidth (MHz) to a trained model; `test_sets` maps
-    (bandwidth, K) to evaluation samples.  A grid point with no model or no
-    data is emitted with a gap status rather than dropped, so the output
-    table always has |W| * |K| rows.
-    """
-    points = []
-    for w in w_values:
-        for k in k_values:
-            point = {"bandwidth_mhz": w, "n_ues": k}
-            samples = test_sets.get((w, k))
-            if w not in models:
-                points.append(SweepPoint(point, "missing_model", 0, {}))
-                continue
-            if not samples:
-                points.append(SweepPoint(point, "missing_data", 0, {}))
-                continue
-            metrics = _point_metrics(models[w], samples, params, agg, demand_mbps)
-            points.append(SweepPoint(point, "ok", len(samples), metrics))
-    return SweepResult("bandwidth", ("bandwidth_mhz", "n_ues"), points)
-
-
-def sweep_lambda(
-    models: dict,
-    samples,
-    ratios,
-    params: PowerParams,
-    agg: str = "max",
-    demand_mbps: float = 5.0,
-) -> SweepResult:
-    """Compare policies across regularizer-ratio values on one test set.
-
-    `models` maps each swept ratio to the model trained at that ratio; the
-    switch-off columns track how consolidation responds to the ratio.
-    """
-    points = []
-    for ratio in ratios:
-        point = {"lambda_ratio": ratio}
-        if ratio not in models:
-            points.append(SweepPoint(point, "missing_model", 0, {}))
-            continue
-        if not samples:
-            points.append(SweepPoint(point, "missing_data", 0, {}))
-            continue
-        metrics = _point_metrics(models[ratio], samples, params, agg, demand_mbps)
-        points.append(SweepPoint(point, "ok", len(samples), metrics))
-    return SweepResult("lambda_ratio", ("lambda_ratio",), points)
-
-
-def write_sweep_csv(result: SweepResult, out_dir, timestamp: str | None = None):
+def write_sweep_csv(variable: str, points, n_cells: int, out_dir, timestamp: str | None = None):
     """Write one sweep table as `sweep_<variable>_<timestamp>.csv`.
 
-    Floats are written with repr so rereading reproduces them exactly; gap
-    rows keep their swept values and status but leave metric cells empty.
+    `points` holds one (swept values, rows) pair per grid point, in table
+    order: a column -> value dict, and the per-instance `eval.csv` rows
+    (`cli._compare`) of the point's model on its instances. Each of
+    SWEEP_COLUMNS gets the mean and standard error over the rows, where
+    `switch_off_count` is a row's `gnn_switch_off` and
+    `switch_off_fraction` that over `n_cells`. Floats are written with
+    repr so rereading reproduces them exactly.
     """
     if timestamp is None:
         timestamp = time.strftime("%Y%m%d-%H%M%S")
-    path = os.path.join(out_dir, f"sweep_{result.variable}_{timestamp}.csv")
-    header = list(result.point_keys) + ["status", "n_instances"]
+    path = os.path.join(out_dir, f"sweep_{variable}_{timestamp}.csv")
+    keys = list(points[0][0])
+    header = keys + ["status", "n_instances"]
     for col in SWEEP_COLUMNS:
         header += [f"mean_{col}", f"stderr_{col}"]
     lines = [",".join(header)]
-    for pt in result.points:
-        row = [repr(pt.point[key]) for key in result.point_keys]
-        row += [pt.status, str(pt.n_instances)]
+    for values, rows in points:
+        line = [repr(values[key]) for key in keys] + ["ok", str(len(rows))]
         for col in SWEEP_COLUMNS:
-            if col in pt.metrics:
-                mean, err = pt.metrics[col]
-                row += [repr(mean), repr(err)]
-            else:
-                row += ["", ""]
-        lines.append(",".join(row))
+            mean, err = _mean_stderr(_sweep_values(rows, col, n_cells))
+            line += [repr(mean), repr(err)]
+        lines.append(",".join(line))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

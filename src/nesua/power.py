@@ -3,8 +3,12 @@
 A cell's draw splits into a fixed part, a baseband part affine in PRB
 utilization, and a radio part affine in utilization with a constant
 amplifier overhead. Switched-off cells draw only sleep power. The same
-model exists in plain-number form (for baselines and reporting) and as
-a differentiable composition (for the training loss).
+model exists in three forms: scalar functions of one cell (`radio_power`,
+`bs_power`, `utilization`, `is_overload`), which state the closed forms
+that acceptance criterion 2 and the tests check; the per-cell array draw
+`cell_draw` and `network_power_hard`, which the baselines and policy
+scoring (`evaluate`) use; and a differentiable composition
+(`network_power_soft`) for the training loss.
 """
 
 from __future__ import annotations

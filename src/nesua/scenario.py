@@ -67,6 +67,8 @@ class ScenarioConfig:
             raise ConfigError(f"bandwidth_mhz must be > 0, got {self.bandwidth_mhz}")
         if self.subcarrier_spacing_khz <= 0:
             raise ConfigError("subcarrier_spacing_khz must be > 0")
+        if self.carrier_ghz <= 0:
+            raise ConfigError(f"carrier_ghz must be > 0, got {self.carrier_ghz}")
         if not 0.0 < self.reuse_factor <= 1.0:
             raise ConfigError(f"reuse_factor must be in (0, 1], got {self.reuse_factor}")
         if len(self.region) != 2 or min(self.region) <= 0:
@@ -131,7 +133,6 @@ class GraphInstance:
     adjacency: np.ndarray    # (K, K) binary symmetric, unit diagonal
     prb_matrix: np.ndarray   # (K, N) float copy of the demand
     n_prb_total: int
-    scenario_ref: str
 
 
 def hex_layout(n_cells: int, inter_site_distance: float, region) -> np.ndarray:
@@ -350,7 +351,6 @@ def build_graph(s: Scenario, gamma_th_db: float) -> GraphInstance:
         adjacency=adj.astype(np.float64),
         prb_matrix=s.prb_demand.astype(np.float64),
         n_prb_total=s.n_prb_total,
-        scenario_ref=f"seed:{s.seed}",
     )
 
 
@@ -444,7 +444,6 @@ def from_record(rec: dict, cfg: ScenarioConfig) -> tuple[Scenario, GraphInstance
         adjacency=arr["adj"].astype(np.float64),
         prb_matrix=s.prb_demand.astype(np.float64),
         n_prb_total=cfg.n_prb_total,
-        scenario_ref=f"seed:{seed}",
     )
     return s, g
 

@@ -166,7 +166,6 @@ def train(
     model: gat_mod.GatModel | None = None,
     adam_state: ad.AdamState | None = None,
     start_epoch: int = 0,
-    on_epoch=None,
 ) -> TrainResult:
     """Optimize a model over the dataset; deterministic for fixed seeds.
 
@@ -252,8 +251,6 @@ def train(
             best_test = selector
             best_model = clone_model(model)
             best_epoch = epoch
-        if on_epoch is not None:
-            on_epoch(epoch, model, adam_state, history[-1])
     for p in parameters:
         p.grad_slot = None  # releases the gradient buffer
 

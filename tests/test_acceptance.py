@@ -140,7 +140,6 @@ def _check_loss_gradient(rng):
         adjacency=np.ones((k, k)),
         prb_matrix=rng.uniform(1.0, 20.0, (k, n)),
         n_prb_total=200,
-        scenario_ref="synthetic",
     )
     cfg = gat.GatConfig(
         hidden_dim=hidden, activation="identity", readout_activation="identity"
@@ -447,7 +446,6 @@ def _random_instance(rng, n_ues, n_cells, feat_dim, density=None):
         adjacency=adj,
         prb_matrix=rng.uniform(1.0, 20.0, (n_ues, n_cells)),
         n_prb_total=51,
-        scenario_ref="synthetic",
     )
 
 
@@ -483,7 +481,6 @@ def test_structural_invariants_hold():
             adjacency=g.adjacency[np.ix_(perm, perm)],
             prb_matrix=g.prb_matrix[perm],
             n_prb_total=g.n_prb_total,
-            scenario_ref=g.scenario_ref,
         )
         base = gat.forward(g, model).values
         shuffled = gat.forward(permuted, model).values

@@ -1,6 +1,7 @@
 """End-to-end command behavior: files, exit codes, reproducibility."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ from nesua.codec import decode_array, encode_array
 from nesua.config import RunConfig
 from nesua.errors import ConfigError
 from nesua.scenario import build_graph, generate_scenario, to_record, write_jsonl
+from nesua.training import split_and_normalize
 
 from helpers import reference_generate_scenario
 
@@ -602,6 +604,46 @@ def test_sweep_lambda_end_to_end(tmp_path):
     assert lines[0].split(",")[0] == "lambda_ratio"
 
 
+def test_sweep_and_eval_score_alike(tmp_path):
+    # eval of one lambda point's model on the sweep's shared dataset scores
+    # the test-split records as the sweep row of that point does
+    cfg = _sweep_cfg(tmp_path, train={"dataset_size": 10})
+    out = tmp_path / "sw"
+    code = cli.main([
+        "sweep", "lambda", "--config", cfg, "--out", str(out),
+        "--grid", "ratio=0,1",
+    ])
+    assert code == 0
+    dataset = out / "dataset.jsonl"
+    code = cli.main([
+        "eval", "--config", cfg, "--out", str(tmp_path / "ev"),
+        "--dataset", str(dataset),
+        "--checkpoint", str(out / "ratio1" / "checkpoint_best.json"),
+    ])
+    assert code == 0
+    run_cfg = RunConfig.from_dict(json.loads((out / "config.json").read_text()))
+    _, test_s, _ = split_and_normalize(
+        cli._load_pairs(str(dataset), run_cfg), run_cfg.train.split_fraction, run_cfg.seed
+    )
+    test_seeds = {str(p.scenario.seed) for p in test_s}
+    lines = (tmp_path / "ev" / "eval.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    rows = [row for row in rows if row["seed"] in test_seeds]
+    assert len(rows) == len(test_seeds) == 2
+    (table,) = out.glob("sweep_lambda_ratio_*.csv")
+    lines = table.read_text().splitlines()
+    header = lines[0].split(",")
+    point = next(
+        row for row in (dict(zip(header, line.split(","))) for line in lines[1:])
+        if row["lambda_ratio"] == "1"
+    )
+    assert point["n_instances"] == "2"
+    for col in ("gnn_power_w", "rsrp_power_w", "subsinr_power_w"):
+        mean = sum(float(row[col]) for row in rows) / len(rows)
+        assert mean == pytest.approx(float(point[f"mean_{col}"]), rel=1e-12), col
+
+
 def test_sweep_resume_skips_completed_points(tmp_path):
     cfg = _sweep_cfg(tmp_path)
     out = tmp_path / "sw"
@@ -689,6 +731,43 @@ def test_non_integer_for_an_integer_key_exits_2(tmp_path, capsys, section, key, 
     assert cli.main(["gen", "--config", cfg, "--out", str(out)]) == 2
     named = key if section is None else f"{section}.{key}"
     assert f"{named} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a section that is not a JSON object, including one that dict() would read
+@pytest.mark.parametrize(
+    "section, value",
+    [("scenario", 5), ("train", 5), ("scenario", "x"), ("scenario", [["n_ues", 3]])],
+)
+def test_a_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, value):
+    cfg = _write_cfg(tmp_path, **{section: value})
+    out = tmp_path / "o"
+    assert cli.main(["gen", "--config", cfg, "--out", str(out)]) == 2
+    assert f"section {section!r} must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# NaN and Infinity parse as JSON numbers, nan and inf as grid values
+@pytest.mark.parametrize(
+    "over, grid, named",
+    [
+        ({"scenario": {"bandwidth_mhz": math.nan}}, None, "scenario.bandwidth_mhz"),
+        ({"scenario": {"bandwidth_mhz": math.inf}}, None, "scenario.bandwidth_mhz"),
+        ({"scenario": {"inter_site_distance": math.nan}}, None,
+         "scenario.inter_site_distance"),
+        ({"scenario": {"region": [2200.0, math.inf]}}, None, "scenario.region"),
+        ({"train": {"lambda2": math.nan}}, None, "train.lambda2"),
+        ({"scenario": {"carrier_ghz": -1.0}}, None, "carrier_ghz must be > 0"),
+        ({}, "w=nan;k=3", "grid value for key 'w'"),
+        ({}, "w=inf;k=3", "grid value for key 'w'"),
+    ],
+)
+def test_a_non_finite_number_exits_2(tmp_path, capsys, over, grid, named):
+    cfg = _write_cfg(tmp_path, **over)
+    out = tmp_path / "o"
+    command = ["gen"] if grid is None else ["sweep", "bandwidth", "--grid", grid]
+    assert cli.main([*command, "--config", cfg, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,14 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nesua import cli, gat
 from nesua import evaluate as ev
-from nesua import gat
 from nesua.baselines import (
     HardAssociation,
     associate_ga_subsinr,
     associate_oracle,
     associate_rsrp,
 )
+from nesua.config import RunConfig
 from nesua.errors import ContractError
 from nesua.power import PowerParams
 from nesua.scenario import (
@@ -179,81 +180,75 @@ def test_oracle_dominates_all_policies_on_reports():
             assert best.total_power_w <= rep.total_power_w
 
 
-def _models_for(ws, samples_by_key, seed=0):
-    models = {}
-    for w in ws:
-        any_key = next(k for k in samples_by_key if k[0] == w)
-        g = samples_by_key[any_key][0].graph
-        models[w] = gat.init_model(
-            g.features.shape[1], 2, gat.GatConfig(hidden_dim=4), seed=seed
-        )
-    return models
+def _model(samples, seed=0):
+    return gat.init_model(
+        samples[0].graph.features.shape[1], 2, gat.GatConfig(hidden_dim=4), seed=seed
+    )
 
 
-def test_sweep_bandwidth_row_count_and_columns():
+def _rows(model, samples, cfg):
+    run = RunConfig(scenario=cfg)
+    return [cli._compare(sample, model, run)[0] for sample in samples]
+
+
+def _table(path):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_sweep_bandwidth_row_count_and_columns(tmp_path):
     ws, ks = [20, 40], [2, 3]
-    test_sets = {}
+    points = []
     for w in ws:
+        model = None
         for k in ks:
             cfg = _cfg(n_ues=k, bandwidth_mhz=w)
-            test_sets[(w, k)] = _samples(cfg, 3, seed0=10 * w + k)
-    models = _models_for(ws, test_sets)
-    res = ev.sweep_bandwidth(models, test_sets, ks, ws, DEFAULTS)
-    assert res.variable == "bandwidth"
-    assert len(res.points) == len(ws) * len(ks)
-    for pt in res.points:
-        assert pt.status == "ok"
-        assert pt.n_instances == 3
-        assert set(pt.metrics) == set(ev.SWEEP_COLUMNS)
-        for mean, err in pt.metrics.values():
-            assert np.isfinite(mean) and np.isfinite(err)
+            samples = _samples(cfg, 3, seed0=10 * w + k)
+            model = model or _model(samples)
+            points.append(({"bandwidth_mhz": w, "n_ues": k}, _rows(model, samples, cfg)))
+    path = ev.write_sweep_csv("bandwidth", points, 2, tmp_path, timestamp="fixed")
+    header, rows = _table(path)
+    assert len(rows) == len(ws) * len(ks)
+    metrics = [f"{stat}_{col}" for col in ev.SWEEP_COLUMNS for stat in ("mean", "stderr")]
+    assert header == ["bandwidth_mhz", "n_ues", "status", "n_instances", *metrics]
+    for row in rows:
+        assert row["status"] == "ok"
+        assert row["n_instances"] == "3"
+        for name in metrics:
+            assert np.isfinite(float(row[name]))
 
 
-def test_sweep_bandwidth_missing_model_is_explicit_gap():
-    cfg = _cfg(n_ues=2)
-    test_sets = {(20, 2): _samples(cfg, 2)}
-    models = _models_for([20], test_sets)
-    res = ev.sweep_bandwidth(models, test_sets, [2], [20, 40], DEFAULTS)
-    assert len(res.points) == 2
-    assert res.points[0].status == "ok"
-    assert res.points[1].status == "missing_model"
-    assert res.points[1].metrics == {}
-
-
-def test_sweep_lambda_structure():
+def test_sweep_lambda_structure(tmp_path):
     cfg = _cfg(n_ues=3)
     samples = _samples(cfg, 4)
     ratios = [0.0, 1.0, 4.0]
-    g = samples[0].graph
-    models = {
-        r: gat.init_model(g.features.shape[1], 2, gat.GatConfig(hidden_dim=4), seed=i)
+    points = [
+        ({"lambda_ratio": r}, _rows(_model(samples, seed=i), samples, cfg))
         for i, r in enumerate(ratios)
-    }
-    res = ev.sweep_lambda(models, samples, ratios, DEFAULTS)
-    assert res.variable == "lambda_ratio"
-    assert [pt.point["lambda_ratio"] for pt in res.points] == ratios
-    for pt in res.points:
-        count = pt.metrics["switch_off_count"][0]
-        fraction = pt.metrics["switch_off_fraction"][0]
+    ]
+    path = ev.write_sweep_csv("lambda_ratio", points, 2, tmp_path, timestamp="fixed")
+    _, rows = _table(path)
+    assert [float(row["lambda_ratio"]) for row in rows] == ratios
+    for row in rows:
+        count = float(row["mean_switch_off_count"])
+        fraction = float(row["mean_switch_off_fraction"])
         assert fraction == pytest.approx(count / 2.0)
 
 
 def test_sweep_csv_round_trip(tmp_path):
     cfg = _cfg(n_ues=2)
-    test_sets = {(20, 2): _samples(cfg, 3)}
-    models = _models_for([20], test_sets)
-    res = ev.sweep_bandwidth(models, test_sets, [2], [20, 40], DEFAULTS)
-    path = ev.write_sweep_csv(res, tmp_path, timestamp="fixed")
+    samples = _samples(cfg, 3)
+    rows = _rows(_model(samples), samples, cfg)
+    points = [({"bandwidth_mhz": 20, "n_ues": 2}, rows)]
+    path = ev.write_sweep_csv("bandwidth", points, 2, tmp_path, timestamp="fixed")
     assert os.path.basename(path) == "sweep_bandwidth_fixed.csv"
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
+    header, table = _table(path)
     assert header[:4] == ["bandwidth_mhz", "n_ues", "status", "n_instances"]
     assert f"mean_{ev.SWEEP_COLUMNS[0]}" in header
-    ok_row = dict(zip(header, lines[1].split(",")))
-    assert float(ok_row["mean_gnn_power_w"]) == res.points[0].metrics["gnn_power_w"][0]
-    gap_row = dict(zip(header, lines[2].split(",")))
-    assert gap_row["status"] == "missing_model"
-    assert gap_row["mean_gnn_power_w"] == ""
+    (ok_row,) = table
+    mean = float(np.mean([row["gnn_power_w"] for row in rows]))
+    assert float(ok_row["mean_gnn_power_w"]) == mean
 
 
 def test_export_heatmaps_file_contract(tmp_path):

@@ -38,7 +38,6 @@ def _instance(k, n, rng, adjacency=None):
         adjacency=_random_adjacency(k, rng) if adjacency is None else adjacency,
         prb_matrix=np.ones((k, n)),
         n_prb_total=51,
-        scenario_ref="seed:0",
     )
 
 
@@ -260,7 +259,6 @@ def test_permutation_equivariance():
             adjacency=g.adjacency[np.ix_(perm, perm)],
             prb_matrix=g.prb_matrix[perm],
             n_prb_total=g.n_prb_total,
-            scenario_ref=g.scenario_ref,
         )
         s_perm = gat.forward(g_perm, model).values
         np.testing.assert_allclose(s_perm, s[perm], atol=1e-9)
@@ -295,7 +293,7 @@ def test_locality_two_layers_exact_beyond_two_hops():
     tweaked[4] += 5.0  # four hops from node 0
     g2 = GraphInstance(
         features=tweaked, adjacency=path, prb_matrix=g.prb_matrix,
-        n_prb_total=g.n_prb_total, scenario_ref=g.scenario_ref,
+        n_prb_total=g.n_prb_total,
     )
     out = gat.forward(g2, model).values
     assert np.array_equal(out[0], base[0])

@@ -222,7 +222,6 @@ def test_build_graph_feature_layout():
     np.testing.assert_array_equal(g.features[:, :n], s.prb_demand)
     np.testing.assert_array_equal(g.features[:, n : 2 * n], s.distance)
     np.testing.assert_array_equal(g.features[:, 2 * n :], s.sinr_wideband_db)
-    assert g.scenario_ref == "seed:21"
 
 
 def test_adjacency_matches_triple_loop_and_is_symmetric():

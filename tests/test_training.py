@@ -202,7 +202,6 @@ def test_single_instance_learns_the_cheap_cell():
         adjacency=np.ones((k, k)),
         prb_matrix=prb,
         n_prb_total=51,
-        scenario_ref="seed:0",
     )
     best = oracle_assignment(prb, 51, params)
     assert best.association.assignment.tolist() == [0, 0]
