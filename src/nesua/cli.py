@@ -57,20 +57,18 @@ EXIT_NUMERIC = 4
 EVAL_SEED_OFFSET = 1_000_000
 
 
-def _samples(cfg: RunConfig):
-    """The training scenarios of cfg, each with its graph, in seed order."""
-    seeds = range(cfg.seed, cfg.seed + cfg.train.dataset_size)
-    for s in iter_scenarios(cfg.scenario, seeds):
-        yield Sample(s, build_graph(s, cfg.scenario.gamma_th_db))
+def _scenarios(cfg: RunConfig):
+    """The training scenarios of cfg, in seed order."""
+    return iter_scenarios(cfg.scenario, range(cfg.seed, cfg.seed + cfg.train.dataset_size))
 
 
-def _write_dataset(cfg: RunConfig, out_dir, samples) -> tuple[str, int]:
-    """Write samples into out_dir as dataset.jsonl, then the manifest.json
-    that `_load_pairs` checks it against; returns the dataset's path and
-    record count."""
+def _write_dataset(cfg: RunConfig, out_dir, scenarios) -> tuple[str, int]:
+    """Write the scenarios into out_dir as dataset.jsonl, then the
+    manifest.json that `_load_pairs` checks it against; returns the
+    dataset's path and record count."""
     os.makedirs(out_dir, exist_ok=True)
     digest = cfg.digest()
-    records = [to_record(p.scenario, p.graph, config_digest=digest) for p in samples]
+    records = [to_record(s, config_digest=digest) for s in scenarios]
     dataset_path = os.path.join(out_dir, "dataset.jsonl")
     write_jsonl(dataset_path, records)
     manifest = {
@@ -86,7 +84,7 @@ def _write_dataset(cfg: RunConfig, out_dir, samples) -> tuple[str, int]:
 
 
 def cmd_gen(cfg: RunConfig) -> int:
-    dataset_path, count = _write_dataset(cfg, cfg.out_dir, _samples(cfg))
+    dataset_path, count = _write_dataset(cfg, cfg.out_dir, _scenarios(cfg))
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
     print(f"wrote {count} records to {dataset_path}")
     return EXIT_OK
@@ -161,9 +159,10 @@ def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
     pairs = []
     for i, rec in enumerate(records, 1):
         try:
-            pairs.append(Sample(*from_record(rec, cfg.scenario)))
+            s = from_record(rec, cfg.scenario)
         except ConfigError as exc:
             raise ConfigError(f"dataset {dataset_path} record {i}: {exc}") from None
+        pairs.append(Sample(s, build_graph(s, cfg.scenario.gamma_th_db)))
     return pairs
 
 
@@ -426,11 +425,9 @@ def _train_point(payload) -> None:
     cfg = RunConfig.from_dict(cfg_dict)
     if dataset_path is None:
         # training reads no per-PRB SINR, so the cube is not kept for it
-        pairs = [
-            Sample(dataclasses.replace(p.scenario, sinr_per_prb_db=None), p.graph)
-            for p in _samples(cfg)
-        ]
-        _write_dataset(cfg, sub_dir, pairs)
+        scenarios = [dataclasses.replace(s, sinr_per_prb_db=None) for s in _scenarios(cfg)]
+        _write_dataset(cfg, sub_dir, scenarios)
+        pairs = [Sample(s, build_graph(s, cfg.scenario.gamma_th_db)) for s in scenarios]
     else:
         pairs = _load_pairs(dataset_path, cfg)
     _train_to_dir(cfg, pairs, sub_dir)
@@ -470,7 +467,7 @@ def _train_points(cfg: RunConfig, points, sub_dirs, dataset_path=None, config_pa
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
     if dataset_path and not os.path.exists(os.path.join(cfg.out_dir, "manifest.json")):
-        _write_dataset(cfg, cfg.out_dir, _samples(cfg))
+        _write_dataset(cfg, cfg.out_dir, _scenarios(cfg))
     workers = _max_workers(len(todo))
     if workers == 1:
         for payload in todo:
@@ -498,6 +495,17 @@ def _eval_samples(cfg: RunConfig, stats: FeatureStats) -> list:
     return samples
 
 
+def _with_grid_value(cfg: RunConfig, key: str, name: str, value) -> RunConfig:
+    """cfg with `scenario.<name>` set to a value of grid key `key`, read
+    under the run file's rules, so a value the key cannot take exits 2."""
+    doc = cfg.to_dict()
+    doc["scenario"][name] = value
+    try:
+        return RunConfig.from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"grid key {key!r}: {exc}") from None
+
+
 def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> int:
     """Train every grid point, then score each point's model on its
     instances with `_compare` and write one row per point."""
@@ -510,16 +518,13 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
             )
         ws, ks = grid["w"], grid["k"]
         sub_dirs = [os.path.join(cfg.out_dir, f"w{w!r}") for w in ws]
-        point_cfgs = [
-            dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, bandwidth_mhz=w))
-            for w in ws
-        ]
+        point_cfgs = [_with_grid_value(cfg, "w", "bandwidth_mhz", w) for w in ws]
+        eval_cfgs = [[_with_grid_value(p, "k", "n_ues", k) for k in ks] for p in point_cfgs]
         _train_points(cfg, point_cfgs, sub_dirs, config_path=config_path)
-        for w, point, sub in zip(ws, point_cfgs, sub_dirs):
+        for w, sub, k_cfgs in zip(ws, sub_dirs, eval_cfgs):
             model, stats = _load_point_model(sub)
-            for k in ks:
-                scenario = dataclasses.replace(point.scenario, n_ues=k)
-                samples = _eval_samples(dataclasses.replace(point, scenario=scenario), stats)
+            for k, k_cfg in zip(ks, k_cfgs):
+                samples = _eval_samples(k_cfg, stats)
                 points.append(({"bandwidth_mhz": w, "n_ues": k}, model, samples))
         variable = "bandwidth"
     elif kind == "lambda":

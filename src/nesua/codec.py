@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
-# the element types nesua stores: float64, int64 and int8 (adjacency)
-DTYPES = ("<f8", "<i8", "|i1")
+# the element types nesua stores: float64 and int64
+DTYPES = ("<f8", "<i8")
 
 
 # base64 characters decoded, or written, at a time: decoding holds one

@@ -4,7 +4,7 @@ A run file is JSON with one object per section (`scenario`, `power`,
 `gat`, `train`, `eval`) plus global `seed` and `out_dir`.  Unknown keys
 are rejected so typos cannot silently fall back to defaults, a section
 must be a JSON object, keys typed `int` take JSON integers only, and keys
-typed `float` and each `region` extent take finite numbers only.
+typed `float` and each `region` extent take finite JSON numbers only.
 `RunConfig.stamp` is the merged configuration without `out_dir`:
 manifests and checkpoints store it, with its digest, and `require_same`
 checks a stamp read back from an artifact against the run config.
@@ -67,9 +67,10 @@ def _require_int(value, where: str):
 
 
 def require_finite(value, where: str):
-    """Raise ConfigError naming `where` if `value` is a NaN or infinite
-    float: `json` reads NaN and Infinity, and `float` reads nan and inf."""
-    if isinstance(value, float) and not math.isfinite(value):
+    """Raise ConfigError naming `where` unless `value` is a finite int or
+    float, not a bool: `json` reads NaN and Infinity, `float` nan and inf."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not math.isfinite(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 

@@ -269,9 +269,7 @@ def generate_scenarios(
         fade_gain = np.ones_like(fade_gain)
 
     bs = hex_layout(cfg.n_cells, cfg.inter_site_distance, cfg.region)
-    dh = np.linalg.norm(ue[:, :, None, :] - bs[None, None, :, :], axis=3)
-    dz = cfg.h_tx_m - cfg.h_ue_m
-    dist = np.sqrt(dh**2 + dz**2)
+    dist = _distance(ue, bs, cfg)
 
     pl0 = free_space_reference_db(cfg.carrier_ghz)
     pathloss_db = pl0 + 10.0 * cfg.pathloss_exponent * np.log10(dist)
@@ -308,6 +306,12 @@ def generate_scenarios(
         )
         for i, seed in enumerate(seeds)
     ]
+
+
+def _distance(ue, bs, cfg: ScenarioConfig) -> np.ndarray:
+    """3-D distances (..., K, N) of UE positions (..., K, 2) to cells (N, 2)."""
+    dh = np.linalg.norm(ue[..., :, None, :] - bs, axis=-1)
+    return np.sqrt(dh**2 + (cfg.h_tx_m - cfg.h_ue_m) ** 2)
 
 
 def compute_prb_demand(
@@ -391,7 +395,8 @@ def normalize_features(g: GraphInstance, stats: FeatureStats) -> GraphInstance:
 # dataset serialization: one self-describing record per line, every array
 # field encoded exactly by `codec.encode_array`
 
-# record key -> Scenario field, for every scenario array a record stores
+# record key -> Scenario field, for every scenario array a record stores;
+# `from_record` checks their shapes in this order
 RECORD_FIELDS = {
     "bs_xy": "bs_positions",
     "ue_xy": "ue_positions",
@@ -401,51 +406,38 @@ RECORD_FIELDS = {
 }
 
 
-def to_record(s: Scenario, g: GraphInstance, config_digest: str = "") -> dict:
-    """One dataset line: the seed, the config digest, the scenario arrays
-    named in `RECORD_FIELDS`, the adjacency and the raw features.
-
-    The distance and the per-PRB SINR cube are not stored: the distance
-    follows from the positions, and the cube from (config, seed).
-    """
-    arrays = {key: getattr(s, name) for key, name in RECORD_FIELDS.items()}
-    arrays["adj"] = g.adjacency.astype(np.int8)
-    arrays["feat"] = g.features
+def to_record(s: Scenario, config_digest: str = "") -> dict:
+    """One dataset line: the seed, the config digest and the scenario
+    arrays named in `RECORD_FIELDS`. Nothing derived is stored: distance,
+    the per-PRB SINR cube and the graph follow from these and the config."""
     return {
         "seed": int(s.seed),
         "config_digest": config_digest,
-        **{key: encode_array(values) for key, values in arrays.items()},
+        **{key: encode_array(getattr(s, name)) for key, name in RECORD_FIELDS.items()},
     }
 
 
-def from_record(rec: dict, cfg: ScenarioConfig) -> tuple[Scenario, GraphInstance]:
-    """Rebuild the scenario/graph pair; distance comes back from geometry,
-    and `sinr_per_prb_db` is None.
-
-    A record that is not one `to_record` writes raises ConfigError.
-    """
+def from_record(rec: dict, cfg: ScenarioConfig) -> Scenario:
+    """Rebuild the scenario; distance comes back from geometry, and
+    `sinr_per_prb_db` is None. Other keys (the `adj` and `feat` of older
+    datasets) are ignored. A record `to_record` cannot have written under
+    cfg, arrays shaped for other sizes included, raises ConfigError."""
     try:
         seed = int(rec["seed"])
-        arr = {key: decode_array(rec[key]) for key in (*RECORD_FIELDS, "adj", "feat")}
+        arr = {key: decode_array(rec[key]) for key in RECORD_FIELDS}
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed record: {exc!r}") from None
-    bs, ue = arr["bs_xy"], arr["ue_xy"]
-    dh = np.linalg.norm(ue[:, None, :] - bs[None, :, :], axis=2)
-    dist = np.sqrt(dh**2 + (cfg.h_tx_m - cfg.h_ue_m) ** 2)
-    s = Scenario(
+    k, n = cfg.n_ues, cfg.n_cells
+    for key, shape in zip(RECORD_FIELDS, [(n, 2), (k, 2), (k, n), (k, n), (k, n)]):
+        if arr[key].shape != shape:
+            raise ConfigError(f"{key} has shape {list(arr[key].shape)}, not {list(shape)}")
+    return Scenario(
         seed=seed,
-        distance=dist,
+        distance=_distance(arr["ue_xy"], arr["bs_xy"], cfg),
         sinr_per_prb_db=None,
         n_prb_total=cfg.n_prb_total,
         **{name: arr[key] for key, name in RECORD_FIELDS.items()},
     )
-    g = GraphInstance(
-        features=arr["feat"],
-        adjacency=arr["adj"].astype(np.float64),
-        prb_matrix=s.prb_demand.astype(np.float64),
-        n_prb_total=cfg.n_prb_total,
-    )
-    return s, g
 
 
 def write_jsonl(path, records):

@@ -11,7 +11,7 @@ from nesua import cli, gat
 from nesua.codec import decode_array, encode_array
 from nesua.config import RunConfig
 from nesua.errors import ConfigError
-from nesua.scenario import build_graph, generate_scenario, to_record, write_jsonl
+from nesua.scenario import generate_scenario, to_record, write_jsonl
 from nesua.training import split_and_normalize
 
 from helpers import reference_generate_scenario
@@ -115,8 +115,7 @@ def test_gen_dataset_equals_one_written_from_per_seed_draws(
     records = []
     for seed in range(11, 11 + size):
         s = reference_generate_scenario(cfg.scenario, seed)
-        g = build_graph(s, cfg.scenario.gamma_th_db)
-        records.append(to_record(s, g, config_digest=cfg.digest()))
+        records.append(to_record(s, config_digest=cfg.digest()))
     write_jsonl(tmp_path / "reference.jsonl", records)
     assert _read(out / "dataset.jsonl") == _read(tmp_path / "reference.jsonl")
 
@@ -771,6 +770,46 @@ def test_a_non_finite_number_exits_2(tmp_path, capsys, over, grid, named):
     assert not out.exists()
 
 
+# a float-typed key and each region extent take JSON numbers: no string,
+# no bool (an int to Python, so it would read as 0 or 1), no null
+@pytest.mark.parametrize(
+    "over, named",
+    [
+        ({"scenario": {"tx_power_dbm": "40"}}, "scenario.tx_power_dbm"),
+        ({"scenario": {"tx_power_dbm": True}}, "scenario.tx_power_dbm"),
+        ({"scenario": {"tx_power_dbm": None}}, "scenario.tx_power_dbm"),
+        ({"scenario": {"region": [2200.0, "2200"]}}, "scenario.region"),
+        ({"train": {"lambda2": False}}, "train.lambda2"),
+        ({"power": {"p_fixed_w": [100.0]}}, "power.p_fixed_w"),
+    ],
+    ids=["string", "true", "null", "string-extent", "false", "list"],
+)
+def test_a_float_key_takes_json_numbers_only(tmp_path, capsys, over, named):
+    cfg = _write_cfg(tmp_path, **over)
+    out = tmp_path / "o"
+    assert cli.main(["gen", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{named} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        ("w=20;k=2.5", "grid key 'k': scenario.n_ues must be an integer, got 2.5"),
+        ("w=20;k=3,0", "grid key 'k': n_ues must be >= 1, got 0"),
+    ],
+    ids=["fractional-k", "zero-k"],
+)
+def test_a_grid_value_its_config_key_cannot_take_exits_2(tmp_path, capsys, grid, named):
+    # checked before any point trains, as a run file's value would be
+    cfg = _sweep_cfg(tmp_path)
+    out = tmp_path / "sw"
+    code = cli.main(["sweep", "bandwidth", "--config", cfg, "--out", str(out), "--grid", grid])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runconfig_rejects_unknown_sections():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"scenarios": {}})
@@ -875,7 +914,7 @@ def test_old_decimal_list_artifacts_exit_2(tmp_path, capsys):
 
     lines = dataset.read_text().splitlines()
     old = json.loads(lines[1])
-    for key in ("rsrp_dbm", "feat"):  # the decimal-list layout of earlier versions
+    for key in ("rsrp_dbm", "sinr_db"):  # the decimal-list layout of earlier versions
         old[key] = decode_array(old[key]).tolist()
     lines[1] = json.dumps(old, separators=(",", ":"))
     dataset.write_text("\n".join(lines) + "\n")

@@ -17,7 +17,6 @@ _SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0])
     [
         _SPECIALS,
         np.array([-(2**63), 2**63 - 1, 0, -1], dtype=np.int64),
-        np.array([-128, 127, 0, 1], dtype=np.int8),
         np.array(2.5),
         np.zeros((0,)),
         np.arange(7.0),
@@ -27,13 +26,13 @@ _SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0])
         np.arange(-3, 3).astype(">i8"),
     ],
     ids=[
-        "f8-specials", "i8", "i1", "shape-()", "shape-(0,)", "shape-(7,)",
+        "f8-specials", "i8", "shape-()", "shape-(0,)", "shape-(7,)",
         "shape-(3,4)", "transposed", "big-endian-f8", "big-endian-i8",
     ],
 )
 def test_round_trip_is_bit_exact_and_writable(values):
     stored = json.loads(json.dumps(encode_array(values)))
-    assert stored["dtype"][0] in "<|"  # byte order is always stated
+    assert stored["dtype"][0] == "<"  # byte order is always stated
     back = decode_array(stored)
     native = values.astype(values.dtype.newbyteorder("="))
     assert back.dtype == native.dtype
@@ -59,6 +58,7 @@ def _good():
         {**_good(), "dtype": "<f4"},
         {**_good(), "dtype": ">f8"},
         {**_good(), "dtype": "float64"},
+        {"dtype": "|i1", "shape": [3], "b64": "AAEC"},
         {k: v for k, v in _good().items() if k != "b64"},
         {k: v for k, v in _good().items() if k != "dtype"},
         [0.0, 1.0, 2.0],
@@ -68,7 +68,7 @@ def _good():
     ids=[
         "bad-base64", "b64-not-text", "too-few-bytes", "too-many-bytes",
         "negative-size", "shape-not-list", "bool-size", "unknown-f4",
-        "big-endian-dtype", "dtype-without-order", "missing-b64",
+        "big-endian-dtype", "dtype-without-order", "int8", "missing-b64",
         "missing-dtype", "decimal-list", "old-checkpoint-entry", "null",
     ],
 )
@@ -89,17 +89,20 @@ def _reference_bytes(doc, path):
     return path.read_bytes()
 
 
-# byte counts around the writer's chunk of whole 3-byte groups
+# int64 counts (8 bytes a value) whose byte counts are small, or just
+# under, on or over a multiple of the writer's chunk of whole 3-byte
+# groups; together they leave every remainder mod 3
 _STEP = codec._CHUNK // 4 * 3
+_INT64 = np.iinfo(np.int64)
 
 
 @pytest.mark.parametrize(
-    "nbytes", [0, 1, 2, 3, _STEP - 1, _STEP, _STEP + 1, 2 * _STEP, 2 * _STEP + 2]
+    "count", [0, 1, 2, 3, _STEP - 1, _STEP, _STEP + 1, 2 * _STEP, 2 * _STEP + 2]
 )
-def test_write_json_equals_json_dump_bit_for_bit(tmp_path, nbytes):
-    rng = np.random.default_rng(nbytes)
+def test_write_json_equals_json_dump_bit_for_bit(tmp_path, count):
+    rng = np.random.default_rng(count)
     arrays = [
-        rng.integers(-128, 128, size=nbytes, dtype=np.int8),
+        rng.integers(_INT64.min, _INT64.max, size=count, dtype=np.int64, endpoint=True),
         _SPECIALS,
         (np.arange(12.0).reshape(3, 4) / 7.0).T,
         np.array(2.5),

@@ -1,5 +1,6 @@
 """Geometry, channel, demand, graph, and serialization checks."""
 
+import base64
 import dataclasses
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from nesua import scenario as sc
+from nesua.codec import decode_array, encode_array
 from nesua.errors import ConfigError, ContractError
 
 from helpers import reference_generate_scenario
@@ -282,54 +284,91 @@ def test_feature_normalization_round_trip():
     np.testing.assert_array_equal(clone.std, stats.std)
 
 
-def test_dataset_round_trip(tmp_path):
-    cfg = small_cfg(n_ues=5)
-    pairs = []
-    for seed in range(4):
-        s = sc.generate_scenario(cfg, seed)
-        pairs.append((s, sc.build_graph(s, cfg.gamma_th_db)))
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(n_ues=1),
+        dict(n_ues=7),
+        dict(n_ues=50),
+        dict(n_ues=7, region=(3200.0, 2600.0)),
+        dict(n_ues=7, shadowing_sigma_db=0.0),
+        dict(n_ues=7, gamma_th_db=-5.0),
+        dict(n_ues=7, gamma_th_db=15.0),
+    ],
+    ids=["k1", "k7", "k50", "non-square", "sigma0", "gamma-5", "gamma15"],
+)
+def test_dataset_round_trip(tmp_path, kw):
+    # a record stores the scenario only; the graph `build_graph` makes of
+    # the scenario read back is the one it makes of the generated scenario
+    cfg = small_cfg(**kw)
+    scenarios = [sc.generate_scenario(cfg, seed) for seed in range(4)]
     path = tmp_path / "data.jsonl"
-    sc.write_jsonl(path, [sc.to_record(s, g, "digest") for s, g in pairs])
+    sc.write_jsonl(path, [sc.to_record(s, "digest") for s in scenarios])
     records = sc.read_jsonl(path)
     assert len(records) == 4
-    for rec, (s, g) in zip(records, pairs):
-        s2, g2 = sc.from_record(rec, cfg)
-        assert s2.sinr_per_prb_db is None  # records do not store the cube
-        for name in (
-            "bs_positions", "ue_positions", "sinr_wideband_db", "rsrp_dbm",
-        ):
-            np.testing.assert_array_equal(getattr(s2, name), getattr(s, name))
-        np.testing.assert_array_equal(s2.distance, s.distance)
-        np.testing.assert_array_equal(s2.prb_demand, s.prb_demand)
-        np.testing.assert_array_equal(g2.features, g.features)
-        np.testing.assert_array_equal(g2.adjacency, g.adjacency)
-        assert s2.n_prb_total == s.n_prb_total
+    for rec, s in zip(records, scenarios):
+        back = sc.from_record(rec, cfg)
+        assert back.sinr_per_prb_db is None  # records do not store the cube
+        assert_same_fields(back, dataclasses.replace(s, sinr_per_prb_db=None))
+        assert_same_fields(
+            sc.build_graph(back, cfg.gamma_th_db), sc.build_graph(s, cfg.gamma_th_db)
+        )
+
+
+def test_a_record_with_the_earlier_stored_graph_loads_alike():
+    # records used to store the graph as well: the adjacency as int8 and
+    # the raw features; a reader ignores both
+    cfg = small_cfg(n_ues=7)
+    s = sc.generate_scenario(cfg, 3)
+    g = sc.build_graph(s, cfg.gamma_th_db)
+    rec = sc.to_record(s, "digest")
+    adj = g.adjacency.astype(np.int8)
+    earlier = {
+        **rec,
+        "adj": {
+            "dtype": "|i1",
+            "shape": list(adj.shape),
+            "b64": base64.b64encode(adj.tobytes()).decode("ascii"),
+        },
+        "feat": encode_array(g.features),
+    }
+    back = sc.from_record(json.loads(json.dumps(earlier)), cfg)
+    assert_same_fields(back, sc.from_record(rec, cfg))
+    assert_same_fields(sc.build_graph(back, cfg.gamma_th_db), g)
+
+
+@pytest.mark.parametrize("key", ["bs_xy", "ue_xy", "sinr_db", "rsrp_dbm", "prb"])
+def test_a_record_array_not_shaped_for_the_config_is_refused(key):
+    # the graph is built from these arrays, so a record must fit cfg
+    cfg = small_cfg(n_ues=4)
+    rec = sc.to_record(sc.generate_scenario(cfg, 0))
+    rec[key] = encode_array(decode_array(rec[key])[1:])
+    with pytest.raises(ConfigError, match=f"{key} has shape"):
+        sc.from_record(rec, cfg)
 
 
 def test_record_field_names_are_stable():
     cfg = small_cfg(n_ues=2)
-    s = sc.generate_scenario(cfg, 0)
-    rec = sc.to_record(s, sc.build_graph(s, 0.0))
+    rec = sc.to_record(sc.generate_scenario(cfg, 0))
     expected = {
-        "seed", "config_digest", "bs_xy", "ue_xy", "sinr_db",
-        "rsrp_dbm", "prb", "adj", "feat",
+        "seed", "config_digest", "bs_xy", "ue_xy", "sinr_db", "rsrp_dbm", "prb",
     }
     assert set(rec) == expected
 
 
 def test_paper_default_record_stays_small():
-    # the per-PRB SINR cube (K x N x T float64) would be 190,400 of its bytes
+    # the per-PRB SINR cube (K x N x T float64) would be 190,400 of its
+    # bytes, and the graph (adjacency and raw features) 14,631
     cfg = sc.ScenarioConfig()
-    s = sc.generate_scenario(cfg, 0)
-    rec = sc.to_record(s, sc.build_graph(s, cfg.gamma_th_db), "0" * 64)
+    rec = sc.to_record(sc.generate_scenario(cfg, 0), "0" * 64)
     assert "sinr_prb_db" not in rec
-    assert len(json.dumps(rec, separators=(",", ":"))) < 32 * 1024
+    assert len(json.dumps(rec, separators=(",", ":"))) < 14 * 1024
 
 
-def assert_same_scenario(got, want):
-    """Every field of two scenarios is equal; arrays in dtype, shape and
-    bytes."""
-    for f in dataclasses.fields(sc.Scenario):
+def assert_same_fields(got, want):
+    """Every field of two scenarios, or of two graphs, is equal; arrays in
+    dtype, shape and bytes."""
+    for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
             assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
@@ -360,7 +399,7 @@ def test_chunked_draws_match_the_per_seed_reference_bit_for_bit(
         got = sc.generate_scenarios(cfg, seeds, shadowing, fading)
         assert [s.seed for s in got] == seeds
         for s in got:
-            assert_same_scenario(
+            assert_same_fields(
                 s, reference_generate_scenario(cfg, s.seed, shadowing, fading)
             )
 
@@ -373,13 +412,13 @@ def test_iter_scenarios_crosses_chunks_in_seed_order(n_ues):
         got = list(sc.iter_scenarios(cfg, seeds))
         assert [s.seed for s in got] == seeds
         for s in got:
-            assert_same_scenario(s, reference_generate_scenario(cfg, s.seed))
+            assert_same_fields(s, reference_generate_scenario(cfg, s.seed))
 
 
 def test_single_seed_draw_is_a_chunk_of_one():
     cfg = small_cfg(reuse_factor=1.0)  # every other cell interferes
     for seed in (0, 5):
-        assert_same_scenario(
+        assert_same_fields(
             sc.generate_scenario(cfg, seed), reference_generate_scenario(cfg, seed)
         )
 
@@ -411,4 +450,4 @@ def test_in_place_draws_match_the_reference_over_many_seeds(sigma):
         )
         seeds = range(7000, 7000 + count)
         for s in sc.iter_scenarios(cfg, seeds):
-            assert_same_scenario(s, reference_generate_scenario(cfg, s.seed))
+            assert_same_fields(s, reference_generate_scenario(cfg, s.seed))
