@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import decode_packed, encode_array
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 
 class Tensor:
@@ -724,6 +724,9 @@ def attach_grad_slots(tensors) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam's denominator term: added to the root of the second moment
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -733,50 +736,41 @@ class AdamState:
     lr: float = 5e-5
     beta1: float = 0.9
     beta2: float = 0.999
-    eps_stability: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
     @classmethod
-    def for_params(cls, flat: Tensor, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(cls, flat: Tensor, lr=5e-5, beta1=0.9, beta2=0.999):
         """Zero moments for the packed parameter buffer `flat`."""
         return cls(
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps_stability=eps,
-            m=np.zeros_like(flat.values),
-            v=np.zeros_like(flat.values),
+            lr=lr, beta1=beta1, beta2=beta2,
+            m=np.zeros_like(flat.values), v=np.zeros_like(flat.values),
         )
 
     def to_dict(self, shapes, deferred: bool = False):
-        """JSON-ready state, each moment written as one array per parameter,
-        the buffer's views of `shapes` in order; with `deferred`, their
-        base64 text is left to `codec.write_json` (`codec.encode_array`)."""
+        """JSON-ready state: the step and each moment as one array per
+        parameter, the buffer's views of `shapes` in order; with `deferred`,
+        their base64 text is left to `codec.write_json`
+        (`codec.encode_array`). The settings are the stamped run config's."""
         return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps_stability": self.eps_stability,
             "step": self.step,
             "m": [encode_array(buf, deferred) for buf in unpack(self.m, shapes)],
             "v": [encode_array(buf, deferred) for buf in unpack(self.v, shapes)],
         }
 
     @classmethod
-    def from_dict(cls, d):
-        """The state `to_dict` wrote, each moment's arrays decoded back to
-        back into one buffer (`codec.decode_packed`)."""
-        return cls(
-            lr=d["lr"],
-            beta1=d["beta1"],
-            beta2=d["beta2"],
-            eps_stability=d["eps_stability"],
-            step=d["step"],
-            m=decode_packed(d["m"]),
-            v=decode_packed(d["v"]),
-        )
+    def from_dict(cls, d, train, shapes, where: str = "adam"):
+        """The state `to_dict(shapes)` wrote, stepping by the `lr`, `beta1`
+        and `beta2` of `train` (a `training.TrainConfig`), each moment
+        decoded into one buffer (`codec.decode_packed`). Moments not shaped
+        as `shapes` raise ConfigError naming `where`, as decoding does."""
+        moments, wanted = [], [list(shape) for shape in shapes]
+        for key in ("m", "v"):
+            moments.append(decode_packed(d[key], f"{where}.{key}"))
+            if [entry["shape"] for entry in d[key]] != wanted:
+                raise ConfigError(f"{where}.{key} is not shaped as the parameters, {wanted}")
+        return cls(train.lr, train.beta1, train.beta2, d["step"], *moments)
 
 
 # Elements per Adam block. Two scratch blocks of 256 KB stay in cache and
@@ -824,7 +818,7 @@ def adam_step(param: Tensor, grad: np.ndarray, state: AdamState):
         np.divide(mb, bias1, out=s1)
         np.divide(vb, bias2, out=s2)
         np.sqrt(s2, out=s2)
-        np.add(s2, state.eps_stability, out=s2)
+        np.add(s2, ADAM_EPS, out=s2)
         np.multiply(s1, state.lr, out=s1)
         np.divide(s1, s2, out=s1)
         np.subtract(pb, s1, out=pb)

@@ -20,7 +20,10 @@ import sys
 from . import autodiff as ad
 from . import gat as gat_mod
 from .baselines import associate_ga_subsinr, associate_oracle, associate_rsrp
-from .config import RunConfig, load_config, require_finite, require_same, write_config
+from .config import (
+    EVAL_CHECKPOINT, MANIFEST, RESUME_CHECKPOINT, STAMP, RunConfig, load_config, read_artifact,
+    read_json, require_finite, require_same, write_config, write_doc,
+)
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -67,19 +70,16 @@ def _write_dataset(cfg: RunConfig, out_dir, scenarios) -> tuple[str, int]:
     manifest.json that `_load_pairs` checks it against; returns the
     dataset's path and record count."""
     os.makedirs(out_dir, exist_ok=True)
-    digest = cfg.digest()
-    records = [to_record(s, config_digest=digest) for s in scenarios]
+    records = [to_record(s) for s in scenarios]
     dataset_path = os.path.join(out_dir, "dataset.jsonl")
     write_jsonl(dataset_path, records)
     manifest = {
         "config": cfg.stamp(),
-        "config_digest": digest,
+        "config_digest": cfg.digest(),
         "seed": cfg.seed,
         "count": len(records),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_doc(os.path.join(out_dir, "manifest.json"), manifest)
     return dataset_path, len(records)
 
 
@@ -95,40 +95,20 @@ def _architectures(model, cfg: RunConfig, pairs) -> tuple[dict, dict]:
     call for, as stamps: a `gat` section with the cell count and the
     feature width."""
     return (
-        {"gat": {**model.config.to_dict(), "n_cells": model.n_cells,
+        {"gat": {**dataclasses.asdict(model.config), "n_cells": model.n_cells,
                  "feat_dim": model.feat_dim}},
-        {"gat": {**cfg.gat.to_dict(), "n_cells": cfg.scenario.n_cells,
+        {"gat": {**dataclasses.asdict(cfg.gat), "n_cells": cfg.scenario.n_cells,
                  "feat_dim": pairs[0].graph.features.shape[1]}},
     )
 
 
 def _resumable(stamp: dict) -> dict:
     """A stamp without what a resume may change: `train.epochs`, the epoch
-    to train to, and the `eval` section, which training does not read. A
-    stamp that is not an object keeps nothing."""
-    if not isinstance(stamp, dict):
-        return {}
+    to train to, and the `eval` section, which training does not read."""
     doc = {name: value for name, value in stamp.items() if name != "eval"}
     if isinstance(doc.get("train"), dict):
         doc["train"] = {k: v for k, v in doc["train"].items() if k != "epochs"}
     return doc
-
-
-def _check_moments(adam_doc: dict, model, checkpoint):
-    """Refuse Adam moments that are not laid out like the parameters: one
-    entry per name of the model's table, in its order, each of its shape."""
-    table = gat_mod.param_shapes(model.feat_dim, model.n_cells, model.config)
-    for key in ("m", "v"):
-        entries = adam_doc[key]
-        if len(entries) != len(table):
-            raise ConfigError(
-                f"checkpoint {checkpoint} holds {len(entries)} adam.{key} "
-                f"moments for {len(table)} parameters"
-            )
-        gat_mod.check_shapes(
-            [(name, entry["shape"]) for name, entry in zip(table, entries)],
-            table, f"checkpoint {checkpoint} adam.{key}",
-        )
 
 
 def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
@@ -136,32 +116,21 @@ def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
     have been written for the run config's scenario section, and its
     record count must match the dataset's."""
     manifest_path = os.path.join(os.path.dirname(dataset_path), "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        manifest = json.loads(text)
-        made_for = {"scenario": dict(manifest["config"]["scenario"])}
-        count = manifest["count"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(
-            f"manifest {manifest_path} lacks config.scenario or count: {exc!r}"
-        ) from exc
+    where = f"manifest {manifest_path}"
+    manifest = read_artifact(read_json(manifest_path, where), MANIFEST, where)
     require_same(
-        f"manifest {manifest_path} of dataset {dataset_path}", made_for,
+        f"{where} of dataset {dataset_path}", manifest["config"],
         {"scenario": cfg.stamp()["scenario"]}, config_path,
     )
     records = read_jsonl(dataset_path)
-    if len(records) != count:
+    if len(records) != manifest["count"]:
         raise ConfigError(
             f"dataset {dataset_path} holds {len(records)} records but "
-            f"{manifest_path} says {count}"
+            f"{manifest_path} says {manifest['count']}"
         )
     pairs = []
     for i, rec in enumerate(records, 1):
-        try:
-            s = from_record(rec, cfg.scenario)
-        except ConfigError as exc:
-            raise ConfigError(f"dataset {dataset_path} record {i}: {exc}") from None
+        s = from_record(rec, cfg.scenario, f"dataset {dataset_path} record {i}")
         pairs.append(Sample(s, build_graph(s, cfg.scenario.gamma_th_db)))
     return pairs
 
@@ -173,12 +142,8 @@ def _with_sinr_cube(s, number, dataset_path, cfg: RunConfig):
     bit-equal to the regenerated one, or ConfigError names the field."""
     fresh = generate_scenario(cfg.scenario, s.seed)
     for key, name in RECORD_FIELDS.items():
-        stored, rebuilt = getattr(s, name), getattr(fresh, name)
-        if (
-            stored.dtype != rebuilt.dtype
-            or stored.shape != rebuilt.shape
-            or stored.tobytes() != rebuilt.tobytes()
-        ):
+        # `from_record` read each array at the dtype and shape of the config
+        if getattr(s, name).tobytes() != getattr(fresh, name).tobytes():
             raise ConfigError(
                 f"dataset {dataset_path} record {number}: stored {key} is not "
                 f"what seed {s.seed} generates under the run config"
@@ -205,26 +170,17 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     prior_history = []
     if checkpoint:
         model, leftover = gat_mod.load_checkpoint(checkpoint)
-        missing = {"adam", "epoch", "config"} - set(leftover)
-        if missing:
-            raise ConfigError(
-                f"checkpoint {checkpoint} is not resumable: missing "
-                f"{', '.join(sorted(missing))}"
-            )
-        try:
-            adam = ad.AdamState.from_dict(leftover["adam"])
-        except (ConfigError, KeyError, TypeError) as exc:
-            raise ConfigError(
-                f"checkpoint {checkpoint} has no readable optimizer state: {exc!r}"
-            ) from None
+        where = f"checkpoint {checkpoint}"
+        resume = read_artifact(leftover, RESUME_CHECKPOINT, where, epochs=cfg.train.epochs)
+        shapes = [p.shape for p in model.params.values()]
+        adam = ad.AdamState.from_dict(leftover["adam"], cfg.train, shapes, f"{where}: adam")
         built, wanted = _architectures(model, cfg, pairs)
         require_same(
-            f"checkpoint {checkpoint}", {**_resumable(leftover["config"]), **built},
+            where, {**_resumable(resume["config"]), **built},
             {**_resumable(cfg.stamp()), **wanted}, config_path,
         )
-        _check_moments(leftover["adam"], model, checkpoint)
-        start_epoch = int(leftover["epoch"])
-        prior_history = [tuple(row) for row in leftover.get("history", [])]
+        start_epoch = resume["epoch"]
+        prior_history = [(int(row[0]), *row[1:]) for row in resume["history"].tolist()]
     res = train(
         [p.graph for p in train_s],
         cfg.train,
@@ -278,10 +234,12 @@ def cmd_train(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int
     return EXIT_OK
 
 
-def _checkpoint_stats(leftover, path) -> FeatureStats:
-    if "norm_stats" not in leftover:
-        raise ConfigError(f"checkpoint {path} lacks normalization statistics")
-    return FeatureStats.from_dict(leftover["norm_stats"])
+def _load_model(path) -> tuple:
+    """A checkpoint's model and the feature statistics it stamps, read by
+    the `EVAL_CHECKPOINT` table."""
+    model, leftover = gat_mod.load_checkpoint(path)
+    doc = read_artifact(leftover, EVAL_CHECKPOINT, f"checkpoint {path}", feat_dim=model.feat_dim)
+    return model, FeatureStats(**doc["norm_stats"])
 
 
 def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
@@ -291,7 +249,7 @@ def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
     normalized for `model`. Returns the `eval.csv` row without its seed, a
     column -> value dict, and the policy reports in heatmap order."""
     s = sample.scenario
-    demand = cfg.eval_demand_mbps()
+    demand = cfg.scenario.ue_demand_mbps
     gnn = evaluate_policy(
         gat_mod.harden(gat_mod.forward(sample.graph, model)),
         s, cfg.power, demand, policy_name="gnn",
@@ -323,11 +281,8 @@ def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
 
 
 def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
-    model, leftover = gat_mod.load_checkpoint(checkpoint)
-    stats = _checkpoint_stats(leftover, checkpoint)
+    model, stats = _load_model(checkpoint)
     pairs = _load_pairs(dataset_path, cfg, config_path)
-    if not pairs:
-        raise ConfigError(f"dataset {dataset_path} is empty")
     require_same(f"checkpoint {checkpoint}", *_architectures(model, cfg, pairs), config_path)
     scenario = pairs[0].scenario
     with_oracle = scenario.n_cells**scenario.n_ues <= cfg.eval.oracle_budget
@@ -357,11 +312,7 @@ def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
         for _, row in rows:
             total += row[name]
         summary[f"mean_{name}"] = total / len(rows)
-    with open(
-        os.path.join(cfg.out_dir, "eval_summary.json"), "w", encoding="utf-8"
-    ) as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_doc(os.path.join(cfg.out_dir, "eval_summary.json"), summary)
     export_heatmaps(first_reports[0], first_reports[1], cfg.out_dir)
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
     print(
@@ -372,7 +323,7 @@ def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
 
 
 def _parse_grid(text: str) -> dict:
-    """Parse 'key=1,2;other=0.5,1' into {key: [values]}."""
+    """Parse 'key=1,2;other=0.5,1' into {key: [values]}, each a JSON number."""
     grid = {}
     for part in text.split(";"):
         part = part.strip()
@@ -381,22 +332,14 @@ def _parse_grid(text: str) -> dict:
         if "=" not in part:
             raise ConfigError(f"grid part {part!r} is not key=v1,v2,...")
         key, _, tail = part.partition("=")
-        values = []
-        for tok in tail.split(","):
-            tok = tok.strip()
-            if not tok:
-                raise ConfigError(f"grid key {key!r} has an empty value")
-            try:
-                values.append(int(tok))
-            except ValueError:
-                try:
-                    value = float(tok)
-                except ValueError:
-                    raise ConfigError(
-                        f"grid value {tok!r} for key {key!r} is not a number"
-                    ) from None
-                require_finite(value, f"grid value for key {key!r}")
-                values.append(value)
+        try:  # JSON numbers, as a run file's
+            values = json.loads(f"[{tail}]")
+        except ValueError:
+            values = []
+        if not values or not all(type(v) in (int, float) for v in values):
+            raise ConfigError(f"grid value for key {key!r} is not a number in {tail!r}")
+        for value in values:
+            require_finite(value, f"grid value for key {key!r}")
         grid[key.strip()] = values
     if not grid:
         raise ConfigError("empty grid")
@@ -452,18 +395,9 @@ def _train_points(cfg: RunConfig, points, sub_dirs, dataset_path=None, config_pa
             todo.append((point_cfg.to_dict(), dataset_path, sub))
             continue
         best = os.path.join(sub, "checkpoint_best.json")
-        with open(best, "r", encoding="utf-8") as fh:
-            try:
-                stamped = json.load(fh).get("config")
-            except (ValueError, AttributeError):
-                stamped = None
-        try:
-            require_same(
-                f"checkpoint {best} of finished sweep point {sub}", stamped,
-                point_cfg.stamp(), config_path,
-            )
-        except ConfigError as exc:
-            raise ConfigError(f"{exc}; remove {sub} or sweep into another --out") from None
+        where = f"finished sweep point {sub} (remove it, or sweep into another --out): {best}"
+        stamped = read_artifact(read_json(best, where), {"config": STAMP}, where)
+        require_same(where, stamped["config"], point_cfg.stamp(), config_path)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
     if dataset_path and not os.path.exists(os.path.join(cfg.out_dir, "manifest.json")):
@@ -478,12 +412,6 @@ def _train_points(cfg: RunConfig, points, sub_dirs, dataset_path=None, config_pa
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         list(pool.map(_train_point, todo))
-
-
-def _load_point_model(sub_dir):
-    path = os.path.join(sub_dir, "checkpoint_best.json")
-    model, leftover = gat_mod.load_checkpoint(path)
-    return model, _checkpoint_stats(leftover, path)
 
 
 def _eval_samples(cfg: RunConfig, stats: FeatureStats) -> list:
@@ -522,7 +450,7 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
         eval_cfgs = [[_with_grid_value(p, "k", "n_ues", k) for k in ks] for p in point_cfgs]
         _train_points(cfg, point_cfgs, sub_dirs, config_path=config_path)
         for w, sub, k_cfgs in zip(ws, sub_dirs, eval_cfgs):
-            model, stats = _load_point_model(sub)
+            model, stats = _load_model(os.path.join(sub, "checkpoint_best.json"))
             for k, k_cfg in zip(ks, k_cfgs):
                 samples = _eval_samples(k_cfg, stats)
                 points.append(({"bandwidth_mhz": w, "n_ues": k}, model, samples))
@@ -553,7 +481,8 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
             for p in test_s
         ]
         for ratio, sub in zip(ratios, sub_dirs):
-            points.append(({"lambda_ratio": ratio}, _load_point_model(sub)[0], samples))
+            model = _load_model(os.path.join(sub, "checkpoint_best.json"))[0]
+            points.append(({"lambda_ratio": ratio}, model, samples))
         variable = "lambda_ratio"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown sweep kind {kind!r}")
@@ -612,13 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_config(args) -> RunConfig:
+    """The run file with `--seed` and `--out` over it, read by its rules."""
     data = load_config(args.config) if args.config else {}
-    cfg = RunConfig.from_dict(data)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    return cfg
+    for key, flag in (("seed", args.seed), ("out_dir", args.out)):
+        if flag is not None:
+            data[key] = flag
+    return RunConfig.from_dict(data)
 
 
 def main(argv=None) -> int:

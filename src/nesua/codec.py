@@ -103,40 +103,40 @@ def write_json(path, doc):
         fh.write(b"\n")
 
 
-def _header(entry) -> tuple[np.dtype, tuple, str]:
-    """The dtype, shape and base64 text of an array entry; ConfigError for
-    a missing key, an unknown dtype or a bad shape."""
+def _header(entry, where: str) -> tuple[np.dtype, tuple, str]:
+    """The dtype, shape and base64 text of an array entry; ConfigError
+    naming `where` for a missing key, an unknown dtype or a bad shape."""
     try:
         dtype, shape, text = entry["dtype"], entry["shape"], entry["b64"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(
-            f"expected an array entry {{dtype, shape, b64}}, got "
+            f"{where} must be an array entry {{dtype, shape, b64}}, got "
             f"{type(entry).__name__} without {exc}"
         ) from None
     if dtype not in DTYPES:
-        raise ConfigError(f"unknown array dtype {dtype!r}, expected one of {DTYPES}")
+        raise ConfigError(f"{where} has unknown dtype {dtype!r}, expected one of {DTYPES}")
     if not isinstance(shape, list) or not all(
         type(n) is int and n >= 0 for n in shape
     ):
-        raise ConfigError(f"array shape {shape!r} is not a list of sizes")
+        raise ConfigError(f"{where} shape {shape!r} is not a list of sizes")
     return np.dtype(dtype), tuple(shape), text
 
 
-def _decode_into(out: np.ndarray, dt: np.dtype, text):
+def _decode_into(out: np.ndarray, dt: np.dtype, text, where: str):
     """Write the array that base64 text holds as raw dt bytes into out, a
-    C-ordered native-order array of dt's kind; ConfigError for invalid
-    base64 or a byte count other than out's.
+    C-ordered native-order array of dt's kind; ConfigError naming `where`
+    for invalid base64 or a byte count other than out's.
 
     Chunks hold whole 4-character groups and each is checked as
     `base64.b64decode(..., validate=True)` checks the whole text; padding
     may only end the last one.
     """
     if not isinstance(text, str) or len(text) % 4:
-        raise ConfigError("array bytes are not valid base64")
+        raise ConfigError(f"{where} bytes are not valid base64")
     size = len(text) // 4 * 3 - (2 if text.endswith("==") else text.endswith("="))
     if size != out.nbytes:
         raise ConfigError(
-            f"array of shape {list(out.shape)} and dtype {dt.str} needs "
+            f"{where} of shape {list(out.shape)} and dtype {dt.str} needs "
             f"{out.nbytes} bytes, got {size}"
         )
     raw = memoryview(out).cast("B")
@@ -147,41 +147,41 @@ def _decode_into(out: np.ndarray, dt: np.dtype, text):
                 raise ValueError("padding before the end")
             data = base64.b64decode(piece, validate=True)
         except (binascii.Error, ValueError) as exc:
-            raise ConfigError(f"array bytes are not valid base64: {exc}") from None
+            raise ConfigError(f"{where} bytes are not valid base64: {exc}") from None
         at = start // 4 * 3
         raw[at:at + len(data)] = data
     if not dt.isnative:
         out.byteswap(inplace=True)
 
 
-def decode_array(entry) -> np.ndarray:
+def decode_array(entry, where: str = "array") -> np.ndarray:
     """Native-order, writable array that owns its memory.
 
-    Raises ConfigError for anything `encode_array` cannot have written:
-    a missing key, an unknown dtype, a bad shape, invalid base64, or a
-    byte count that does not match the shape.
+    Raises ConfigError naming `where` for anything `encode_array` cannot
+    have written: a missing key, an unknown dtype, a bad shape, invalid
+    base64, or a byte count that does not match the shape.
     """
-    dt, shape, text = _header(entry)
+    dt, shape, text = _header(entry, where)
     out = np.empty(shape, dtype=dt.newbyteorder("="))
-    _decode_into(out, dt, text)
+    _decode_into(out, dt, text, where)
     return out
 
 
-def decode_packed(entries) -> np.ndarray:
+def decode_packed(entries, where: str = "array") -> np.ndarray:
     """float64 entries decoded back to back into one new 1-D buffer, each
     in C order.
 
     Raises ConfigError as `decode_array` does, and for an entry whose dtype
     is not float64; the buffer is allocated once every header is checked.
     """
-    headers = [_header(entry) for entry in entries]
+    headers = [_header(entry, where) for entry in entries]
     for dt, shape, _ in headers:
         if dt.str != "<f8":
-            raise ConfigError(f"expected a float64 array, got dtype {dt.str} {list(shape)}")
+            raise ConfigError(f"{where} must be float64, got dtype {dt.str} {list(shape)}")
     flat = np.empty(sum(math.prod(shape) for _, shape, _ in headers))
     start = 0
     for dt, shape, text in headers:
         stop = start + math.prod(shape)
-        _decode_into(flat[start:stop].reshape(shape), dt, text)
+        _decode_into(flat[start:stop].reshape(shape), dt, text, where)
         start = stop
     return flat

@@ -138,12 +138,12 @@ def write_sweep_csv(variable: str, points, n_cells: int, out_dir, timestamp: str
         timestamp = time.strftime("%Y%m%d-%H%M%S")
     path = os.path.join(out_dir, f"sweep_{variable}_{timestamp}.csv")
     keys = list(points[0][0])
-    header = keys + ["status", "n_instances"]
+    header = keys + ["n_instances"]
     for col in SWEEP_COLUMNS:
         header += [f"mean_{col}", f"stderr_{col}"]
     lines = [",".join(header)]
     for values, rows in points:
-        line = [repr(values[key]) for key in keys] + ["ok", str(len(rows))]
+        line = [repr(values[key]) for key in keys] + [str(len(rows))]
         for col in SWEEP_COLUMNS:
             mean, err = _mean_stderr(_sweep_values(rows, col, n_cells))
             line += [repr(mean), repr(err)]

@@ -23,8 +23,7 @@ buffer of the same layout, and Adam's moments are two more.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,14 +56,6 @@ class GatConfig:
         if self.readout_activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown readout_activation {self.readout_activation!r}")
 
-    def to_dict(self):
-        return {
-            "hidden_dim": self.hidden_dim,
-            "negative_slope": self.negative_slope,
-            "activation": self.activation,
-            "readout_activation": self.readout_activation,
-        }
-
 
 def param_shapes(feat_dim: int, n_cells: int, cfg: GatConfig) -> dict[str, tuple]:
     """The parameter table: each name, in layout order, with its shape.
@@ -81,23 +72,24 @@ def param_shapes(feat_dim: int, n_cells: int, cfg: GatConfig) -> dict[str, tuple
     }
 
 
-def check_shapes(found: list, table: dict, where: str):
-    """Raise ConfigError naming `where` and the parameter unless the
-    (name, shape) pairs `found` give each of the table's names once, with
-    the table's shape."""
-    names = [name for name, _ in found]
-    for name, shape in found:
-        if name not in table:
+def check_shapes(entries: list, table: dict, where: str) -> list:
+    """The array entries `entries` in table order. Raises ConfigError
+    naming `where` and the parameter unless each is an object naming one
+    of the table's parameters, each once, with its shape."""
+    names = [entry.get("name") if isinstance(entry, dict) else None for entry in entries]
+    for name, entry in zip(names, entries):
+        if not isinstance(name, str) or name not in table:
             raise ConfigError(f"{where} holds a parameter {name!r} the model does not have")
         if names.count(name) > 1:
             raise ConfigError(f"{where} holds {name} {names.count(name)} times")
-        if tuple(shape) != table[name]:
+        if entry.get("shape") != list(table[name]):
             raise ConfigError(
-                f"{where}: {name} is shaped {list(shape)}, the model's {list(table[name])}"
+                f"{where}: {name} is shaped {entry.get('shape')}, the model's {list(table[name])}"
             )
     missing = [name for name in table if name not in names]
     if missing:
         raise ConfigError(f"{where} lacks parameters: {missing}")
+    return [entries[names.index(name)] for name in table]
 
 
 @dataclass
@@ -219,7 +211,7 @@ def save_checkpoint(path, model: GatModel, extra: dict | None = None):
             for name, t in model.params.items()
         ],
         "gat": {
-            **model.config.to_dict(),
+            **asdict(model.config),
             "feat_dim": model.feat_dim,
             "n_cells": model.n_cells,
         },
@@ -233,35 +225,18 @@ def load_checkpoint(path) -> tuple[GatModel, dict]:
     back untouched. The parameters are decoded straight into the model's
     packed buffer (`codec.decode_packed`).
 
-    A file that is not JSON, lacks a key, holds a malformed, non-float64
-    or old-style decimal-list parameter, or whose parameters are not
-    those of the table built from its own `gat` section, `feat_dim` and
-    `n_cells` (a name the table does not give, a shape other than the
-    table's, a missing name) raises ConfigError naming the file. A file
+    The file is read by the `config.CHECKPOINT` table, and its `params`
+    must be float64 arrays laid out by the table of its `gat` section
+    (`check_shapes`), or ConfigError names the file and the key. A file
     that cannot be opened raises OSError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        meta = doc["gat"]
-        cfg = GatConfig(
-            hidden_dim=meta["hidden_dim"],
-            negative_slope=meta["negative_slope"],
-            activation=meta["activation"],
-            readout_activation=meta["readout_activation"],
-        )
-        feat_dim, n_cells = meta["feat_dim"], meta["n_cells"]
-        by_name = {entry["name"]: entry for entry in doc["params"]}
-        found = [(entry["name"], tuple(entry["shape"])) for entry in doc["params"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from None
-    table = param_shapes(feat_dim, n_cells, cfg)
-    check_shapes(found, table, f"checkpoint {path}")
-    try:
-        flat = decode_packed([by_name[name] for name in table])
-        # sizes stamped as non-integers, such as 4.0, cannot lay out a buffer
-        model = GatModel(cfg, feat_dim, n_cells, ad.Tensor(flat))
-    except (ConfigError, TypeError) as exc:
-        raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from None
+    from .config import CHECKPOINT, read_artifact, read_json  # config imports this module
+
+    where = f"checkpoint {path}"
+    doc = read_json(path, where)
+    arch = read_artifact(doc, CHECKPOINT, where)["gat"]
+    cfg, sizes = arch["config"], (arch["feat_dim"], arch["n_cells"])
+    entries = check_shapes(doc["params"], param_shapes(*sizes, cfg), f"{where}: params")
+    model = GatModel(cfg, *sizes, ad.Tensor(decode_packed(entries, f"{where}: params")))
     leftover = {k: v for k, v in doc.items() if k not in ("params", "gat")}
     return model, leftover

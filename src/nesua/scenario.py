@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import decode_array, encode_array
+from .codec import encode_array
 from .errors import ConfigError, ContractError
 
 SPEED_OF_LIGHT = 299792458.0
@@ -33,6 +33,7 @@ SPECTRAL_EFFICIENCY_CAP = 7.4  # bit/s/Hz, keeps demand finite at huge SINR
 # Per-PRB SINR bytes in one `generate_scenarios` chunk at the most (see
 # `chunk_size`); the chunk's other cube-sized temporaries scale with it
 CHUNK_CUBE_BYTES = 1 << 20
+MIN_STD = 1e-12  # `feature_stats` divides a column spread less by 1.0
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ class ScenarioConfig:
             raise ConfigError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.n_ues < 1:
             raise ConfigError(f"n_ues must be >= 1, got {self.n_ues}")
+        if self.n_tx_antennas < 1:
+            raise ConfigError(f"n_tx_antennas must be >= 1, got {self.n_tx_antennas}")
         if self.bandwidth_mhz <= 0:
             raise ConfigError(f"bandwidth_mhz must be > 0, got {self.bandwidth_mhz}")
         if self.subcarrier_spacing_khz <= 0:
@@ -76,13 +79,13 @@ class ScenarioConfig:
         if self.inter_site_distance <= 0:
             raise ConfigError("inter_site_distance must be > 0")
         if self.h_tx_m <= 0 or self.h_ue_m <= 0 or self.h_tx_m == self.h_ue_m:
-            raise ConfigError("antenna heights must be positive and distinct")
+            raise ConfigError("h_tx_m and h_ue_m must be positive and distinct")
         if self.ue_demand_mbps <= 0:
             raise ConfigError(f"ue_demand_mbps must be > 0, got {self.ue_demand_mbps}")
         if self.n_prb_total < 1:
             raise ConfigError(
-                f"bandwidth {self.bandwidth_mhz} MHz leaves no usable PRB "
-                f"after twice the {self.guard_khz} kHz guard"
+                f"bandwidth_mhz {self.bandwidth_mhz} leaves no usable PRB "
+                f"after twice guard_khz {self.guard_khz}"
             )
 
     @property
@@ -368,19 +371,12 @@ class FeatureStats:
     def to_dict(self):
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
-        )
-
 
 def feature_stats(graphs) -> FeatureStats:
     """Column statistics pooled over all nodes of the given graphs."""
     stacked = np.concatenate([g.features for g in graphs], axis=0)
     std = stacked.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)  # constant columns stay untouched
+    std = np.where(std < MIN_STD, 1.0, std)  # constant columns stay untouched
     return FeatureStats(mean=stacked.mean(axis=0), std=std)
 
 
@@ -395,8 +391,7 @@ def normalize_features(g: GraphInstance, stats: FeatureStats) -> GraphInstance:
 # dataset serialization: one self-describing record per line, every array
 # field encoded exactly by `codec.encode_array`
 
-# record key -> Scenario field, for every scenario array a record stores;
-# `from_record` checks their shapes in this order
+# record key -> Scenario field, for every scenario array a record stores
 RECORD_FIELDS = {
     "bs_xy": "bs_positions",
     "ue_xy": "ue_positions",
@@ -406,33 +401,26 @@ RECORD_FIELDS = {
 }
 
 
-def to_record(s: Scenario, config_digest: str = "") -> dict:
-    """One dataset line: the seed, the config digest and the scenario
-    arrays named in `RECORD_FIELDS`. Nothing derived is stored: distance,
-    the per-PRB SINR cube and the graph follow from these and the config."""
+def to_record(s: Scenario) -> dict:
+    """One dataset line: the seed and the scenario arrays named in
+    `RECORD_FIELDS`. Nothing derived is stored: distance, the per-PRB SINR
+    cube and the graph follow from these and the config."""
     return {
         "seed": int(s.seed),
-        "config_digest": config_digest,
         **{key: encode_array(getattr(s, name)) for key, name in RECORD_FIELDS.items()},
     }
 
 
-def from_record(rec: dict, cfg: ScenarioConfig) -> Scenario:
+def from_record(rec: dict, cfg: ScenarioConfig, where: str = "record") -> Scenario:
     """Rebuild the scenario; distance comes back from geometry, and
-    `sinr_per_prb_db` is None. Other keys (the `adj` and `feat` of older
-    datasets) are ignored. A record `to_record` cannot have written under
-    cfg, arrays shaped for other sizes included, raises ConfigError."""
-    try:
-        seed = int(rec["seed"])
-        arr = {key: decode_array(rec[key]) for key in RECORD_FIELDS}
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed record: {exc!r}") from None
-    k, n = cfg.n_ues, cfg.n_cells
-    for key, shape in zip(RECORD_FIELDS, [(n, 2), (k, 2), (k, n), (k, n), (k, n)]):
-        if arr[key].shape != shape:
-            raise ConfigError(f"{key} has shape {list(arr[key].shape)}, not {list(shape)}")
+    `sinr_per_prb_db` is None. The record is read by the `config.RECORD`
+    table, so one `to_record` cannot have written under cfg raises
+    ConfigError naming `where` and the key."""
+    from .config import RECORD, read_artifact  # config imports this module
+
+    arr = read_artifact(rec, RECORD, where, n_cells=cfg.n_cells, n_ues=cfg.n_ues)
     return Scenario(
-        seed=seed,
+        seed=arr["seed"],
         distance=_distance(arr["ue_xy"], arr["bs_xy"], cfg),
         sinr_per_prb_db=None,
         n_prb_total=cfg.n_prb_total,

@@ -21,10 +21,7 @@ from .scenario import (
     FeatureStats,
     GraphInstance,
     Scenario,
-    ScenarioConfig,
-    build_graph,
     feature_stats,
-    iter_scenarios,
     normalize_features,
 )
 
@@ -60,8 +57,13 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.dataset_size < 2:
             raise ConfigError(f"dataset_size must be >= 2, got {self.dataset_size}")
+        if self.shuffle_seed < 0:
+            raise ConfigError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
 
 
 def loss(
@@ -116,19 +118,6 @@ def split_and_normalize(
     return train, test, stats
 
 
-def prepare_dataset(
-    cfg: ScenarioConfig, size: int, split: float, seed: int
-) -> tuple[list[Sample], list[Sample], FeatureStats]:
-    """Generate, shuffle, split, and normalize a scenario dataset."""
-    if size < 2:
-        raise ContractError(f"dataset size must be >= 2, got {size}")
-    pairs = [
-        Sample(scenario=s, graph=build_graph(s, cfg.gamma_th_db))
-        for s in iter_scenarios(cfg, range(seed, seed + size))
-    ]
-    return split_and_normalize(pairs, split, seed)
-
-
 @dataclass
 class TrainResult:
     model: gat_mod.GatModel         # parameters after the last epoch
@@ -161,15 +150,14 @@ def train(
     lc: LossConfig,
     params: PowerParams,
     seed: int,
+    test: list[GraphInstance],
     gat_cfg: gat_mod.GatConfig | None = None,
-    test: list[GraphInstance] | None = None,
     model: gat_mod.GatModel | None = None,
     adam_state: ad.AdamState | None = None,
     start_epoch: int = 0,
 ) -> TrainResult:
-    """Optimize a model over the dataset; deterministic for fixed seeds.
-
-    When test is None the dataset is split internally by split_fraction.
+    """Optimize a model over the dataset, scoring each epoch on `test`
+    (the splits of `split_and_normalize`); deterministic for fixed seeds.
     Passing model/adam_state/start_epoch resumes a prior run: the
     per-epoch shuffle is keyed by (shuffle_seed, epoch), so a resumed run
     walks the same instance order an uninterrupted run would.
@@ -186,16 +174,7 @@ def train(
     """
     if not dataset:
         raise ContractError("training dataset is empty")
-    if test is None:
-        order = np.random.default_rng(tc.shuffle_seed).permutation(len(dataset))
-        n_train = min(max(int(len(dataset) * tc.split_fraction), 1), len(dataset) - 1)
-        if len(dataset) == 1:
-            train_set, test_set = [dataset[0]], []
-        else:
-            train_set = [dataset[i] for i in order[:n_train]]
-            test_set = [dataset[i] for i in order[n_train:]]
-    else:
-        train_set, test_set = list(dataset), list(test)
+    train_set, test_set = list(dataset), list(test)
 
     widths = {g.prb_matrix.shape[1] for g in train_set + test_set}
     if len(widths) != 1:

@@ -11,12 +11,25 @@ from nesua.errors import ShapeError
 from nesua.power import network_power_hard, radio_coefficients
 from nesua.scenario import (
     Scenario,
+    build_graph,
     compute_prb_demand,
     free_space_reference_db,
     hex_layout,
+    iter_scenarios,
     noise_power_dbm,
     reuse_groups,
 )
+from nesua.training import Sample
+
+
+def dataset_samples(cfg, size, seed):
+    """The samples of a `size`-record dataset that `gen` draws from seed
+    `seed` on, each scenario with its graph, as `train` reads them back
+    before `training.split_and_normalize`."""
+    return [
+        Sample(s, build_graph(s, cfg.gamma_th_db))
+        for s in iter_scenarios(cfg, range(seed, seed + size))
+    ]
 
 
 def finite_difference_grad(f, x, h_scale=1e-5):
@@ -53,7 +66,7 @@ def reference_adam_step(params, grads, state):
         state.v[i][...] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g**2
         m_hat = state.m[i] / (1.0 - state.beta1**t)
         v_hat = state.v[i] / (1.0 - state.beta2**t)
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps_stability)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS)
 
 
 def reference_adam_step_over(shapes):

@@ -26,9 +26,9 @@ from nesua.scenario import (
     generate_scenario,
     normalize_features,
 )
-from nesua.training import LossConfig, TrainConfig, loss, prepare_dataset, train
+from nesua.training import LossConfig, TrainConfig, loss, split_and_normalize, train
 
-from helpers import check_grad, model_over
+from helpers import check_grad, dataset_samples, model_over
 
 PARAMS = PowerParams()
 
@@ -250,7 +250,7 @@ def test_small_instance_learning_tracks_oracle():
         n_cells=3, inter_site_distance=500.0, region=(2200.0, 2200.0),
         n_ues=6,
     )
-    train_split, test_split, _ = prepare_dataset(cfg, 250, 0.8, seed=100)
+    train_split, test_split, _ = split_and_normalize(dataset_samples(cfg, 250, 100), 0.8, 100)
     result = train(
         [smp.graph for smp in train_split],
         TrainConfig(dataset_size=250, epochs=80, lr=1e-3),
@@ -285,7 +285,9 @@ def test_learned_policy_beats_rsrp_across_grid():
             n_cells=7, inter_site_distance=500.0, region=(2200.0, 2200.0),
             n_ues=20, bandwidth_mhz=w_mhz,
         )
-        train_split, test_split, stats = prepare_dataset(cfg, 200, 0.8, seed=100)
+        train_split, test_split, stats = split_and_normalize(
+            dataset_samples(cfg, 200, 100), 0.8, 100
+        )
         result = train(
             [smp.graph for smp in train_split],
             TrainConfig(dataset_size=200, epochs=40, lr=1e-3),
@@ -322,7 +324,7 @@ def test_balance_weight_sweep_removes_switch_off():
         n_cells=7, inter_site_distance=500.0, region=(2200.0, 2200.0),
         n_ues=100, ue_demand_mbps=20.0, gamma_th_db=15.0,
     )
-    train_split, test_split, _ = prepare_dataset(cfg, 200, 0.8, seed=100)
+    train_split, test_split, _ = split_and_normalize(dataset_samples(cfg, 200, 100), 0.8, 100)
     ratios = (0.0, 4.0, 64.0, 1024.0, 4096.0)
     means = []
     for ratio in ratios:

@@ -7,6 +7,7 @@ import pytest
 
 from nesua import autodiff as ad
 from nesua.errors import ContractError, ShapeError
+from nesua.training import TrainConfig
 
 from helpers import check_grad, reference_adam_step
 
@@ -315,7 +316,9 @@ def test_adam_state_round_trips_through_dict():
     p = ad.parameter(np.array([1.0, -1.0]))
     state = ad.AdamState.for_params(p, lr=0.01)
     ad.adam_step(p, np.array([0.3, -0.7]), state)
-    clone = ad.AdamState.from_dict(state.to_dict([(1,), (1,)]))
+    clone = ad.AdamState.from_dict(
+        state.to_dict([(1,), (1,)]), TrainConfig(lr=0.01), [(1,), (1,)]
+    )
     assert clone.step == state.step
     np.testing.assert_array_equal(clone.m, state.m)
     np.testing.assert_array_equal(clone.v, state.v)

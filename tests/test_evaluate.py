@@ -211,9 +211,8 @@ def test_sweep_bandwidth_row_count_and_columns(tmp_path):
     header, rows = _table(path)
     assert len(rows) == len(ws) * len(ks)
     metrics = [f"{stat}_{col}" for col in ev.SWEEP_COLUMNS for stat in ("mean", "stderr")]
-    assert header == ["bandwidth_mhz", "n_ues", "status", "n_instances", *metrics]
+    assert header == ["bandwidth_mhz", "n_ues", "n_instances", *metrics]
     for row in rows:
-        assert row["status"] == "ok"
         assert row["n_instances"] == "3"
         for name in metrics:
             assert np.isfinite(float(row[name]))
@@ -244,7 +243,7 @@ def test_sweep_csv_round_trip(tmp_path):
     path = ev.write_sweep_csv("bandwidth", points, 2, tmp_path, timestamp="fixed")
     assert os.path.basename(path) == "sweep_bandwidth_fixed.csv"
     header, table = _table(path)
-    assert header[:4] == ["bandwidth_mhz", "n_ues", "status", "n_instances"]
+    assert header[:3] == ["bandwidth_mhz", "n_ues", "n_instances"]
     assert f"mean_{ev.SWEEP_COLUMNS[0]}" in header
     (ok_row,) = table
     mean = float(np.mean([row["gnn_power_w"] for row in rows]))

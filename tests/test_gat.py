@@ -1,18 +1,19 @@
 """Attention mechanics, readout, locality, and checkpoint round-trips."""
 
 import base64
+import dataclasses
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nesua import autodiff as ad
-from nesua import gat
+from nesua import config, gat
 from nesua.codec import encode_array
 from nesua.errors import ConfigError, ShapeError
 from nesua.scenario import GraphInstance
+from nesua.training import TrainConfig
 
 from helpers import (
     assert_packed,
@@ -356,7 +357,7 @@ def _json_dump_bytes(model, extra, path):
             {"name": name, **encode_array(t.values)}
             for name, t in model.params.items()
         ],
-        "gat": {**model.config.to_dict(), "feat_dim": model.feat_dim,
+        "gat": {**dataclasses.asdict(model.config), "feat_dim": model.feat_dim,
                 "n_cells": model.n_cells},
         **extra,
     }
@@ -407,8 +408,9 @@ def test_adam_to_dict_stays_json_text_and_round_trips():
     model = _model(9, 3, hidden=5, seed=8)
     state = _trained_adam(model, 2)
     text = json.dumps(state.to_dict(shapes_of(model)))
-    for back in (ad.AdamState.from_dict(state.to_dict(shapes_of(model))),
-                 ad.AdamState.from_dict(json.loads(text))):
+    train, shapes = TrainConfig(lr=1e-3), shapes_of(model)
+    for back in (ad.AdamState.from_dict(state.to_dict(shapes), train, shapes),
+                 ad.AdamState.from_dict(json.loads(text), train, shapes)):
         assert back.step == state.step and back.lr == state.lr
         for got, want in zip((back.m, back.v), (state.m, state.v)):
             assert got.tobytes() == want.tobytes()
@@ -453,7 +455,7 @@ def test_checkpoint_missing_param_rejected(tmp_path):
         (lambda doc: doc["params"].append({**doc["params"][2], "name": "gat3.W"}), "gat3.W"),
         (lambda doc: doc["gat"].update(hidden_dim=2), "gat1.W is shaped [3, 6]"),
         (lambda doc: doc["params"].insert(0, dict(doc["params"][0])), "gat1.W 2 times"),
-        (lambda doc: doc["gat"].update(hidden_dim=3.0), "unreadable"),
+        (lambda doc: doc["gat"].update(hidden_dim=3.0), "gat.hidden_dim must be an integer"),
     ],
     ids=["unknown-name", "other-shape", "duplicate-name", "non-integer-size"],
 )
@@ -509,7 +511,7 @@ def test_load_checkpoint_decodes_into_the_packed_buffer(tmp_path, monkeypatch):
     gat.save_checkpoint(path, model)
     doc = json.loads(path.read_text())
     # the parse is the same on both paths; leave it out of the peaks
-    monkeypatch.setattr(gat, "json", SimpleNamespace(load=lambda fh: doc))
+    monkeypatch.setattr(config, "read_json", lambda path, what: doc)
 
     def decode_then_pack():
         # the load path before: each parameter decoded whole into its own

@@ -10,6 +10,7 @@ import pytest
 
 from nesua import scenario as sc
 from nesua.codec import decode_array, encode_array
+from nesua.config import NORM_STATS, read_artifact
 from nesua.errors import ConfigError, ContractError
 
 from helpers import reference_generate_scenario
@@ -279,7 +280,9 @@ def test_feature_normalization_round_trip():
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-9)
     for g in normed:
         assert np.isfinite(g.features).all()
-    clone = sc.FeatureStats.from_dict(stats.to_dict())
+    clone = sc.FeatureStats(
+        **read_artifact(stats.to_dict(), NORM_STATS, "norm_stats", feat_dim=stats.mean.size)
+    )
     np.testing.assert_array_equal(clone.mean, stats.mean)
     np.testing.assert_array_equal(clone.std, stats.std)
 
@@ -303,7 +306,7 @@ def test_dataset_round_trip(tmp_path, kw):
     cfg = small_cfg(**kw)
     scenarios = [sc.generate_scenario(cfg, seed) for seed in range(4)]
     path = tmp_path / "data.jsonl"
-    sc.write_jsonl(path, [sc.to_record(s, "digest") for s in scenarios])
+    sc.write_jsonl(path, [sc.to_record(s) for s in scenarios])
     records = sc.read_jsonl(path)
     assert len(records) == 4
     for rec, s in zip(records, scenarios):
@@ -316,15 +319,16 @@ def test_dataset_round_trip(tmp_path, kw):
 
 
 def test_a_record_with_the_earlier_stored_graph_loads_alike():
-    # records used to store the graph as well: the adjacency as int8 and
-    # the raw features; a reader ignores both
+    # records used to store the manifest's config digest and the graph as
+    # well: the adjacency as int8 and the raw features; a reader ignores them
     cfg = small_cfg(n_ues=7)
     s = sc.generate_scenario(cfg, 3)
     g = sc.build_graph(s, cfg.gamma_th_db)
-    rec = sc.to_record(s, "digest")
+    rec = sc.to_record(s)
     adj = g.adjacency.astype(np.int8)
     earlier = {
         **rec,
+        "config_digest": "0" * 64,
         "adj": {
             "dtype": "|i1",
             "shape": list(adj.shape),
@@ -350,9 +354,7 @@ def test_a_record_array_not_shaped_for_the_config_is_refused(key):
 def test_record_field_names_are_stable():
     cfg = small_cfg(n_ues=2)
     rec = sc.to_record(sc.generate_scenario(cfg, 0))
-    expected = {
-        "seed", "config_digest", "bs_xy", "ue_xy", "sinr_db", "rsrp_dbm", "prb",
-    }
+    expected = {"seed", "bs_xy", "ue_xy", "sinr_db", "rsrp_dbm", "prb"}
     assert set(rec) == expected
 
 
@@ -360,7 +362,7 @@ def test_paper_default_record_stays_small():
     # the per-PRB SINR cube (K x N x T float64) would be 190,400 of its
     # bytes, and the graph (adjacency and raw features) 14,631
     cfg = sc.ScenarioConfig()
-    rec = sc.to_record(sc.generate_scenario(cfg, 0), "0" * 64)
+    rec = sc.to_record(sc.generate_scenario(cfg, 0))
     assert "sinr_prb_db" not in rec
     assert len(json.dumps(rec, separators=(",", ":"))) < 14 * 1024
 

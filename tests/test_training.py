@@ -16,6 +16,7 @@ from nesua.scenario import GraphInstance, ScenarioConfig
 from helpers import (
     assert_packed,
     check_grad,
+    dataset_samples,
     reference_adam_step,
     reference_adam_step_over,
     reference_transformed,
@@ -126,9 +127,9 @@ def _tiny_cfg(**kw):
     return ScenarioConfig(**base)
 
 
-def test_prepare_dataset_split_and_normalization():
+def test_split_and_normalize_splits_and_normalizes():
     cfg = _tiny_cfg()
-    train, test, stats = tr.prepare_dataset(cfg, size=10, split=0.8, seed=5)
+    train, test, stats = tr.split_and_normalize(dataset_samples(cfg, 10, 5), 0.8, 5)
     assert len(train) == 8 and len(test) == 2
     seeds = {s.scenario.seed for s in train} | {s.scenario.seed for s in test}
     assert len(seeds) == 10  # disjoint splits, nothing duplicated
@@ -136,17 +137,17 @@ def test_prepare_dataset_split_and_normalization():
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(pooled.var(axis=0), 1.0, atol=1e-6)
 
-    again = tr.prepare_dataset(cfg, size=10, split=0.8, seed=5)
+    again = tr.split_and_normalize(dataset_samples(cfg, 10, 5), 0.8, 5)
     np.testing.assert_array_equal(
         train[0].graph.features, again[0][0].graph.features
     )
 
 
-def test_prepare_dataset_argument_errors():
+def test_split_and_normalize_argument_errors():
     with pytest.raises(ContractError):
-        tr.prepare_dataset(_tiny_cfg(), size=1, split=0.8, seed=0)
+        tr.split_and_normalize(dataset_samples(_tiny_cfg(), 1, 0), 0.8, 0)
     with pytest.raises(ContractError):
-        tr.prepare_dataset(_tiny_cfg(), size=5, split=1.5, seed=0)
+        tr.split_and_normalize(dataset_samples(_tiny_cfg(), 5, 0), 1.5, 0)
 
 
 def _graphs(cfg, count, seed0=0):
@@ -162,12 +163,18 @@ def _graphs(cfg, count, seed0=0):
     return [normalize_features(g, stats) for g in raw]
 
 
+def _split(cfg, size, seed=0):
+    """The train and test graphs `split_and_normalize` makes of a dataset."""
+    train, test, _ = tr.split_and_normalize(dataset_samples(cfg, size, seed), 0.8, seed)
+    return [p.graph for p in train], [p.graph for p in test]
+
+
 def test_zero_epochs_returns_initialization():
     cfg = _tiny_cfg()
-    graphs = _graphs(cfg, 3)
+    graphs, test = _split(cfg, 3)
     tc = tr.TrainConfig(dataset_size=3, epochs=0, lr=1e-3)
     gcfg = gat.GatConfig(hidden_dim=4)
-    res = tr.train(graphs, tc, tr.LossConfig(), DEFAULTS, seed=11, gat_cfg=gcfg)
+    res = tr.train(graphs, tc, tr.LossConfig(), DEFAULTS, seed=11, gat_cfg=gcfg, test=test)
     fresh = gat.init_model(graphs[0].features.shape[1], 2, gcfg, 11)
     for got, want in zip(res.model.params.values(), fresh.params.values()):
         np.testing.assert_array_equal(got.values, want.values)
@@ -176,11 +183,11 @@ def test_zero_epochs_returns_initialization():
 
 def test_training_is_deterministic():
     cfg = _tiny_cfg()
-    graphs = _graphs(cfg, 4)
+    graphs, test = _split(cfg, 4)
     tc = tr.TrainConfig(dataset_size=4, epochs=5, lr=1e-3, shuffle_seed=3)
     kw = dict(
         tc=tc, lc=tr.LossConfig(), params=DEFAULTS, seed=2,
-        gat_cfg=gat.GatConfig(hidden_dim=4),
+        gat_cfg=gat.GatConfig(hidden_dim=4), test=test,
     )
     a = tr.train(graphs, **kw)
     b = tr.train(graphs, **kw)
@@ -321,9 +328,10 @@ def _run_and_resume(graphs, gcfg, tmp_path, tag):
     path = tmp_path / f"{tag}.json"
     gat.save_checkpoint(path, half.model, {"adam": half.adam_state.to_dict(shapes_of(half.model))})
     loaded, leftover = gat.load_checkpoint(path)
+    tc = tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3, shuffle_seed=5)
     resumed = tr.train(
-        graphs[:8], tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3, shuffle_seed=5),
-        model=loaded, adam_state=ad.AdamState.from_dict(leftover["adam"]),
+        graphs[:8], tc, model=loaded,
+        adam_state=ad.AdamState.from_dict(leftover["adam"], tc, shapes_of(loaded)),
         start_epoch=2, **kw,
     )
     return full, resumed
@@ -387,7 +395,9 @@ def test_resumed_adam_moments_are_trained_in_their_decoded_buffer():
     tc = tr.TrainConfig(dataset_size=3, epochs=1, lr=1e-2)
     res = tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=2,
                    gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
-    adam = ad.AdamState.from_dict(res.adam_state.to_dict(shapes_of(res.model)))
+    adam = ad.AdamState.from_dict(
+        res.adam_state.to_dict(shapes_of(res.model)), tc, shapes_of(res.model)
+    )
     decoded_m, decoded_v = adam.m, adam.v
     tc2 = tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2)
     tr.train(graphs[:2], tc2, tr.LossConfig(), DEFAULTS, seed=2, model=res.model,
@@ -428,7 +438,7 @@ def test_training_and_resume_keep_every_parameter_packed(tmp_path):
     path = tmp_path / "checkpoint.json"
     gat.save_checkpoint(path, res.model, {"adam": res.adam_state.to_dict(shapes_of(res.model))})
     loaded, leftover = gat.load_checkpoint(path)
-    adam = ad.AdamState.from_dict(leftover["adam"])
+    adam = ad.AdamState.from_dict(leftover["adam"], tc, shapes_of(loaded))
     tc2 = tr.TrainConfig(dataset_size=4, epochs=2, lr=1e-2, shuffle_seed=2)
     resumed = tr.train(graphs[:3], tc2, tr.LossConfig(), DEFAULTS, seed=3,
                        model=loaded, adam_state=adam, start_epoch=1,
@@ -527,7 +537,7 @@ def test_checkpoint_with_adam_state_save_load_save_is_byte_identical(tmp_path):
     shapes = shapes_of(res.model)
     gat.save_checkpoint(first, res.model, {"adam": res.adam_state.to_dict(shapes), "epoch": 2})
     loaded, leftover = gat.load_checkpoint(first)
-    adam = ad.AdamState.from_dict(leftover["adam"])
+    adam = ad.AdamState.from_dict(leftover["adam"], tc, shapes)
     gat.save_checkpoint(second, loaded, {"adam": adam.to_dict(shapes), "epoch": 2})
     assert first.read_bytes() == second.read_bytes()
 
