@@ -1,57 +1,35 @@
-"""Dense reverse-mode automatic differentiation on float64 numpy buffers.
+"""The loss gradient of one train step, written out, and Adam.
 
-Every operation returns a new Tensor that remembers its inputs and a
-closure implementing the exact reverse rule, so the executed ops form a
-computation record that backward() replays in reverse topological order.
-Only the primitives needed by the attention pipeline and the network
-power loss are provided (add, subtract, multiply, scale, matmul, linear,
-transpose, reshape, slice_rows, concat, the nonlinearities, the
-reductions and the cell gate); there is no broadcasting beyond what those
-compositions use.
+A train step always runs the same chain of eight ops: per GAT layer a
+transform `linear` and an `attention_round` (score, mask, softmax and
+aggregate), then `softmax_readout`, and the loss's `gated_load_cost` (the
+network power), `association_penalties` (the two regularisers) and
+`add_terms`. Each op is a numpy forward that returns its values; given a
+list `saved`, it also appends a record of what its backward rule needs.
+`backward(saved, grad)` is the chain's reverse pass in a fixed order, with
+no tape: it runs each op's backward rule (`linear_backward`, ...) once and
+writes every parameter's gradient into its view of `grad`, one buffer laid
+out like the packed parameters (`pack`, `unpack`). Every slot of `grad` is
+overwritten on every call.
 
-Fused nodes: the model and its loss run on five nodes that each do the
-work of a chain of primitives, with one hand-written backward rule:
-`attention_round` (score, mask, softmax and aggregate one GAT round),
-`softmax_readout`, `gated_load_cost` (the network power),
-`association_penalties` (the two regularisers) and `add_terms`. With the
-two `linear` transforms, a train step's graph is 8 nodes instead of 50,
-and the per-node bookkeeping (`_result`, `_topo_order`, `accumulate`)
-shrinks with it. A fused backward reproduces the chain's bits: it runs the
-chain's reverse operations in the chain's order, normalises each
-intermediate gradient with `+ 0.0` where the chain's first-gradient copy
-did, and feeds a tensor that several consumers reach in the order
-`backward` would have run them (the transformed features get the
-aggregation gradient, then the source and destination score gradients;
-the association gets the gate, load, trace and load-norm gradients). The
-chains they replace live on in the tests as bit-for-bit references.
+The rules reproduce, bit for bit, the chains of primitive ops they stand
+for (which live on in the tests as references, with the reverse-mode tape
+that ran them): each first gradient of an intermediate is normalised with
+`+ 0.0`, so -0.0 lands as +0.0 exactly as if it were added to zeros, and a
+value that several products reach gets them in the tape's order. The
+transformed features of a layer get the aggregation gradient, then the
+source and destination score gradients; the association gets the gate,
+load, trace and load-norm gradients, in that order.
 
-Gradient buffers: the first gradient a tensor receives becomes its
-buffer as `g + 0.0`, so -0.0 lands as +0.0 exactly as if it were added
-to zeros, and later gradients are added into it in place. By default the
-first gradient is copied into a fresh C-ordered buffer, because reverse
-rules hand out views and shared arrays: `add` passes one gradient to both
-parents, `_unbroadcast` may return its input, and `transpose`, `reshape`
-and `concat` pass views. A rule that passes a product it has just
-computed and holds no other reference to, as `linear` does with both of
-its gradient products, says so with `fresh=True`; that product is then
-adopted, with `+ 0.0` applied in place, instead of copied.
-
-Packed parameters: a model keeps its parameters back to back in one
-C-ordered buffer (`pack`), each parameter a tensor over its view of it
-(`unpack`). `attach_grad_slots` gives each of them a `grad_slot`, its
-view of one gradient buffer of the same layout. A parameter's first
-gradient of a backward pass is written into its slot (as `g + 0.0`, or by
-`linear` straight through `np.matmul(..., out=)`) instead of a fresh
-buffer, so after backward the gradient buffer holds every parameter's
-gradient. `AdamState` keeps each moment as one more buffer of that
-layout, and one `adam_step` over the four buffers updates them all. Slots
-are never zero-filled: a parameter that got no gradient in a pass keeps
-`grad` None while its slot still holds the previous pass's gradient.
+`AdamState` keeps Adam's step counter and its two moments, each one more
+buffer of the parameter layout, and one `adam_step` over the four buffers
+updates every parameter under the `train` section's settings.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,388 +37,18 @@ import numpy as np
 from .codec import decode_packed, encode_array
 from .errors import ConfigError, ContractError, ShapeError
 
-
-class Tensor:
-    """A dense float64 array with an accumulated gradient buffer."""
-
-    __slots__ = (
-        "values", "grad", "grad_slot", "requires_grad", "_parents", "_backward"
-    )
-
-    def __init__(self, values, requires_grad=False, _parents=()):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self.grad_slot = None  # set by attach_grad_slots
-        self._parents = _parents
-        self._backward = None
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def item(self) -> float:
-        return float(self.values)
-
-    def accumulate(self, g, fresh=False):
-        """Add gradient g; `fresh=True` promises g is a new C-ordered
-        array shaped like the values that nothing else references. A
-        first gradient goes into `grad_slot` when the tensor has one."""
-        if self.grad is None:
-            out = self.grad_slot
-            if out is None:
-                out = g if fresh else np.empty(self.values.shape)
-            self.grad = np.add(g, 0.0, out=out)
-        else:
-            self.grad += g
-
-    def zero_grad(self):
-        self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
-
-
-def parameter(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
-
-
-def _result(values, parents: tuple, backward) -> Tensor:
-    if parents[0].requires_grad or any(p.requires_grad for p in parents[1:]):
-        out = Tensor(values, requires_grad=True, _parents=parents)
-        out._backward = backward
-        return out
-    return Tensor(values)
-
-
-def _unbroadcast(g, shape):
-    # collapse gradient of a broadcast operand back to its original shape
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def _check_broadcast(op, a, b):
-    if a.shape == b.shape:
-        return
-    try:
-        return np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not align") from None
-
-
-# ---------------------------------------------------------------------------
-# elementwise and linear-algebra primitives
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-    out_values = a.values + b.values
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.shape))
-
-    return _result(out_values, (a, b), backward)
-
-
-def subtract(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("subtract", a, b)
-    out_values = a.values - b.values
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.shape))
-
-    return _result(out_values, (a, b), backward)
-
-
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("multiply", a, b)
-    out_values = a.values * b.values
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.values, a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.values, b.shape))
-
-    return _result(out_values, (a, b), backward)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward(g):
-        x.accumulate(g * c)
-
-    return _result(x.values * c, (x,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    va, vb = a.values, b.values
-    if va.ndim != 2 or vb.ndim not in (1, 2):
-        raise ShapeError(f"matmul: unsupported ranks {va.shape} @ {vb.shape}")
-    if va.shape[1] != vb.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {va.shape} @ {vb.shape}")
-    out_values = va @ vb
-
-    def backward(g):
-        if vb.ndim == 2:
-            if a.requires_grad:
-                a.accumulate(g @ vb.T)
-            if b.requires_grad:
-                b.accumulate(va.T @ g)
-        else:
-            if a.requires_grad:
-                a.accumulate(np.outer(g, vb))
-            if b.requires_grad:
-                b.accumulate(va.T @ g)
-
-    return _result(out_values, (a, b), backward)
-
-
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x @ w.T for rows x (K, d_in) and a weight matrix w (d_out, d_in),
-    without a transpose node or its gradient buffer. Both gradient
-    products are fresh arrays and are adopted as first gradients; a first
-    weight gradient is computed straight into w's `grad_slot` if it has
-    one."""
-    vx, vw = x.values, w.values
-    if vx.ndim != 2 or vw.ndim != 2:
-        raise ShapeError(f"linear: expected matrices, got {vx.shape} and {vw.shape}")
-    if vx.shape[1] != vw.shape[1]:
-        raise ShapeError(f"linear: widths differ, {vx.shape} vs weight {vw.shape}")
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(g @ vw, fresh=True)
-        if w.requires_grad:
-            out = w.grad_slot if w.grad is None else None
-            w.accumulate(np.matmul(g.T, vx, out=out), fresh=True)
-
-    return _result(vx @ vw.T, (x, w), backward)
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.values.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {x.shape}")
-
-    def backward(g):
-        x.accumulate(g.T)
-
-    return _result(x.values.T, (x,), backward)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def backward(g):
-        x.accumulate(g.reshape(x.shape))
-
-    return _result(x.values.reshape(shape), (x,), backward)
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for shape {x.shape}")
-
-    def backward(g):
-        buf = np.zeros_like(x.values)
-        buf[start:stop] = g
-        x.accumulate(buf)
-
-    return _result(x.values[start:stop].copy(), (x,), backward)
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = list(tensors)
-    ndim = tensors[0].values.ndim
-    axis = axis % ndim
-    for t in tensors[1:]:
-        if t.values.ndim != ndim:
-            raise ShapeError(
-                f"concat: rank mismatch, {tensors[0].shape} vs {t.shape}"
-            )
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t.accumulate(piece)
-
-    return _result(np.concatenate([t.values for t in tensors], axis=axis), tuple(tensors), backward)
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.values > 0
-
-    def backward(g):
-        x.accumulate(g * mask)
-
-    return _result(np.where(mask, x.values, 0.0), (x,), backward)
-
-
-def leaky_relu(x: Tensor, negative_slope: float) -> Tensor:
-    # subgradient at 0 taken as 1
-    slope = float(negative_slope)
-    mask = x.values >= 0
-
-    def backward(g):
-        x.accumulate(g * np.where(mask, 1.0, slope))
-
-    return _result(np.where(mask, x.values, slope * x.values), (x,), backward)
-
-
-def exp(x: Tensor) -> Tensor:
-    out_values = np.exp(x.values)
-
-    def backward(g):
-        x.accumulate(g * out_values)
-
-    return _result(out_values, (x,), backward)
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    # gradient passes through on [lo, hi] (boundary counts as inside), zero outside
-    inside = (x.values >= lo) & (x.values <= hi)
-
-    def backward(g):
-        x.accumulate(g * inside)
-
-    return _result(np.clip(x.values, lo, hi), (x,), backward)
-
-
-def _keep_mask(mask, shape, op):
-    """The entries a masked row softmax keeps: mask != 0, shaped like its
-    input, with at least one kept entry in every row."""
-    keep = (mask.values if isinstance(mask, Tensor) else np.asarray(mask)) != 0
-    if keep.shape != shape:
-        raise ShapeError(f"{op}: mask {keep.shape} vs input {shape}")
-    if not keep.any(axis=1).all():
-        raise ContractError(f"{op}: a row has no unmasked entries")
-    return keep
-
-
-def _softmax_rows(x, keep=None):
-    """Softmax of each row of x over its kept entries (all when keep is None)."""
-    shifted = x if keep is None else np.where(keep, x, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _softmax_rows_grad(s, g):
-    """Gradient at the input of a row softmax whose output is s."""
-    dot = (g * s).sum(axis=1, keepdims=True)
-    return s * (g - dot)
-
-
-def row_softmax_masked(x: Tensor, mask) -> Tensor:
-    """Softmax over the unmasked entries of each row.
-
-    Masked entries are exactly 0 in the output and receive exactly 0
-    gradient. Every row must keep at least one unmasked entry.
-    """
-    s = _softmax_rows(x.values, _keep_mask(mask, x.shape, "row_softmax_masked"))
-
-    def backward(g):
-        x.accumulate(_softmax_rows_grad(s, g))
-
-    return _result(s, (x,), backward)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def sum_all(x: Tensor) -> Tensor:
-    def backward(g):
-        x.accumulate(np.full(x.shape, float(g)))
-
-    return _result(x.values.sum(), (x,), backward)
-
-
-def row_sum(x: Tensor) -> Tensor:
-    if x.values.ndim != 2:
-        raise ShapeError(f"row_sum: expected a matrix, got shape {x.shape}")
-
-    def backward(g):
-        x.accumulate(np.broadcast_to(g[:, None], x.shape).copy())
-
-    return _result(x.values.sum(axis=1), (x,), backward)
-
-
-def trace_of_gram(x: Tensor) -> Tensor:
-    """Sum of squared entries, i.e. the trace of x @ x.T."""
-
-    def backward(g):
-        x.accumulate(2.0 * float(g) * x.values)
-
-    return _result((x.values**2).sum(), (x,), backward)
-
-
-def l2_norm(x: Tensor) -> Tensor:
-    norm = float(np.sqrt((x.values**2).sum()))
-
-    def backward(g):
-        if norm > 0.0:
-            x.accumulate(float(g) * x.values / norm)
-
-    return _result(norm, (x,), backward)
-
-
-def _leave_one_out_products(q):
-    """Per column of q, the products of the entries above and below each
-    row (prefix, suffix): their product leaves that row's factor out, and
-    is exact even when some factor is 0."""
-    prefix = np.ones_like(q)
-    suffix = np.ones_like(q)
-    if q.shape[0] > 1:
-        prefix[1:] = np.cumprod(q[:-1], axis=0)
-        suffix[:-1] = np.cumprod(q[::-1], axis=0)[-2::-1]
-    return prefix, suffix
-
-
-def complement_product_gate(s: Tensor) -> Tensor:
-    """Per column n of a K-by-N matrix: 1 - prod_k (1 - s[k, n]).
-
-    0 when the column is all zeros, 1 as soon as any entry is 1; smooth in
-    between. Used as the differentiable on/off gate of a cell.
-    """
-    if s.values.ndim != 2:
-        raise ShapeError(f"complement_product_gate: expected a matrix, got {s.shape}")
-    q = 1.0 - s.values
-    out_values = 1.0 - q.prod(axis=0)
-
-    def backward(g):
-        prefix, suffix = _leave_one_out_products(q)
-        s.accumulate(g[None, :] * prefix * suffix)
-
-    return _result(out_values, (s,), backward)
-
-
-# ---------------------------------------------------------------------------
-# fused nodes: one node, and one backward rule, per chain of primitives
-# (see the module docstring for how their bits match the chains')
+# What each op's backward rule reads: the op's arguments, then the
+# intermediates of its forward.
+Linear = namedtuple("Linear", "x w")
+Attention = namedtuple(
+    "Attention", "hw a keep negative_slope relu a_src a_dst scale att mixed"
+)
+Readout = namedtuple("Readout", "h q b relu logits s")
+LoadCost = namedtuple(
+    "LoadCost", "s demand capacity on_const on_slope offset scaled q gate per_cell"
+)
+Penalties = namedtuple("Penalties", "s demand lambda1 lambda2 p_hat norm")
+Terms = namedtuple("Terms", "n")
 
 
 def _relu(x):
@@ -465,8 +73,71 @@ def _leaky_scale(x, negative_slope):
     return np.array([float(negative_slope), 1.0]).take((x >= 0).view(np.uint8))
 
 
-def attention_round(hw: Tensor, a: Tensor, adjacency, negative_slope: float,
-                    relu: bool) -> Tensor:
+def _keep_mask(mask, shape, op):
+    """The entries a masked row softmax keeps: mask != 0, shaped like its
+    input, with at least one kept entry in every row."""
+    keep = np.asarray(mask) != 0
+    if keep.shape != shape:
+        raise ShapeError(f"{op}: mask {keep.shape} vs input {shape}")
+    if not keep.any(axis=1).all():
+        raise ContractError(f"{op}: a row has no unmasked entries")
+    return keep
+
+
+def _softmax_rows(x, keep=None):
+    """Softmax of each row of x over its kept entries (all when keep is None)."""
+    shifted = x if keep is None else np.where(keep, x, -np.inf)
+    shifted = shifted - np.maximum.reduce(shifted, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
+def _softmax_rows_grad(s, g):
+    """Gradient at the input of a row softmax whose output is s."""
+    dot = np.add.reduce(g * s, axis=1, keepdims=True)
+    return s * (g - dot)
+
+
+def _leave_one_out_products(q):
+    """Per column of q, the products of the entries above and below each
+    row (prefix, suffix): their product leaves that row's factor out, and
+    is exact even when some factor is 0."""
+    prefix = np.ones(q.shape)
+    suffix = np.ones(q.shape)
+    if q.shape[0] > 1:
+        prefix[1:] = q[:-1].cumprod(axis=0)
+        suffix[:-1] = q[::-1].cumprod(axis=0)[-2::-1]
+    return prefix, suffix
+
+
+# ---------------------------------------------------------------------------
+# the ops of a step: forward, then backward rule
+
+
+def linear(x, w, saved=None):
+    """x @ w.T for rows x (K, d_in) and a weight matrix w (d_out, d_in)."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"linear: expected matrices, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear: widths differ, {x.shape} vs weight {w.shape}")
+    if saved is not None:
+        saved.append(Linear(x, w))
+    return x @ w.T
+
+
+def linear_backward(rec, g, g_w, want_x=True):
+    """Write the weight gradient g.T @ x into g_w; return the input's
+    gradient g @ w, or None without `want_x`."""
+    np.matmul(g.T, rec.x, out=g_w)
+    g_w += 0.0
+    if want_x:
+        g_x = g @ rec.w
+        g_x += 0.0
+        return g_x
+    return None
+
+
+def attention_round(hw, a, adjacency, negative_slope, relu, saved=None):
     """One graph attention round over transformed node features hw (K, d).
 
     The scorer a (2d,) splits into a source and a destination half, so
@@ -474,215 +145,201 @@ def attention_round(hw: Tensor, a: Tensor, adjacency, negative_slope: float,
     projections, hw a_src + (hw a_dst)^T. The round returns
     act(softmax(leaky_relu(scores)) @ hw): the softmax runs over each row's
     neighbours (adjacency != 0, at least one per row), and act is relu or
-    the identity. Bit-equal, forward and backward, to slicing a, two
-    matmuls, reshapes, add, leaky_relu, row_softmax_masked, matmul and
-    relu; hw gets its aggregation gradient first, then the source and
-    destination score gradients.
+    the identity.
     """
-    vh = hw.values
-    k, d = vh.shape
+    k, d = hw.shape
     if a.shape != (2 * d,):
         raise ShapeError(f"attention vector {a.shape} does not fit width {d}")
     keep = _keep_mask(adjacency, (k, k), "attention_round")
-    # copies, as `slice_rows` makes: the products see the chain's operands
-    a_src, a_dst = a.values[:d].copy(), a.values[d:].copy()
-    pair = (vh @ a_src).reshape(k, 1) + (vh @ a_dst).reshape(1, k)
+    # copies, as the primitive chain's slices were: the products see
+    # operands of their own
+    a_src, a_dst = a[:d].copy(), a[d:].copy()
+    pair = (hw @ a_src).reshape(k, 1) + (hw @ a_dst).reshape(1, k)
     scale = _leaky_scale(pair, negative_slope)
     att = _softmax_rows(pair * scale, keep)
-    mixed = att @ vh
-    out_values = _relu(mixed) if relu else mixed
-
-    def backward(g):
-        if relu:
-            g = g * _positive(mixed)
-            g += 0.0
-        g_att = g @ vh.T + 0.0
-        g_pair = (_softmax_rows_grad(att, g_att) + 0.0) * scale + 0.0
-        g_src = _unbroadcast(g_pair, (k, 1)).reshape(k) + 0.0
-        g_dst = _unbroadcast(g_pair, (1, k)).reshape(k) + 0.0
-        if hw.requires_grad:
-            hw.accumulate(att.T @ g, fresh=True)
-            # the two rank-1 products, one after the other in one buffer
-            rank1 = np.multiply.outer(g_src, a_src)
-            hw.accumulate(rank1)
-            hw.accumulate(np.multiply.outer(g_dst, a_dst, out=rank1))
-        if a.requires_grad:
-            g_a = np.empty(2 * d)
-            np.add(vh.T @ g_src, 0.0, out=g_a[:d])
-            np.add(vh.T @ g_dst, 0.0, out=g_a[d:])
-            a.accumulate(g_a, fresh=True)
-
-    return _result(out_values, (hw, a), backward)
+    mixed = att @ hw
+    if saved is not None:
+        saved.append(Attention(hw, a, keep, negative_slope, relu, a_src, a_dst, scale, att, mixed))
+    return _relu(mixed) if relu else mixed
 
 
-def softmax_readout(h: Tensor, q: Tensor, b: Tensor, relu: bool) -> Tensor:
+def attention_round_backward(rec, g, g_a):
+    """Write the scorer's gradient into g_a; return that of hw: the
+    aggregation gradient, plus the source, plus the destination score
+    gradient."""
+    vh, att = rec.hw, rec.att
+    k, d = vh.shape
+    if rec.relu:
+        g = g * _positive(rec.mixed)
+        g += 0.0
+    g_att = g @ vh.T + 0.0
+    g_pair = (_softmax_rows_grad(att, g_att) + 0.0) * rec.scale + 0.0
+    g_src = np.add.reduce(g_pair, axis=1) + 0.0
+    g_dst = np.add.reduce(g_pair, axis=0) + 0.0
+    g_hw = att.T @ g
+    g_hw += 0.0
+    # the two rank-1 products, one after the other in one buffer
+    rank1 = np.multiply.outer(g_src, rec.a_src)
+    g_hw += rank1
+    g_hw += np.multiply.outer(g_dst, rec.a_dst, out=rank1)
+    np.add(vh.T @ g_src, 0.0, out=g_a[:d])
+    np.add(vh.T @ g_dst, 0.0, out=g_a[d:])
+    return g_hw
+
+
+def softmax_readout(h, q, b, relu, saved=None):
     """Row softmax of act(h @ q + b) for rows h (K, d), weights q (d, N)
-    and a bias b that broadcasts to (K, N); act is relu or the identity.
-    Bit-equal, forward and backward, to matmul, add, relu and
-    row_softmax_masked under an all-ones mask."""
-    vh, vq = h.values, q.values
-    if vh.ndim != 2 or vq.ndim != 2:
-        raise ShapeError(f"softmax_readout: expected matrices, got {vh.shape} and {vq.shape}")
-    if vh.shape[1] != vq.shape[0]:
-        raise ShapeError(f"softmax_readout: inner dims differ, {vh.shape} @ {vq.shape}")
-    logits = vh @ vq
-    if (_check_broadcast("softmax_readout", logits, b) or logits.shape) != logits.shape:
-        raise ShapeError(f"softmax_readout: bias {b.shape} does not fit logits {logits.shape}")
-    logits = logits + b.values
+    and a bias b (N,); act is relu or the identity."""
+    if h.ndim != 2 or q.ndim != 2:
+        raise ShapeError(f"softmax_readout: expected matrices, got {h.shape} and {q.shape}")
+    if h.shape[1] != q.shape[0]:
+        raise ShapeError(f"softmax_readout: inner dims differ, {h.shape} @ {q.shape}")
+    if b.shape != (q.shape[1],):
+        raise ShapeError(f"softmax_readout: bias {b.shape} does not fit {q.shape[1]} cells")
+    logits = h @ q + b
     s = _softmax_rows(_relu(logits) if relu else logits)
+    if saved is not None:
+        saved.append(Readout(h, q, b, relu, logits, s))
+    return s
 
-    def backward(g):
-        g = _softmax_rows_grad(s, g) + 0.0
-        if relu:
-            g *= _positive(logits)
-            g += 0.0
-        if h.requires_grad:
-            h.accumulate(g @ vq.T, fresh=True)
-        if q.requires_grad:
-            q.accumulate(vh.T @ g, fresh=True)
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.shape))
 
-    return _result(s, (h, q, b), backward)
+def softmax_readout_backward(rec, g, g_q, g_b):
+    """Write the gradients of q and b into g_q and g_b; return that of h."""
+    g = _softmax_rows_grad(rec.s, g) + 0.0
+    if rec.relu:
+        g *= _positive(rec.logits)
+        g += 0.0
+    np.matmul(rec.h.T, g, out=g_q)
+    g_q += 0.0
+    np.add(np.add.reduce(g, axis=0), 0.0, out=g_b)
+    g_h = g @ rec.q.T
+    g_h += 0.0
+    return g_h
 
 
 def _check_association(op, s, demand):
-    if s.values.ndim != 2 or np.shape(demand) != s.shape:
+    if s.ndim != 2 or np.shape(demand) != s.shape:
         raise ShapeError(f"{op}: association {s.shape} and demand {np.shape(demand)} differ")
 
 
-def gated_load_cost(s: Tensor, demand: np.ndarray, capacity: float, on_const: float,
-                    on_slope: float, offset: float) -> Tensor:
+def gated_load_cost(s, demand, capacity, on_const, on_slope, offset, saved=None):
     """sum_n gate_n (on_slope eta_n + on_const) + offset for an association
-    s (K, N) and a demand of the same shape: gate is
-    `complement_product_gate(s)` and eta_n = clip(load_n / capacity, 0, 1)
-    with load the column sums of s * demand. Bit-equal, forward and
-    backward, to multiply, transpose, row_sum, scale, clamp, the gate,
-    scale, add, multiply, sum_all and add; s gets its gate gradient first,
-    then its load gradient."""
+    s (K, N) and a demand of the same shape: gate_n = 1 - prod_k (1 - s_kn)
+    is 0 for an empty column and 1 as soon as an entry is 1, and
+    eta_n = clip(load_n / capacity, 0, 1) with load the column sums of
+    s * demand."""
     _check_association("gated_load_cost", s, demand)
-    vs = s.values
-    n = vs.shape[1]
-    per_capacity = float(1.0 / capacity)
-    scaled = (vs * demand).T.sum(axis=1) * per_capacity
-    inside = (scaled >= 0.0) & (scaled <= 1.0)
-    slope = float(on_slope)
-    per_cell = np.clip(scaled, 0.0, 1.0) * slope + np.full(n, on_const)
-    q = 1.0 - vs
-    gate = 1.0 - q.prod(axis=0)
-
-    def backward(g):
-        g_cells = np.full(n, float(g) + 0.0)
-        g_gate = g_cells * per_cell + 0.0
-        g_per_cell = g_cells * gate + 0.0
-        prefix, suffix = _leave_one_out_products(q)
-        s.accumulate(g_gate[None, :] * prefix * suffix, fresh=True)
-        g_load = ((g_per_cell * slope + 0.0) * inside + 0.0) * per_capacity + 0.0
-        s.accumulate(g_load[None, :] * demand)
-
-    return _result((gate * per_cell).sum() + np.asarray(offset), (s,), backward)
+    scaled = np.add.reduce((s * demand).T, axis=1) * float(1.0 / capacity)
+    per_cell = scaled.clip(0.0, 1.0) * float(on_slope) + float(on_const)
+    q = 1.0 - s
+    gate = 1.0 - np.multiply.reduce(q, axis=0)
+    if saved is not None:
+        saved.append(LoadCost(s, demand, capacity, on_const, on_slope, offset, scaled, q,
+                              gate, per_cell))
+    return np.add.reduce(gate * per_cell, axis=None) + np.asarray(offset)
 
 
-def association_penalties(s: Tensor, demand: np.ndarray, lambda1: float,
-                          lambda2: float) -> Tensor:
+def gated_load_cost_backward(rec, g):
+    """The gradient of s for an upstream gradient g: the gate's, then the
+    load's added to it."""
+    g = float(g) + 0.0  # the same for every cell
+    g_gate = rec.per_cell * g + 0.0
+    g_per_cell = rec.gate * g + 0.0
+    prefix, suffix = _leave_one_out_products(rec.q)
+    g_s = g_gate[None, :] * prefix * suffix
+    g_s += 0.0
+    inside = (rec.scaled >= 0.0) & (rec.scaled <= 1.0)  # clip's pass-through
+    g_load = (
+        ((g_per_cell * float(rec.on_slope) + 0.0) * inside + 0.0)
+        * float(1.0 / rec.capacity) + 0.0
+    )
+    g_s += g_load[None, :] * rec.demand
+    return g_s
+
+
+def association_penalties(s, demand, lambda1, lambda2, saved=None):
     """The weighted regularisers of an association s (K, N), one entry per
     positive weight, in this order: lambda1 (K - Tr(s s^T)) and
-    lambda2 |p_hat|_2, p_hat being the column sums of s * demand. Bit-equal,
-    forward and backward, to trace_of_gram, scale, add and scale, then
-    multiply, transpose, row_sum, l2_norm and scale; s gets the trace
-    gradient first."""
+    lambda2 |p_hat|_2, p_hat being the column sums of s * demand."""
     _check_association("association_penalties", s, demand)
-    vs = s.values
     lambda1, lambda2 = float(lambda1), float(lambda2)
-    terms = []
+    terms, p_hat, norm = [], None, 0.0
     if lambda1 > 0.0:
-        terms.append((float(vs.shape[0]) + (vs**2).sum() * -1.0) * lambda1)
+        terms.append((float(s.shape[0]) + np.add.reduce(s**2, axis=None) * -1.0) * lambda1)
     if lambda2 > 0.0:
-        p_hat = (vs * demand).T.sum(axis=1)
-        norm = float(np.sqrt((p_hat**2).sum()))
+        p_hat = np.add.reduce((s * demand).T, axis=1)
+        norm = float(np.sqrt(np.add.reduce(p_hat**2)))
         terms.append(norm * lambda2)
-
-    def backward(g):
-        if lambda1 > 0.0:
-            g_trace = (float(g[0]) * lambda1 + 0.0) * -1.0 + 0.0
-            s.accumulate(2.0 * g_trace * vs)
-        if lambda2 > 0.0 and norm > 0.0:
-            g_hat = (float(g[-1]) * lambda2 + 0.0) * p_hat / norm + 0.0
-            s.accumulate(g_hat[None, :] * demand)
-
-    return _result(np.array(terms), (s,), backward)
+    if saved is not None:
+        saved.append(Penalties(s, demand, lambda1, lambda2, p_hat, norm))
+    return np.array(terms)
 
 
-def add_terms(total: Tensor, terms: Tensor) -> Tensor:
-    """A scalar total plus each entry of the vector terms, added left to
-    right as a chain of `add` nodes would. The total comes first among the
-    parents, so `backward` runs the total's own rule before that of the
-    node that made the terms."""
-    if total.shape != () or terms.values.ndim != 1:
-        raise ShapeError(f"add_terms: expected a scalar and a vector, got {total.shape} and {terms.shape}")
-    value = total.values
-    for t in terms.values:
+def association_penalties_backward(rec, g, g_s):
+    """Add the gradients of s for the upstream gradients g of the terms to
+    g_s in place: the trace term's, then the load norm's."""
+    if rec.lambda1 > 0.0:
+        g_trace = (float(g[0]) * rec.lambda1 + 0.0) * -1.0 + 0.0
+        g_s += 2.0 * g_trace * rec.s
+    if rec.lambda2 > 0.0 and rec.norm > 0.0:
+        g_hat = (float(g[-1]) * rec.lambda2 + 0.0) * rec.p_hat / rec.norm + 0.0
+        g_s += g_hat[None, :] * rec.demand
+
+
+def add_terms(total, terms, saved=None):
+    """A scalar total plus each entry of the vector terms, left to right."""
+    if np.shape(total) != () or np.ndim(terms) != 1:
+        raise ShapeError(
+            f"add_terms: expected a scalar and a vector, "
+            f"got {np.shape(total)} and {np.shape(terms)}"
+        )
+    value = total
+    for t in terms:
         value = value + t
+    if saved is not None:
+        saved.append(Terms(len(terms)))
+    return value
 
-    def backward(g):
-        if total.requires_grad:
-            total.accumulate(g)
-        if terms.requires_grad:
-            terms.accumulate(np.full(terms.shape, float(g)))
 
-    return _result(value, (total, terms), backward)
+def add_terms_backward(rec, g):
+    """The upstream gradient g passed on: to the total, and to every term."""
+    return float(g) + 0.0, np.full(rec.n, float(g))
 
 
 # ---------------------------------------------------------------------------
 # reverse pass
 
 
-def _topo_order(root: Tensor):
-    """Nodes the root depends on, inputs first. Clears the gradient of
-    every intermediate node on the way."""
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            if node._backward is not None:
-                node.grad = None
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad:
-                stack.append((p, False))
-    return order
+def loss_backward(records):
+    """The loss's gradient at the association, from the records of its
+    ops: the power's alone, or the power's, penalties' and their sum's."""
+    power, *rest = records
+    g_total = 1.0
+    if rest:
+        penalties, terms = rest
+        g_total, g_terms = add_terms_backward(terms, g_total)
+    g_s = gated_load_cost_backward(power, g_total)
+    if rest:
+        association_penalties_backward(penalties, g_terms, g_s)
+    return g_s
 
 
-def backward(loss: Tensor):
-    """Populate .grad for every tensor the scalar loss depends on.
+def backward(saved, grad):
+    """Write the gradient of a train step's loss into `grad`.
 
-    Leaf tensors (parameters) add each call's gradient to what they hold,
-    so calling backward again on the same graph, or on a new graph over
-    the same parameters, adds the gradient once more; use zero_grad()
-    between steps. Intermediate nodes start from no gradient on every
-    call.
+    `saved` holds the records of the step's ops in forward order: a
+    `linear` and an `attention_round` per layer, the `softmax_readout`,
+    then the loss's (`loss_backward`). `grad` is laid out like the packed
+    parameters (`gat.param_shapes`): each layer's W and a, then the
+    readout's Q and B; every element of it is written.
     """
-    if loss.shape != ():
-        raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return
-    order = _topo_order(loss)
-    loss.accumulate(np.ones(()))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-
-
-def zero_grad(tensors):
-    for t in tensors:
-        t.zero_grad()
+    lin1, att1, lin2, att2, head, *loss = saved
+    g_w1, g_a1, g_w2, g_a2, g_q, g_b = unpack(
+        grad, [r.shape for r in (lin1.w, att1.a, lin2.w, att2.a, head.q, head.b)]
+    )
+    g_h = softmax_readout_backward(head, loss_backward(loss), g_q, g_b)
+    g_h = linear_backward(lin2, attention_round_backward(att2, g_h, g_a2), g_w2)
+    linear_backward(lin1, attention_round_backward(att1, g_h, g_a1), g_w1, want_x=False)
 
 
 # ---------------------------------------------------------------------------
@@ -705,22 +362,6 @@ def unpack(flat: np.ndarray, shapes) -> list:
     return views
 
 
-def attach_grad_slots(tensors) -> np.ndarray:
-    """A new gradient buffer laid out like `pack` of the tensors' values.
-
-    Each tensor's `grad_slot` becomes its view of the buffer, and a
-    gradient the tensor already holds is copied into it. Setting the
-    slots back to None releases the buffer.
-    """
-    buf = np.empty(sum(t.values.size for t in tensors))
-    for t, slot in zip(tensors, unpack(buf, [t.shape for t in tensors])):
-        t.grad_slot = slot
-        if t.grad is not None:
-            slot[...] = t.grad
-            t.grad = slot
-    return buf
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -731,22 +372,17 @@ ADAM_EPS = 1e-8
 @dataclass
 class AdamState:
     """Bias-corrected Adam's step counter and its two moments, each one
-    1-D float64 buffer laid out like the parameter buffer it steps."""
+    1-D float64 buffer laid out like the parameter buffer it steps. The
+    settings are the `train` section's (`adam_step`)."""
 
-    lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
     @classmethod
-    def for_params(cls, flat: Tensor, lr=5e-5, beta1=0.9, beta2=0.999):
+    def for_params(cls, flat: np.ndarray):
         """Zero moments for the packed parameter buffer `flat`."""
-        return cls(
-            lr=lr, beta1=beta1, beta2=beta2,
-            m=np.zeros_like(flat.values), v=np.zeros_like(flat.values),
-        )
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
 
     def to_dict(self, shapes, deferred: bool = False):
         """JSON-ready state: the step and each moment as one array per
@@ -760,17 +396,16 @@ class AdamState:
         }
 
     @classmethod
-    def from_dict(cls, d, train, shapes, where: str = "adam"):
-        """The state `to_dict(shapes)` wrote, stepping by the `lr`, `beta1`
-        and `beta2` of `train` (a `training.TrainConfig`), each moment
-        decoded into one buffer (`codec.decode_packed`). Moments not shaped
-        as `shapes` raise ConfigError naming `where`, as decoding does."""
+    def from_dict(cls, d, shapes, where: str = "adam"):
+        """The state `to_dict(shapes)` wrote, each moment decoded into one
+        buffer (`codec.decode_packed`). Moments not shaped as `shapes` raise
+        ConfigError naming `where`, as decoding does."""
         moments, wanted = [], [list(shape) for shape in shapes]
         for key in ("m", "v"):
             moments.append(decode_packed(d[key], f"{where}.{key}"))
             if [entry["shape"] for entry in d[key]] != wanted:
                 raise ConfigError(f"{where}.{key} is not shaped as the parameters, {wanted}")
-        return cls(train.lr, train.beta1, train.beta2, d["step"], *moments)
+        return cls(d["step"], *moments)
 
 
 # Elements per Adam block. Two scratch blocks of 256 KB stay in cache and
@@ -779,8 +414,10 @@ class AdamState:
 _ADAM_BLOCK = 32768
 
 
-def adam_step(param: Tensor, grad: np.ndarray, state: AdamState):
-    """One in-place bias-corrected Adam update of a 1-D parameter buffer.
+def adam_step(p: np.ndarray, grad: np.ndarray, state: AdamState, train):
+    """One in-place bias-corrected Adam update of a 1-D parameter buffer,
+    stepping by the `lr`, `beta1` and `beta2` of `train` (a
+    `training.TrainConfig`).
 
     The moments and the parameter are updated in place, one operation at
     a time in the order of
@@ -788,11 +425,10 @@ def adam_step(param: Tensor, grad: np.ndarray, state: AdamState):
     p -= lr (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps),
     so the bits equal those of the expressions written out. The buffers
     are walked in slices of at most `_ADAM_BLOCK` elements, and every
-    slice runs the whole sequence through two scratch arrays of one block
-    each, allocated once per call. Adam is elementwise, so the blocking
+    slice runs the whole sequence through two scratch arrays of at most one
+    block each, allocated once per call. Adam is elementwise, so the blocking
     does not change a bit. The gradient is not written to.
     """
-    p = param.values
     for key, buf in (("grad", grad), ("adam.m", state.m), ("adam.v", state.v)):
         if p.ndim != 1 or np.shape(buf) != p.shape:
             raise ShapeError(
@@ -800,9 +436,9 @@ def adam_step(param: Tensor, grad: np.ndarray, state: AdamState):
             )
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = train.beta1, train.beta2
     bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
-    scratch1, scratch2 = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
+    scratch1, scratch2 = np.empty(min(p.size, _ADAM_BLOCK)), np.empty(min(p.size, _ADAM_BLOCK))
     g = np.asarray(grad, dtype=np.float64)
     for start in range(0, p.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
@@ -819,6 +455,6 @@ def adam_step(param: Tensor, grad: np.ndarray, state: AdamState):
         np.divide(vb, bias2, out=s2)
         np.sqrt(s2, out=s2)
         np.add(s2, ADAM_EPS, out=s2)
-        np.multiply(s1, state.lr, out=s1)
+        np.multiply(s1, train.lr, out=s1)
         np.divide(s1, s2, out=s1)
         np.subtract(pb, s1, out=pb)

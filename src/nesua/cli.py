@@ -173,7 +173,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
         where = f"checkpoint {checkpoint}"
         resume = read_artifact(leftover, RESUME_CHECKPOINT, where, epochs=cfg.train.epochs)
         shapes = [p.shape for p in model.params.values()]
-        adam = ad.AdamState.from_dict(leftover["adam"], cfg.train, shapes, f"{where}: adam")
+        adam = ad.AdamState.from_dict(leftover["adam"], shapes, f"{where}: adam")
         built, wanted = _architectures(model, cfg, pairs)
         require_same(
             where, {**_resumable(resume["config"]), **built},

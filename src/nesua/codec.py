@@ -169,10 +169,12 @@ def decode_array(entry, where: str = "array") -> np.ndarray:
 
 def decode_packed(entries, where: str = "array") -> np.ndarray:
     """float64 entries decoded back to back into one new 1-D buffer, each
-    in C order.
+    in C order: a checkpoint's parameters or Adam moments, which must be
+    finite.
 
-    Raises ConfigError as `decode_array` does, and for an entry whose dtype
-    is not float64; the buffer is allocated once every header is checked.
+    Raises ConfigError naming `where` as `decode_array` does, for an entry
+    whose dtype is not float64, and for a NaN or an infinity; the buffer is
+    allocated once every header is checked.
     """
     headers = [_header(entry, where) for entry in entries]
     for dt, shape, _ in headers:
@@ -184,4 +186,6 @@ def decode_packed(entries, where: str = "array") -> np.ndarray:
         stop = start + math.prod(shape)
         _decode_into(flat[start:stop].reshape(shape), dt, text, where)
         start = stop
+    if not np.isfinite(flat).all():
+        raise ConfigError(f"{where} holds a non-finite value")
     return flat

@@ -115,7 +115,9 @@ def _build_section(cls, data: dict, name: str):
 
 # How `read_artifact` takes a key of JSON `kind`: "int" (from `low` to the
 # bound named `high`), "object" (by the table `keys`; with `cls`, also a
-# run-file section), "list", "array" (a codec entry of `dtype` and `shape`),
+# run-file section), "list", "array" (a codec entry of `dtype` and `shape`,
+# finite if a float; a "list" of parameters or Adam moments is decoded, and
+# held finite, by `codec.decode_packed`),
 # "numbers" (nested lists of `shape` finite numbers, each at least `low`)
 # or "unread". A size in `shape` is an int or a bound's name.
 Key = collections.namedtuple(
@@ -216,6 +218,8 @@ def _read(value, spec, name: str, bounds):
                 f"{name} has shape {list(arr.shape)} and dtype {arr.dtype.str}, "
                 f"not {list(shape)} and {spec.dtype}"
             )
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ConfigError(f"{name} holds a non-finite value")
         return arr
     # "numbers": checked as one array, so numpy, not Python, walks them
     try:

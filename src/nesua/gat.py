@@ -6,19 +6,20 @@ score every node pair from a shared attention vector over hw, normalize
 the scores over the adjacency neighborhood (self-loops included), mix the
 same hw with those weights and apply the nonlinearity. The readout maps
 final embeddings to one soft association row per UE on the cell simplex
-with one `autodiff.softmax_readout`. A forward pass is therefore five
-autodiff nodes, each with one backward rule.
+with one `autodiff.softmax_readout`. A forward pass is plain numpy; given
+a list `saved`, each of its five ops appends the record its backward rule
+reads, for `autodiff.backward`.
 
 One table lays out the parameters: `param_shapes(feat_dim, n_cells, cfg)`
 maps each of the six names, in order, to its shape. A model is its
 config, its sizes and one C-ordered float64 buffer, `GatModel.flat`,
 which holds the parameters back to back in table order; `GatModel.params`
-maps each name to a parameter over its view of that buffer, and only
-`GatModel` builds it. `init_model` packs its draws into the buffer,
-`load_checkpoint` decodes a checkpoint into it after checking every entry
-against the table, and `training.clone_model` copies it. While
-`training.train` runs, the parameters' gradients land in one gradient
-buffer of the same layout, and Adam's moments are two more.
+maps each name to its view of that buffer, and only `GatModel` builds it.
+`init_model` packs its draws into the buffer, `load_checkpoint` decodes a
+checkpoint into it after checking every entry against the table, and
+`training.clone_model` copies it. While `training.train` runs, the
+gradients land in one gradient buffer of the same layout, and Adam's
+moments are two more.
 """
 
 from __future__ import annotations
@@ -92,25 +93,24 @@ def check_shapes(entries: list, table: dict, where: str) -> list:
     return [entries[names.index(name)] for name in table]
 
 
-@dataclass
+@dataclass(eq=False)
 class GatModel:
     """The parameters of one architecture, packed in one buffer.
 
     `flat` holds them back to back in `param_shapes` order, and `params`
-    maps each name to a parameter whose values are its view of `flat`,
-    so an in-place update of `flat.values` is an update of every one.
+    maps each name to its view of `flat`, so an in-place update of `flat`
+    is an update of every one.
     """
 
     config: GatConfig
     feat_dim: int
     n_cells: int
-    flat: ad.Tensor = field(repr=False)
-    params: dict = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(repr=False)
+    params: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         table = param_shapes(self.feat_dim, self.n_cells, self.config)
-        views = ad.unpack(self.flat.values, table.values())
-        self.params = {name: ad.parameter(v) for name, v in zip(table, views)}
+        self.params = dict(zip(table, ad.unpack(self.flat, table.values())))
 
 
 def init_model(feat_dim: int, n_cells: int, cfg: GatConfig, seed: int) -> GatModel:
@@ -131,11 +131,7 @@ def init_model(feat_dim: int, n_cells: int, cfg: GatConfig, seed: int) -> GatMod
         uniform("readout.Q", h, n_cells),
         np.zeros(table["readout.B"]),
     ]
-    return GatModel(cfg, feat_dim, n_cells, ad.Tensor(ad.pack(arrays)))
-
-
-def _transformed(h: ad.Tensor, w: ad.Tensor) -> ad.Tensor:
-    return ad.linear(h, w)
+    return GatModel(cfg, feat_dim, n_cells, ad.pack(arrays))
 
 
 def _is_relu(activation: str) -> bool:
@@ -144,48 +140,47 @@ def _is_relu(activation: str) -> bool:
     return _ACTIVATIONS[activation]
 
 
-def gat_layer(
-    h: ad.Tensor, adjacency, w: ad.Tensor, a: ad.Tensor, negative_slope: float,
-    activation: str = "relu",
-) -> ad.Tensor:
-    """One attention round: transform h once (`_transformed`), then score
-    the transformed features, mix them with the normalized attention
+def gat_layer(h, adjacency, w, a, negative_slope: float, activation: str = "relu",
+              saved=None):
+    """One attention round: transform h once (`autodiff.linear`), then
+    score the transformed features, mix them with the normalized attention
     weights and apply the nonlinearity in one `autodiff.attention_round`.
-    Both uses share the one transform node, so its gradient reaches W as a
+    Both uses share the one transform, so its gradient reaches W as a
     single summed product."""
-    hw = _transformed(h, w)
-    return ad.attention_round(hw, a, adjacency, negative_slope, _is_relu(activation))
+    hw = ad.linear(h, w, saved)
+    return ad.attention_round(hw, a, adjacency, negative_slope, _is_relu(activation), saved)
 
 
-def readout(h_final: ad.Tensor, model: GatModel) -> ad.Tensor:
+def readout(h_final, model: GatModel, saved=None):
     """Per-node soft association over cells: the row softmax of
     act(h_final @ Q + B), one `autodiff.softmax_readout`."""
     return ad.softmax_readout(
         h_final, model.params["readout.Q"], model.params["readout.B"],
-        _is_relu(model.config.readout_activation),
+        _is_relu(model.config.readout_activation), saved,
     )
 
 
-def forward(g: GraphInstance, model: GatModel) -> ad.Tensor:
-    """Soft association matrix S for one graph instance."""
+def forward(g: GraphInstance, model: GatModel, saved=None) -> np.ndarray:
+    """Soft association matrix S for one graph instance. With a list
+    `saved`, the records of its five ops are appended to it."""
     if g.features.shape[1] != model.feat_dim:
         raise ShapeError(
             f"feature width {g.features.shape[1]} vs model "
             f"width {model.feat_dim}"
         )
     p, cfg = model.params, model.config
-    h = ad.constant(g.features)
+    h = g.features
     for layer in ("gat1", "gat2"):
         h = gat_layer(
             h, g.adjacency, p[f"{layer}.W"], p[f"{layer}.a"], cfg.negative_slope,
-            cfg.activation,
+            cfg.activation, saved,
         )
-    return readout(h, model)
+    return readout(h, model, saved)
 
 
 def harden(s) -> HardAssociation:
     """Per-row argmax of the soft association; ties to the lowest index."""
-    values = s.values if isinstance(s, ad.Tensor) else np.asarray(s)
+    values = np.asarray(s)
     return HardAssociation(
         assignment=np.argmax(values, axis=1), n_cells=values.shape[1]
     )
@@ -207,8 +202,8 @@ def save_checkpoint(path, model: GatModel, extra: dict | None = None):
     """
     doc = {
         "params": [
-            {"name": name, **encode_array(t.values, deferred=True)}
-            for name, t in model.params.items()
+            {"name": name, **encode_array(view, deferred=True)}
+            for name, view in model.params.items()
         ],
         "gat": {
             **asdict(model.config),
@@ -226,9 +221,9 @@ def load_checkpoint(path) -> tuple[GatModel, dict]:
     packed buffer (`codec.decode_packed`).
 
     The file is read by the `config.CHECKPOINT` table, and its `params`
-    must be float64 arrays laid out by the table of its `gat` section
-    (`check_shapes`), or ConfigError names the file and the key. A file
-    that cannot be opened raises OSError.
+    must be finite float64 arrays laid out by the table of its `gat`
+    section (`check_shapes`), or ConfigError names the file and the key.
+    A file that cannot be opened raises OSError.
     """
     from .config import CHECKPOINT, read_artifact, read_json  # config imports this module
 
@@ -237,6 +232,6 @@ def load_checkpoint(path) -> tuple[GatModel, dict]:
     arch = read_artifact(doc, CHECKPOINT, where)["gat"]
     cfg, sizes = arch["config"], (arch["feat_dim"], arch["n_cells"])
     entries = check_shapes(doc["params"], param_shapes(*sizes, cfg), f"{where}: params")
-    model = GatModel(cfg, *sizes, ad.Tensor(decode_packed(entries, f"{where}: params")))
+    model = GatModel(cfg, *sizes, decode_packed(entries, f"{where}: params"))
     leftover = {k: v for k, v in doc.items() if k not in ("params", "gat")}
     return model, leftover

@@ -7,8 +7,9 @@ model exists in three forms: scalar functions of one cell (`radio_power`,
 `bs_power`, `utilization`, `is_overload`), which state the closed forms
 that acceptance criterion 2 and the tests check; the per-cell array draw
 `cell_draw` and `network_power_hard`, which the baselines and policy
-scoring (`evaluate`) use; and a differentiable composition
-(`network_power_soft`) for the training loss.
+scoring (`evaluate`) use; and a relaxed form (`network_power_soft`) for
+the training loss, whose gradient `autodiff.gated_load_cost_backward`
+gives.
 """
 
 from __future__ import annotations
@@ -151,27 +152,29 @@ def cell_draw(load: np.ndarray, p: PowerParams, n_prb_total: int) -> np.ndarray:
 
 
 def network_power_soft(
-    s: ad.Tensor, prb: np.ndarray, p: PowerParams, n_prb_total: int
-) -> ad.Tensor:
-    """Differentiable network draw for a row-stochastic association tensor.
+    s: np.ndarray, prb: np.ndarray, p: PowerParams, n_prb_total: int, saved=None
+):
+    """Differentiable network draw for a row-stochastic association matrix.
 
     Each cell's on/off state is relaxed to the gate g_n = 1 - prod_k(1 - S_kn)
     and its load to the S-weighted PRB sum; both the load-dependent terms and
     the constant on-cost are scaled by the gate, so the expression reproduces
     network_power_hard exactly at one-hot corners (a gate of 0 must erase the
     radio draw of an empty cell, not just its fixed part). The whole draw is
-    one autodiff node, `autodiff.gated_load_cost`.
+    one op, `autodiff.gated_load_cost`, which appends its record to a list
+    `saved` when given one.
     """
-    if s.values.ndim != 2:
-        raise ContractError(f"association tensor must be 2-D, got shape {s.shape}")
-    k, n = s.values.shape
+    if s.ndim != 2:
+        raise ContractError(f"association matrix must be 2-D, got shape {s.shape}")
+    k, n = s.shape
     prb = np.asarray(prb, dtype=np.float64)
     if prb.shape != (k, n):
-        raise ContractError(f"association {s.values.shape} and PRB demand {prb.shape} differ")
+        raise ContractError(f"association {s.shape} and PRB demand {prb.shape} differ")
     c0, c1 = radio_coefficients(p)
     return ad.gated_load_cost(
         s, prb, n_prb_total,
         on_const=p.p_fixed_w - p.p_sleep_w + p.p_bb0_w + c0,
         on_slope=p.p_bb_slope_w + c1,
         offset=n * p.p_sleep_w,
+        saved=saved,
     )

@@ -3,7 +3,10 @@
 The loss is the differentiable network power plus two regularizers: one
 pushing every association row toward a one-hot corner, one penalizing
 uneven PRB concentration. Training steps one instance at a time; an
-epoch is one shuffled pass over the training split.
+epoch is one shuffled pass over the training split. A step is one
+`gat.forward` and one `loss` that leave the records of their ops in a
+list, one `autodiff.backward` that writes the loss gradient into the
+gradient buffer, and one `autodiff.adam_step`.
 """
 
 from __future__ import annotations
@@ -67,25 +70,27 @@ class TrainConfig:
 
 
 def loss(
-    s: ad.Tensor,
+    s: np.ndarray,
     prb: np.ndarray,
     params: PowerParams,
     lc: LossConfig,
     n_prb_total: int,
-) -> ad.Tensor:
+    saved=None,
+) -> float:
     """Soft network power + lambda1*(K - Tr(S S^T)) + lambda2*|p_hat|_2.
 
-    Three autodiff nodes: the power (`network_power_soft`), the penalties
-    with a positive weight (`autodiff.association_penalties`) and their
-    sum (`autodiff.add_terms`), which adds the terms to the power in that
-    order.
+    The power (`network_power_soft`), then, with a positive weight, the
+    penalties (`autodiff.association_penalties`) and their sum
+    (`autodiff.add_terms`), which adds the terms to the power in that
+    order. With a list `saved`, the records of those ops are appended to
+    it (`autodiff.loss_backward`).
     """
-    total = network_power_soft(s, prb, params, n_prb_total)
+    total = network_power_soft(s, prb, params, n_prb_total, saved)
     if lc.lambda1 > 0.0 or lc.lambda2 > 0.0:
         prb = np.asarray(prb, dtype=np.float64)
-        penalties = ad.association_penalties(s, prb, lc.lambda1, lc.lambda2)
-        total = ad.add_terms(total, penalties)
-    return total
+        penalties = ad.association_penalties(s, prb, lc.lambda1, lc.lambda2, saved)
+        total = ad.add_terms(total, penalties, saved)
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ class TrainResult:
 
 def clone_model(model: gat_mod.GatModel) -> gat_mod.GatModel:
     """An independent model: one copy of the packed buffer."""
-    return replace(model, flat=ad.Tensor(model.flat.values.copy()))
+    return replace(model, flat=model.flat.copy())
 
 
 def _mean_loss(
@@ -138,9 +143,7 @@ def _mean_loss(
     values = []
     for g in instances:
         s = gat_mod.forward(g, model)
-        values.append(
-            loss(ad.constant(s.values), g.prb_matrix, params, lc, g.n_prb_total).item()
-        )
+        values.append(loss(s, g.prb_matrix, params, lc, g.n_prb_total))
     return float(np.mean(values)) if values else math.nan
 
 
@@ -164,13 +167,10 @@ def train(
 
     Everything a step updates is laid out by the one parameter table
     (`gat.param_shapes`): each step runs one `adam_step` over the model's
-    packed buffer (`GatModel.flat`), a gradient buffer of the same layout
-    that the parameters' gradients land in (`autodiff.attach_grad_slots`,
-    released when training ends) and adam_state's two moment buffers. It
-    checks first that every parameter got a gradient: a parameter without
-    one would be updated from its slot's stale contents, so that raises
-    ContractError naming it. The model and adam_state passed in are the
-    ones updated, in place.
+    packed buffer (`GatModel.flat`), a gradient buffer of the same layout,
+    every element of which `autodiff.backward` writes, and adam_state's
+    two moment buffers. The model and adam_state passed in are the ones
+    updated, in place.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -186,16 +186,13 @@ def train(
             train_set[0].features.shape[1], widths.pop(), gat_cfg, seed
         )
     if adam_state is None:
-        adam_state = ad.AdamState.for_params(
-            model.flat, lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2
-        )
+        adam_state = ad.AdamState.for_params(model.flat)
 
     history = []
     best_model = clone_model(model)
     best_epoch = start_epoch
     best_test = math.inf
-    parameters = list(model.params.values())
-    flat_grad = ad.attach_grad_slots(parameters)
+    grad = np.empty_like(model.flat)
 
     for epoch in range(start_epoch + 1, tc.epochs + 1):
         perm = np.random.default_rng([tc.shuffle_seed, epoch]).permutation(
@@ -204,22 +201,16 @@ def train(
         epoch_losses = []
         for i in perm:
             g = train_set[int(i)]
-            s = gat_mod.forward(g, model)
-            value = loss(s, g.prb_matrix, params, lc, g.n_prb_total)
-            if not math.isfinite(value.item()):
+            saved = []
+            s = gat_mod.forward(g, model, saved)
+            value = loss(s, g.prb_matrix, params, lc, g.n_prb_total, saved)
+            if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, instance {int(i)}"
                 )
-            ad.backward(value)
-            missing = [name for name, p in model.params.items() if p.grad is None]
-            if missing:
-                raise ContractError(
-                    f"no gradient reached {', '.join(missing)} at epoch "
-                    f"{epoch}, instance {int(i)}"
-                )
-            ad.adam_step(model.flat, flat_grad, adam_state)
-            ad.zero_grad(parameters)
-            epoch_losses.append(value.item())
+            ad.backward(saved, grad)
+            ad.adam_step(model.flat, grad, adam_state, tc)
+            epoch_losses.append(value)
 
         mean_train = float(np.mean(epoch_losses))
         mean_test = _mean_loss(test_set, model, lc, params)
@@ -230,8 +221,6 @@ def train(
             best_test = selector
             best_model = clone_model(model)
             best_epoch = epoch
-    for p in parameters:
-        p.grad_slot = None  # releases the gradient buffer
 
     return TrainResult(
         model=model,

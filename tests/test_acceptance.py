@@ -28,7 +28,8 @@ from nesua.scenario import (
 )
 from nesua.training import LossConfig, TrainConfig, loss, split_and_normalize, train
 
-from helpers import check_grad, dataset_samples, model_over
+import helpers as tape
+from helpers import check_grad, dataset_samples, finite_difference_grad
 
 PARAMS = PowerParams()
 
@@ -69,7 +70,7 @@ def _weighted_sum(out, _rng=None):
     if out.shape == ():
         return out
     w = np.cos(np.arange(float(out.values.size))).reshape(out.shape) + 0.5
-    return ad.sum_all(ad.multiply(out, ad.constant(w)))
+    return tape.sum_all(tape.multiply(out, tape.constant(w)))
 
 
 def _check_primitives(rng):
@@ -100,34 +101,34 @@ def _check_primitives(rng):
     terms = fused.normal(0.0, 1.0, (2,))
 
     cases = [
-        (lambda p: _weighted_sum(ad.add(p[0], p[1]), rng), [a, b]),
-        (lambda p: _weighted_sum(ad.subtract(p[0], p[1]), rng), [a, b]),
-        (lambda p: _weighted_sum(ad.multiply(p[0], p[1]), rng), [a, b]),
-        (lambda p: _weighted_sum(ad.add(p[0], p[1]), rng), [a, row]),
-        (lambda p: _weighted_sum(ad.scale(p[0], -1.7), rng), [a]),
-        (lambda p: _weighted_sum(ad.matmul(p[0], p[1]), rng), [m_left, m_right]),
-        (lambda p: _weighted_sum(ad.transpose(p[0]), rng), [a]),
-        (lambda p: _weighted_sum(ad.reshape(p[0], (2, 6)), rng), [a]),
-        (lambda p: _weighted_sum(ad.slice_rows(p[0], 1, 3), rng), [a]),
-        (lambda p: _weighted_sum(ad.concat([p[0], p[1]], axis=-1), rng), [a, b]),
-        (lambda p: _weighted_sum(ad.relu(p[0]), rng), [kinked]),
-        (lambda p: _weighted_sum(ad.leaky_relu(p[0], slope), rng), [kinked]),
-        (lambda p: _weighted_sum(ad.exp(p[0]), rng), [a]),
-        (lambda p: _weighted_sum(ad.clamp(p[0], -0.7, 0.9), rng), [clamp_in]),
-        (lambda p: _weighted_sum(ad.row_softmax_masked(p[0], mask), rng), [a]),
-        (lambda p: ad.sum_all(p[0]), [a]),
-        (lambda p: _weighted_sum(ad.row_sum(p[0]), rng), [a]),
-        (lambda p: ad.trace_of_gram(p[0]), [a]),
-        (lambda p: ad.l2_norm(p[0]), [vec]),
-        (lambda p: _weighted_sum(ad.complement_product_gate(p[0]), rng), [gate_in]),
-        (lambda p: _weighted_sum(ad.attention_round(p[0], p[1], adjacency, slope, True), rng),
+        (lambda p: _weighted_sum(tape.add(p[0], p[1]), rng), [a, b]),
+        (lambda p: _weighted_sum(tape.subtract(p[0], p[1]), rng), [a, b]),
+        (lambda p: _weighted_sum(tape.multiply(p[0], p[1]), rng), [a, b]),
+        (lambda p: _weighted_sum(tape.add(p[0], p[1]), rng), [a, row]),
+        (lambda p: _weighted_sum(tape.scale(p[0], -1.7), rng), [a]),
+        (lambda p: _weighted_sum(tape.matmul(p[0], p[1]), rng), [m_left, m_right]),
+        (lambda p: _weighted_sum(tape.transpose(p[0]), rng), [a]),
+        (lambda p: _weighted_sum(tape.reshape(p[0], (2, 6)), rng), [a]),
+        (lambda p: _weighted_sum(tape.slice_rows(p[0], 1, 3), rng), [a]),
+        (lambda p: _weighted_sum(tape.concat([p[0], p[1]], axis=-1), rng), [a, b]),
+        (lambda p: _weighted_sum(tape.relu(p[0]), rng), [kinked]),
+        (lambda p: _weighted_sum(tape.leaky_relu(p[0], slope), rng), [kinked]),
+        (lambda p: _weighted_sum(tape.exp(p[0]), rng), [a]),
+        (lambda p: _weighted_sum(tape.clamp(p[0], -0.7, 0.9), rng), [clamp_in]),
+        (lambda p: _weighted_sum(tape.row_softmax_masked(p[0], mask), rng), [a]),
+        (lambda p: tape.sum_all(p[0]), [a]),
+        (lambda p: _weighted_sum(tape.row_sum(p[0]), rng), [a]),
+        (lambda p: tape.trace_of_gram(p[0]), [a]),
+        (lambda p: tape.l2_norm(p[0]), [vec]),
+        (lambda p: _weighted_sum(tape.complement_product_gate(p[0]), rng), [gate_in]),
+        (lambda p: _weighted_sum(tape.attention_round(p[0], p[1], adjacency, slope, True), rng),
          [hw, scorer]),
-        (lambda p: _weighted_sum(ad.softmax_readout(p[0], p[1], p[2], True), rng),
+        (lambda p: _weighted_sum(tape.softmax_readout(p[0], p[1], p[2], True), rng),
          [a, m_right, bias]),
-        (lambda p: ad.gated_load_cost(p[0], demand, 200.0, 150.0, 30.0, 7.0), [gate_in]),
-        (lambda p: _weighted_sum(ad.association_penalties(p[0], demand, 0.7, 0.3), rng),
+        (lambda p: tape.gated_load_cost(p[0], demand, 200.0, 150.0, 30.0, 7.0), [gate_in]),
+        (lambda p: _weighted_sum(tape.association_penalties(p[0], demand, 0.7, 0.3), rng),
          [gate_in]),
-        (lambda p: ad.add_terms(p[0], p[1]), [total, terms]),
+        (lambda p: tape.add_terms(p[0], p[1]), [total, terms]),
     ]
     for build, arrays in cases:
         check_grad(build, arrays, rtol=1e-4, atol=1e-6)
@@ -148,11 +149,17 @@ def _check_loss_gradient(rng):
     arrays = [rng.normal(0.0, 0.5, s) for s in shapes]
     lc = LossConfig(lambda1=0.7, lambda2=0.3)
 
-    def build(p):
-        model = model_over(p, cfg, 3 * n, n)
-        return loss(gat.forward(g, model), g.prb_matrix, PARAMS, lc, g.n_prb_total)
+    def value(flat):
+        s = gat.forward(g, gat.GatModel(cfg, 3 * n, n, flat))
+        return loss(s, g.prb_matrix, PARAMS, lc, g.n_prb_total)
 
-    check_grad(build, arrays, rtol=1e-4, atol=1e-6)
+    # the train step's own gradient: forward, loss and `ad.backward`
+    model, saved = gat.GatModel(cfg, 3 * n, n, ad.pack(arrays)), []
+    loss(gat.forward(g, model, saved), g.prb_matrix, PARAMS, lc, g.n_prb_total, saved)
+    grad = np.empty_like(model.flat)
+    ad.backward(saved, grad)
+    fd = finite_difference_grad(value, model.flat.copy())
+    np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
 
 
 def test_gradients_match_finite_differences():
@@ -365,10 +372,10 @@ def test_one_hot_soft_power_matches_hard():
         assignment = rng.integers(0, n_cells, size=n_ues)
         one_hot = np.zeros((n_ues, n_cells))
         one_hot[np.arange(n_ues), assignment] = 1.0
-        soft = network_power_soft(ad.constant(one_hot), prb, PARAMS, 51).item()
+        soft = network_power_soft(one_hot, prb, PARAMS, 51)
         hard = network_power_hard(one_hot, prb, PARAMS, 51).total_w
         worst = max(worst, abs(soft - hard) / hard)
-        sharpness = float(n_ues) - ad.trace_of_gram(ad.constant(one_hot)).item()
+        sharpness = ad.association_penalties(one_hot, prb, 1.0, 0.0)[0]
         assert sharpness == 0.0
     ok = worst <= 1e-9
     _report(8, "one-hot consistency", ok,
@@ -467,7 +474,7 @@ def test_structural_invariants_hold():
         n_ues, n_cells = int(rng.integers(2, 8)), int(rng.integers(2, 6))
         feat = int(rng.integers(3, 7))
         g = _random_instance(rng, n_ues, n_cells, feat)
-        s = gat.forward(g, _random_model(rng, feat, n_cells)).values
+        s = gat.forward(g, _random_model(rng, feat, n_cells))
         assert s.shape == (n_ues, n_cells)
         assert (s >= 0.0).all()
         assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
@@ -484,8 +491,8 @@ def test_structural_invariants_hold():
             prb_matrix=g.prb_matrix[perm],
             n_prb_total=g.n_prb_total,
         )
-        base = gat.forward(g, model).values
-        shuffled = gat.forward(permuted, model).values
+        base = gat.forward(g, model)
+        shuffled = gat.forward(permuted, model)
         assert np.allclose(shuffled, base[perm], rtol=1e-9, atol=1e-12)
 
     checked = 0  # rows ignore everything outside their two-hop ball
@@ -502,10 +509,10 @@ def test_structural_invariants_hold():
             continue
         far = int(rng.choice(outside))
         model = _random_model(rng, feat, n_cells)
-        before = gat.forward(g, model).values[node].copy()
+        before = gat.forward(g, model)[node].copy()
         bumped = g.features.copy()
         bumped[far] += rng.normal(0.0, 5.0, size=feat)
-        after = gat.forward(replace(g, features=bumped), model).values[node]
+        after = gat.forward(replace(g, features=bumped), model)[node]
         assert np.array_equal(before, after)
         checked += 1
 
@@ -514,7 +521,7 @@ def test_structural_invariants_hold():
         x = rng.normal(0.0, 3.0, (rows, cols))
         keep = rng.integers(0, 2, size=(rows, cols)).astype(float)
         keep[keep.sum(axis=1) == 0, 0] = 1.0
-        got = ad.row_softmax_masked(ad.constant(x), keep).values
+        got = tape.row_softmax_masked(tape.constant(x), keep).values
         for r in range(rows):
             idx = np.flatnonzero(keep[r])
             ref = np.exp(x[r, idx] - x[r, idx].max())

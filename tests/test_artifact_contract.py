@@ -7,7 +7,10 @@ that reads it runs in process through `cli.main`. A damaged artifact key
 must make the command exit 2 or 3 with the key named in its message; exit
 0 is allowed only for a key the reading command's schema tables
 (`nesua.config`) declare unread, or one inside such a key. The message
-must name the file as well. A run-file field takes each value its
+must name the file as well, and the record for a dataset record. Every
+float64 array (a record's, the parameters, the Adam moments) also gets a
+NaN and each infinity written into it, which must exit 2 the same way. A
+run-file field takes each value its
 declared type refuses with exit 2 naming the field, and a value of its
 type with exit 0 or with exit 2 naming the field. No case may raise.
 
@@ -22,9 +25,11 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 
 from nesua import cli, config
+from nesua.codec import decode_array, encode_array
 from nesua.config import RunConfig
 
 DELETE = object()
@@ -38,6 +43,8 @@ MUTATIONS = {
     "list": [0],
     "object": {},
 }
+# written into the last element of a key's last float64 array
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 NESTED = ("gat", "adam", "norm_stats")  # sections walked key by key
 SECTION_KEY = config.Key("section")
 RUN_FILE = {
@@ -100,6 +107,28 @@ def _key_paths(doc):
                 yield (key, inner)
 
 
+def _float_arrays(value):
+    """The float64 codec entries that value is or lists."""
+    entries = value if isinstance(value, list) else [value]
+    return [e for e in entries if isinstance(e, dict) and e.get("dtype") == "<f8"]
+
+
+def _value_at(doc, path):
+    for name in path:
+        doc = doc[name]
+    return doc
+
+
+def _with_non_finite(value, x):
+    """value with x written over the last element of its last float64 array."""
+    value = json.loads(json.dumps(value))
+    entry = _float_arrays(value)[-1]
+    arr = decode_array(entry)
+    arr.reshape(-1)[-1] = x
+    entry["b64"] = encode_array(arr)["b64"]
+    return value
+
+
 def _damaged(doc, path, value):
     doc = json.loads(json.dumps(doc))
     parent = doc
@@ -127,6 +156,9 @@ def _artifact_failures(run, name, capsys):
     lines = pristine.splitlines()
     doc = json.loads(lines[1] if name == "record" else pristine)
     cases = [(p, m) for p in _key_paths(doc) for m in MUTATIONS]
+    cases += [
+        (p, m) for p in _key_paths(doc) if _float_arrays(_value_at(doc, p)) for m in NON_FINITE
+    ]
     random.Random(16).shuffle(cases)
     failures = []
     for key_path, mutation in cases:
@@ -135,7 +167,11 @@ def _artifact_failures(run, name, capsys):
         if spec is None:
             failures.append(f"{dotted}: not declared in the schema tables")
             continue
-        damaged = json.dumps(_damaged(doc, key_path, MUTATIONS[mutation]))
+        if mutation in NON_FINITE:
+            value = _with_non_finite(_value_at(doc, key_path), NON_FINITE[mutation])
+        else:
+            value = MUTATIONS[mutation]
+        damaged = json.dumps(_damaged(doc, key_path, value))
         if name == "record":
             damaged = "\n".join([lines[0], damaged, *lines[2:]]) + "\n"
         path.write_text(damaged)
@@ -145,7 +181,10 @@ def _artifact_failures(run, name, capsys):
             path.write_text(pristine)
         if code == 0 and spec.kind == "unread":
             continue
-        if code not in (2, 3) or key_path[-1] not in err or str(path) not in err:
+        named = key_path[-1] in err and str(path) in err
+        if name == "record":
+            named = named and "record 2" in err
+        if code not in (2, 3) or not named:
             failures.append(f"{dotted} {mutation}: exit {code}: {err.strip()[-300:]}")
     return failures
 
@@ -203,4 +242,26 @@ def test_every_damaged_key_exits_2_naming_it(run, capsys, monkeypatch, source):
         failures = _run_file_failures(run, capsys, monkeypatch)
     else:
         failures = _artifact_failures(run, source, capsys)
+    assert not failures, "\n".join(failures)
+
+
+def test_a_non_finite_record_array_exits_2_under_train(run, capsys):
+    # `eval` regenerates each record and so refuses any edit; `train`
+    # reads the records as stored
+    path, _, _ = run["record"]
+    train = run["manifest"][1]
+    pristine = path.read_text()
+    lines = pristine.splitlines()
+    record = json.loads(lines[1])
+    failures = []
+    for key, value in record.items():
+        for mutation, x in NON_FINITE.items() if _float_arrays(value) else ():
+            damaged = {**record, key: _with_non_finite(value, x)}
+            path.write_text("\n".join([lines[0], json.dumps(damaged), *lines[2:]]) + "\n")
+            try:
+                code, err = _outcome(capsys, [*train, "--out", run["out"]])
+            finally:
+                path.write_text(pristine)
+            if code != 2 or not all(word in err for word in (str(path), "record 2", key)):
+                failures.append(f"{key} {mutation}: exit {code}: {err.strip()[-300:]}")
     assert not failures, "\n".join(failures)

@@ -3,8 +3,10 @@
 `perfbench/spans.py` wraps module attributes by name; a site that a
 refactor drops, renames or routes a command around is only reported at
 benchmark time, as missing or as a layer that reads zero. These tests read
-the site lists from that file (without changing it), resolve every entry,
-and run a small gen -> train -> eval through the traced sites.
+the site lists from that file (without changing it), resolve every entry
+(a declared `RETIRED` one must be gone from `nesua.autodiff` and resolve in
+the test helpers' tape reference instead), and run a small
+gen -> train -> eval through the traced sites.
 """
 
 import functools
@@ -13,6 +15,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import helpers
 import pytest
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -27,11 +30,34 @@ def _spans():
 
 SPANS = _spans()
 
+# Sites `spans.py` still names that the package no longer has: the tape's
+# `zero_grad` and the 19 composed ops it counted as `PRIMITIVES`, which
+# the straight-line step retired. The benchmark reports them as missing
+# until its site lists are brought up to date (ROADMAP item 1).
+RETIRED = {f"nesua.autodiff.{name}" for name in (
+    "zero_grad",
+    "add", "subtract", "multiply", "scale", "matmul", "transpose", "reshape",
+    "slice_rows", "concat", "relu", "leaky_relu", "exp", "clamp",
+    "row_softmax_masked", "sum_all", "row_sum", "trace_of_gram", "l2_norm",
+    "complement_product_gate",
+)}
+LIVE_SITES = [
+    (m, p) for m, p, _ in SPANS.SPAN_SITES if f"{m}.{p}" not in RETIRED
+]
 
-@pytest.mark.parametrize(
-    "module_name, path", [(m, p) for m, p, _ in SPANS.SPAN_SITES]
-)
+
+def _assert_retired(name):
+    """A retired autodiff name is gone from the package and kept by the tape reference."""
+    autodiff = importlib.import_module("nesua.autodiff")
+    assert not hasattr(autodiff, name), f"nesua.autodiff.{name} is retired"
+    assert callable(getattr(helpers, name, None)), f"helpers.{name} is not callable"
+
+
+@pytest.mark.parametrize("module_name, path", [(m, p) for m, p, _ in SPANS.SPAN_SITES])
 def test_every_span_site_resolves(module_name, path):
+    if f"{module_name}.{path}" in RETIRED:
+        _assert_retired(path)
+        return
     obj = importlib.import_module(module_name)
     for part in path.split("."):
         assert hasattr(obj, part), f"{module_name}.{path}: no {part!r}"
@@ -40,9 +66,9 @@ def test_every_span_site_resolves(module_name, path):
 
 
 def test_every_counted_primitive_resolves():
-    autodiff = importlib.import_module("nesua.autodiff")
-    missing = [name for name in SPANS.PRIMITIVES if not callable(getattr(autodiff, name, None))]
-    assert missing == []
+    assert {f"nesua.autodiff.{name}" for name in SPANS.PRIMITIVES} <= RETIRED
+    for name in SPANS.PRIMITIVES:
+        _assert_retired(name)
 
 
 def test_tracer_installs_and_restores_the_activation_table():
@@ -72,9 +98,9 @@ def test_a_traced_pipeline_reaches_every_span_site(tmp_path, monkeypatch):
     tracer = SPANS.Tracer("test")
     tracer.install()
     try:
-        assert tracer.missing == []
+        assert set(tracer.missing) == RETIRED and len(tracer.missing) == len(RETIRED)
         calls = {}
-        for module_name, path, _ in SPANS.SPAN_SITES:
+        for module_name, path in LIVE_SITES:
             obj, attr = SPANS._resolve(module_name, path)
             traced = getattr(obj, attr)
 
@@ -93,10 +119,10 @@ def test_a_traced_pipeline_reaches_every_span_site(tmp_path, monkeypatch):
     finally:
         monkeypatch.undo()
         tracer.uninstall()
-    unreached = [
-        f"{m}.{p}" for m, p, _ in SPANS.SPAN_SITES if calls.get((m, p), 0) < 1
-    ]
+    unreached = [f"{m}.{p}" for m, p in LIVE_SITES if calls.get((m, p), 0) < 1]
     assert unreached == []
-    expected = {name for _, _, name in SPANS.SPAN_SITES} - {"gat.layer"}
+    expected = {
+        name for m, p, name in SPANS.SPAN_SITES if f"{m}.{p}" not in RETIRED
+    } - {"gat.layer"}
     spans = tracer.pass_stats()["spans"]
     assert expected | {"gat.layer1", "gat.layer2"} <= set(spans)

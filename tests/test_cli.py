@@ -241,8 +241,8 @@ def test_train_zero_epochs_equals_initialization(tmp_path):
     init = gat.init_model(
         6, 2, gat.GatConfig(hidden_dim=4, readout_activation="identity"), seed=1
     )
-    for name, tensor in model.params.items():
-        assert np.array_equal(tensor.values, init.params[name].values)
+    for name, view in model.params.items():
+        assert np.array_equal(view, init.params[name])
 
 
 def test_train_resume_matches_uninterrupted_run(tmp_path):

@@ -1,6 +1,7 @@
-"""The fused autodiff nodes against the primitive chains they replace:
-bit-equal values and gradients, finite differences at the edge cases,
-and the checks the primitives made."""
+"""The fused ops against the primitive chains they replace: bit-equal
+values and gradients (each op on the tape through its adapter in
+`helpers`), finite differences at the edge cases, and the checks the
+primitives made."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from nesua import autodiff as ad
 from nesua.errors import ContractError, ShapeError
 from nesua.power import PowerParams, network_power_soft
 
+import helpers as tape
+from helpers import FUSED_NODES as FUSED
 from helpers import REFERENCE_NODES, check_grad
-
-FUSED = {name: getattr(ad, name) for name in REFERENCE_NODES}
 
 
 def _adjacency(k, rng, p=0.5):
@@ -26,7 +27,7 @@ def _weighted(out):
     if out.shape == ():
         return out
     w = np.cos(np.arange(float(out.values.size))).reshape(out.shape) + 0.5
-    return ad.sum_all(ad.multiply(out, ad.constant(w)))
+    return tape.sum_all(tape.multiply(out, tape.constant(w)))
 
 
 def _attention(k, slope, relu, adjacency=None, width=4):
@@ -139,9 +140,9 @@ def test_fused_node_is_bit_equal_to_its_reference(case):
         arrays = arrays_of(np.random.default_rng(seed))
         runs = []
         for nodes in (FUSED, REFERENCE_NODES):
-            params = [ad.parameter(a.copy()) for a in arrays]
+            params = [tape.parameter(a.copy()) for a in arrays]
             out = build(nodes, params)
-            ad.backward(_weighted(out))
+            tape.backward(_weighted(out))
             runs.append((out.values.tobytes(), [p.grad.tobytes() for p in params]))
         assert runs[0] == runs[1], f"seed {seed}"
 
@@ -183,21 +184,30 @@ def test_branch_free_masks_equal_the_selects_bit_for_bit(n):
 
 
 def test_fused_nodes_are_one_node_each():
+    # one record per op when a list is given, none without; on the tape,
+    # one node with one backward rule
     rng = np.random.default_rng(3)
-    hw, a = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(rng.normal(size=6))
-    out = ad.attention_round(hw, a, _adjacency(4, rng), 0.2, True)
-    assert out._parents == (hw, a) and out._backward is not None
-    const = ad.attention_round(ad.constant(hw.values), ad.constant(a.values),
-                               np.ones((4, 4)), 0.2, True)
+    hw, a = rng.normal(size=(4, 3)), rng.normal(size=6)
+    adjacency = _adjacency(4, rng)
+    saved = []
+    values = ad.attention_round(hw, a, adjacency, 0.2, True, saved)
+    assert len(saved) == 1 and saved[0].hw is hw and saved[0].a is a
+    assert ad.attention_round(hw, a, adjacency, 0.2, True).tobytes() == values.tobytes()
+    hw_t, a_t = tape.parameter(hw), tape.parameter(a)
+    out = FUSED["attention_round"](hw_t, a_t, adjacency, 0.2, True)
+    assert out._parents == (hw_t, a_t) and out._backward is not None
+    const = FUSED["attention_round"](
+        tape.constant(hw), tape.constant(a), np.ones((4, 4)), 0.2, True
+    )
     assert not const.requires_grad and const._backward is None
 
 
 def test_attention_round_keeps_the_primitive_checks():
     rng = np.random.default_rng(4)
-    hw = ad.parameter(rng.normal(size=(3, 4)))
+    hw = rng.normal(size=(3, 4))
     with pytest.raises(ShapeError):  # scorer for another width
-        ad.attention_round(hw, ad.parameter(np.zeros(6)), np.ones((3, 3)), 0.2, True)
-    a = ad.parameter(np.zeros(8))
+        ad.attention_round(hw, np.zeros(6), np.ones((3, 3)), 0.2, True)
+    a = np.zeros(8)
     with pytest.raises(ShapeError):  # mask of another shape
         ad.attention_round(hw, a, np.ones((3, 4)), 0.2, True)
     empty_row = np.ones((3, 3))
@@ -207,26 +217,25 @@ def test_attention_round_keeps_the_primitive_checks():
 
 
 def test_softmax_readout_checks_shapes():
-    h = ad.parameter(np.ones((4, 3)))
+    h = np.ones((4, 3))
     with pytest.raises(ShapeError):
-        ad.softmax_readout(h, ad.parameter(np.ones((2, 5))), ad.parameter(np.zeros(5)), True)
+        ad.softmax_readout(h, np.ones((2, 5)), np.zeros(5), True)
     with pytest.raises(ShapeError):
-        ad.softmax_readout(h, ad.parameter(np.ones((3, 5))), ad.parameter(np.zeros(4)), True)
+        ad.softmax_readout(h, np.ones((3, 5)), np.zeros(4), True)
     with pytest.raises(ShapeError):  # a bias that would widen the logits
-        ad.softmax_readout(h, ad.parameter(np.ones((3, 5))),
-                           ad.parameter(np.zeros((2, 4, 5))), True)
+        ad.softmax_readout(h, np.ones((3, 5)), np.zeros((2, 4, 5)), True)
 
 
 def test_loss_nodes_check_the_association():
-    s = ad.parameter(np.full((4, 3), 1.0 / 3.0))
+    s = np.full((4, 3), 1.0 / 3.0)
     with pytest.raises(ShapeError):
         ad.gated_load_cost(s, np.ones((4, 2)), 51, 1.0, 1.0, 0.0)
     with pytest.raises(ShapeError):
         ad.association_penalties(s, np.ones((3, 3)), 1.0, 1.0)
     with pytest.raises(ShapeError):
-        ad.add_terms(s, ad.constant(np.ones(2)))
-    # network_power_soft keeps its own contract errors in front of the node
+        ad.add_terms(s, np.ones(2))
+    # network_power_soft keeps its own contract errors in front of the op
     with pytest.raises(ContractError):
-        network_power_soft(ad.parameter(np.ones(3)), np.ones(3), PowerParams(), 51)
+        network_power_soft(np.ones(3), np.ones(3), PowerParams(), 51)
     with pytest.raises(ContractError):
         network_power_soft(s, np.ones((4, 2)), PowerParams(), 51)

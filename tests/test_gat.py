@@ -10,19 +10,22 @@ import pytest
 
 from nesua import autodiff as ad
 from nesua import config, gat
-from nesua.codec import encode_array
+from nesua.codec import decode_array, encode_array
 from nesua.errors import ConfigError, ShapeError
+from nesua.power import PowerParams
 from nesua.scenario import GraphInstance
-from nesua.training import TrainConfig
+from nesua.training import LossConfig, TrainConfig, loss
 
+import helpers as tape
 from helpers import (
     assert_packed,
     attention_scores,
     attention_weights,
     check_grad,
-    model_over,
     reference_gat_layer,
     shapes_of,
+    tape_forward,
+    tape_loss,
 )
 
 
@@ -58,11 +61,11 @@ def test_config_validation():
 
 def test_attention_scores_match_scalar_computation():
     # two nodes, explicit parameters, the pair scores recomputed one by one
-    h = ad.constant(np.array([[1.0, 2.0], [-0.5, 0.5]]))
+    h = tape.constant(np.array([[1.0, 2.0], [-0.5, 0.5]]))
     w = np.array([[0.3, -0.2], [0.1, 0.4], [-0.6, 0.2]])
     a = np.array([0.2, -0.1, 0.5, 0.3, 0.7, -0.4])
-    w_t, a_t = ad.parameter(w), ad.parameter(a)
-    scores = attention_scores(gat._transformed(h, w_t), a_t, 0.2).values
+    w_t, a_t = tape.parameter(w), tape.parameter(a)
+    scores = attention_scores(tape.linear(h, w_t), a_t, 0.2).values
     hw = h.values @ w.T
     for u in range(2):
         for v in range(2):
@@ -73,10 +76,10 @@ def test_attention_scores_match_scalar_computation():
 
 def test_zero_attention_vector_gives_uniform_weights():
     rng = np.random.default_rng(60)
-    h = ad.constant(rng.normal(size=(5, 4)))
-    w, a = ad.parameter(rng.normal(size=(3, 4))), ad.parameter(np.zeros(6))
+    h = tape.constant(rng.normal(size=(5, 4)))
+    w, a = tape.parameter(rng.normal(size=(3, 4))), tape.parameter(np.zeros(6))
     adj = _random_adjacency(5, rng)
-    att = attention_weights(gat._transformed(h, w), adj, a, 0.2).values
+    att = attention_weights(tape.linear(h, w), adj, a, 0.2).values
     for u in range(5):
         deg = adj[u].sum()
         np.testing.assert_allclose(att[u][adj[u] == 1], 1.0 / deg, rtol=1e-12)
@@ -85,11 +88,9 @@ def test_zero_attention_vector_gives_uniform_weights():
 
 def test_single_node_attends_only_to_itself():
     rng = np.random.default_rng(61)
-    h = ad.constant(rng.normal(size=(1, 4)))
-    w, a = ad.parameter(rng.normal(size=(3, 4))), ad.parameter(rng.normal(size=6))
-    att = attention_weights(
-        gat._transformed(h, w), np.ones((1, 1)), a, 0.2
-    ).values
+    h = tape.constant(rng.normal(size=(1, 4)))
+    w, a = tape.parameter(rng.normal(size=(3, 4))), tape.parameter(rng.normal(size=6))
+    att = attention_weights(tape.linear(h, w), np.ones((1, 1)), a, 0.2).values
     assert att[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -97,10 +98,7 @@ def test_uniform_attention_layer_averages_features():
     # zero scorer, two mutually connected nodes: output is the projected mean
     x = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
     w = np.array([[0.2, 0.1, -0.3], [0.5, -0.4, 0.6]])
-    out = gat.gat_layer(
-        ad.constant(x), np.ones((2, 2)), ad.parameter(w), ad.parameter(np.zeros(4)),
-        0.2, "relu",
-    ).values
+    out = gat.gat_layer(x, np.ones((2, 2)), w, np.zeros(4), 0.2, "relu")
     expected = np.maximum((x @ w.T).mean(axis=0), 0.0)
     np.testing.assert_allclose(out[0], expected, rtol=1e-12)
     np.testing.assert_allclose(out[1], expected, rtol=1e-12)
@@ -134,9 +132,7 @@ def test_layer_matches_per_node_loop():
         w = rng.normal(size=(d_out, d_in))
         a = rng.normal(size=2 * d_out)
         adj = _random_adjacency(k, rng)
-        fast = gat.gat_layer(
-            ad.constant(h), adj, ad.parameter(w), ad.parameter(a), 0.2, "relu"
-        ).values
+        fast = gat.gat_layer(h, adj, w, a, 0.2, "relu")
         slow = _naive_layer(h, adj, w, a, 0.2, "relu")
         np.testing.assert_allclose(fast, slow, atol=1e-10, err_msg=f"trial {trial}")
 
@@ -145,10 +141,10 @@ def test_attention_rows_sum_to_one_and_mask_is_exact():
     rng = np.random.default_rng(63)
     for _ in range(20):
         k = int(rng.integers(2, 9))
-        h = ad.constant(rng.normal(size=(k, 5)))
-        w, a = ad.parameter(rng.normal(size=(4, 5))), ad.parameter(rng.normal(size=8))
+        h = tape.constant(rng.normal(size=(k, 5)))
+        w, a = tape.parameter(rng.normal(size=(4, 5))), tape.parameter(rng.normal(size=8))
         adj = _random_adjacency(k, rng, p=0.3)
-        att = attention_weights(gat._transformed(h, w), adj, a, 0.2).values
+        att = attention_weights(tape.linear(h, w), adj, a, 0.2).values
         np.testing.assert_allclose(att.sum(axis=1), np.ones(k), atol=1e-12)
         assert np.all(att[adj == 0] == 0.0)
 
@@ -156,18 +152,18 @@ def test_attention_rows_sum_to_one_and_mask_is_exact():
 def test_readout_uniform_for_zero_parameters():
     rng = np.random.default_rng(64)
     model = _model(6, 4, hidden=5)
-    model.params["readout.Q"].values[:] = 0.0
-    model.params["readout.B"].values[:] = 0.0
-    h = ad.constant(rng.normal(size=(3, 5)))
-    s = gat.readout(h, model).values
+    model.params["readout.Q"][:] = 0.0
+    model.params["readout.B"][:] = 0.0
+    h = rng.normal(size=(3, 5))
+    s = gat.readout(h, model)
     np.testing.assert_allclose(s, np.full((3, 4), 0.25), atol=1e-12)
 
 
 def test_readout_concentrates_on_dominant_logit():
     model = _model(6, 3, hidden=1, readout_activation="identity")
-    model.params["readout.Q"].values[:] = np.array([[10.0, 0.0, 0.0]])
-    model.params["readout.B"].values[:] = 0.0
-    s = gat.readout(ad.constant(np.array([[1.0]])), model).values
+    model.params["readout.Q"][:] = np.array([[10.0, 0.0, 0.0]])
+    model.params["readout.B"][:] = 0.0
+    s = gat.readout(np.array([[1.0]]), model)
     assert s[0, 0] > 0.9999
     assert s[0].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -176,13 +172,12 @@ def test_forward_composes_public_ops():
     rng = np.random.default_rng(65)
     g = _instance(4, 2, rng)
     model = _model(6, 2, hidden=5, seed=3)
-    s = gat.forward(g, model).values
+    s = gat.forward(g, model)
 
     p = model.params
-    h0 = ad.constant(g.features)
-    h1 = gat.gat_layer(h0, g.adjacency, p["gat1.W"], p["gat1.a"], 0.2, "relu")
+    h1 = gat.gat_layer(g.features, g.adjacency, p["gat1.W"], p["gat1.a"], 0.2, "relu")
     h2 = gat.gat_layer(h1, g.adjacency, p["gat2.W"], p["gat2.a"], 0.2, "relu")
-    manual = gat.readout(h2, model).values
+    manual = gat.readout(h2, model)
     np.testing.assert_allclose(s, manual, atol=1e-12)
 
 
@@ -191,15 +186,16 @@ def test_forward_transforms_each_layer_once(monkeypatch):
     g = _instance(6, 3, rng)
     model = _model(9, 3, hidden=5, seed=4)
     calls = []
-    transformed = gat._transformed
+    transformed = ad.linear
 
-    def counting(h, w):
+    def counting(h, w, saved=None):
         calls.append(w)
-        return transformed(h, w)
+        return transformed(h, w, saved)
 
-    monkeypatch.setattr(gat, "_transformed", counting)
+    monkeypatch.setattr(ad, "linear", counting)
     gat.forward(g, model)
-    assert calls == [model.params["gat1.W"], model.params["gat2.W"]]
+    assert len(calls) == 2
+    assert calls[0] is model.params["gat1.W"] and calls[1] is model.params["gat2.W"]
 
 
 def test_shared_transform_matches_two_transform_layer():
@@ -208,21 +204,20 @@ def test_shared_transform_matches_two_transform_layer():
     rng = np.random.default_rng(75)
     for trial in range(5):
         g = _instance(7, 3, rng)
-        shared = _model(9, 3, hidden=16, seed=trial)
-        twice = _model(9, 3, hidden=16, seed=trial)
-        s = gat.forward(g, shared)
-        h = ad.constant(g.features)
-        for layer in ("gat1", "gat2"):
-            h = reference_gat_layer(
-                h, g.adjacency, twice.params[f"{layer}.W"], twice.params[f"{layer}.a"],
-                0.2, "relu",
-            )
-        s_ref = gat.readout(h, twice)
+        model = _model(9, 3, hidden=16, seed=trial)
+        shared = [tape.parameter(v) for v in model.params.values()]
+        twice = [tape.parameter(v.copy()) for v in model.params.values()]
+        s = tape_forward(g, shared, model.config)
+        assert s.values.tobytes() == gat.forward(g, model).tobytes()
+        h = tape.constant(g.features)
+        for w, a in (twice[0:2], twice[2:4]):
+            h = reference_gat_layer(h, g.adjacency, w, a, 0.2, "relu")
+        s_ref = tape.softmax_readout(h, twice[4], twice[5], True)
         assert s.values.tobytes() == s_ref.values.tobytes()
-        probe = ad.constant(rng.normal(size=s.shape))
-        ad.backward(ad.sum_all(ad.multiply(s, probe)))
-        ad.backward(ad.sum_all(ad.multiply(s_ref, probe)))
-        for p, q in zip(shared.params.values(), twice.params.values()):
+        probe = tape.constant(rng.normal(size=s.shape))
+        tape.backward(tape.sum_all(tape.multiply(s, probe)))
+        tape.backward(tape.sum_all(tape.multiply(s_ref, probe)))
+        for p, q in zip(shared, twice):
             scale = np.abs(q.grad).max()
             np.testing.assert_allclose(p.grad, q.grad, rtol=1e-9, atol=1e-12 * scale)
 
@@ -234,7 +229,7 @@ def test_forward_rows_on_simplex_for_random_parameters():
         n = int(rng.integers(1, 5))
         g = _instance(k, n, rng)
         model = _model(3 * n, n, hidden=4, seed=trial)
-        s = gat.forward(g, model).values
+        s = gat.forward(g, model)
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
         np.testing.assert_allclose(s.sum(axis=1), np.ones(k), atol=1e-9)
 
@@ -253,7 +248,7 @@ def test_permutation_equivariance():
         k, n = 6, 3
         g = _instance(k, n, rng)
         model = _model(3 * n, n, hidden=5, seed=trial)
-        s = gat.forward(g, model).values
+        s = gat.forward(g, model)
         perm = rng.permutation(k)
         g_perm = GraphInstance(
             features=g.features[perm],
@@ -261,7 +256,7 @@ def test_permutation_equivariance():
             prb_matrix=g.prb_matrix[perm],
             n_prb_total=g.n_prb_total,
         )
-        s_perm = gat.forward(g_perm, model).values
+        s_perm = gat.forward(g_perm, model)
         np.testing.assert_allclose(s_perm, s[perm], atol=1e-9)
 
 
@@ -272,11 +267,11 @@ def test_locality_one_layer_exact():
     for i in range(k - 1):
         path[i, i + 1] = path[i + 1, i] = 1.0
     h = rng.normal(size=(k, 4))
-    w, a = ad.parameter(rng.normal(size=(3, 4))), ad.parameter(rng.normal(size=6))
-    base = gat.gat_layer(ad.constant(h), path, w, a, 0.2, "relu").values
+    w, a = rng.normal(size=(3, 4)), rng.normal(size=6)
+    base = gat.gat_layer(h, path, w, a, 0.2, "relu")
     tweaked = h.copy()
     tweaked[2] += 10.0  # node 2 is outside the neighborhood of node 0
-    out = gat.gat_layer(ad.constant(tweaked), path, w, a, 0.2, "relu").values
+    out = gat.gat_layer(tweaked, path, w, a, 0.2, "relu")
     assert np.array_equal(out[0], base[0])
     assert not np.array_equal(out[1], base[1])  # node 1 does see node 2
 
@@ -289,14 +284,14 @@ def test_locality_two_layers_exact_beyond_two_hops():
         path[i, i + 1] = path[i + 1, i] = 1.0
     g = _instance(k, n, rng, adjacency=path)
     model = _model(3 * n, n, hidden=4, seed=1)
-    base = gat.forward(g, model).values
+    base = gat.forward(g, model)
     tweaked = g.features.copy()
     tweaked[4] += 5.0  # four hops from node 0
     g2 = GraphInstance(
         features=tweaked, adjacency=path, prb_matrix=g.prb_matrix,
         n_prb_total=g.n_prb_total,
     )
-    out = gat.forward(g2, model).values
+    out = gat.forward(g2, model)
     assert np.array_equal(out[0], base[0])
     assert np.array_equal(out[1], base[1])  # still three hops away
     assert not np.array_equal(out[3], base[3])
@@ -324,11 +319,11 @@ def test_end_to_end_gradients_match_finite_differences():
     g = _instance(k, n, rng)
     template = _model(3 * n, n, hidden=hidden, seed=5)
     weights = rng.normal(size=(k, n))  # random linear probe of S
-    arrays = [t.values.copy() for t in template.params.values()]
+    arrays = [v.copy() for v in template.params.values()]
 
     def build(params):
-        model = model_over(params, template.config, template.feat_dim, template.n_cells)
-        return ad.sum_all(ad.multiply(gat.forward(g, model), ad.constant(weights)))
+        s = tape_forward(g, params, template.config)
+        return tape.sum_all(tape.multiply(s, tape.constant(weights)))
 
     check_grad(build, arrays, rtol=2e-4)
 
@@ -342,20 +337,18 @@ def test_checkpoint_round_trip(tmp_path):
     gat.save_checkpoint(path, model, extra)
     loaded, leftover = gat.load_checkpoint(path)
     for orig, new in zip(model.params.values(), loaded.params.values()):
-        np.testing.assert_array_equal(orig.values, new.values)
+        np.testing.assert_array_equal(orig, new)
     assert leftover["note"] == 7
     assert leftover["norm"]["std"] == [1.0] * 9
-    np.testing.assert_array_equal(
-        gat.forward(g, model).values, gat.forward(g, loaded).values
-    )
+    np.testing.assert_array_equal(gat.forward(g, model), gat.forward(g, loaded))
 
 
 def _json_dump_bytes(model, extra, path):
     """The checkpoint `save_checkpoint` must write, laid out by json.dump."""
     doc = {
         "params": [
-            {"name": name, **encode_array(t.values)}
-            for name, t in model.params.items()
+            {"name": name, **encode_array(view)}
+            for name, view in model.params.items()
         ],
         "gat": {**dataclasses.asdict(model.config), "feat_dim": model.feat_dim,
                 "n_cells": model.n_cells},
@@ -368,7 +361,7 @@ def _json_dump_bytes(model, extra, path):
 
 
 def _trained_adam(model, seed):
-    state = ad.AdamState.for_params(model.flat, lr=1e-3)
+    state = ad.AdamState.for_params(model.flat)
     rng = np.random.default_rng(seed)
     for buf in (state.m, state.v):
         buf[...] = rng.normal(size=buf.shape) ** 2
@@ -395,23 +388,26 @@ def test_saved_checkpoints_are_the_bytes_of_json_dump(tmp_path):
     best = _model(9, 3, hidden=96, seed=6)
     specials = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308]
     for p in best.params.values():
-        p.values.reshape(-1)[: len(specials)] = specials[: p.values.size]
+        p.reshape(-1)[: len(specials)] = specials[: p.size]
     gat.save_checkpoint(tmp_path / "best.json", best, {**common, "epoch": 1})
     assert (tmp_path / "best.json").read_bytes() == _json_dump_bytes(
         best, {**common, "epoch": 1}, tmp_path / "best_ref.json"
     )
-    loaded, _ = gat.load_checkpoint(tmp_path / "best.json")
-    assert loaded.flat.values.tobytes() == best.flat.values.tobytes()
+    params = json.loads((tmp_path / "best.json").read_text())["params"]
+    stored = np.concatenate([decode_array(e).ravel() for e in params])
+    assert stored.tobytes() == best.flat.tobytes()
+    with pytest.raises(ConfigError, match="params holds a non-finite value"):
+        gat.load_checkpoint(tmp_path / "best.json")  # NaN and infinities are refused
 
 
 def test_adam_to_dict_stays_json_text_and_round_trips():
     model = _model(9, 3, hidden=5, seed=8)
     state = _trained_adam(model, 2)
     text = json.dumps(state.to_dict(shapes_of(model)))
-    train, shapes = TrainConfig(lr=1e-3), shapes_of(model)
-    for back in (ad.AdamState.from_dict(state.to_dict(shapes), train, shapes),
-                 ad.AdamState.from_dict(json.loads(text), train, shapes)):
-        assert back.step == state.step and back.lr == state.lr
+    shapes = shapes_of(model)
+    for back in (ad.AdamState.from_dict(state.to_dict(shapes), shapes),
+                 ad.AdamState.from_dict(json.loads(text), shapes)):
+        assert back.step == state.step
         for got, want in zip((back.m, back.v), (state.m, state.v)):
             assert got.tobytes() == want.tobytes()
 
@@ -475,9 +471,9 @@ def test_init_is_seed_deterministic():
     b = _model(6, 2, hidden=4, seed=42)
     c = _model(6, 2, hidden=4, seed=43)
     for ta, tb in zip(a.params.values(), b.params.values()):
-        np.testing.assert_array_equal(ta.values, tb.values)
+        np.testing.assert_array_equal(ta, tb)
     assert any(
-        not np.array_equal(ta.values, tc.values)
+        not np.array_equal(ta, tc)
         for ta, tc in zip(a.params.values(), c.params.values())
     )
 
@@ -489,7 +485,7 @@ def test_init_is_seed_deterministic():
 def test_init_model_packs_every_parameter():
     model = _model(9, 3, hidden=5, seed=2)
     assert_packed(model)
-    assert model.flat.values.size == 5 * 9 + 10 + 5 * 5 + 10 + 5 * 3 + 3
+    assert model.flat.size == 5 * 9 + 10 + 5 * 5 + 10 + 5 * 3 + 3
     assert [p.shape for p in model.params.values()] == [
         (5, 9), (10,), (5, 5), (10,), (5, 3), (3,)
     ]
@@ -501,7 +497,7 @@ def test_load_checkpoint_packs_every_parameter(tmp_path):
     gat.save_checkpoint(path, model)
     loaded, _ = gat.load_checkpoint(path)
     assert_packed(loaded)
-    assert loaded.flat.values.tobytes() == model.flat.values.tobytes()
+    assert loaded.flat.tobytes() == model.flat.tobytes()
 
 
 def test_load_checkpoint_decodes_into_the_packed_buffer(tmp_path, monkeypatch):
@@ -520,8 +516,7 @@ def test_load_checkpoint_decodes_into_the_packed_buffer(tmp_path, monkeypatch):
         for e in doc["params"]:
             raw = base64.b64decode(e["b64"], validate=True)
             arrays[e["name"]] = np.frombuffer(raw, e["dtype"]).reshape(e["shape"]).astype("=f8")
-        return gat.GatModel(model.config, 21, 7,
-                            ad.Tensor(ad.pack([arrays[n] for n in model.params])))
+        return gat.GatModel(model.config, 21, 7, ad.pack([arrays[n] for n in model.params]))
 
     def peak(load):
         tracemalloc.start()
@@ -533,44 +528,41 @@ def test_load_checkpoint_decodes_into_the_packed_buffer(tmp_path, monkeypatch):
 
     before, _ = peak(decode_then_pack)
     after, loaded = peak(lambda: gat.load_checkpoint(path)[0])
-    buffer = model.flat.values.nbytes
-    assert loaded.flat.values.tobytes() == model.flat.values.tobytes()
+    buffer = model.flat.nbytes
+    assert loaded.flat.tobytes() == model.flat.tobytes()
     assert_packed(loaded)
     assert after <= before - buffer
     assert after <= buffer + (1 << 20)
 
 
 def test_backward_writes_gradients_into_the_gradient_buffer():
+    # each parameter's gradient lands in its view of the buffer, and a
+    # second step overwrites, not adds to, the first one's
     rng = np.random.default_rng(77)
-    g = _instance(6, 3, rng)
     model = _model(9, 3, hidden=5, seed=6)
-    twin = _model(9, 3, hidden=5, seed=6)  # same values, no slots
-    buffer = ad.attach_grad_slots(list(model.params.values()))
-    probe = ad.constant(rng.normal(size=(6, 3)))
-    for m in (model, twin):
-        ad.backward(ad.sum_all(ad.multiply(gat.forward(g, m), probe)))
-    assert_packed(model, buffer)
-    assert_packed(twin)
-    grads = [p.grad for p in twin.params.values()]
-    assert buffer.tobytes() == ad.pack(grads).tobytes()
-    for m in (model, twin):  # a second pass overwrites the slots
-        ad.zero_grad(m.params.values())
-        ad.backward(ad.sum_all(ad.multiply(gat.forward(g, m), ad.scale(probe, 2.0))))
-    assert buffer.tobytes() == ad.pack([p.grad for p in twin.params.values()]).tobytes()
+    buffer = np.empty_like(model.flat)
+    for lc in (LossConfig(), LossConfig(lambda1=0.0, lambda2=2.0)):
+        g = _instance(6, 3, rng)
+        saved = []
+        s = gat.forward(g, model, saved)
+        loss(s, rng.uniform(1.0, 20.0, size=(6, 3)), PowerParams(), lc, 51, saved)
+        ad.backward(saved, buffer)
+        assert_packed(model)
+        total, params = tape_loss(saved)
+        tape.backward(total)
+        assert buffer.tobytes() == ad.pack([p.grad for p in params]).tobytes()
 
 
 def test_adam_update_of_the_buffer_is_visible_through_forward():
     rng = np.random.default_rng(78)
     g = _instance(5, 3, rng)
     model = _model(9, 3, hidden=4, seed=7)
-    before = gat.forward(g, model).values
-    state = ad.AdamState(lr=1e-2, m=np.zeros(model.flat.values.size),
-                         v=np.zeros(model.flat.values.size))
-    ad.adam_step(model.flat, rng.normal(size=model.flat.values.size), state)
-    after = gat.forward(g, model).values
+    before = gat.forward(g, model)
+    state = ad.AdamState(m=np.zeros(model.flat.size), v=np.zeros(model.flat.size))
+    ad.adam_step(model.flat, rng.normal(size=model.flat.size), state, TrainConfig(lr=1e-2))
+    after = gat.forward(g, model)
     assert not np.array_equal(after, before)
     rebuilt = gat.GatModel(
-        model.config, model.feat_dim, model.n_cells,
-        ad.Tensor(ad.pack([p.values for p in model.params.values()])),
+        model.config, model.feat_dim, model.n_cells, ad.pack(list(model.params.values())),
     )
-    assert gat.forward(g, rebuilt).values.tobytes() == after.tobytes()
+    assert gat.forward(g, rebuilt).tobytes() == after.tobytes()

@@ -7,7 +7,7 @@ from nesua import autodiff as ad
 from nesua import power as pw
 from nesua.errors import ConfigError, ContractError
 
-from helpers import check_grad
+from helpers import finite_difference_grad
 
 DEFAULTS = pw.PowerParams()
 
@@ -203,14 +203,20 @@ def test_soft_matches_hard_on_one_hot_associations():
         s = _one_hot(k, n, rng)
         prb = rng.integers(1, 60, size=(k, n)).astype(float)
         hard = pw.network_power_hard(s, prb, params, 51).total_w
-        soft = pw.network_power_soft(ad.constant(s), prb, params, 51).item()
+        soft = pw.network_power_soft(s, prb, params, 51)
         assert abs(soft - hard) <= 1e-9 * hard, f"trial {trial}: {soft} vs {hard}"
 
 
+def _soft_power_and_grad(s, prb, params=DEFAULTS, n_prb_total=51):
+    """The relaxed draw at s, its record and its gradient at s."""
+    saved = []
+    total = pw.network_power_soft(s, prb, params, n_prb_total, saved)
+    return total, saved[0], ad.gated_load_cost_backward(saved[0], 1.0)
+
+
 def test_soft_gate_splits_evenly_for_half_half_row():
-    s = ad.constant(np.array([[0.5, 0.5]]))
-    gate = ad.complement_product_gate(s)
-    np.testing.assert_allclose(gate.values, [0.5, 0.5])
+    _, record, _ = _soft_power_and_grad(np.array([[0.5, 0.5]]), np.ones((1, 2)))
+    np.testing.assert_allclose(record.gate, [0.5, 0.5])
 
 
 def test_network_power_soft_gradient_matches_finite_differences():
@@ -221,21 +227,17 @@ def test_network_power_soft_gradient_matches_finite_differences():
         prb = rng.integers(1, 8, size=(k, n)).astype(float)
         raw = rng.uniform(0.05, 0.95, size=(k, n))
         s = raw / raw.sum(axis=1, keepdims=True)
-        check_grad(
-            lambda t: pw.network_power_soft(t[0], prb, DEFAULTS, 51),
-            [s],
-        )
+        fd = finite_difference_grad(lambda x: pw.network_power_soft(x, prb, DEFAULTS, 51), s)
+        np.testing.assert_allclose(_soft_power_and_grad(s, prb)[2], fd, rtol=1e-4, atol=1e-6)
 
 
 def test_network_power_soft_zero_gradient_past_full_load():
     # a saturated cell's load gradient vanishes; the gate gradient survives
     prb = np.full((3, 1), 40.0)
-    s = ad.parameter(np.full((3, 1), 0.9))
-    total = pw.network_power_soft(s, prb, DEFAULTS, n_prb_total=51)
-    ad.backward(total)
+    _, _, grad = _soft_power_and_grad(np.full((3, 1), 0.9), prb)
     c0, c1 = pw.radio_coefficients(DEFAULTS)
     on_const = DEFAULTS.p_fixed_w + DEFAULTS.p_bb0_w + c0
     on_slope = DEFAULTS.p_bb_slope_w + c1
     # d total / d s_k = (on_const + on_slope * 1) * d gate / d s_k, gate grad = (1-s)^2
     expected = (on_const + on_slope) * 0.01
-    np.testing.assert_allclose(s.grad, np.full((3, 1), expected), rtol=1e-12)
+    np.testing.assert_allclose(grad, np.full((3, 1), expected), rtol=1e-12)

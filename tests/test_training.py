@@ -14,13 +14,18 @@ from nesua.power import PowerParams, network_power_soft
 from nesua.scenario import GraphInstance, ScenarioConfig
 
 from helpers import (
+    FUSED_NODES,
+    REFERENCE_NODES,
     assert_packed,
-    check_grad,
     dataset_samples,
+    finite_difference_grad,
+    linear,
     reference_adam_step,
     reference_adam_step_over,
     reference_transformed,
     shapes_of,
+    tape_backward,
+    tape_loss,
 )
 
 DEFAULTS = PowerParams()
@@ -46,11 +51,11 @@ def _rand_stochastic(k, n, rng):
 
 def test_loss_reduces_to_power_without_regularizers():
     rng = np.random.default_rng(80)
-    s = ad.constant(_rand_stochastic(4, 3, rng))
+    s = _rand_stochastic(4, 3, rng)
     prb = rng.integers(1, 20, size=(4, 3)).astype(float)
     lc = tr.LossConfig(lambda1=0.0, lambda2=0.0)
-    a = tr.loss(s, prb, DEFAULTS, lc, 51).item()
-    b = network_power_soft(s, prb, DEFAULTS, 51).item()
+    a = tr.loss(s, prb, DEFAULTS, lc, 51)
+    b = network_power_soft(s, prb, DEFAULTS, 51)
     assert a == b
 
 
@@ -58,21 +63,17 @@ def test_loss_one_hot_kills_sharpness_term():
     s_hard = np.zeros((5, 3))
     s_hard[np.arange(5), [0, 2, 1, 0, 2]] = 1.0
     prb = np.ones((5, 3))
-    with_t1 = tr.loss(
-        ad.constant(s_hard), prb, DEFAULTS, tr.LossConfig(lambda1=9.0, lambda2=0.0), 51
-    ).item()
-    without = tr.loss(
-        ad.constant(s_hard), prb, DEFAULTS, tr.LossConfig(lambda1=0.0, lambda2=0.0), 51
-    ).item()
+    with_t1 = tr.loss(s_hard, prb, DEFAULTS, tr.LossConfig(lambda1=9.0, lambda2=0.0), 51)
+    without = tr.loss(s_hard, prb, DEFAULTS, tr.LossConfig(lambda1=0.0, lambda2=0.0), 51)
     assert with_t1 == without  # K - Tr(S S^T) is exactly zero at one-hot S
 
 
 def test_loss_uniform_sharpness_hand_value():
-    s = ad.constant(np.full((3, 2), 0.5))
+    s = np.full((3, 2), 0.5)
     prb = np.ones((3, 2))
     lam = 4.0
-    base = tr.loss(s, prb, DEFAULTS, tr.LossConfig(lambda1=0.0, lambda2=0.0), 51).item()
-    with_t1 = tr.loss(s, prb, DEFAULTS, tr.LossConfig(lambda1=lam, lambda2=0.0), 51).item()
+    base = tr.loss(s, prb, DEFAULTS, tr.LossConfig(lambda1=0.0, lambda2=0.0), 51)
+    with_t1 = tr.loss(s, prb, DEFAULTS, tr.LossConfig(lambda1=lam, lambda2=0.0), 51)
     assert with_t1 - base == pytest.approx(lam * 1.5, rel=1e-12)
 
 
@@ -81,12 +82,8 @@ def test_loss_concentration_term_is_l2_of_cell_loads():
     prb = np.array([[4.0, 8.0], [2.0, 6.0]])
     p_hat = (s_values * prb).sum(axis=0)
     lam = 3.0
-    base = tr.loss(
-        ad.constant(s_values), prb, DEFAULTS, tr.LossConfig(0.0, 0.0), 51
-    ).item()
-    full = tr.loss(
-        ad.constant(s_values), prb, DEFAULTS, tr.LossConfig(0.0, lam), 51
-    ).item()
+    base = tr.loss(s_values, prb, DEFAULTS, tr.LossConfig(0.0, 0.0), 51)
+    full = tr.loss(s_values, prb, DEFAULTS, tr.LossConfig(0.0, lam), 51)
     assert full - base == pytest.approx(lam * np.linalg.norm(p_hat), rel=1e-12)
 
 
@@ -101,7 +98,7 @@ def test_loss_lower_bound_and_t1_range():
         lc = tr.LossConfig(
             lambda1=float(rng.uniform(0, 3)), lambda2=float(rng.uniform(0, 3))
         )
-        value = tr.loss(ad.constant(s), prb, params, lc, 51).item()
+        value = tr.loss(s, prb, params, lc, 51)
         assert value >= n * params.p_sleep_w - 1e-9
         sharp = k - (s**2).sum()
         assert -1e-12 <= sharp <= k * (1.0 - 1.0 / n) + 1e-12
@@ -112,7 +109,10 @@ def test_loss_gradient_matches_finite_differences():
     prb = rng.integers(1, 10, size=(4, 3)).astype(float)
     lc = tr.LossConfig(lambda1=2.0, lambda2=0.5)
     s = _rand_stochastic(4, 3, rng)
-    check_grad(lambda t: tr.loss(t[0], prb, DEFAULTS, lc, 51), [s])
+    saved = []
+    tr.loss(s, prb, DEFAULTS, lc, 51, saved)
+    fd = finite_difference_grad(lambda x: tr.loss(x, prb, DEFAULTS, lc, 51), s.copy())
+    np.testing.assert_allclose(ad.loss_backward(saved), fd, rtol=1e-4, atol=1e-6)
 
 
 def _tiny_cfg(**kw):
@@ -177,7 +177,7 @@ def test_zero_epochs_returns_initialization():
     res = tr.train(graphs, tc, tr.LossConfig(), DEFAULTS, seed=11, gat_cfg=gcfg, test=test)
     fresh = gat.init_model(graphs[0].features.shape[1], 2, gcfg, 11)
     for got, want in zip(res.model.params.values(), fresh.params.values()):
-        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got, want)
     assert res.history == []
 
 
@@ -193,7 +193,7 @@ def test_training_is_deterministic():
     b = tr.train(graphs, **kw)
     assert a.history == b.history
     for p, q in zip(a.model.params.values(), b.model.params.values()):
-        np.testing.assert_array_equal(p.values, q.values)
+        np.testing.assert_array_equal(p, q)
 
 
 def test_single_instance_learns_the_cheap_cell():
@@ -222,7 +222,7 @@ def test_single_instance_learns_the_cheap_cell():
     )
     s = gat.forward(g, res.model)
     assert gat.harden(s).assignment.tolist() == best.association.assignment.tolist()
-    assert s.values[:, 0].min() > 0.99  # hardened, not merely leaning
+    assert s[:, 0].min() > 0.99  # hardened, not merely leaning
 
 
 def test_history_shape_and_loss_trend():
@@ -259,7 +259,7 @@ def test_gradient_reaches_every_parameter_group():
     for (name, before), after in zip(
         fresh.params.items(), res.model.params.values()
     ):
-        assert np.abs(after.values - before.values).max() > 0.0, name
+        assert np.abs(after - before).max() > 0.0, name
 
 
 def test_resume_matches_uninterrupted_run():
@@ -280,12 +280,13 @@ def test_resume_matches_uninterrupted_run():
     )
     assert half.history + resumed.history == full.history
     for p, q in zip(resumed.model.params.values(), full.model.params.values()):
-        np.testing.assert_array_equal(p.values, q.values)
+        np.testing.assert_array_equal(p, q)
 
 
 def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
     # the shipped layer transform and Adam step against the references
-    # they replaced: transpose node plus matmul, and fresh-array Adam
+    # they replaced: transpose node plus matmul on the tape, and
+    # fresh-array Adam
     cfg = _tiny_cfg(n_ues=7)
     graphs = _graphs(cfg, 6)
     tc = tr.TrainConfig(dataset_size=6, epochs=4, lr=1e-2, shuffle_seed=5)
@@ -297,7 +298,10 @@ def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
     shipped = tr.train(graphs[:5], **kw)
     assert len({row[1] for row in shipped.history}) == 4  # the model does learn
     shapes = [p.shape for p in shipped.model.params.values()]
-    monkeypatch.setattr(gat, "_transformed", reference_transformed)
+    monkeypatch.setattr(
+        ad, "backward",
+        lambda saved, grad: tape_backward(saved, grad, FUSED_NODES, reference_transformed),
+    )
     monkeypatch.setattr(ad, "adam_step", reference_adam_step_over(shapes))
     reference = tr.train(graphs[:5], **kw)
 
@@ -308,7 +312,7 @@ def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
         (shipped.best_model, reference.best_model),
     ):
         for p, q in zip(ours.params.values(), theirs.params.values()):
-            assert p.values.tobytes() == q.values.tobytes()
+            assert p.tobytes() == q.tobytes()
     a, b = shipped.adam_state, reference.adam_state
     assert a.step == b.step == 4 * 5
     for key in ("m", "v"):
@@ -331,7 +335,7 @@ def _run_and_resume(graphs, gcfg, tmp_path, tag):
     tc = tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3, shuffle_seed=5)
     resumed = tr.train(
         graphs[:8], tc, model=loaded,
-        adam_state=ad.AdamState.from_dict(leftover["adam"], tc, shapes_of(loaded)),
+        adam_state=ad.AdamState.from_dict(leftover["adam"], shapes_of(loaded)),
         start_epoch=2, **kw,
     )
     return full, resumed
@@ -342,8 +346,8 @@ def _fingerprint(res):
     return (
         np.array(res.history).tobytes(),
         res.best_epoch,
-        res.model.flat.values.tobytes(),
-        res.best_model.flat.values.tobytes(),
+        res.model.flat.tobytes(),
+        res.best_model.flat.tobytes(),
         adam.step,
         adam.m.tobytes(),
         adam.v.tobytes(),
@@ -374,19 +378,20 @@ def _nodes_with_backward(root):
     return count
 
 
-def _step_loss(graph, model):
-    s = gat.forward(graph, model)
-    return tr.loss(s, graph.prb_matrix, DEFAULTS, tr.LossConfig(), graph.n_prb_total)
-
-
-def test_a_train_step_is_at_most_eight_backward_nodes(reference_nodes):
+def test_a_train_step_is_at_most_eight_backward_nodes():
     graph = _graphs(_tiny_cfg(n_ues=7), 1)[0]
     model = gat.init_model(graph.features.shape[1], 2, gat.GatConfig(hidden_dim=32), 0)
+    saved = []
+    s = gat.forward(graph, model, saved)
+    tr.loss(s, graph.prb_matrix, DEFAULTS, tr.LossConfig(), graph.n_prb_total, saved)
     # two transforms, two attention rounds, the readout, the power, the
-    # penalties and their sum
-    assert _nodes_with_backward(_step_loss(graph, model)) <= 8
-    reference_nodes()
-    assert _nodes_with_backward(_step_loss(graph, model)) == 50
+    # penalties and their sum: one backward rule each, and as many nodes
+    # on the tape, where the chains they stand for are 50
+    assert [type(r).__name__ for r in saved] == [
+        "Linear", "Attention", "Linear", "Attention", "Readout", "LoadCost", "Penalties", "Terms",
+    ]
+    assert _nodes_with_backward(tape_loss(saved)[0]) == 8
+    assert _nodes_with_backward(tape_loss(saved, REFERENCE_NODES, linear)[0]) == 50
 
 
 def test_resumed_adam_moments_are_trained_in_their_decoded_buffer():
@@ -395,9 +400,8 @@ def test_resumed_adam_moments_are_trained_in_their_decoded_buffer():
     tc = tr.TrainConfig(dataset_size=3, epochs=1, lr=1e-2)
     res = tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=2,
                    gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
-    adam = ad.AdamState.from_dict(
-        res.adam_state.to_dict(shapes_of(res.model)), tc, shapes_of(res.model)
-    )
+    shapes = shapes_of(res.model)
+    adam = ad.AdamState.from_dict(res.adam_state.to_dict(shapes), shapes)
     decoded_m, decoded_v = adam.m, adam.v
     tc2 = tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2)
     tr.train(graphs[:2], tc2, tr.LossConfig(), DEFAULTS, seed=2, model=res.model,
@@ -413,12 +417,12 @@ def test_clone_copies_the_buffer_and_keeps_the_layers():
         config=gat.GatConfig(hidden_dim=4),
         feat_dim=6,
         n_cells=2,
-        flat=ad.Tensor(ad.pack(arrays)),
+        flat=ad.pack(arrays),
     )
     twin = tr.clone_model(model)
     assert_packed(twin)
-    assert twin.flat.values.tobytes() == model.flat.values.tobytes()
-    assert not np.shares_memory(twin.flat.values, model.flat.values)
+    assert twin.flat.tobytes() == model.flat.tobytes()
+    assert not np.shares_memory(twin.flat, model.flat)
     assert (twin.config, twin.feat_dim, twin.n_cells) == (model.config, 6, 2)
 
 
@@ -438,7 +442,7 @@ def test_training_and_resume_keep_every_parameter_packed(tmp_path):
     path = tmp_path / "checkpoint.json"
     gat.save_checkpoint(path, res.model, {"adam": res.adam_state.to_dict(shapes_of(res.model))})
     loaded, leftover = gat.load_checkpoint(path)
-    adam = ad.AdamState.from_dict(leftover["adam"], tc, shapes_of(loaded))
+    adam = ad.AdamState.from_dict(leftover["adam"], shapes_of(loaded))
     tc2 = tr.TrainConfig(dataset_size=4, epochs=2, lr=1e-2, shuffle_seed=2)
     resumed = tr.train(graphs[:3], tc2, tr.LossConfig(), DEFAULTS, seed=3,
                        model=loaded, adam_state=adam, start_epoch=1,
@@ -463,16 +467,16 @@ def test_training_matches_per_parameter_reference_adam_bit_for_bit(monkeypatch):
 
     model = gat.init_model(feat_dim, 2, gcfg, 3)
     shapes = shapes_of(model)
-    size = model.flat.values.size
+    size = model.flat.size
     ref_state = ad.AdamState(
-        lr=tc.lr, m=ad.unpack(np.zeros(size), shapes), v=ad.unpack(np.zeros(size), shapes)
+        m=ad.unpack(np.zeros(size), shapes), v=ad.unpack(np.zeros(size), shapes)
     )
 
-    def per_parameter(param, grad, state):
-        assert param is model.flat
-        assert_packed(model, grad)
+    def per_parameter(param, grad, state, train):
+        assert param is model.flat and train is tc
+        assert_packed(model)
         named = list(model.params.values())
-        reference_adam_step(named, [p.grad for p in named], ref_state)
+        reference_adam_step(named, ad.unpack(grad.copy(), shapes), ref_state, train)
         state.step += 1
 
     monkeypatch.setattr(ad, "adam_step", per_parameter)
@@ -485,7 +489,7 @@ def test_training_matches_per_parameter_reference_adam_bit_for_bit(monkeypatch):
         (shipped.best_model, reference.best_model),
     ):
         for p, q in zip(ours.params.values(), theirs.params.values()):
-            assert p.values.tobytes() == q.values.tobytes()
+            assert p.tobytes() == q.tobytes()
     assert shipped.adam_state.step == ref_state.step == 4 * 5
     for key in ("m", "v"):
         for x, y in zip(ad.unpack(getattr(shipped.adam_state, key), shapes),
@@ -493,25 +497,25 @@ def test_training_matches_per_parameter_reference_adam_bit_for_bit(monkeypatch):
             assert x.tobytes() == y.tobytes()
 
 
-def test_a_parameter_without_gradient_is_refused(monkeypatch):
-    # its slot of the gradient buffer still holds the last step's values
+def test_each_step_overwrites_every_gradient_slot(monkeypatch):
+    # the gradient buffer is never zeroed: a step whose backward left a
+    # slot unwritten would step that parameter on stale values
     cfg = _tiny_cfg(n_ues=4)
     graphs = _graphs(cfg, 3)
-    gcfg = gat.GatConfig(hidden_dim=4)
-    model = gat.init_model(graphs[0].features.shape[1], 2, gcfg, 1)
-    before = model.flat.values.copy()
+    kw = dict(tc=tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2), lc=tr.LossConfig(),
+              params=DEFAULTS, seed=1, gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
+    shipped = tr.train(graphs[:2], **kw)
+    backward, steps = ad.backward, []
 
-    def readout_without_bias(h_final, model):
-        logits = ad.relu(ad.matmul(h_final, model.params["readout.Q"]))
-        k = h_final.shape[0]
-        return ad.row_softmax_masked(logits, np.ones((k, model.n_cells)))
+    def poisoned(saved, grad):
+        grad.fill(np.nan)
+        backward(saved, grad)
+        steps.append(np.isfinite(grad).all())
 
-    monkeypatch.setattr(gat, "readout", readout_without_bias)
-    tc = tr.TrainConfig(dataset_size=3, epochs=1, lr=1e-2)
-    with pytest.raises(ContractError, match=r"readout\.B"):
-        tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=1,
-                 model=model, test=graphs[2:])
-    assert model.flat.values.tobytes() == before.tobytes()
+    monkeypatch.setattr(ad, "backward", poisoned)
+    again = tr.train(graphs[:2], **kw)
+    assert steps == [True] * 4
+    assert again.model.flat.tobytes() == shipped.model.flat.tobytes()
 
 
 def test_adam_moments_shaped_unlike_their_parameters_are_refused():
@@ -537,7 +541,7 @@ def test_checkpoint_with_adam_state_save_load_save_is_byte_identical(tmp_path):
     shapes = shapes_of(res.model)
     gat.save_checkpoint(first, res.model, {"adam": res.adam_state.to_dict(shapes), "epoch": 2})
     loaded, leftover = gat.load_checkpoint(first)
-    adam = ad.AdamState.from_dict(leftover["adam"], tc, shapes)
+    adam = ad.AdamState.from_dict(leftover["adam"], shapes)
     gat.save_checkpoint(second, loaded, {"adam": adam.to_dict(shapes), "epoch": 2})
     assert first.read_bytes() == second.read_bytes()
 
