@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import decode_packed, encode_array
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 
 # What each op's backward rule reads: the op's arguments, then the
 # intermediates of its forward.
@@ -71,17 +71,6 @@ def _leaky_scale(x, negative_slope):
     element: x times it is leaky_relu(x) bit for bit (x * 1.0 is x), and it
     is leaky_relu's derivative."""
     return np.array([float(negative_slope), 1.0]).take((x >= 0).view(np.uint8))
-
-
-def _keep_mask(mask, shape, op):
-    """The entries a masked row softmax keeps: mask != 0, shaped like its
-    input, with at least one kept entry in every row."""
-    keep = np.asarray(mask) != 0
-    if keep.shape != shape:
-        raise ShapeError(f"{op}: mask {keep.shape} vs input {shape}")
-    if not keep.any(axis=1).all():
-        raise ContractError(f"{op}: a row has no unmasked entries")
-    return keep
 
 
 def _softmax_rows(x, keep=None):
@@ -144,22 +133,23 @@ def attention_round(hw, a, adjacency, negative_slope, relu, saved=None):
     the K-by-K pair scores are the broadcast sum of two length-K
     projections, hw a_src + (hw a_dst)^T. The round returns
     act(softmax(leaky_relu(scores)) @ hw): the softmax runs over each row's
-    neighbours (adjacency != 0, at least one per row), and act is relu or
-    the identity.
+    neighbours, the True entries of the bool mask `adjacency`, at least one
+    per row (`GraphInstance` checks that), and act is relu or the identity.
     """
     k, d = hw.shape
     if a.shape != (2 * d,):
         raise ShapeError(f"attention vector {a.shape} does not fit width {d}")
-    keep = _keep_mask(adjacency, (k, k), "attention_round")
+    if adjacency.shape != (k, k):
+        raise ShapeError(f"attention_round: mask {adjacency.shape} vs input {(k, k)}")
     # copies, as the primitive chain's slices were: the products see
     # operands of their own
     a_src, a_dst = a[:d].copy(), a[d:].copy()
     pair = (hw @ a_src).reshape(k, 1) + (hw @ a_dst).reshape(1, k)
     scale = _leaky_scale(pair, negative_slope)
-    att = _softmax_rows(pair * scale, keep)
+    att = _softmax_rows(pair * scale, adjacency)
     mixed = att @ hw
     if saved is not None:
-        saved.append(Attention(hw, a, keep, negative_slope, relu, a_src, a_dst, scale, att, mixed))
+        saved.append(Attention(hw, a, adjacency, negative_slope, relu, a_src, a_dst, scale, att, mixed))
     return _relu(mixed) if relu else mixed
 
 

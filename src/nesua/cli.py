@@ -20,6 +20,7 @@ import sys
 from . import autodiff as ad
 from . import gat as gat_mod
 from .baselines import associate_ga_subsinr, associate_oracle, associate_rsrp
+from .codec import write_table
 from .config import (
     EVAL_CHECKPOINT, MANIFEST, RESUME_CHECKPOINT, STAMP, RunConfig, load_config, read_artifact,
     read_json, require_finite, require_same, write_config, write_doc,
@@ -49,7 +50,7 @@ from .scenario import (
     to_record,
     write_jsonl,
 )
-from .training import LossConfig, Sample, split_and_normalize, train, write_history
+from .training import Sample, split_and_normalize, train, write_history
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -184,7 +185,6 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     res = train(
         [p.graph for p in train_s],
         cfg.train,
-        cfg.loss,
         cfg.power,
         seed=cfg.seed,
         gat_cfg=cfg.gat,
@@ -299,13 +299,11 @@ def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
             first_reports = (s, reports)
 
     header = list(rows[0][1])
-    lines = [",".join(["seed", *header])]
-    for seed, row in rows:
-        cells = [repr(v) if isinstance(v, float) else str(v) for v in row.values()]
-        lines.append(",".join([str(seed), *cells]))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "eval.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(
+        os.path.join(cfg.out_dir, "eval.csv"),
+        ([seed, *row.values()] for seed, row in rows), ["seed", *header],
+    )
     summary = {"n_instances": len(rows)}
     for name in header:
         total = 0.0  # plain left-to-right float sum: sum() and np.mean round otherwise
@@ -462,9 +460,10 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
             )
         ratios = grid["ratio"]
         sub_dirs = [os.path.join(cfg.out_dir, f"ratio{r!r}") for r in ratios]
-        lam1 = cfg.loss.lambda1
         point_cfgs = [
-            dataclasses.replace(cfg, loss=LossConfig(lambda1=lam1, lambda2=r * lam1))
+            dataclasses.replace(
+                cfg, train=dataclasses.replace(cfg.train, lambda2=r * cfg.train.lambda1)
+            )
             for r in ratios
         ]
         dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")

@@ -8,7 +8,9 @@ conversion per element.
 
 Files that hold large arrays (the checkpoints) are written by
 `write_json`, which writes each array's base64 bytes straight to the file
-instead of building them as one JSON string first.
+instead of building them as one JSON string first. Every CSV table is
+written by `write_table`, with floats in repr so a reread gives the same
+bits.
 """
 
 from __future__ import annotations
@@ -189,3 +191,15 @@ def decode_packed(entries, where: str = "array") -> np.ndarray:
     if not np.isfinite(flat).all():
         raise ConfigError(f"{where} holds a non-finite value")
     return flat
+
+
+def write_table(path, rows, header=None):
+    """Write rows of cells as comma-separated lines, under `header` when
+    one is given, each line ending in a newline. A float cell is written as
+    `float.__repr__`, which a reread parses to the same bits (a numpy
+    float's own repr names its type); any other cell with `str`."""
+    lines = [] if header is None else [",".join(header)]
+    for row in rows:
+        lines.append(",".join(float.__repr__(c) if isinstance(c, float) else str(c) for c in row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .gat import GatConfig
 from .power import PowerParams
 from .scenario import MIN_STD, ScenarioConfig
-from .training import LossConfig, TrainConfig
+from .training import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,10 @@ _SECTIONS = {
     "power": PowerParams,
     "gat": GatConfig,
     "eval": EvalConfig,
+    # last: the stamp, whose key order is part of the checkpoint bytes,
+    # has always put `train` after `eval`
+    "train": TrainConfig,
 }
-_LOSS_KEYS = ("lambda1", "lambda2")
 
 
 def _field_names(cls) -> set:
@@ -241,14 +243,13 @@ class RunConfig:
     power: PowerParams = field(default_factory=PowerParams)
     gat: GatConfig = field(default_factory=GatConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
     out_dir: str = "runs"
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        allowed = set(_SECTIONS) | {"train", "seed", "out_dir"}
+        allowed = set(_SECTIONS) | {"seed", "out_dir"}
         unknown = sorted(set(data) - allowed)
         if unknown:
             raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
@@ -256,12 +257,6 @@ class RunConfig:
         for name, section_cls in _SECTIONS.items():
             section = _section(data, name)
             kwargs[name] = _build_section(section_cls, section, name)
-        train_section = _section(data, "train")
-        loss_section = {
-            k: train_section.pop(k) for k in _LOSS_KEYS if k in train_section
-        }
-        kwargs["train"] = _build_section(TrainConfig, train_section, "train")
-        kwargs["loss"] = _build_section(LossConfig, loss_section, "train")
         kwargs["seed"] = data.get("seed", 0)
         _require_int(kwargs["seed"], "seed")
         if kwargs["seed"] < 0:
@@ -274,7 +269,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         doc = {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
         doc["scenario"]["region"] = list(self.scenario.region)
-        doc["train"] = {**dataclasses.asdict(self.train), **dataclasses.asdict(self.loss)}
         doc["seed"] = self.seed
         doc["out_dir"] = self.out_dir
         return doc

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import HardAssociation
+from .codec import write_table
 from .errors import ContractError
 from .power import PowerParams, network_power_hard
 from .scenario import Scenario
@@ -131,8 +132,8 @@ def write_sweep_csv(variable: str, points, n_cells: int, out_dir, timestamp: str
     (`cli._compare`) of the point's model on its instances. Each of
     SWEEP_COLUMNS gets the mean and standard error over the rows, where
     `switch_off_count` is a row's `gnn_switch_off` and
-    `switch_off_fraction` that over `n_cells`. Floats are written with
-    repr so rereading reproduces them exactly.
+    `switch_off_fraction` that over `n_cells`. The table is written by
+    `codec.write_table`.
     """
     if timestamp is None:
         timestamp = time.strftime("%Y%m%d-%H%M%S")
@@ -141,20 +142,14 @@ def write_sweep_csv(variable: str, points, n_cells: int, out_dir, timestamp: str
     header = keys + ["n_instances"]
     for col in SWEEP_COLUMNS:
         header += [f"mean_{col}", f"stderr_{col}"]
-    lines = [",".join(header)]
+    table = []
     for values, rows in points:
-        line = [repr(values[key]) for key in keys] + [str(len(rows))]
+        line = [values[key] for key in keys] + [len(rows)]
         for col in SWEEP_COLUMNS:
-            mean, err = _mean_stderr(_sweep_values(rows, col, n_cells))
-            line += [repr(mean), repr(err)]
-        lines.append(",".join(line))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            line += _mean_stderr(_sweep_values(rows, col, n_cells))
+        table.append(line)
+    write_table(path, table, header)
     return path
-
-
-def _matrix_lines(mat: np.ndarray, fmt=repr):
-    return [",".join(fmt(v) for v in row) for row in np.asarray(mat).tolist()]
 
 
 def export_heatmaps(s: Scenario, reports, out_dir):
@@ -171,24 +166,18 @@ def export_heatmaps(s: Scenario, reports, out_dir):
             )
     paths = []
     sinr_path = os.path.join(out_dir, "heatmap_sinr.csv")
-    with open(sinr_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(_matrix_lines(s.sinr_wideband_db)) + "\n")
+    write_table(sinr_path, s.sinr_wideband_db.tolist())
     paths.append(sinr_path)
     for rep in reports:
         slug = re.sub(r"[^a-z0-9]+", "_", rep.policy_name.lower()).strip("_")
         if not slug:
             raise ContractError("policy_name must contain at least one word")
         path = os.path.join(out_dir, f"heatmap_{slug}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            lines = _matrix_lines(rep.association, fmt=lambda v: str(int(v)))
-            fh.write("\n".join(lines) + "\n")
+        write_table(path, rep.association.astype(np.int64).tolist())
         paths.append(path)
     coord_path = os.path.join(out_dir, "coordinates.csv")
-    with open(coord_path, "w", encoding="utf-8") as fh:
-        fh.write("kind,index,x,y\n")
-        for i, (x, y) in enumerate(s.bs_positions.tolist()):
-            fh.write(f"bs,{i},{x!r},{y!r}\n")
-        for i, (x, y) in enumerate(s.ue_positions.tolist()):
-            fh.write(f"ue,{i},{x!r},{y!r}\n")
+    coords = [("bs", i, x, y) for i, (x, y) in enumerate(s.bs_positions.tolist())]
+    coords += [("ue", i, x, y) for i, (x, y) in enumerate(s.ue_positions.tolist())]
+    write_table(coord_path, coords, ["kind", "index", "x", "y"])
     paths.append(coord_path)
     return paths

@@ -80,6 +80,8 @@ class ScenarioConfig:
             raise ConfigError("inter_site_distance must be > 0")
         if self.h_tx_m <= 0 or self.h_ue_m <= 0 or self.h_tx_m == self.h_ue_m:
             raise ConfigError("h_tx_m and h_ue_m must be positive and distinct")
+        if self.shadowing_sigma_db < 0:  # numpy's normal(0, sigma) refuses it too
+            raise ConfigError(f"shadowing_sigma_db must be >= 0, got {self.shadowing_sigma_db}")
         if self.ue_demand_mbps <= 0:
             raise ConfigError(f"ue_demand_mbps must be > 0, got {self.ue_demand_mbps}")
         if self.n_prb_total < 1:
@@ -133,9 +135,20 @@ class GraphInstance:
     """UE graph over one scenario: features, adjacency, PRB demand."""
 
     features: np.ndarray     # (K, 3N)
-    adjacency: np.ndarray    # (K, K) binary symmetric, unit diagonal
+    adjacency: np.ndarray    # (K, K) bool, symmetric, unit diagonal
     prb_matrix: np.ndarray   # (K, N) float copy of the demand
     n_prb_total: int
+
+    def __post_init__(self):
+        # the mask each attention round softmaxes over, checked once per graph
+        k, adj = len(self.features), self.adjacency
+        if getattr(adj, "dtype", None) != bool or adj.shape != (k, k):
+            raise ContractError(
+                f"adjacency must be a ({k}, {k}) bool mask, got "
+                f"{np.asarray(adj).dtype} {np.shape(adj)}"
+            )
+        if not adj.any(axis=1).all():
+            raise ContractError("adjacency has a row with no neighbour")
 
 
 def hex_layout(n_cells: int, inter_site_distance: float, region) -> np.ndarray:
@@ -216,27 +229,18 @@ def iter_scenarios(cfg: ScenarioConfig, seeds):
         yield from generate_scenarios(cfg, seeds[start:start + step])
 
 
-def generate_scenario(
-    cfg: ScenarioConfig,
-    seed: int,
-    shadowing: bool = True,
-    fading: bool = True,
-) -> Scenario:
+def generate_scenario(cfg: ScenarioConfig, seed: int, fading: bool = True) -> Scenario:
     """Draw one network realization, fully determined by (cfg, seed).
 
-    The two switches silence shadowing or per-PRB fading without changing
-    how many random numbers are drawn, so a scenario stays comparable to
-    its noisy twin at the same seed.
+    `fading=False` silences per-PRB fading without changing how many
+    random numbers are drawn, so a scenario stays comparable to its noisy
+    twin at the same seed; `shadowing_sigma_db` 0 does the same for
+    shadowing.
     """
-    return generate_scenarios(cfg, [seed], shadowing, fading)[0]
+    return generate_scenarios(cfg, [seed], fading)[0]
 
 
-def generate_scenarios(
-    cfg: ScenarioConfig,
-    seeds,
-    shadowing: bool = True,
-    fading: bool = True,
-) -> list[Scenario]:
+def generate_scenarios(cfg: ScenarioConfig, seeds, fading: bool = True) -> list[Scenario]:
     """`generate_scenario` of each seed, computed as one chunk.
 
     Each seed draws from its own `default_rng(seed)`, straight into its
@@ -266,8 +270,6 @@ def generate_scenarios(
     ue *= np.asarray(cfg.region, dtype=np.float64)
     shadow_db *= cfg.shadowing_sigma_db
     shadow_db += 0.0
-    if not shadowing:
-        shadow_db = np.zeros_like(shadow_db)
     if not fading:
         fade_gain = np.ones_like(fade_gain)
 
@@ -355,7 +357,7 @@ def build_graph(s: Scenario, gamma_th_db: float) -> GraphInstance:
     )
     return GraphInstance(
         features=features,
-        adjacency=adj.astype(np.float64),
+        adjacency=adj,
         prb_matrix=s.prb_demand.astype(np.float64),
         n_prb_total=s.n_prb_total,
     )

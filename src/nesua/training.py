@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gat as gat_mod
+from .codec import write_table
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .power import PowerParams, network_power_soft
 from .scenario import (
@@ -30,19 +31,10 @@ from .scenario import (
 
 
 @dataclass(frozen=True)
-class LossConfig:
-    lambda1: float = 1.0  # weight of the one-hot pressure term
-    lambda2: float = 1.0  # weight of the PRB concentration term
-
-    def __post_init__(self):
-        for name in ("lambda1", "lambda2"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
+    """The run file's `train` section: the schedule, Adam's settings and
+    the loss weights."""
+
     dataset_size: int = 10000
     split_fraction: float = 0.8
     epochs: int = 5000
@@ -50,6 +42,8 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     shuffle_seed: int = 0
+    lambda1: float = 1.0  # weight of the one-hot pressure term
+    lambda2: float = 1.0  # weight of the PRB concentration term
 
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
@@ -67,13 +61,17 @@ class TrainConfig:
             raise ConfigError(f"dataset_size must be >= 2, got {self.dataset_size}")
         if self.shuffle_seed < 0:
             raise ConfigError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
+        for name in ("lambda1", "lambda2"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v < 0:
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
 
 
 def loss(
     s: np.ndarray,
     prb: np.ndarray,
     params: PowerParams,
-    lc: LossConfig,
+    tc: TrainConfig,
     n_prb_total: int,
     saved=None,
 ) -> float:
@@ -82,13 +80,13 @@ def loss(
     The power (`network_power_soft`), then, with a positive weight, the
     penalties (`autodiff.association_penalties`) and their sum
     (`autodiff.add_terms`), which adds the terms to the power in that
-    order. With a list `saved`, the records of those ops are appended to
-    it (`autodiff.loss_backward`).
+    order, weighted by `tc.lambda1` and `tc.lambda2`. With a list `saved`,
+    the records of those ops are appended to it (`autodiff.loss_backward`).
     """
     total = network_power_soft(s, prb, params, n_prb_total, saved)
-    if lc.lambda1 > 0.0 or lc.lambda2 > 0.0:
+    if tc.lambda1 > 0.0 or tc.lambda2 > 0.0:
         prb = np.asarray(prb, dtype=np.float64)
-        penalties = ad.association_penalties(s, prb, lc.lambda1, lc.lambda2, saved)
+        penalties = ad.association_penalties(s, prb, tc.lambda1, tc.lambda2, saved)
         total = ad.add_terms(total, penalties, saved)
     return float(total)
 
@@ -137,20 +135,17 @@ def clone_model(model: gat_mod.GatModel) -> gat_mod.GatModel:
     return replace(model, flat=model.flat.copy())
 
 
-def _mean_loss(
-    instances, model, lc: LossConfig, params: PowerParams
-) -> float:
+def _mean_loss(instances, model, tc: TrainConfig, params: PowerParams) -> float:
     values = []
     for g in instances:
         s = gat_mod.forward(g, model)
-        values.append(loss(s, g.prb_matrix, params, lc, g.n_prb_total))
+        values.append(loss(s, g.prb_matrix, params, tc, g.n_prb_total))
     return float(np.mean(values)) if values else math.nan
 
 
 def train(
     dataset: list[GraphInstance],
     tc: TrainConfig,
-    lc: LossConfig,
     params: PowerParams,
     seed: int,
     test: list[GraphInstance],
@@ -203,7 +198,7 @@ def train(
             g = train_set[int(i)]
             saved = []
             s = gat_mod.forward(g, model, saved)
-            value = loss(s, g.prb_matrix, params, lc, g.n_prb_total, saved)
+            value = loss(s, g.prb_matrix, params, tc, g.n_prb_total, saved)
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, instance {int(i)}"
@@ -213,7 +208,7 @@ def train(
             epoch_losses.append(value)
 
         mean_train = float(np.mean(epoch_losses))
-        mean_test = _mean_loss(test_set, model, lc, params)
+        mean_test = _mean_loss(test_set, model, tc, params)
         history.append((epoch, mean_train, mean_test, tc.lr))
 
         selector = mean_test if test_set else mean_train
@@ -232,8 +227,5 @@ def train(
 
 
 def write_history(path, history):
-    """Per-epoch comma-separated rows under a fixed header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_train_loss,mean_test_loss,lr\n")
-        for epoch, tr, te, lr in history:
-            fh.write(f"{epoch},{tr!r},{te!r},{lr!r}\n")
+    """Per-epoch (epoch, train, test, lr) rows under a fixed header."""
+    write_table(path, history, ["epoch", "mean_train_loss", "mean_test_loss", "lr"])

@@ -348,7 +348,12 @@ def row_softmax_masked(x: Tensor, mask) -> Tensor:
     """Softmax over the unmasked entries of each row. Masked entries are
     exactly 0 in the output and receive exactly 0 gradient. Every row must
     keep at least one unmasked entry."""
-    s = ad._softmax_rows(x.values, ad._keep_mask(mask, x.shape, "row_softmax_masked"))
+    keep = np.asarray(mask) != 0
+    if keep.shape != x.shape:
+        raise ShapeError(f"row_softmax_masked: mask {keep.shape} vs input {x.shape}")
+    if not keep.any(axis=1).all():
+        raise ContractError("row_softmax_masked: a row has no unmasked entries")
+    s = ad._softmax_rows(x.values, keep)
 
     def backward(g):
         x.accumulate(ad._softmax_rows_grad(s, g))
@@ -755,7 +760,7 @@ def enumerate_oracle(prb, n_prb_total, p, chunk=1 << 16):
     return assignment, power_w, found
 
 
-def reference_generate_scenario(cfg, seed, shadowing=True, fading=True):
+def reference_generate_scenario(cfg, seed, fading=True):
     """Reference scenario draw, one seed at a time, that
     `scenario.generate_scenarios` must match bit for bit in every field."""
     rng = np.random.default_rng(seed)
@@ -769,8 +774,6 @@ def reference_generate_scenario(cfg, seed, shadowing=True, fading=True):
     pl0 = free_space_reference_db(cfg.carrier_ghz)
     pathloss_db = pl0 + 10.0 * cfg.pathloss_exponent * np.log10(dist)
     shadow_db = rng.normal(0.0, cfg.shadowing_sigma_db, size=dist.shape)
-    if not shadowing:
-        shadow_db = np.zeros_like(shadow_db)
 
     t = cfg.n_prb_total
     fade_gain = rng.exponential(1.0, size=(cfg.n_ues, cfg.n_cells, t))

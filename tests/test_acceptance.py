@@ -26,7 +26,7 @@ from nesua.scenario import (
     generate_scenario,
     normalize_features,
 )
-from nesua.training import LossConfig, TrainConfig, loss, split_and_normalize, train
+from nesua.training import TrainConfig, loss, split_and_normalize, train
 
 import helpers as tape
 from helpers import check_grad, dataset_samples, finite_difference_grad
@@ -93,8 +93,8 @@ def _check_primitives(rng):
     fused = rng.spawn(1)[0]
     hw = fused.normal(0.0, 1.0, (3, 4))
     scorer = fused.normal(0.0, 1.0, (8,))
-    adjacency = (fused.uniform(size=(3, 3)) < 0.5).astype(float)
-    np.fill_diagonal(adjacency, 1.0)
+    adjacency = fused.uniform(size=(3, 3)) < 0.5
+    np.fill_diagonal(adjacency, True)
     bias = fused.normal(0.0, 1.0, (2,))
     demand = fused.uniform(1.0, 20.0, (3, 4))
     total = np.asarray(fused.normal(0.0, 1.0))
@@ -138,7 +138,7 @@ def _check_loss_gradient(rng):
     k, n, hidden = 3, 2, 4
     g = GraphInstance(
         features=rng.normal(0.0, 1.0, (k, 3 * n)),
-        adjacency=np.ones((k, k)),
+        adjacency=np.ones((k, k), dtype=bool),
         prb_matrix=rng.uniform(1.0, 20.0, (k, n)),
         n_prb_total=200,
     )
@@ -147,15 +147,15 @@ def _check_loss_gradient(rng):
     )
     shapes = gat.param_shapes(3 * n, n, cfg).values()
     arrays = [rng.normal(0.0, 0.5, s) for s in shapes]
-    lc = LossConfig(lambda1=0.7, lambda2=0.3)
+    tc = TrainConfig(lambda1=0.7, lambda2=0.3)
 
     def value(flat):
         s = gat.forward(g, gat.GatModel(cfg, 3 * n, n, flat))
-        return loss(s, g.prb_matrix, PARAMS, lc, g.n_prb_total)
+        return loss(s, g.prb_matrix, PARAMS, tc, g.n_prb_total)
 
     # the train step's own gradient: forward, loss and `ad.backward`
     model, saved = gat.GatModel(cfg, 3 * n, n, ad.pack(arrays)), []
-    loss(gat.forward(g, model, saved), g.prb_matrix, PARAMS, lc, g.n_prb_total, saved)
+    loss(gat.forward(g, model, saved), g.prb_matrix, PARAMS, tc, g.n_prb_total, saved)
     grad = np.empty_like(model.flat)
     ad.backward(saved, grad)
     fd = finite_difference_grad(value, model.flat.copy())
@@ -260,8 +260,7 @@ def test_small_instance_learning_tracks_oracle():
     train_split, test_split, _ = split_and_normalize(dataset_samples(cfg, 250, 100), 0.8, 100)
     result = train(
         [smp.graph for smp in train_split],
-        TrainConfig(dataset_size=250, epochs=80, lr=1e-3),
-        LossConfig(lambda1=1.0, lambda2=0.0),
+        TrainConfig(dataset_size=250, epochs=80, lr=1e-3, lambda2=0.0),
         PARAMS,
         seed=0,
         gat_cfg=gat.GatConfig(hidden_dim=32, readout_activation="identity"),
@@ -297,8 +296,7 @@ def test_learned_policy_beats_rsrp_across_grid():
         )
         result = train(
             [smp.graph for smp in train_split],
-            TrainConfig(dataset_size=200, epochs=40, lr=1e-3),
-            LossConfig(lambda1=1.0, lambda2=0.0),
+            TrainConfig(dataset_size=200, epochs=40, lr=1e-3, lambda2=0.0),
             PARAMS,
             seed=0,
             gat_cfg=gat.GatConfig(hidden_dim=32, readout_activation="identity"),
@@ -337,8 +335,7 @@ def test_balance_weight_sweep_removes_switch_off():
     for ratio in ratios:
         result = train(
             [smp.graph for smp in train_split],
-            TrainConfig(dataset_size=200, epochs=100, lr=1e-3),
-            LossConfig(lambda1=1.0, lambda2=ratio),
+            TrainConfig(dataset_size=200, epochs=100, lr=1e-3, lambda2=ratio),
             PARAMS,
             seed=0,
             gat_cfg=gat.GatConfig(hidden_dim=32, readout_activation="identity"),
@@ -445,11 +442,10 @@ def test_command_pipeline_reruns_bit_identical(tmp_path, monkeypatch):
 
 
 def _random_instance(rng, n_ues, n_cells, feat_dim, density=None):
-    adj = np.eye(n_ues)
     p = float(rng.uniform(0.2, 0.9)) if density is None else density
     upper = rng.random((n_ues, n_ues)) < p
     upper = np.triu(upper, 1)
-    adj = np.clip(adj + upper + upper.T, 0.0, 1.0)
+    adj = np.eye(n_ues, dtype=bool) | upper | upper.T
     return GraphInstance(
         features=rng.normal(0.0, 1.0, (n_ues, feat_dim)),
         adjacency=adj,
@@ -501,7 +497,7 @@ def test_structural_invariants_hold():
         n_cells = int(rng.integers(2, 6))
         feat = int(rng.integers(3, 7))
         g = _random_instance(rng, n_ues, n_cells, feat, density=0.15)
-        adj = g.adjacency.astype(bool)
+        adj = g.adjacency
         two_hop = (adj @ adj) | adj
         node = int(rng.integers(0, n_ues))
         outside = np.flatnonzero(~two_hop[node])

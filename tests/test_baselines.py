@@ -48,8 +48,8 @@ def test_rsrp_hand_matrix():
 
 def test_rsrp_follows_distance_without_shadowing():
     cfg = sc.ScenarioConfig(n_cells=3, n_ues=20, region=(2500.0, 2500.0),
-                            inter_site_distance=900.0)
-    s = sc.generate_scenario(cfg, 40, shadowing=False)
+                            inter_site_distance=900.0, shadowing_sigma_db=0.0)
+    s = sc.generate_scenario(cfg, 40)
     nearest = np.argmin(s.distance, axis=1)
     assert bl.associate_rsrp(s).assignment.tolist() == nearest.tolist()
 

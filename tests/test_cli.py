@@ -709,6 +709,17 @@ def test_runconfig_round_trip_and_digest_stability():
     assert changed.digest() != cfg.digest()
 
 
+def test_the_stamp_keeps_its_key_order():
+    # `gat.save_checkpoint` writes the stamp without sorting its keys, so
+    # this order is part of every checkpoint's bytes
+    stamp = RunConfig().stamp()
+    assert list(stamp) == ["scenario", "power", "gat", "eval", "train", "seed"]
+    assert list(stamp["train"]) == [
+        "dataset_size", "split_fraction", "epochs", "lr", "beta1", "beta2",
+        "shuffle_seed", "lambda1", "lambda2",
+    ]
+
+
 # a float, bool or string where the config takes an integer
 @pytest.mark.parametrize(
     "section, key, value",
@@ -759,6 +770,8 @@ def test_a_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, valu
         ({"scenario": {"carrier_ghz": -1.0}}, None, "carrier_ghz must be > 0"),
         ({}, "w=nan;k=3", "grid value for key 'w'"),
         ({}, "w=inf;k=3", "grid value for key 'w'"),
+        ({"scenario": {"shadowing_sigma_db": -6.0}}, None,
+         "shadowing_sigma_db must be >= 0, got -6.0"),
     ],
 )
 def test_a_non_finite_number_exits_2(tmp_path, capsys, over, grid, named):

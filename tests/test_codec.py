@@ -143,3 +143,35 @@ def test_write_json_rejects_what_it_cannot_write_exactly(tmp_path):
     with pytest.raises(TypeError):
         write_json(tmp_path / "b.json", {"x": payload, "y": object()})
     assert not (tmp_path / "a.json").exists() and not (tmp_path / "b.json").exists()
+
+
+def test_write_table_writes_floats_as_plain_repr(tmp_path):
+    path = tmp_path / "t.csv"
+    cells = [np.float64(0.1), 1.0 / 3.0, -0.0, np.float64(np.nan), 5e-324]
+    codec.write_table(path, [cells])
+    line = path.read_text()
+    assert line == "0.1,0.3333333333333333,-0.0,nan,5e-324\n"
+    # a reread gives the same bits
+    back = [float(c) for c in line.strip().split(",")]
+    assert np.array(back).tobytes() == np.array(cells, dtype=np.float64).tobytes()
+
+
+def test_write_table_writes_other_cells_with_str(tmp_path):
+    path = tmp_path / "t.csv"
+    codec.write_table(path, [["bs", 3, np.int64(-2), True], ("ue", 0, 0, False)])
+    assert path.read_text() == "bs,3,-2,True\nue,0,0,False\n"
+
+
+def test_write_table_with_and_without_a_header(tmp_path):
+    rows = [(1, 2.5), (2, 0.25)]
+    codec.write_table(tmp_path / "a.csv", rows, ["epoch", "loss"])
+    assert (tmp_path / "a.csv").read_text() == "epoch,loss\n1,2.5\n2,0.25\n"
+    codec.write_table(tmp_path / "b.csv", iter(rows))
+    assert (tmp_path / "b.csv").read_text() == "1,2.5\n2,0.25\n"
+
+
+def test_write_table_of_no_rows_under_a_header_is_the_header_line(tmp_path):
+    # what a resume with no epoch left to train writes as its history
+    path = tmp_path / "t.csv"
+    codec.write_table(path, [], ["epoch", "mean_train_loss", "mean_test_loss", "lr"])
+    assert path.read_text() == "epoch,mean_train_loss,mean_test_loss,lr\n"

@@ -14,7 +14,7 @@ from nesua.codec import decode_array, encode_array
 from nesua.errors import ConfigError, ShapeError
 from nesua.power import PowerParams
 from nesua.scenario import GraphInstance
-from nesua.training import LossConfig, TrainConfig, loss
+from nesua.training import TrainConfig, loss
 
 import helpers as tape
 from helpers import (
@@ -30,9 +30,9 @@ from helpers import (
 
 
 def _random_adjacency(k, rng, p=0.5):
-    a = (rng.uniform(size=(k, k)) < p).astype(float)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 1.0)
+    a = rng.uniform(size=(k, k)) < p
+    a |= a.T
+    np.fill_diagonal(a, True)
     return a
 
 
@@ -263,9 +263,9 @@ def test_permutation_equivariance():
 def test_locality_one_layer_exact():
     rng = np.random.default_rng(69)
     k = 5
-    path = np.eye(k)
+    path = np.eye(k, dtype=bool)
     for i in range(k - 1):
-        path[i, i + 1] = path[i + 1, i] = 1.0
+        path[i, i + 1] = path[i + 1, i] = True
     h = rng.normal(size=(k, 4))
     w, a = rng.normal(size=(3, 4)), rng.normal(size=6)
     base = gat.gat_layer(h, path, w, a, 0.2, "relu")
@@ -279,9 +279,9 @@ def test_locality_one_layer_exact():
 def test_locality_two_layers_exact_beyond_two_hops():
     rng = np.random.default_rng(70)
     k, n = 5, 2
-    path = np.eye(k)
+    path = np.eye(k, dtype=bool)
     for i in range(k - 1):
-        path[i, i + 1] = path[i + 1, i] = 1.0
+        path[i, i + 1] = path[i + 1, i] = True
     g = _instance(k, n, rng, adjacency=path)
     model = _model(3 * n, n, hidden=4, seed=1)
     base = gat.forward(g, model)
@@ -541,11 +541,11 @@ def test_backward_writes_gradients_into_the_gradient_buffer():
     rng = np.random.default_rng(77)
     model = _model(9, 3, hidden=5, seed=6)
     buffer = np.empty_like(model.flat)
-    for lc in (LossConfig(), LossConfig(lambda1=0.0, lambda2=2.0)):
+    for tc in (TrainConfig(), TrainConfig(lambda1=0.0, lambda2=2.0)):
         g = _instance(6, 3, rng)
         saved = []
         s = gat.forward(g, model, saved)
-        loss(s, rng.uniform(1.0, 20.0, size=(6, 3)), PowerParams(), lc, 51, saved)
+        loss(s, rng.uniform(1.0, 20.0, size=(6, 3)), PowerParams(), tc, 51, saved)
         ad.backward(saved, buffer)
         assert_packed(model)
         total, params = tape_loss(saved)

@@ -48,6 +48,11 @@ def test_config_validation():
         small_cfg(region=(2500.0,))
     with pytest.raises(ConfigError):
         small_cfg(bandwidth_mhz=0.001)  # guards eat the whole carrier
+    # numpy's normal(0, sigma), whose draw generate_scenarios reproduces,
+    # refuses a negative scale; zero switches the shadowing off
+    with pytest.raises(ConfigError, match="shadowing_sigma_db must be >= 0, got -6.0"):
+        small_cfg(shadowing_sigma_db=-6.0)
+    small_cfg(shadowing_sigma_db=0.0)
 
 
 def test_reuse_group_count_is_stable_against_float_noise():
@@ -129,7 +134,7 @@ def test_single_cell_sinr_reduces_to_snr():
     cfg = sc.ScenarioConfig(
         n_cells=1, n_ues=1, region=(1000.0, 1000.0), inter_site_distance=500.0
     )
-    s = sc.generate_scenario(cfg, 3, shadowing=False, fading=False)
+    s = sc.generate_scenario(dataclasses.replace(cfg, shadowing_sigma_db=0.0), 3, fading=False)
     d = s.distance[0, 0]
     pl = sc.free_space_reference_db(cfg.carrier_ghz) + 10 * cfg.pathloss_exponent * math.log10(d)
     rx = cfg.tx_power_dbm + 10 * math.log10(cfg.n_tx_antennas) - pl
@@ -139,7 +144,7 @@ def test_single_cell_sinr_reduces_to_snr():
 
 def test_rsrp_excludes_fading_and_array_gain():
     cfg = small_cfg()
-    s = sc.generate_scenario(cfg, 9, shadowing=False, fading=True)
+    s = sc.generate_scenario(dataclasses.replace(cfg, shadowing_sigma_db=0.0), 9)
     pl0 = sc.free_space_reference_db(cfg.carrier_ghz)
     expected = cfg.tx_power_dbm - (pl0 + 10 * cfg.pathloss_exponent * np.log10(s.distance))
     np.testing.assert_allclose(s.rsrp_dbm, expected, rtol=1e-12)
@@ -215,6 +220,25 @@ def test_build_graph_shared_cell_linking():
     adj = sc.build_graph(_scenario_with_sinr(sinr), 0.0).adjacency
     expected = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
     np.testing.assert_array_equal(adj, expected)
+    assert adj.dtype == bool
+
+
+def test_graph_instance_checks_its_neighbour_mask():
+    def graph(adjacency):
+        return sc.GraphInstance(
+            features=np.zeros((3, 6)), adjacency=adjacency,
+            prb_matrix=np.ones((3, 2)), n_prb_total=51,
+        )
+
+    graph(np.eye(3, dtype=bool))
+    empty_row = np.ones((3, 3), dtype=bool)
+    empty_row[1] = False
+    with pytest.raises(ContractError, match="a row with no neighbour"):
+        graph(empty_row)
+    with pytest.raises(ContractError, match=r"\(3, 3\) bool mask"):
+        graph(np.ones((3, 3)))  # a float mask
+    with pytest.raises(ContractError, match=r"\(3, 3\) bool mask"):
+        graph(np.ones((3, 4), dtype=bool))
 
 
 def test_build_graph_feature_layout():
@@ -264,7 +288,7 @@ def test_best_cell_sinr_decreases_with_distance_without_noise_terms():
     # reuse 1/3 over 3 cells puts each cell alone in its group: no
     # interference, so SINR must order exactly by distance
     cfg = small_cfg(n_ues=40)
-    s = sc.generate_scenario(cfg, 17, shadowing=False, fading=False)
+    s = sc.generate_scenario(dataclasses.replace(cfg, shadowing_sigma_db=0.0), 17, fading=False)
     for cell in range(s.n_cells):
         order = np.argsort(s.distance[:, cell])
         sinr_sorted = s.sinr_wideband_db[order, cell]
@@ -396,14 +420,14 @@ def test_chunked_draws_match_the_per_seed_reference_bit_for_bit(
     n_ues, shadowing, fading, reuse_factor
 ):
     cfg = sc.ScenarioConfig(n_ues=n_ues, reuse_factor=reuse_factor)
+    if not shadowing:
+        cfg = dataclasses.replace(cfg, shadowing_sigma_db=0.0)
     for count in _chunk_counts(cfg):
         seeds = list(range(900, 900 + count))
-        got = sc.generate_scenarios(cfg, seeds, shadowing, fading)
+        got = sc.generate_scenarios(cfg, seeds, fading)
         assert [s.seed for s in got] == seeds
         for s in got:
-            assert_same_fields(
-                s, reference_generate_scenario(cfg, s.seed, shadowing, fading)
-            )
+            assert_same_fields(s, reference_generate_scenario(cfg, s.seed, fading))
 
 
 @pytest.mark.parametrize("n_ues", [7, 50])

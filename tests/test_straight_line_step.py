@@ -17,9 +17,9 @@ ACTIVATIONS = ("relu", "identity")
 
 
 def _graph(k, n, rng):
-    adjacency = (rng.uniform(size=(k, k)) < 0.5).astype(float)
-    adjacency = np.maximum(adjacency, adjacency.T)
-    np.fill_diagonal(adjacency, 1.0)
+    adjacency = rng.uniform(size=(k, k)) < 0.5
+    adjacency |= adjacency.T
+    np.fill_diagonal(adjacency, True)
     return GraphInstance(
         features=rng.normal(size=(k, 3 * n)),
         adjacency=adjacency,
@@ -28,12 +28,12 @@ def _graph(k, n, rng):
     )
 
 
-def _step(graph, model, lc, params=PowerParams()):
+def _step(graph, model, tc, params=PowerParams()):
     """The loss and the gradient buffer of one step, the buffer filled
     with NaN before `ad.backward` writes it."""
     saved = []
     s = gat.forward(graph, model, saved)
-    value = tr.loss(s, graph.prb_matrix, params, lc, graph.n_prb_total, saved)
+    value = tr.loss(s, graph.prb_matrix, params, tc, graph.n_prb_total, saved)
     grad = np.full(model.flat.shape, np.nan)
     ad.backward(saved, grad)
     return value, grad, saved
@@ -47,12 +47,12 @@ def test_backward_matches_the_tape_bit_for_bit(k, activation, readout_activation
     rng = np.random.default_rng([k, len(activation), len(readout_activation), *map(int, lambdas)])
     cfg = gat.GatConfig(hidden_dim=8, activation=activation,
                         readout_activation=readout_activation)
-    lc = tr.LossConfig(*lambdas)
+    tc = tr.TrainConfig(lambda1=lambdas[0], lambda2=lambdas[1])
     for seed in range(3):
         graph = _graph(k, 3, rng)
         model = gat.init_model(9, 3, cfg, seed)
-        value, grad, saved = _step(graph, model, lc)
-        assert len(saved) == (8 if lc.lambda1 > 0.0 or lc.lambda2 > 0.0 else 6)
+        value, grad, saved = _step(graph, model, tc)
+        assert len(saved) == (8 if tc.lambda1 > 0.0 or tc.lambda2 > 0.0 else 6)
         reference = np.full(grad.shape, np.nan)
         reference_value = tape_backward(saved, reference)
         assert np.isfinite(grad).all()  # every slot written
@@ -65,7 +65,7 @@ def test_backward_matches_the_tape_at_paper_size():
     rng = np.random.default_rng(5)
     graph = _graph(50, 7, rng)
     model = gat.init_model(21, 7, gat.GatConfig(), 3)
-    value, grad, saved = _step(graph, model, tr.LossConfig())
+    value, grad, saved = _step(graph, model, tr.TrainConfig())
     reference = np.empty_like(grad)
     assert np.float64(value).tobytes() == np.float64(tape_backward(saved, reference)).tobytes()
     assert grad.tobytes() == reference.tobytes()

@@ -32,10 +32,10 @@ DEFAULTS = PowerParams()
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        tr.LossConfig(lambda1=-1.0)
-    with pytest.raises(ConfigError):
-        tr.LossConfig(lambda2=math.inf)
+    with pytest.raises(ConfigError, match="lambda1 must be finite and >= 0"):
+        tr.TrainConfig(lambda1=-1.0)
+    with pytest.raises(ConfigError, match="lambda2 must be finite and >= 0"):
+        tr.TrainConfig(lambda2=math.inf)
     with pytest.raises(ConfigError):
         tr.TrainConfig(split_fraction=1.0)
     with pytest.raises(ConfigError):
@@ -53,8 +53,8 @@ def test_loss_reduces_to_power_without_regularizers():
     rng = np.random.default_rng(80)
     s = _rand_stochastic(4, 3, rng)
     prb = rng.integers(1, 20, size=(4, 3)).astype(float)
-    lc = tr.LossConfig(lambda1=0.0, lambda2=0.0)
-    a = tr.loss(s, prb, DEFAULTS, lc, 51)
+    tc = tr.TrainConfig(lambda1=0.0, lambda2=0.0)
+    a = tr.loss(s, prb, DEFAULTS, tc, 51)
     b = network_power_soft(s, prb, DEFAULTS, 51)
     assert a == b
 
@@ -63,8 +63,8 @@ def test_loss_one_hot_kills_sharpness_term():
     s_hard = np.zeros((5, 3))
     s_hard[np.arange(5), [0, 2, 1, 0, 2]] = 1.0
     prb = np.ones((5, 3))
-    with_t1 = tr.loss(s_hard, prb, DEFAULTS, tr.LossConfig(lambda1=9.0, lambda2=0.0), 51)
-    without = tr.loss(s_hard, prb, DEFAULTS, tr.LossConfig(lambda1=0.0, lambda2=0.0), 51)
+    with_t1 = tr.loss(s_hard, prb, DEFAULTS, tr.TrainConfig(lambda1=9.0, lambda2=0.0), 51)
+    without = tr.loss(s_hard, prb, DEFAULTS, tr.TrainConfig(lambda1=0.0, lambda2=0.0), 51)
     assert with_t1 == without  # K - Tr(S S^T) is exactly zero at one-hot S
 
 
@@ -72,8 +72,8 @@ def test_loss_uniform_sharpness_hand_value():
     s = np.full((3, 2), 0.5)
     prb = np.ones((3, 2))
     lam = 4.0
-    base = tr.loss(s, prb, DEFAULTS, tr.LossConfig(lambda1=0.0, lambda2=0.0), 51)
-    with_t1 = tr.loss(s, prb, DEFAULTS, tr.LossConfig(lambda1=lam, lambda2=0.0), 51)
+    base = tr.loss(s, prb, DEFAULTS, tr.TrainConfig(lambda1=0.0, lambda2=0.0), 51)
+    with_t1 = tr.loss(s, prb, DEFAULTS, tr.TrainConfig(lambda1=lam, lambda2=0.0), 51)
     assert with_t1 - base == pytest.approx(lam * 1.5, rel=1e-12)
 
 
@@ -82,8 +82,8 @@ def test_loss_concentration_term_is_l2_of_cell_loads():
     prb = np.array([[4.0, 8.0], [2.0, 6.0]])
     p_hat = (s_values * prb).sum(axis=0)
     lam = 3.0
-    base = tr.loss(s_values, prb, DEFAULTS, tr.LossConfig(0.0, 0.0), 51)
-    full = tr.loss(s_values, prb, DEFAULTS, tr.LossConfig(0.0, lam), 51)
+    base = tr.loss(s_values, prb, DEFAULTS, tr.TrainConfig(lambda1=0.0, lambda2=0.0), 51)
+    full = tr.loss(s_values, prb, DEFAULTS, tr.TrainConfig(lambda1=0.0, lambda2=lam), 51)
     assert full - base == pytest.approx(lam * np.linalg.norm(p_hat), rel=1e-12)
 
 
@@ -95,10 +95,10 @@ def test_loss_lower_bound_and_t1_range():
         n = int(rng.integers(1, 5))
         s = _rand_stochastic(k, n, rng)
         prb = rng.integers(1, 30, size=(k, n)).astype(float)
-        lc = tr.LossConfig(
+        tc = tr.TrainConfig(
             lambda1=float(rng.uniform(0, 3)), lambda2=float(rng.uniform(0, 3))
         )
-        value = tr.loss(s, prb, params, lc, 51)
+        value = tr.loss(s, prb, params, tc, 51)
         assert value >= n * params.p_sleep_w - 1e-9
         sharp = k - (s**2).sum()
         assert -1e-12 <= sharp <= k * (1.0 - 1.0 / n) + 1e-12
@@ -107,11 +107,11 @@ def test_loss_lower_bound_and_t1_range():
 def test_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(82)
     prb = rng.integers(1, 10, size=(4, 3)).astype(float)
-    lc = tr.LossConfig(lambda1=2.0, lambda2=0.5)
+    tc = tr.TrainConfig(lambda1=2.0, lambda2=0.5)
     s = _rand_stochastic(4, 3, rng)
     saved = []
-    tr.loss(s, prb, DEFAULTS, lc, 51, saved)
-    fd = finite_difference_grad(lambda x: tr.loss(x, prb, DEFAULTS, lc, 51), s.copy())
+    tr.loss(s, prb, DEFAULTS, tc, 51, saved)
+    fd = finite_difference_grad(lambda x: tr.loss(x, prb, DEFAULTS, tc, 51), s.copy())
     np.testing.assert_allclose(ad.loss_backward(saved), fd, rtol=1e-4, atol=1e-6)
 
 
@@ -174,7 +174,7 @@ def test_zero_epochs_returns_initialization():
     graphs, test = _split(cfg, 3)
     tc = tr.TrainConfig(dataset_size=3, epochs=0, lr=1e-3)
     gcfg = gat.GatConfig(hidden_dim=4)
-    res = tr.train(graphs, tc, tr.LossConfig(), DEFAULTS, seed=11, gat_cfg=gcfg, test=test)
+    res = tr.train(graphs, tc, DEFAULTS, seed=11, gat_cfg=gcfg, test=test)
     fresh = gat.init_model(graphs[0].features.shape[1], 2, gcfg, 11)
     for got, want in zip(res.model.params.values(), fresh.params.values()):
         np.testing.assert_array_equal(got, want)
@@ -186,7 +186,7 @@ def test_training_is_deterministic():
     graphs, test = _split(cfg, 4)
     tc = tr.TrainConfig(dataset_size=4, epochs=5, lr=1e-3, shuffle_seed=3)
     kw = dict(
-        tc=tc, lc=tr.LossConfig(), params=DEFAULTS, seed=2,
+        tc=tc, params=DEFAULTS, seed=2,
         gat_cfg=gat.GatConfig(hidden_dim=4), test=test,
     )
     a = tr.train(graphs, **kw)
@@ -206,7 +206,7 @@ def test_single_instance_learns_the_cheap_cell():
     g = GraphInstance(
         features=np.array([[0.2, -0.5, 1.0, 0.5, -1.0, 0.3],
                            [-0.2, 0.5, 0.9, -0.3, 0.8, -0.4]]),
-        adjacency=np.ones((k, k)),
+        adjacency=np.ones((k, k), dtype=bool),
         prb_matrix=prb,
         n_prb_total=51,
     )
@@ -214,10 +214,10 @@ def test_single_instance_learns_the_cheap_cell():
     assert best.association.assignment.tolist() == [0, 0]
     assert best.feasible
 
-    tc = tr.TrainConfig(dataset_size=2, epochs=200, lr=2e-2)
+    tc = tr.TrainConfig(dataset_size=2, epochs=200, lr=2e-2, lambda1=5.0, lambda2=0.0)
     gcfg = gat.GatConfig(hidden_dim=8, readout_activation="identity")
     res = tr.train(
-        [g], tc, tr.LossConfig(lambda1=5.0, lambda2=0.0), params,
+        [g], tc, params,
         seed=0, gat_cfg=gcfg, test=[],
     )
     s = gat.forward(g, res.model)
@@ -228,10 +228,10 @@ def test_single_instance_learns_the_cheap_cell():
 def test_history_shape_and_loss_trend():
     cfg = _tiny_cfg(n_ues=5)
     graphs = _graphs(cfg, 8)
-    tc = tr.TrainConfig(dataset_size=8, epochs=60, lr=2e-3, shuffle_seed=1)
+    tc = tr.TrainConfig(dataset_size=8, epochs=60, lr=2e-3, shuffle_seed=1, lambda2=0.1)
     gcfg = gat.GatConfig(hidden_dim=6, readout_activation="identity")
     res = tr.train(
-        graphs[:6], tc, tr.LossConfig(lambda1=1.0, lambda2=0.1), DEFAULTS,
+        graphs[:6], tc, DEFAULTS,
         seed=4, gat_cfg=gcfg, test=graphs[6:],
     )
     assert len(res.history) == 60
@@ -254,7 +254,7 @@ def test_gradient_reaches_every_parameter_group():
     tc = tr.TrainConfig(dataset_size=2, epochs=1, lr=1e-3)
     fresh = gat.init_model(g.features.shape[1], 2, gcfg, 8)
     res = tr.train(
-        [g], tc, tr.LossConfig(), DEFAULTS, seed=8, gat_cfg=gcfg, test=[],
+        [g], tc, DEFAULTS, seed=8, gat_cfg=gcfg, test=[],
     )
     for (name, before), after in zip(
         fresh.params.items(), res.model.params.values()
@@ -265,17 +265,16 @@ def test_gradient_reaches_every_parameter_group():
 def test_resume_matches_uninterrupted_run():
     cfg = _tiny_cfg(n_ues=4)
     graphs = _graphs(cfg, 5)
-    lc = tr.LossConfig(lambda1=1.0, lambda2=0.2)
     gcfg = gat.GatConfig(hidden_dim=4)
-    tc6 = tr.TrainConfig(dataset_size=5, epochs=6, lr=1e-3, shuffle_seed=9)
-    tc3 = tr.TrainConfig(dataset_size=5, epochs=3, lr=1e-3, shuffle_seed=9)
+    tc6 = tr.TrainConfig(dataset_size=5, epochs=6, lr=1e-3, shuffle_seed=9, lambda2=0.2)
+    tc3 = tr.TrainConfig(dataset_size=5, epochs=3, lr=1e-3, shuffle_seed=9, lambda2=0.2)
 
-    full = tr.train(graphs[:4], tc6, lc, DEFAULTS, seed=1, gat_cfg=gcfg,
+    full = tr.train(graphs[:4], tc6, DEFAULTS, seed=1, gat_cfg=gcfg,
                     test=graphs[4:])
-    half = tr.train(graphs[:4], tc3, lc, DEFAULTS, seed=1, gat_cfg=gcfg,
+    half = tr.train(graphs[:4], tc3, DEFAULTS, seed=1, gat_cfg=gcfg,
                     test=graphs[4:])
     resumed = tr.train(
-        graphs[:4], tc6, lc, DEFAULTS, seed=1, gat_cfg=gcfg, test=graphs[4:],
+        graphs[:4], tc6, DEFAULTS, seed=1, gat_cfg=gcfg, test=graphs[4:],
         model=half.model, adam_state=half.adam_state, start_epoch=3,
     )
     assert half.history + resumed.history == full.history
@@ -289,9 +288,9 @@ def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
     # fresh-array Adam
     cfg = _tiny_cfg(n_ues=7)
     graphs = _graphs(cfg, 6)
-    tc = tr.TrainConfig(dataset_size=6, epochs=4, lr=1e-2, shuffle_seed=5)
+    tc = tr.TrainConfig(dataset_size=6, epochs=4, lr=1e-2, shuffle_seed=5, lambda2=0.2)
     kw = dict(
-        tc=tc, lc=tr.LossConfig(lambda1=1.0, lambda2=0.2), params=DEFAULTS,
+        tc=tc, params=DEFAULTS,
         seed=3, test=graphs[5:],
         gat_cfg=gat.GatConfig(hidden_dim=16, readout_activation="identity"),
     )
@@ -323,16 +322,15 @@ def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
 def _run_and_resume(graphs, gcfg, tmp_path, tag):
     """train for 4 epochs, then 2 epochs resumed to 4 through a checkpoint
     file; the results of both"""
-    lc = tr.LossConfig(lambda1=1.0, lambda2=0.2)
-    kw = dict(lc=lc, params=DEFAULTS, seed=3, test=graphs[8:])
+    kw = dict(params=DEFAULTS, seed=3, test=graphs[8:])
     full = tr.train(graphs[:8], tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3,
-                                               shuffle_seed=5), gat_cfg=gcfg, **kw)
+                                               shuffle_seed=5, lambda2=0.2), gat_cfg=gcfg, **kw)
     half = tr.train(graphs[:8], tr.TrainConfig(dataset_size=10, epochs=2, lr=1e-3,
-                                               shuffle_seed=5), gat_cfg=gcfg, **kw)
+                                               shuffle_seed=5, lambda2=0.2), gat_cfg=gcfg, **kw)
     path = tmp_path / f"{tag}.json"
     gat.save_checkpoint(path, half.model, {"adam": half.adam_state.to_dict(shapes_of(half.model))})
     loaded, leftover = gat.load_checkpoint(path)
-    tc = tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3, shuffle_seed=5)
+    tc = tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3, shuffle_seed=5, lambda2=0.2)
     resumed = tr.train(
         graphs[:8], tc, model=loaded,
         adam_state=ad.AdamState.from_dict(leftover["adam"], shapes_of(loaded)),
@@ -383,7 +381,7 @@ def test_a_train_step_is_at_most_eight_backward_nodes():
     model = gat.init_model(graph.features.shape[1], 2, gat.GatConfig(hidden_dim=32), 0)
     saved = []
     s = gat.forward(graph, model, saved)
-    tr.loss(s, graph.prb_matrix, DEFAULTS, tr.LossConfig(), graph.n_prb_total, saved)
+    tr.loss(s, graph.prb_matrix, DEFAULTS, tr.TrainConfig(), graph.n_prb_total, saved)
     # two transforms, two attention rounds, the readout, the power, the
     # penalties and their sum: one backward rule each, and as many nodes
     # on the tape, where the chains they stand for are 50
@@ -398,13 +396,13 @@ def test_resumed_adam_moments_are_trained_in_their_decoded_buffer():
     cfg = _tiny_cfg(n_ues=4)
     graphs = _graphs(cfg, 3)
     tc = tr.TrainConfig(dataset_size=3, epochs=1, lr=1e-2)
-    res = tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=2,
+    res = tr.train(graphs[:2], tc, DEFAULTS, seed=2,
                    gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
     shapes = shapes_of(res.model)
     adam = ad.AdamState.from_dict(res.adam_state.to_dict(shapes), shapes)
     decoded_m, decoded_v = adam.m, adam.v
     tc2 = tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2)
-    tr.train(graphs[:2], tc2, tr.LossConfig(), DEFAULTS, seed=2, model=res.model,
+    tr.train(graphs[:2], tc2, DEFAULTS, seed=2, model=res.model,
              adam_state=adam, start_epoch=1, test=graphs[2:])
     assert adam.m is decoded_m and adam.v is decoded_v
     assert adam.step == 4
@@ -432,7 +430,7 @@ def test_training_and_resume_keep_every_parameter_packed(tmp_path):
     gcfg = gat.GatConfig(hidden_dim=6, readout_activation="identity")
     tc = tr.TrainConfig(dataset_size=4, epochs=1, lr=1e-2, shuffle_seed=2)
     model = gat.init_model(graphs[0].features.shape[1], 2, gcfg, 3)
-    res = tr.train(graphs[:3], tc, tr.LossConfig(), DEFAULTS, seed=3,
+    res = tr.train(graphs[:3], tc, DEFAULTS, seed=3,
                    model=model, test=graphs[3:])
     assert res.model is model and res.adam_state.step == 3
     for m in (res.model, res.best_model, tr.clone_model(res.model)):
@@ -444,7 +442,7 @@ def test_training_and_resume_keep_every_parameter_packed(tmp_path):
     loaded, leftover = gat.load_checkpoint(path)
     adam = ad.AdamState.from_dict(leftover["adam"], shapes_of(loaded))
     tc2 = tr.TrainConfig(dataset_size=4, epochs=2, lr=1e-2, shuffle_seed=2)
-    resumed = tr.train(graphs[:3], tc2, tr.LossConfig(), DEFAULTS, seed=3,
+    resumed = tr.train(graphs[:3], tc2, DEFAULTS, seed=3,
                        model=loaded, adam_state=adam, start_epoch=1,
                        test=graphs[3:])
     assert_packed(resumed.model)
@@ -456,12 +454,11 @@ def test_training_matches_per_parameter_reference_adam_bit_for_bit(monkeypatch):
     # parameters stepped one by one with the reference Adam
     cfg = _tiny_cfg(n_ues=7)
     graphs = _graphs(cfg, 6)
-    tc = tr.TrainConfig(dataset_size=6, epochs=4, lr=1e-2, shuffle_seed=5)
+    tc = tr.TrainConfig(dataset_size=6, epochs=4, lr=1e-2, shuffle_seed=5, lambda2=0.2)
     gcfg = gat.GatConfig(hidden_dim=16, readout_activation="identity")
-    lc = tr.LossConfig(lambda1=1.0, lambda2=0.2)
 
     feat_dim = graphs[0].features.shape[1]
-    kw = dict(tc=tc, lc=lc, params=DEFAULTS, seed=3, test=graphs[5:])
+    kw = dict(tc=tc, params=DEFAULTS, seed=3, test=graphs[5:])
     shipped = tr.train(graphs[:5], model=gat.init_model(feat_dim, 2, gcfg, 3), **kw)
     assert len({row[1] for row in shipped.history}) == 4  # the model does learn
 
@@ -502,7 +499,7 @@ def test_each_step_overwrites_every_gradient_slot(monkeypatch):
     # slot unwritten would step that parameter on stale values
     cfg = _tiny_cfg(n_ues=4)
     graphs = _graphs(cfg, 3)
-    kw = dict(tc=tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2), lc=tr.LossConfig(),
+    kw = dict(tc=tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2),
               params=DEFAULTS, seed=1, gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
     shipped = tr.train(graphs[:2], **kw)
     backward, steps = ad.backward, []
@@ -527,7 +524,7 @@ def test_adam_moments_shaped_unlike_their_parameters_are_refused():
     state.v = state.v.reshape(1, -1)
     tc = tr.TrainConfig(dataset_size=3, epochs=1)
     with pytest.raises(ShapeError, match="adam.v"):
-        tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=1,
+        tr.train(graphs[:2], tc, DEFAULTS, seed=1,
                  model=model, adam_state=state, test=graphs[2:])
 
 
@@ -535,7 +532,7 @@ def test_checkpoint_with_adam_state_save_load_save_is_byte_identical(tmp_path):
     cfg = _tiny_cfg(n_ues=4)
     graphs = _graphs(cfg, 3)
     tc = tr.TrainConfig(dataset_size=3, epochs=2, lr=1e-2)
-    res = tr.train(graphs[:2], tc, tr.LossConfig(), DEFAULTS, seed=2,
+    res = tr.train(graphs[:2], tc, DEFAULTS, seed=2,
                    gat_cfg=gat.GatConfig(hidden_dim=4), test=graphs[2:])
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     shapes = shapes_of(res.model)
@@ -557,7 +554,7 @@ def test_divergence_is_reported_with_location():
     )
     with pytest.raises(TrainingDiverged, match="epoch"):
         tr.train(
-            graphs, tc, tr.LossConfig(), DEFAULTS, seed=0,
+            graphs, tc, DEFAULTS, seed=0,
             gat_cfg=gcfg, test=[],
         )
 
@@ -567,7 +564,7 @@ def test_mixed_cell_counts_rejected():
     b = _graphs(_tiny_cfg(n_cells=3, region=(2600.0, 2600.0)), 1, seed0=5)[0]
     tc = tr.TrainConfig(dataset_size=2, epochs=1)
     with pytest.raises(ContractError):
-        tr.train([a, b], tc, tr.LossConfig(), DEFAULTS, seed=0, test=[])
+        tr.train([a, b], tc, DEFAULTS, seed=0, test=[])
 
 
 def test_write_history_round_trips(tmp_path):
