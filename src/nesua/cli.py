@@ -4,9 +4,11 @@ Every command reads one merged configuration (file plus flag overrides),
 writes it back into the output directory, and keeps all numeric output
 free of timestamps so a rerun with the same settings reproduces the same
 bytes.  `eval` and both sweeps score every instance through one policy
-comparison, `_compare`; `eval` writes its rows, and a sweep aggregates
-them per grid point (`evaluate.write_sweep_csv`).  Exit codes: 0 success,
-2 configuration error, 3 I/O error, 4 numeric abort.
+comparison, `_compare`; `eval` writes its rows.  A sweep trains each grid
+point on the scenarios it draws, writing no dataset, and aggregates the
+rows of `eval.n_instances` held-out instances per point
+(`evaluate.write_sweep_csv`).  Exit codes: 0 success, 2 configuration
+error, 3 I/O error, 4 numeric abort.
 """
 
 from __future__ import annotations
@@ -66,13 +68,11 @@ def _scenarios(cfg: RunConfig):
     return iter_scenarios(cfg.scenario, range(cfg.seed, cfg.seed + cfg.train.dataset_size))
 
 
-def _write_dataset(cfg: RunConfig, out_dir, scenarios) -> tuple[str, int]:
-    """Write the scenarios into out_dir as dataset.jsonl, then the
-    manifest.json that `_load_pairs` checks it against; returns the
-    dataset's path and record count."""
-    os.makedirs(out_dir, exist_ok=True)
-    records = [to_record(s) for s in scenarios]
-    dataset_path = os.path.join(out_dir, "dataset.jsonl")
+def cmd_gen(cfg: RunConfig) -> int:
+    """Write dataset.jsonl, then the manifest.json `_load_pairs` checks it against."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    records = [to_record(s) for s in _scenarios(cfg)]
+    dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
     write_jsonl(dataset_path, records)
     manifest = {
         "config": cfg.stamp(),
@@ -80,14 +80,9 @@ def _write_dataset(cfg: RunConfig, out_dir, scenarios) -> tuple[str, int]:
         "seed": cfg.seed,
         "count": len(records),
     }
-    write_doc(os.path.join(out_dir, "manifest.json"), manifest)
-    return dataset_path, len(records)
-
-
-def cmd_gen(cfg: RunConfig) -> int:
-    dataset_path, count = _write_dataset(cfg, cfg.out_dir, _scenarios(cfg))
+    write_doc(os.path.join(cfg.out_dir, "manifest.json"), manifest)
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
-    print(f"wrote {count} records to {dataset_path}")
+    print(f"wrote {len(records)} records to {dataset_path}")
     return EXIT_OK
 
 
@@ -321,7 +316,8 @@ def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
 
 
 def _parse_grid(text: str) -> dict:
-    """Parse 'key=1,2;other=0.5,1' into {key: [values]}, each a JSON number."""
+    """Parse 'key=1,2;other=0.5,1' into {key: [values]}, each a JSON number,
+    with no key and no value of a key (by `==`: 20 is 20.0) given twice."""
     grid = {}
     for part in text.split(";"):
         part = part.strip()
@@ -330,6 +326,9 @@ def _parse_grid(text: str) -> dict:
         if "=" not in part:
             raise ConfigError(f"grid part {part!r} is not key=v1,v2,...")
         key, _, tail = part.partition("=")
+        key = key.strip()
+        if key in grid:
+            raise ConfigError(f"grid key {key!r} is given twice")
         try:  # JSON numbers, as a run file's
             values = json.loads(f"[{tail}]")
         except ValueError:
@@ -338,7 +337,9 @@ def _parse_grid(text: str) -> dict:
             raise ConfigError(f"grid value for key {key!r} is not a number in {tail!r}")
         for value in values:
             require_finite(value, f"grid value for key {key!r}")
-        grid[key.strip()] = values
+        if len(set(values)) != len(values):
+            raise ConfigError(f"grid key {key!r} repeats a value in {tail!r}")
+        grid[key] = values
     if not grid:
         raise ConfigError("empty grid")
     return grid
@@ -358,39 +359,34 @@ def _max_workers(n_points: int) -> int:
     return max(1, min(cap, n_points))
 
 
-def _train_point(payload) -> None:
-    """Sweep worker: train one point's config into its directory, on the
-    shared dataset when one is named, else on samples it generates and
-    writes there first."""
-    cfg_dict, dataset_path, sub_dir = payload
+def _train_point(cfg_dict: dict, sub_dir) -> None:
+    """Sweep worker: train one point's config into its directory on the
+    scenarios it draws, which `gen` writes from the point's config.json."""
     cfg = RunConfig.from_dict(cfg_dict)
-    if dataset_path is None:
+    pairs = []
+    for s in _scenarios(cfg):
         # training reads no per-PRB SINR, so the cube is not kept for it
-        scenarios = [dataclasses.replace(s, sinr_per_prb_db=None) for s in _scenarios(cfg)]
-        _write_dataset(cfg, sub_dir, scenarios)
-        pairs = [Sample(s, build_graph(s, cfg.scenario.gamma_th_db)) for s in scenarios]
-    else:
-        pairs = _load_pairs(dataset_path, cfg)
+        s = dataclasses.replace(s, sinr_per_prb_db=None)
+        pairs.append(Sample(s, build_graph(s, cfg.scenario.gamma_th_db)))
     _train_to_dir(cfg, pairs, sub_dir)
     with open(os.path.join(sub_dir, "DONE"), "w", encoding="utf-8") as fh:
         fh.write("ok\n")
 
 
-def _train_points(cfg: RunConfig, points, sub_dirs, dataset_path=None, config_path=None):
+def _train_points(cfg: RunConfig, points, config_path=None):
     """Train each sweep point's config into its directory.
 
     A point with a DONE file is reused only if its checkpoint_best.json
     stamps the point's config (`require_same`). Any other finished point
     raises ConfigError naming its directory before anything is written, so
     a sweep never scores models trained under another config. Then the
-    sweep's config.json is written, and the shared dataset at
-    `dataset_path` if it has no manifest yet, and `_train_point` workers
-    train the other points, up to `_max_workers` at a time.
+    sweep's config.json is written, and `_train_point` workers train the
+    other points, up to `_max_workers` at a time.
     """
     todo = []
-    for point_cfg, sub in zip(points, sub_dirs):
+    for sub, point_cfg, _ in points:
         if not os.path.exists(os.path.join(sub, "DONE")):
-            todo.append((point_cfg.to_dict(), dataset_path, sub))
+            todo.append((point_cfg.to_dict(), sub))
             continue
         best = os.path.join(sub, "checkpoint_best.json")
         where = f"finished sweep point {sub} (remove it, or sweep into another --out): {best}"
@@ -398,21 +394,20 @@ def _train_points(cfg: RunConfig, points, sub_dirs, dataset_path=None, config_pa
         require_same(where, stamped["config"], point_cfg.stamp(), config_path)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
-    if dataset_path and not os.path.exists(os.path.join(cfg.out_dir, "manifest.json")):
-        _write_dataset(cfg, cfg.out_dir, _scenarios(cfg))
     workers = _max_workers(len(todo))
     if workers == 1:
         for payload in todo:
-            _train_point(payload)
+            _train_point(*payload)
         return
     # imported here: the pool's import costs every other command time and memory
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(_train_point, todo))
+        list(pool.map(_train_point, *zip(*todo)))
 
 
 def _eval_samples(cfg: RunConfig, stats: FeatureStats) -> list:
+    """cfg's `eval.n_instances` held-out instances, normalized by `stats`."""
     samples = []
     first = cfg.seed + EVAL_SEED_OFFSET
     for s in iter_scenarios(cfg.scenario, range(first, first + cfg.eval.n_instances)):
@@ -433,63 +428,42 @@ def _with_grid_value(cfg: RunConfig, key: str, name: str, value) -> RunConfig:
 
 
 def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> int:
-    """Train every grid point, then score each point's model on its
-    instances with `_compare` and write one row per point."""
+    """Train every grid point on the scenarios it draws, then score the
+    point's model under each config it is scored at, with `_compare` on
+    that config's `eval.n_instances` held-out scenarios: one table row each."""
     grid = _parse_grid(grid_text)
-    points = []  # (swept values, model, instances), in table order
+    points = []  # (directory, trained config, [(swept values, scored config)])
     if kind == "bandwidth":
         if set(grid) != {"w", "k"}:
-            raise ConfigError(
-                f"bandwidth sweep grid needs keys w and k, got {sorted(grid)}"
-            )
-        ws, ks = grid["w"], grid["k"]
-        sub_dirs = [os.path.join(cfg.out_dir, f"w{w!r}") for w in ws]
-        point_cfgs = [_with_grid_value(cfg, "w", "bandwidth_mhz", w) for w in ws]
-        eval_cfgs = [[_with_grid_value(p, "k", "n_ues", k) for k in ks] for p in point_cfgs]
-        _train_points(cfg, point_cfgs, sub_dirs, config_path=config_path)
-        for w, sub, k_cfgs in zip(ws, sub_dirs, eval_cfgs):
-            model, stats = _load_model(os.path.join(sub, "checkpoint_best.json"))
-            for k, k_cfg in zip(ks, k_cfgs):
-                samples = _eval_samples(k_cfg, stats)
-                points.append(({"bandwidth_mhz": w, "n_ues": k}, model, samples))
+            raise ConfigError(f"bandwidth sweep grid needs keys w and k, got {sorted(grid)}")
+        for w in grid["w"]:
+            trained = _with_grid_value(cfg, "w", "bandwidth_mhz", w)
+            scored = [
+                ({"bandwidth_mhz": w, "n_ues": k}, _with_grid_value(trained, "k", "n_ues", k))
+                for k in grid["k"]
+            ]
+            points.append((os.path.join(cfg.out_dir, f"w{w!r}"), trained, scored))
         variable = "bandwidth"
     elif kind == "lambda":
         if set(grid) != {"ratio"}:
-            raise ConfigError(
-                f"lambda sweep grid needs key ratio, got {sorted(grid)}"
-            )
-        ratios = grid["ratio"]
-        sub_dirs = [os.path.join(cfg.out_dir, f"ratio{r!r}") for r in ratios]
-        point_cfgs = [
-            dataclasses.replace(
+            raise ConfigError(f"lambda sweep grid needs key ratio, got {sorted(grid)}")
+        for r in grid["ratio"]:
+            trained = dataclasses.replace(
                 cfg, train=dataclasses.replace(cfg.train, lambda2=r * cfg.train.lambda1)
             )
-            for r in ratios
-        ]
-        dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
-        _train_points(cfg, point_cfgs, sub_dirs, dataset_path, config_path)
-        # all ratios share the dataset, split, and normalization
-        pairs = _load_pairs(dataset_path, cfg, config_path)
-        numbers = {id(p.scenario): i for i, p in enumerate(pairs, 1)}
-        _, test_s, _ = split_and_normalize(pairs, cfg.train.split_fraction, cfg.seed)
-        samples = [
-            Sample(
-                _with_sinr_cube(p.scenario, numbers[id(p.scenario)], dataset_path, cfg),
-                p.graph,
-            )
-            for p in test_s
-        ]
-        for ratio, sub in zip(ratios, sub_dirs):
-            model = _load_model(os.path.join(sub, "checkpoint_best.json"))[0]
-            points.append(({"lambda_ratio": ratio}, model, samples))
+            sub = os.path.join(cfg.out_dir, f"ratio{r!r}")
+            points.append((sub, trained, [({"lambda_ratio": r}, trained)]))
         variable = "lambda_ratio"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown sweep kind {kind!r}")
 
-    table = [
-        (values, [_compare(sample, model, cfg)[0] for sample in samples])
-        for values, model, samples in points
-    ]
+    _train_points(cfg, points, config_path)
+    table = []
+    for sub, _, scored in points:
+        model, stats = _load_model(os.path.join(sub, "checkpoint_best.json"))
+        for values, scored_cfg in scored:
+            samples = _eval_samples(scored_cfg, stats)
+            table.append((values, [_compare(x, model, scored_cfg)[0] for x in samples]))
     path = write_sweep_csv(variable, table, cfg.scenario.n_cells, cfg.out_dir)
     print(f"sweep table written to {path}")
     return EXIT_OK

@@ -4,8 +4,8 @@ A run file is JSON with one object per section (`scenario`, `power`,
 `gat`, `train`, `eval`) plus global `seed` and `out_dir`.  Unknown keys
 are rejected so typos cannot silently fall back to defaults, a section
 must be a JSON object, keys typed `int` take JSON integers only, keys
-typed `float` and each `region` extent take finite JSON numbers only, and
-`str` and `bool` keys take JSON strings and booleans.
+typed `float` and each `region` extent take finite JSON numbers only,
+stored as floats, and `str` and `bool` keys take JSON strings and booleans.
 `RunConfig.stamp` is the merged configuration without `out_dir`:
 manifests and checkpoints store it, with its digest, and `require_same`
 checks a stamp read back from an artifact against the run config. Every
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import ORACLE_BUDGET
 from .codec import decode_array
 from .errors import ConfigError
 from .gat import GatConfig
@@ -38,8 +39,8 @@ class EvalConfig:
     subsinr_agg: str = "max"        # sub-band aggregation of the genie baseline
     # eval runs the exact oracle when N^K fits; a search on a larger
     # instance stops once it has visited this many nodes
-    oracle_budget: int = 10_000_000
-    n_instances: int = 50            # sweep-time test-set size per grid point
+    oracle_budget: int = ORACLE_BUDGET
+    n_instances: int = 50            # held-out instances a sweep scores per row
 
     def __post_init__(self):
         if self.subsinr_agg not in ("max", "mean_top8"):
@@ -97,14 +98,15 @@ def _build_section(cls, data: dict, name: str):
         value, where = data[f.name], f"{name}.{f.name}"
         if f.type == "int":
             _require_int(value, where)
-        elif f.type == "float":
+        elif f.type == "float":  # stored as a float, so an integer writes as one
             require_finite(value, where)
+            data[f.name] = float(value)
         elif f.type == "tuple":  # a JSON list
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
             for item in value:
                 require_finite(item, where)
-            data[f.name] = tuple(value)
+            data[f.name] = tuple(float(item) for item in value)
         elif type(value).__name__ != f.type:  # str and bool keys
             kind = "string" if f.type == "str" else "boolean"
             raise ConfigError(f"{where} must be a JSON {kind}, got {value!r}")

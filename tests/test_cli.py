@@ -12,7 +12,6 @@ from nesua.codec import decode_array, encode_array
 from nesua.config import RunConfig
 from nesua.errors import ConfigError
 from nesua.scenario import generate_scenario, to_record, write_jsonl
-from nesua.training import split_and_normalize
 
 from helpers import reference_generate_scenario
 
@@ -245,9 +244,11 @@ def test_train_zero_epochs_equals_initialization(tmp_path):
         assert np.array_equal(view, init.params[name])
 
 
-def test_train_resume_matches_uninterrupted_run(tmp_path):
-    cfg_full = _write_cfg(tmp_path, name="full.json", train={"epochs": 4})
-    cfg_half = _write_cfg(tmp_path, name="half.json", train={"epochs": 2})
+def _resume_matches_straight(tmp_path, epochs, **train):
+    """Train to epochs // 2, resume to `epochs`, and compare with a run
+    trained straight to `epochs`."""
+    cfg_full = _write_cfg(tmp_path, name="full.json", train={**train, "epochs": epochs})
+    cfg_half = _write_cfg(tmp_path, name="half.json", train={**train, "epochs": epochs // 2})
     _, run_full = _gen_and_train(tmp_path, cfg_full, out_name="full")
     data_dir, run_half = _gen_and_train(tmp_path, cfg_half, out_name="half")
     resumed = tmp_path / "resumed"
@@ -257,10 +258,18 @@ def test_train_resume_matches_uninterrupted_run(tmp_path):
         "--checkpoint", str(run_half / "checkpoint_last.json"),
     ])
     assert code == 0
-    assert _read(resumed / "history.csv") == _read(run_full / "history.csv")
-    assert _read(resumed / "checkpoint_last.json") == _read(
-        run_full / "checkpoint_last.json"
-    )
+    for name in ("history.csv", "checkpoint_last.json"):
+        assert _read(resumed / name) == _read(run_full / name), name
+
+
+def test_train_resume_matches_uninterrupted_run(tmp_path):
+    _resume_matches_straight(tmp_path, 4)
+
+
+def test_an_integer_lr_resumes_like_a_straight_run(tmp_path):
+    # a float key given as a JSON integer is stored as a float, so the lr
+    # of the history rows a resume reads back is written as in the new ones
+    _resume_matches_straight(tmp_path, 2, lr=1)
 
 
 def test_resume_under_other_optimizer_settings_exits_2(tmp_path, capsys):
@@ -564,24 +573,25 @@ def test_sweep_bandwidth_trains_on_the_samples_it_generated(tmp_path, monkeypatc
     out = tmp_path / "sw"
 
     def no_decoding(*args, **kwargs):
-        raise AssertionError("the bandwidth sweep decoded a record it had made")
+        raise AssertionError("a sweep decoded a record")
 
     with monkeypatch.context() as patched:
         patched.setattr(cli, "from_record", no_decoding)
-        code = cli.main([
-            "sweep", "bandwidth", "--config", cfg, "--out", str(out),
-            "--grid", "w=20,40;k=2",
-        ])
-    assert code == 0
-    assert len(list(out.glob("sweep_bandwidth_*.csv"))) == 1
-    # training on the records read back, as sub-runs did before, gives the
-    # same bytes
-    for point in ("w20", "w40"):
+        for kind, grid in (("bandwidth", "w=20,40;k=2"), ("lambda", "ratio=1")):
+            code = cli.main(["sweep", kind, "--config", cfg, "--out", str(out), "--grid", grid])
+            assert code == 0
+    assert len(list(out.glob("sweep_*.csv"))) == 2
+    assert not list(out.rglob("dataset.jsonl")) and not list(out.rglob("manifest.json"))
+    # `gen` and `train` from a point's config.json give its bytes
+    for point in ("w20", "ratio1"):
         sub = out / point
-        run_cfg = RunConfig.from_dict(json.loads((sub / "config.json").read_text()))
-        again = tmp_path / f"again_{point}"
-        cli._train_to_dir(run_cfg, cli._load_pairs(str(sub / "dataset.jsonl"), run_cfg),
-                          str(again))
+        point_cfg = str(sub / "config.json")
+        data, again = tmp_path / f"data_{point}", tmp_path / f"again_{point}"
+        assert cli.main(["gen", "--config", point_cfg, "--out", str(data)]) == 0
+        assert cli.main([
+            "train", "--config", point_cfg, "--out", str(again),
+            "--dataset", str(data / "dataset.jsonl"),
+        ]) == 0
         for name in ("history.csv", "checkpoint_last.json", "checkpoint_best.json"):
             assert _read(sub / name) == _read(again / name), f"{point}/{name}"
 
@@ -603,44 +613,50 @@ def test_sweep_lambda_end_to_end(tmp_path):
     assert lines[0].split(",")[0] == "lambda_ratio"
 
 
-def test_sweep_and_eval_score_alike(tmp_path):
-    # eval of one lambda point's model on the sweep's shared dataset scores
-    # the test-split records as the sweep row of that point does
-    cfg = _sweep_cfg(tmp_path, train={"dataset_size": 10})
+@pytest.mark.parametrize(
+    "kind, grid, point, values, over",
+    [
+        ("lambda", "ratio=0,1", "ratio1", {"lambda_ratio": "1"}, {}),
+        ("bandwidth", "w=20;k=2,3", "w20", {"bandwidth_mhz": "20", "n_ues": "2"},
+         {"n_ues": 2}),
+    ],
+    ids=["lambda", "bandwidth"],
+)
+def test_sweep_and_eval_score_alike(tmp_path, kind, grid, point, values, over):
+    # eval of a point's model on the held-out scenarios, written by gen,
+    # scores them as the sweep row does
+    cfg = _sweep_cfg(tmp_path)
     out = tmp_path / "sw"
+    assert cli.main(["sweep", kind, "--config", cfg, "--out", str(out), "--grid", grid]) == 0
+    doc = json.loads((out / point / "config.json").read_text())
+    doc["scenario"].update(over)
+    doc["train"]["dataset_size"] = doc["eval"]["n_instances"]
+    scored = tmp_path / "scored.json"
+    scored.write_text(json.dumps(doc))
+    data = tmp_path / "held_out"
+    seed = str(doc["seed"] + cli.EVAL_SEED_OFFSET)
+    assert cli.main(["gen", "--config", str(scored), "--seed", seed, "--out", str(data)]) == 0
     code = cli.main([
-        "sweep", "lambda", "--config", cfg, "--out", str(out),
-        "--grid", "ratio=0,1",
+        "eval", "--config", str(scored), "--out", str(tmp_path / "ev"),
+        "--dataset", str(data / "dataset.jsonl"),
+        "--checkpoint", str(out / point / "checkpoint_best.json"),
     ])
     assert code == 0
-    dataset = out / "dataset.jsonl"
-    code = cli.main([
-        "eval", "--config", cfg, "--out", str(tmp_path / "ev"),
-        "--dataset", str(dataset),
-        "--checkpoint", str(out / "ratio1" / "checkpoint_best.json"),
-    ])
-    assert code == 0
-    run_cfg = RunConfig.from_dict(json.loads((out / "config.json").read_text()))
-    _, test_s, _ = split_and_normalize(
-        cli._load_pairs(str(dataset), run_cfg), run_cfg.train.split_fraction, run_cfg.seed
-    )
-    test_seeds = {str(p.scenario.seed) for p in test_s}
     lines = (tmp_path / "ev" / "eval.csv").read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    rows = [row for row in rows if row["seed"] in test_seeds]
-    assert len(rows) == len(test_seeds) == 2
-    (table,) = out.glob("sweep_lambda_ratio_*.csv")
+    assert len(rows) == 2
+    (table,) = out.glob("sweep_*.csv")
     lines = table.read_text().splitlines()
     header = lines[0].split(",")
-    point = next(
+    row = next(
         row for row in (dict(zip(header, line.split(","))) for line in lines[1:])
-        if row["lambda_ratio"] == "1"
+        if all(row[key] == value for key, value in values.items())
     )
-    assert point["n_instances"] == "2"
+    assert row["n_instances"] == "2"
     for col in ("gnn_power_w", "rsrp_power_w", "subsinr_power_w"):
-        mean = sum(float(row[col]) for row in rows) / len(rows)
-        assert mean == pytest.approx(float(point[f"mean_{col}"]), rel=1e-12), col
+        mean = sum(float(r[col]) for r in rows) / len(rows)
+        assert mean == pytest.approx(float(row[f"mean_{col}"]), rel=1e-12), col
 
 
 def test_sweep_resume_skips_completed_points(tmp_path):
@@ -686,6 +702,16 @@ def test_bad_grid_exits_2(tmp_path, capsys):
                      "--grid", "w=20,x;k=2"]) == 2
     assert cli.main(["sweep", "lambda", "--config", cfg, "--out", out,
                      "--grid", ""]) == 2
+    # a repeated key would sweep only its last values, and a repeated
+    # value would train two points into one directory
+    capsys.readouterr()
+    assert cli.main(["sweep", "bandwidth", "--config", cfg, "--out", out,
+                     "--grid", "w=20;w=40;k=3"]) == 2
+    assert "grid key 'w' is given twice" in capsys.readouterr().err
+    assert cli.main(["sweep", "bandwidth", "--config", cfg, "--out", out,
+                     "--grid", "w=20,20.0;k=3"]) == 2
+    assert "grid key 'w' repeats a value" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_bad_thread_env_exits_2(tmp_path, monkeypatch):
@@ -938,23 +964,6 @@ def test_old_decimal_list_artifacts_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert str(dataset) in err and "record 2" in err
-
-
-def test_sweep_lambda_checks_shared_dataset_count(tmp_path, capsys):
-    cfg = _sweep_cfg(tmp_path)
-    out = tmp_path / "sw"
-    assert cli.main(["gen", "--config", cfg, "--out", str(out)]) == 0
-    dataset = out / "dataset.jsonl"
-    lines = dataset.read_text().splitlines()
-    dataset.write_text("\n".join(lines[:-1]) + "\n")
-    capsys.readouterr()
-    code = cli.main([
-        "sweep", "lambda", "--config", cfg, "--out", str(out),
-        "--grid", "ratio=0",
-    ])
-    assert code == 2
-    assert str(out / "manifest.json") in capsys.readouterr().err
-    assert not (out / "ratio0" / "DONE").exists()
 
 
 @pytest.mark.parametrize(
