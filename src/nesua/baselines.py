@@ -52,17 +52,17 @@ def associate_rsrp(s: Scenario) -> HardAssociation:
 def associate_ga_subsinr(s: Scenario, agg: str = "max") -> HardAssociation:
     """Each UE on the cell with the best per-PRB SINR profile.
 
-    agg picks the profile summary: the single best PRB, or the linear
-    mean of the best eight. A scenario read back from a dataset record
-    carries no per-PRB SINR and raises ContractError; regenerate it from
-    its seed first.
+    agg picks the profile summary of the linear per-PRB SINR: the single
+    best PRB, or the mean of the best eight. A scenario read back from a
+    dataset record carries no per-PRB SINR and raises ContractError;
+    regenerate it from its seed first.
     """
-    if s.sinr_per_prb_db is None:
+    lin = s.sinr_per_prb
+    if lin is None:
         raise ContractError(
             f"scenario seed {s.seed} carries no per-PRB SINR: dataset records "
             f"do not store it, regenerate the scenario from its seed"
         )
-    lin = 10.0 ** (s.sinr_per_prb_db / 10.0)
     if agg == "max":
         score = lin.max(axis=2)
     elif agg == "mean_top8":

@@ -144,7 +144,7 @@ def _with_sinr_cube(s, number, dataset_path, cfg: RunConfig):
                 f"dataset {dataset_path} record {number}: stored {key} is not "
                 f"what seed {s.seed} generates under the run config"
             )
-    return dataclasses.replace(s, sinr_per_prb_db=fresh.sinr_per_prb_db)
+    return dataclasses.replace(s, sinr_per_prb=fresh.sinr_per_prb)
 
 
 def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=None):
@@ -366,7 +366,7 @@ def _train_point(cfg_dict: dict, sub_dir) -> None:
     pairs = []
     for s in _scenarios(cfg):
         # training reads no per-PRB SINR, so the cube is not kept for it
-        s = dataclasses.replace(s, sinr_per_prb_db=None)
+        s = dataclasses.replace(s, sinr_per_prb=None)
         pairs.append(Sample(s, build_graph(s, cfg.scenario.gamma_th_db)))
     _train_to_dir(cfg, pairs, sub_dir)
     with open(os.path.join(sub_dir, "DONE"), "w", encoding="utf-8") as fh:

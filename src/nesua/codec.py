@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
-# the element types nesua stores: float64 and int64
+# the element types the codec writes and reads: float64 and int64
 DTYPES = ("<f8", "<i8")
 
 

@@ -136,13 +136,12 @@ MANIFEST = {
 }
 RECORD = {
     "seed": Key("int", low=0),
-    "bs_xy": Key("array", dtype="<f8", shape=("n_cells", 2)),
     "ue_xy": Key("array", dtype="<f8", shape=("n_ues", 2)),
     "sinr_db": Key("array", dtype="<f8", shape=_GRID),
     "rsrp_dbm": Key("array", dtype="<f8", shape=_GRID),
-    "prb": Key("array", dtype="<i8", shape=_GRID),
-    # earlier datasets: the manifest's digest and the graph
-    "config_digest": UNREAD, "adj": UNREAD, "feat": UNREAD,
+    # earlier datasets: the manifest's digest, the graph, the cell layout
+    # and the PRB demand
+    "config_digest": UNREAD, "adj": UNREAD, "feat": UNREAD, "bs_xy": UNREAD, "prb": UNREAD,
 }
 # every read of a checkpoint: the architecture and the named parameters,
 # whose layout `gat.load_checkpoint` checks against the architecture's

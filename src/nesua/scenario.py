@@ -113,10 +113,10 @@ class Scenario:
     ue_positions: np.ndarray       # (K, 2) m
     distance: np.ndarray           # (K, N) m, 3-D including antenna heights
     sinr_wideband_db: np.ndarray   # (K, N)
-    # (K, N, n_prb_total); None in a scenario read back by `from_record`,
-    # since records do not store it: `generate_scenario` at the same seed
-    # and config rebuilds it
-    sinr_per_prb_db: np.ndarray | None
+    # (K, N, n_prb_total) linear ratio; None in a scenario read back by
+    # `from_record`, since records do not store it: `generate_scenario` at
+    # the same seed and config rebuilds it
+    sinr_per_prb: np.ndarray | None
     rsrp_dbm: np.ndarray           # (K, N)
     prb_demand: np.ndarray         # (K, N) int, in [1, n_prb_total]
     n_prb_total: int
@@ -288,12 +288,11 @@ def generate_scenarios(cfg: ScenarioConfig, seeds, fading: bool = True) -> list[
     same_group = groups[None, :] == groups[:, None]  # (N, N)
     interferers = same_group & ~np.eye(cfg.n_cells, dtype=bool)
     # interference at UE k for serving cell n: co-channel received powers;
-    # the buffer then holds the SINR, then its dB values
+    # the buffer then holds the SINR
     sinr = np.einsum("bkmt,nm->bknt", rx_mw, interferers.astype(float))
     np.add(noise_mw, sinr, out=sinr)
     np.divide(rx_mw, sinr, out=sinr)
     sinr_wideband_db = 10.0 * np.log10(sinr.mean(axis=3))
-    sinr_per_prb_db = np.multiply(10.0, np.log10(sinr, out=sinr), out=sinr)
     rsrp_dbm = cfg.tx_power_dbm - pathloss_db - shadow_db
     prb_demand = _prb_demand(sinr_wideband_db, cfg.ue_demand_mbps, cfg, t)
 
@@ -304,7 +303,7 @@ def generate_scenarios(cfg: ScenarioConfig, seeds, fading: bool = True) -> list[
             ue_positions=ue[i],
             distance=dist[i],
             sinr_wideband_db=sinr_wideband_db[i],
-            sinr_per_prb_db=sinr_per_prb_db[i],
+            sinr_per_prb=sinr[i],
             rsrp_dbm=rsrp_dbm[i],
             prb_demand=prb_demand[i],
             n_prb_total=t,
@@ -319,19 +318,13 @@ def _distance(ue, bs, cfg: ScenarioConfig) -> np.ndarray:
     return np.sqrt(dh**2 + (cfg.h_tx_m - cfg.h_ue_m) ** 2)
 
 
-def compute_prb_demand(
-    s: Scenario, demand_mbps: float, cfg: ScenarioConfig
-) -> np.ndarray:
-    """PRBs UE k would need at cell n to carry its demand.
+def _prb_demand(sinr_wideband_db, demand_mbps, cfg: ScenarioConfig, n_prb_total):
+    """PRBs UE k would need at cell n to carry its demand, over a wideband
+    SINR array of any shape.
 
     Capped-Shannon rate per PRB from the wideband SINR; always at least
     one PRB, never more than a full carrier.
     """
-    return _prb_demand(s.sinr_wideband_db, demand_mbps, cfg, s.n_prb_total)
-
-
-def _prb_demand(sinr_wideband_db, demand_mbps, cfg: ScenarioConfig, n_prb_total):
-    """`compute_prb_demand` over a wideband SINR array of any shape."""
     if demand_mbps <= 0:
         raise ContractError(f"demand_mbps must be > 0, got {demand_mbps}")
     sinr_lin = 10.0 ** (sinr_wideband_db / 10.0)
@@ -393,20 +386,20 @@ def normalize_features(g: GraphInstance, stats: FeatureStats) -> GraphInstance:
 # dataset serialization: one self-describing record per line, every array
 # field encoded exactly by `codec.encode_array`
 
-# record key -> Scenario field, for every scenario array a record stores
+# record key -> Scenario field, for every scenario array a record stores:
+# those the seed's draws decide
 RECORD_FIELDS = {
-    "bs_xy": "bs_positions",
     "ue_xy": "ue_positions",
     "sinr_db": "sinr_wideband_db",
     "rsrp_dbm": "rsrp_dbm",
-    "prb": "prb_demand",
 }
 
 
 def to_record(s: Scenario) -> dict:
     """One dataset line: the seed and the scenario arrays named in
-    `RECORD_FIELDS`. Nothing derived is stored: distance, the per-PRB SINR
-    cube and the graph follow from these and the config."""
+    `RECORD_FIELDS`. Nothing derived is stored: the cell layout, distance,
+    PRB demand, the per-PRB SINR cube and the graph follow from these and
+    the config."""
     return {
         "seed": int(s.seed),
         **{key: encode_array(getattr(s, name)) for key, name in RECORD_FIELDS.items()},
@@ -414,18 +407,23 @@ def to_record(s: Scenario) -> dict:
 
 
 def from_record(rec: dict, cfg: ScenarioConfig, where: str = "record") -> Scenario:
-    """Rebuild the scenario; distance comes back from geometry, and
-    `sinr_per_prb_db` is None. The record is read by the `config.RECORD`
-    table, so one `to_record` cannot have written under cfg raises
-    ConfigError naming `where` and the key."""
+    """Rebuild the scenario; the cell layout, distance and PRB demand come
+    back from the config and the stored arrays, as `generate_scenarios`
+    computes them, and `sinr_per_prb` is None. The record is read by the
+    `config.RECORD` table, so one `to_record` cannot have written under
+    cfg raises ConfigError naming `where` and the key."""
     from .config import RECORD, read_artifact  # config imports this module
 
     arr = read_artifact(rec, RECORD, where, n_cells=cfg.n_cells, n_ues=cfg.n_ues)
+    bs = hex_layout(cfg.n_cells, cfg.inter_site_distance, cfg.region)
+    t = cfg.n_prb_total
     return Scenario(
         seed=arr["seed"],
-        distance=_distance(arr["ue_xy"], arr["bs_xy"], cfg),
-        sinr_per_prb_db=None,
-        n_prb_total=cfg.n_prb_total,
+        bs_positions=bs,
+        distance=_distance(arr["ue_xy"], bs, cfg),
+        sinr_per_prb=None,
+        prb_demand=_prb_demand(arr["sinr_db"], cfg.ue_demand_mbps, cfg, t),
+        n_prb_total=t,
         **{name: arr[key] for key, name in RECORD_FIELDS.items()},
     )
 

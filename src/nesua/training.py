@@ -209,6 +209,8 @@ def train(
 
         mean_train = float(np.mean(epoch_losses))
         mean_test = _mean_loss(test_set, model, tc, params)
+        if test_set and not math.isfinite(mean_test):
+            raise TrainingDiverged(f"non-finite test-split loss at epoch {epoch}")
         history.append((epoch, mean_train, mean_test, tc.lr))
 
         selector = mean_test if test_set else mean_train

@@ -18,8 +18,8 @@ from nesua.errors import ContractError, ShapeError
 from nesua.power import network_power_hard, radio_coefficients
 from nesua.scenario import (
     Scenario,
+    _prb_demand,
     build_graph,
-    compute_prb_demand,
     free_space_reference_db,
     hex_layout,
     iter_scenarios,
@@ -760,6 +760,13 @@ def enumerate_oracle(prb, n_prb_total, p, chunk=1 << 16):
     return assignment, power_w, found
 
 
+def compute_prb_demand(s, demand_mbps, cfg):
+    """PRBs each UE needs at each cell to carry `demand_mbps`: the demand
+    kernel `generate_scenarios` and `from_record` share, over the
+    scenario's wideband SINR."""
+    return _prb_demand(s.sinr_wideband_db, demand_mbps, cfg, s.n_prb_total)
+
+
 def reference_generate_scenario(cfg, seed, fading=True):
     """Reference scenario draw, one seed at a time, that
     `scenario.generate_scenarios` must match bit for bit in every field."""
@@ -791,7 +798,6 @@ def reference_generate_scenario(cfg, seed, fading=True):
     interf_mw = np.einsum("kmt,nm->knt", rx_mw, interferers.astype(float))
     sinr_lin = rx_mw / (noise_mw + interf_mw)
 
-    sinr_per_prb_db = 10.0 * np.log10(sinr_lin)
     sinr_wideband_db = 10.0 * np.log10(sinr_lin.mean(axis=2))
     rsrp_dbm = cfg.tx_power_dbm - pathloss_db - shadow_db
 
@@ -801,7 +807,7 @@ def reference_generate_scenario(cfg, seed, fading=True):
         ue_positions=ue,
         distance=dist,
         sinr_wideband_db=sinr_wideband_db,
-        sinr_per_prb_db=sinr_per_prb_db,
+        sinr_per_prb=sinr_lin,
         rsrp_dbm=rsrp_dbm,
         prb_demand=np.zeros_like(dist, dtype=np.int64),
         n_prb_total=t,

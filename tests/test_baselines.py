@@ -16,19 +16,20 @@ from nesua.power import PowerParams, network_power_hard
 DEFAULTS = PowerParams()
 
 
-def _scenario(sinr_db=None, rsrp=None, per_prb=None, prb=None, t=51):
+def _scenario(sinr_db=None, rsrp=None, per_prb_db=None, prb=None, t=51):
+    # hand cases give the per-PRB SINR in dB; a scenario holds it linear
     if sinr_db is None:
-        sinr_db = 10.0 * np.log10((10.0 ** (per_prb / 10.0)).mean(axis=2))
+        sinr_db = 10.0 * np.log10((10.0 ** (per_prb_db / 10.0)).mean(axis=2))
     k, n = sinr_db.shape
-    if per_prb is None:
-        per_prb = np.repeat(sinr_db[:, :, None], 3, axis=2)
+    if per_prb_db is None:
+        per_prb_db = np.repeat(sinr_db[:, :, None], 3, axis=2)
     return sc.Scenario(
         seed=0,
         bs_positions=np.zeros((n, 2)),
         ue_positions=np.zeros((k, 2)),
         distance=np.ones((k, n)),
         sinr_wideband_db=sinr_db,
-        sinr_per_prb_db=per_prb,
+        sinr_per_prb=10.0 ** (per_prb_db / 10.0),
         rsrp_dbm=sinr_db.copy() if rsrp is None else rsrp,
         prb_demand=np.ones((k, n), dtype=np.int64) if prb is None else prb,
         n_prb_total=t,
@@ -56,7 +57,7 @@ def test_rsrp_follows_distance_without_shadowing():
 
 def test_ga_subsinr_single_cell():
     per = np.zeros((4, 1, 5))
-    s = _scenario(per_prb=per)
+    s = _scenario(per_prb_db=per)
     assert bl.associate_ga_subsinr(s).assignment.tolist() == [0, 0, 0, 0]
 
 
@@ -65,7 +66,7 @@ def test_ga_subsinr_prefers_one_clean_prb():
     per = np.zeros((1, 2, 4))
     per[0, 0] = [10.0, 10.0, 10.0, 10.0]
     per[0, 1] = [-20.0, -20.0, 15.0, -20.0]
-    s = _scenario(per_prb=per)
+    s = _scenario(per_prb_db=per)
     assert bl.associate_ga_subsinr(s).assignment.tolist() == [1]
     # the wideband view disagrees: mean favors cell 0
     assert np.argmax(s.sinr_wideband_db[0]) == 0
@@ -73,7 +74,7 @@ def test_ga_subsinr_prefers_one_clean_prb():
 
 def test_ga_subsinr_tie_and_agg_switch():
     per = np.tile(np.linspace(0.0, 3.0, 6), (2, 3, 1))
-    s = _scenario(per_prb=per)
+    s = _scenario(per_prb_db=per)
     assert bl.associate_ga_subsinr(s).assignment.tolist() == [0, 0]
     assert bl.associate_ga_subsinr(s, agg="mean_top8").assignment.tolist() == [0, 0]
     with pytest.raises(ConfigError):
@@ -85,14 +86,14 @@ def test_ga_subsinr_mean_top8_can_differ_from_max():
     per[0, 0] = 8.0            # uniformly strong
     per[0, 1] = -30.0
     per[0, 1, 0] = 9.0         # one lucky PRB, rest dreadful
-    s = _scenario(per_prb=per)
+    s = _scenario(per_prb_db=per)
     assert bl.associate_ga_subsinr(s, agg="max").assignment.tolist() == [1]
     assert bl.associate_ga_subsinr(s, agg="mean_top8").assignment.tolist() == [0]
 
 
 def test_ga_subsinr_refuses_a_scenario_without_its_cube():
     s = dataclasses.replace(
-        _scenario(sinr_db=np.zeros((2, 3))), seed=41, sinr_per_prb_db=None
+        _scenario(sinr_db=np.zeros((2, 3))), seed=41, sinr_per_prb=None
     )
     with pytest.raises(ContractError, match="seed 41"):
         bl.associate_ga_subsinr(s)
@@ -313,3 +314,22 @@ def test_hard_association_matrix_is_one_hot():
     m = a.as_matrix()
     np.testing.assert_array_equal(m.sum(axis=1), np.ones(3))
     np.testing.assert_array_equal(m[0], [0, 0, 1.0])
+
+
+# a scenario holds the per-PRB SINR as a linear ratio; the GA baseline
+# used to read it back from dB, and picks the same cells without the trip
+@pytest.mark.parametrize("agg", ["max", "mean_top8"])
+@pytest.mark.parametrize("n_ues, n_cells, bandwidth_mhz", [
+    (7, 3, 20.0), (7, 7, 80.0), (50, 7, 20.0), (100, 3, 80.0),
+])
+def test_ga_subsinr_on_the_linear_cube_equals_it_through_db(
+    agg, n_ues, n_cells, bandwidth_mhz
+):
+    cfg = sc.ScenarioConfig(n_ues=n_ues, n_cells=n_cells, bandwidth_mhz=bandwidth_mhz)
+    for s in sc.iter_scenarios(cfg, range(300, 400)):
+        cube_db = np.multiply(10.0, np.log10(s.sinr_per_prb))
+        via_db = dataclasses.replace(s, sinr_per_prb=10.0 ** (cube_db / 10.0))
+        assert (
+            bl.associate_ga_subsinr(s, agg).assignment.tobytes()
+            == bl.associate_ga_subsinr(via_db, agg).assignment.tobytes()
+        ), s.seed

@@ -435,6 +435,27 @@ def test_divergence_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_non_finite_test_split_loss_exits_4_writing_nothing(tmp_path, capsys):
+    # one training instance: its one step is finite, and then the huge
+    # learning rate makes the test instance's loss overflow
+    cfg = _write_cfg(
+        tmp_path,
+        gat={"activation": "identity", "readout_activation": "identity"},
+        train={"dataset_size": 2, "lr": 1e200, "epochs": 1},
+    )
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg, "--out", str(data_dir)]) == 0
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "run"),
+        "--dataset", str(data_dir / "dataset.jsonl"),
+    ])
+    assert code == 4
+    assert "test-split loss at epoch 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_table_includes_all_four_policies(tmp_path):
     cfg = _write_cfg(tmp_path, scenario={"n_ues": 4})
     data_dir, run_dir = _gen_and_train(tmp_path, cfg)
@@ -1095,13 +1116,48 @@ def test_eval_rebuilds_the_sinr_cube_from_the_record_seed(tmp_path):
     pairs = cli._load_pairs(dataset, cfg)
     assert len(pairs) == 6
     for number, sample in enumerate(pairs, 1):
-        assert sample.scenario.sinr_per_prb_db is None
+        assert sample.scenario.sinr_per_prb is None
         rebuilt = cli._with_sinr_cube(sample.scenario, number, dataset, cfg)
         fresh = generate_scenario(cfg.scenario, sample.scenario.seed)
-        cube = rebuilt.sinr_per_prb_db
-        assert cube.dtype == fresh.sinr_per_prb_db.dtype
-        assert cube.shape == fresh.sinr_per_prb_db.shape
-        assert cube.tobytes() == fresh.sinr_per_prb_db.tobytes()
+        cube = rebuilt.sinr_per_prb
+        assert cube.dtype == fresh.sinr_per_prb.dtype
+        assert cube.shape == fresh.sinr_per_prb.shape
+        assert cube.tobytes() == fresh.sinr_per_prb.tobytes()
+
+
+def test_a_dataset_in_the_earlier_five_array_format_trains_and_evals_alike(tmp_path):
+    # records used to store the cell layout (`bs_xy`) and the PRB demand
+    # (`prb`) as well; every output of train and eval on such a dataset is
+    # the bytes of the one on the dataset gen writes now
+    cfg_path = _write_cfg(tmp_path, scenario={"n_ues": 4})
+    cfg = RunConfig.from_dict(_cfg_dict(scenario={"n_ues": 4}))
+    new = tmp_path / "new"
+    assert cli.main(["gen", "--config", cfg_path, "--out", str(new)]) == 0
+    old = tmp_path / "old"
+    old.mkdir()
+    for name in ("manifest.json", "config.json"):
+        (old / name).write_bytes(_read(new / name))
+    records = []
+    for line in (new / "dataset.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        s = generate_scenario(cfg.scenario, rec["seed"])
+        records.append({**rec, "bs_xy": encode_array(s.bs_positions),
+                        "prb": encode_array(s.prb_demand)})
+    write_jsonl(old / "dataset.jsonl", records)
+    outputs = {}
+    for data in (new, old):
+        dataset = str(data / "dataset.jsonl")
+        run, ev = tmp_path / f"{data.name}_run", tmp_path / f"{data.name}_ev"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(run),
+                         "--dataset", dataset]) == 0
+        assert cli.main(["eval", "--config", cfg_path, "--out", str(ev), "--dataset", dataset,
+                         "--checkpoint", str(run / "checkpoint_best.json")]) == 0
+        outputs[data.name] = {
+            f"{d.name[len(data.name):]}/{f}": _read(d / f)
+            for d in (run, ev) for f in sorted(os.listdir(d))
+        }
+    assert "_ev/eval.csv" in outputs["new"]
+    assert outputs["old"] == outputs["new"]
 
 
 def test_train_never_regenerates_a_scenario(tmp_path, monkeypatch):

@@ -39,7 +39,7 @@ def _hand_scenario(prb_demand, n_prb_total=10):
         ue_positions=np.arange(2 * k, dtype=np.float64).reshape(k, 2),
         distance=np.ones((k, n)),
         sinr_wideband_db=np.zeros((k, n)),
-        sinr_per_prb_db=np.zeros((k, n, n_prb_total)),
+        sinr_per_prb=np.ones((k, n, n_prb_total)),
         rsrp_dbm=np.zeros((k, n)),
         prb_demand=prb,
         n_prb_total=n_prb_total,

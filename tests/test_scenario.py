@@ -13,7 +13,7 @@ from nesua.codec import decode_array, encode_array
 from nesua.config import NORM_STATS, read_artifact
 from nesua.errors import ConfigError, ContractError
 
-from helpers import reference_generate_scenario
+from helpers import compute_prb_demand, reference_generate_scenario
 
 
 def small_cfg(**kw):
@@ -100,7 +100,7 @@ def test_generate_is_deterministic():
     cfg = small_cfg()
     a = sc.generate_scenario(cfg, 123)
     b = sc.generate_scenario(cfg, 123)
-    for name in ("ue_positions", "sinr_per_prb_db", "rsrp_dbm", "prb_demand"):
+    for name in ("ue_positions", "sinr_per_prb", "rsrp_dbm", "prb_demand"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     c = sc.generate_scenario(cfg, 124)
     assert not np.array_equal(a.ue_positions, c.ue_positions)
@@ -112,7 +112,7 @@ def test_generate_shapes_and_prb_count():
     assert s.bs_positions.shape == (7, 2)
     assert s.ue_positions.shape == (50, 2)
     assert s.n_prb_total == 51
-    assert s.sinr_per_prb_db.shape == (50, 7, 51)
+    assert s.sinr_per_prb.shape == (50, 7, 51)
     assert s.prb_demand.shape == (50, 7)
 
 
@@ -124,10 +124,9 @@ def test_distances_are_three_dimensional():
 
 def test_wideband_sinr_is_linear_mean_of_per_prb():
     s = sc.generate_scenario(small_cfg(), 5)
-    lin = 10.0 ** (s.sinr_per_prb_db / 10.0)
-    wide = 10.0 * np.log10(lin.mean(axis=2))
+    wide = 10.0 * np.log10(s.sinr_per_prb.mean(axis=2))
     np.testing.assert_allclose(wide, s.sinr_wideband_db, rtol=1e-9)
-    assert np.isfinite(s.sinr_per_prb_db).all()
+    assert np.isfinite(s.sinr_per_prb).all() and (s.sinr_per_prb > 0).all()
 
 
 def test_single_cell_sinr_reduces_to_snr():
@@ -166,7 +165,7 @@ def test_prb_demand_bounds_and_examples():
         }
     )
     demand_mbps = 4.0 * cfg.prb_bandwidth_hz / 1e6
-    assert (sc.compute_prb_demand(probe, demand_mbps, cfg) == 1).all()
+    assert (compute_prb_demand(probe, demand_mbps, cfg) == 1).all()
 
     # vanishing SINR: the carrier-size cap binds
     probe_lo = type(base)(
@@ -175,7 +174,7 @@ def test_prb_demand_bounds_and_examples():
             "sinr_wideband_db": np.full((1, 3), -300.0),
         }
     )
-    assert (sc.compute_prb_demand(probe_lo, 5.0, cfg) == base.n_prb_total).all()
+    assert (compute_prb_demand(probe_lo, 5.0, cfg) == base.n_prb_total).all()
 
     # 5 Mbit/s at spectral efficiency 2 -> ceil(5e6 / 720e3) = 7
     probe_se2 = type(base)(
@@ -184,10 +183,10 @@ def test_prb_demand_bounds_and_examples():
             "sinr_wideband_db": np.full((1, 3), 10.0 * math.log10(3.0)),
         }
     )
-    assert (sc.compute_prb_demand(probe_se2, 5.0, cfg) == 7).all()
+    assert (compute_prb_demand(probe_se2, 5.0, cfg) == 7).all()
 
     with pytest.raises(ContractError):
-        sc.compute_prb_demand(s, 0.0, cfg)
+        compute_prb_demand(s, 0.0, cfg)
 
 
 def _scenario_with_sinr(sinr_db: np.ndarray) -> sc.Scenario:
@@ -198,7 +197,7 @@ def _scenario_with_sinr(sinr_db: np.ndarray) -> sc.Scenario:
         ue_positions=np.zeros((k, 2)),
         distance=np.ones((k, n)),
         sinr_wideband_db=sinr_db,
-        sinr_per_prb_db=np.repeat(sinr_db[:, :, None], 4, axis=2),
+        sinr_per_prb=np.repeat(10.0 ** (sinr_db[:, :, None] / 10.0), 4, axis=2),
         rsrp_dbm=sinr_db.copy(),
         prb_demand=np.ones((k, n), dtype=np.int64),
         n_prb_total=51,
@@ -335,16 +334,17 @@ def test_dataset_round_trip(tmp_path, kw):
     assert len(records) == 4
     for rec, s in zip(records, scenarios):
         back = sc.from_record(rec, cfg)
-        assert back.sinr_per_prb_db is None  # records do not store the cube
-        assert_same_fields(back, dataclasses.replace(s, sinr_per_prb_db=None))
+        assert back.sinr_per_prb is None  # records do not store the cube
+        assert_same_fields(back, dataclasses.replace(s, sinr_per_prb=None))
         assert_same_fields(
             sc.build_graph(back, cfg.gamma_th_db), sc.build_graph(s, cfg.gamma_th_db)
         )
 
 
 def test_a_record_with_the_earlier_stored_graph_loads_alike():
-    # records used to store the manifest's config digest and the graph as
-    # well: the adjacency as int8 and the raw features; a reader ignores them
+    # records used to store the manifest's config digest, the graph (the
+    # adjacency as int8 and the raw features), the cell layout and the PRB
+    # demand as well; a reader ignores them
     cfg = small_cfg(n_ues=7)
     s = sc.generate_scenario(cfg, 3)
     g = sc.build_graph(s, cfg.gamma_th_db)
@@ -352,6 +352,8 @@ def test_a_record_with_the_earlier_stored_graph_loads_alike():
     adj = g.adjacency.astype(np.int8)
     earlier = {
         **rec,
+        "bs_xy": encode_array(s.bs_positions),
+        "prb": encode_array(s.prb_demand),
         "config_digest": "0" * 64,
         "adj": {
             "dtype": "|i1",
@@ -362,10 +364,27 @@ def test_a_record_with_the_earlier_stored_graph_loads_alike():
     }
     back = sc.from_record(json.loads(json.dumps(earlier)), cfg)
     assert_same_fields(back, sc.from_record(rec, cfg))
+    assert_same_fields(back, dataclasses.replace(s, sinr_per_prb=None))
     assert_same_fields(sc.build_graph(back, cfg.gamma_th_db), g)
 
 
-@pytest.mark.parametrize("key", ["bs_xy", "ue_xy", "sinr_db", "rsrp_dbm", "prb"])
+# every config combination of the grid, 40 seeds each: the fields
+# `from_record` derives are bit-equal to the ones `generate_scenarios` drew
+@pytest.mark.parametrize("n_ues", [3, 7, 50, 100])
+@pytest.mark.parametrize("n_cells", [3, 7])
+def test_derived_record_fields_equal_the_generated_ones(n_ues, n_cells):
+    for bandwidth_mhz in (20.0, 40.0, 80.0):
+        for demand in (1.0, 5.0, 20.0):
+            cfg = sc.ScenarioConfig(
+                n_cells=n_cells, n_ues=n_ues,
+                bandwidth_mhz=bandwidth_mhz, ue_demand_mbps=demand,
+            )
+            for s in sc.iter_scenarios(cfg, range(200, 240)):
+                back = sc.from_record(sc.to_record(s), cfg)
+                assert_same_fields(back, dataclasses.replace(s, sinr_per_prb=None))
+
+
+@pytest.mark.parametrize("key", ["ue_xy", "sinr_db", "rsrp_dbm"])
 def test_a_record_array_not_shaped_for_the_config_is_refused(key):
     # the graph is built from these arrays, so a record must fit cfg
     cfg = small_cfg(n_ues=4)
@@ -378,17 +397,18 @@ def test_a_record_array_not_shaped_for_the_config_is_refused(key):
 def test_record_field_names_are_stable():
     cfg = small_cfg(n_ues=2)
     rec = sc.to_record(sc.generate_scenario(cfg, 0))
-    expected = {"seed", "bs_xy", "ue_xy", "sinr_db", "rsrp_dbm", "prb"}
+    expected = {"seed", "ue_xy", "sinr_db", "rsrp_dbm"}
     assert set(rec) == expected
 
 
 def test_paper_default_record_stays_small():
     # the per-PRB SINR cube (K x N x T float64) would be 190,400 of its
-    # bytes, and the graph (adjacency and raw features) 14,631
+    # bytes, the graph (adjacency and raw features) 14,631, and the cell
+    # layout and PRB demand 3,980
     cfg = sc.ScenarioConfig()
     rec = sc.to_record(sc.generate_scenario(cfg, 0))
     assert "sinr_prb_db" not in rec
-    assert len(json.dumps(rec, separators=(",", ":"))) < 14 * 1024
+    assert len(json.dumps(rec, separators=(",", ":"))) < 9 * 1024
 
 
 def assert_same_fields(got, want):

@@ -1,5 +1,6 @@
 """Loss algebra, dataset preparation, and training-loop behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -557,6 +558,23 @@ def test_divergence_is_reported_with_location():
             graphs, tc, DEFAULTS, seed=0,
             gat_cfg=gcfg, test=[],
         )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_non_finite_test_split_loss_stops_training():
+    # the training steps stay finite; only the test instance's features,
+    # finite but near the float64 limit, overflow the forward
+    cfg = _tiny_cfg()
+    graphs = _graphs(cfg, 3)
+    huge = dataclasses.replace(graphs[2], features=graphs[2].features * 1e308)
+    assert np.isfinite(huge.features).all()
+    tc = tr.TrainConfig(dataset_size=3, epochs=2)
+    gcfg = gat.GatConfig(hidden_dim=4, activation="identity", readout_activation="identity")
+    with pytest.raises(TrainingDiverged, match="test-split loss at epoch 1"):
+        tr.train(graphs[:2], tc, DEFAULTS, seed=0, gat_cfg=gcfg, test=[huge])
+    res = tr.train(graphs[:2], tc, DEFAULTS, seed=0, gat_cfg=gcfg, test=graphs[2:])
+    assert all(math.isfinite(row[2]) for row in res.history)
 
 
 def test_mixed_cell_counts_rejected():
