@@ -1,9 +1,9 @@
 """Command-line entry point wiring datasets, training, evaluation, sweeps.
 
 Every command reads one merged configuration (file plus flag overrides),
-writes it back into the output directory, and keeps all numeric output
-free of timestamps so a rerun with the same settings reproduces the same
-bytes.  `eval` and both sweeps score every instance through one policy
+writes it back into the output directory, and writes no timestamp, in a
+file or in a file name, so a rerun with the same settings reproduces the
+same bytes.  `eval` and both sweeps score every instance through one policy
 comparison, `_compare`; `eval` writes its rows.  A sweep trains each grid
 point on the scenarios it draws, writing no dataset, and aggregates the
 rows of `eval.n_instances` held-out instances per point

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
-# the element types the codec writes and reads: float64 and int64
-DTYPES = ("<f8", "<i8")
+# the element types the codec writes and reads: float64 only
+DTYPES = ("<f8",)
 
 
 # base64 characters decoded, or written, at a time: decoding holds one
@@ -170,18 +170,14 @@ def decode_array(entry, where: str = "array") -> np.ndarray:
 
 
 def decode_packed(entries, where: str = "array") -> np.ndarray:
-    """float64 entries decoded back to back into one new 1-D buffer, each
+    """Entries decoded back to back into one new 1-D float64 buffer, each
     in C order: a checkpoint's parameters or Adam moments, which must be
     finite.
 
-    Raises ConfigError naming `where` as `decode_array` does, for an entry
-    whose dtype is not float64, and for a NaN or an infinity; the buffer is
-    allocated once every header is checked.
+    Raises ConfigError naming `where` as `decode_array` does, and for a NaN
+    or an infinity; the buffer is allocated once every header is checked.
     """
     headers = [_header(entry, where) for entry in entries]
-    for dt, shape, _ in headers:
-        if dt.str != "<f8":
-            raise ConfigError(f"{where} must be float64, got dtype {dt.str} {list(shape)}")
     flat = np.empty(sum(math.prod(shape) for _, shape, _ in headers))
     start = 0
     for dt, shape, text in headers:

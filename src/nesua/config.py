@@ -119,13 +119,13 @@ def _build_section(cls, data: dict, name: str):
 
 # How `read_artifact` takes a key of JSON `kind`: "int" (from `low` to the
 # bound named `high`), "object" (by the table `keys`; with `cls`, also a
-# run-file section), "list", "array" (a codec entry of `dtype` and `shape`,
-# finite if a float; a "list" of parameters or Adam moments is decoded, and
-# held finite, by `codec.decode_packed`),
+# run-file section), "list", "array" (a finite float64 codec entry of
+# `shape`; a "list" of parameters or Adam moments is decoded, and held
+# finite, by `codec.decode_packed`),
 # "numbers" (nested lists of `shape` finite numbers, each at least `low`)
 # or "unread". A size in `shape` is an int or a bound's name.
 Key = collections.namedtuple(
-    "Key", "kind low high shape dtype keys cls", defaults=(-math.inf, None, (), None, None, None)
+    "Key", "kind low high shape keys cls", defaults=(-math.inf, None, (), None, None)
 )
 UNREAD = Key("unread")
 STAMP = Key("object")  # a `RunConfig.stamp`, compared by `require_same`
@@ -136,9 +136,9 @@ MANIFEST = {
 }
 RECORD = {
     "seed": Key("int", low=0),
-    "ue_xy": Key("array", dtype="<f8", shape=("n_ues", 2)),
-    "sinr_db": Key("array", dtype="<f8", shape=_GRID),
-    "rsrp_dbm": Key("array", dtype="<f8", shape=_GRID),
+    "ue_xy": Key("array", shape=("n_ues", 2)),
+    "sinr_db": Key("array", shape=_GRID),
+    "rsrp_dbm": Key("array", shape=_GRID),
     # earlier datasets: the manifest's digest, the graph, the cell layout
     # and the PRB demand
     "config_digest": UNREAD, "adj": UNREAD, "feat": UNREAD, "bs_xy": UNREAD, "prb": UNREAD,
@@ -216,12 +216,9 @@ def _read(value, spec, name: str, bounds):
     shape = tuple(bounds.get(size, size) for size in spec.shape)
     if spec.kind == "array":
         arr = decode_array(value, name)
-        if (arr.dtype.str, arr.shape) != (spec.dtype, shape):
-            raise ConfigError(
-                f"{name} has shape {list(arr.shape)} and dtype {arr.dtype.str}, "
-                f"not {list(shape)} and {spec.dtype}"
-            )
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        if arr.shape != shape:
+            raise ConfigError(f"{name} has shape {list(arr.shape)}, not {list(shape)}")
+        if not np.isfinite(arr).all():
             raise ConfigError(f"{name} holds a non-finite value")
         return arr
     # "numbers": checked as one array, so numpy, not Python, walks them

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +58,15 @@ def evaluate_policy(
     assoc: HardAssociation,
     s: Scenario,
     params: PowerParams,
-    demand_mbps: float = 5.0,
-    gbr_ues=None,
-    policy_name: str = "policy",
+    demand_mbps: float,
+    policy_name: str,
 ) -> PolicyReport:
     """Score a hard association: power, switch-off, and served throughput.
 
     A UE's served rate is its demand scaled by its cell's admission ratio
     min(1, capacity / assigned PRBs); an overloaded cell degrades all of its
-    UEs proportionally.  The rate guarantee is checked over `gbr_ues` (all
-    UEs when None): their served sum must reach their demand total.
+    UEs proportionally.  Every UE holds the rate guarantee: the served sum
+    must reach the demand total.
     """
     mat = assoc.as_matrix().astype(np.float64)
     if mat.shape != s.prb_demand.shape:
@@ -82,18 +80,17 @@ def evaluate_policy(
     )
     demand_bps = demand_mbps * 1e6
     served_per_ue = demand_bps * scale[assoc.assignment]
-    gbr = np.arange(s.n_ues) if gbr_ues is None else np.asarray(gbr_ues, dtype=int)
-    gbr_required = demand_bps * gbr.size
-    gbr_served = float(served_per_ue[gbr].sum())
+    gbr_required = demand_bps * s.n_ues
+    served = float(served_per_ue.sum())
     return PolicyReport(
         policy_name=policy_name,
         total_power_w=npw.total_w,
         cell_power_w=npw.cell_w,
         switched_off_cells=np.flatnonzero(~npw.active),
         overload=npw.overload,
-        served_bps=float(served_per_ue.sum()),
+        served_bps=served,
         gbr_required_bps=gbr_required,
-        gbr_satisfied=gbr_served >= gbr_required - 1e-6,
+        gbr_satisfied=served >= gbr_required - 1e-6,
         association=mat,
     )
 
@@ -124,8 +121,9 @@ def _sweep_values(rows, col: str, n_cells: int) -> list:
     return [row[col] for row in rows]
 
 
-def write_sweep_csv(variable: str, points, n_cells: int, out_dir, timestamp: str | None = None):
-    """Write one sweep table as `sweep_<variable>_<timestamp>.csv`.
+def write_sweep_csv(variable: str, points, n_cells: int, out_dir):
+    """Write one sweep table as `sweep_<variable>.csv`, replacing the
+    table an earlier sweep of that variable wrote there.
 
     `points` holds one (swept values, rows) pair per grid point, in table
     order: a column -> value dict, and the per-instance `eval.csv` rows
@@ -135,9 +133,7 @@ def write_sweep_csv(variable: str, points, n_cells: int, out_dir, timestamp: str
     `switch_off_fraction` that over `n_cells`. The table is written by
     `codec.write_table`.
     """
-    if timestamp is None:
-        timestamp = time.strftime("%Y%m%d-%H%M%S")
-    path = os.path.join(out_dir, f"sweep_{variable}_{timestamp}.csv")
+    path = os.path.join(out_dir, f"sweep_{variable}.csv")
     keys = list(points[0][0])
     header = keys + ["n_instances"]
     for col in SWEEP_COLUMNS:
@@ -154,30 +150,20 @@ def write_sweep_csv(variable: str, points, n_cells: int, out_dir, timestamp: str
 
 def export_heatmaps(s: Scenario, reports, out_dir):
     """Write plotting data: the SINR matrix, one association matrix per
-    policy, and the node coordinates.
-
-    Returns the written paths: len(reports) + 2 files.
-    """
+    policy, and the node coordinates: len(reports) + 2 files."""
     for rep in reports:
         if rep.association.shape != (s.n_ues, s.n_cells):
             raise ContractError(
                 f"report {rep.policy_name!r} association shape "
                 f"{rep.association.shape} does not match the scenario"
             )
-    paths = []
-    sinr_path = os.path.join(out_dir, "heatmap_sinr.csv")
-    write_table(sinr_path, s.sinr_wideband_db.tolist())
-    paths.append(sinr_path)
+    write_table(os.path.join(out_dir, "heatmap_sinr.csv"), s.sinr_wideband_db.tolist())
     for rep in reports:
         slug = re.sub(r"[^a-z0-9]+", "_", rep.policy_name.lower()).strip("_")
         if not slug:
             raise ContractError("policy_name must contain at least one word")
         path = os.path.join(out_dir, f"heatmap_{slug}.csv")
         write_table(path, rep.association.astype(np.int64).tolist())
-        paths.append(path)
-    coord_path = os.path.join(out_dir, "coordinates.csv")
     coords = [("bs", i, x, y) for i, (x, y) in enumerate(s.bs_positions.tolist())]
     coords += [("ue", i, x, y) for i, (x, y) in enumerate(s.ue_positions.tolist())]
-    write_table(coord_path, coords, ["kind", "index", "x", "y"])
-    paths.append(coord_path)
-    return paths
+    write_table(os.path.join(out_dir, "coordinates.csv"), coords, ["kind", "index", "x", "y"])

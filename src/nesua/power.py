@@ -3,13 +3,11 @@
 A cell's draw splits into a fixed part, a baseband part affine in PRB
 utilization, and a radio part affine in utilization with a constant
 amplifier overhead. Switched-off cells draw only sleep power. The same
-model exists in three forms: scalar functions of one cell (`radio_power`,
-`bs_power`, `utilization`, `is_overload`), which state the closed forms
-that acceptance criterion 2 and the tests check; the per-cell array draw
-`cell_draw` and `network_power_hard`, which the baselines and policy
-scoring (`evaluate`) use; and a relaxed form (`network_power_soft`) for
-the training loss, whose gradient `autodiff.gated_load_cost_backward`
-gives.
+model exists in two forms: the per-cell array draw `cell_draw` and
+`network_power_hard`, which the baselines and policy scoring (`evaluate`)
+use; and a relaxed form (`network_power_soft`) for the training loss,
+whose gradient `autodiff.gated_load_cost_backward` gives. Both take the
+radio draw's constant and slope from `radio_coefficients`.
 """
 
 from __future__ import annotations
@@ -58,42 +56,6 @@ def radio_coefficients(p: PowerParams) -> tuple[float, float]:
     c0 = p.n_tx * p.epsilon * p.p_max_pa_w / denom
     c1 = p.n_tx * (p.p_max_pa_w if p.eta_as_pout else 1.0) / denom
     return c0, c1
-
-
-def _check_eta(eta: float):
-    if not 0.0 <= eta <= 1.0:
-        raise ContractError(f"utilization must be in [0, 1], got {eta}")
-
-
-def radio_power(eta: float, p: PowerParams) -> float:
-    """Radio-chain draw in Watts at the given utilization."""
-    _check_eta(eta)
-    c0, c1 = radio_coefficients(p)
-    return c0 + c1 * eta
-
-
-def utilization(prb_used: float, prb_total: int) -> float:
-    """Fraction of the cell's PRBs in use, clipped to 1 when oversubscribed."""
-    if prb_total <= 0:
-        raise ContractError(f"prb_total must be positive, got {prb_total}")
-    if prb_used < 0:
-        raise ContractError(f"prb_used must be >= 0, got {prb_used}")
-    return min(1.0, prb_used / prb_total)
-
-
-def is_overload(prb_used: float, prb_total: int) -> bool:
-    """True when the requested PRBs exceed what the cell has."""
-    if prb_total <= 0:
-        raise ContractError(f"prb_total must be positive, got {prb_total}")
-    return prb_used > prb_total
-
-
-def bs_power(eta: float, active: bool, p: PowerParams) -> float:
-    """One cell's draw in Watts: full model when active, sleep draw otherwise."""
-    _check_eta(eta)
-    if not active:
-        return p.p_sleep_w
-    return p.p_fixed_w + p.p_bb0_w + p.p_bb_slope_w * eta + radio_power(eta, p)
 
 
 @dataclass(frozen=True)

@@ -229,18 +229,17 @@ def iter_scenarios(cfg: ScenarioConfig, seeds):
         yield from generate_scenarios(cfg, seeds[start:start + step])
 
 
-def generate_scenario(cfg: ScenarioConfig, seed: int, fading: bool = True) -> Scenario:
+def generate_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     """Draw one network realization, fully determined by (cfg, seed).
 
-    `fading=False` silences per-PRB fading without changing how many
-    random numbers are drawn, so a scenario stays comparable to its noisy
-    twin at the same seed; `shadowing_sigma_db` 0 does the same for
-    shadowing.
+    `shadowing_sigma_db` 0 silences shadowing without changing how many
+    random numbers are drawn, so a scenario stays comparable to its
+    shadowed twin at the same seed.
     """
-    return generate_scenarios(cfg, [seed], fading)[0]
+    return generate_scenarios(cfg, [seed])[0]
 
 
-def generate_scenarios(cfg: ScenarioConfig, seeds, fading: bool = True) -> list[Scenario]:
+def generate_scenarios(cfg: ScenarioConfig, seeds) -> list[Scenario]:
     """`generate_scenario` of each seed, computed as one chunk.
 
     Each seed draws from its own `default_rng(seed)`, straight into its
@@ -270,8 +269,6 @@ def generate_scenarios(cfg: ScenarioConfig, seeds, fading: bool = True) -> list[
     ue *= np.asarray(cfg.region, dtype=np.float64)
     shadow_db *= cfg.shadowing_sigma_db
     shadow_db += 0.0
-    if not fading:
-        fade_gain = np.ones_like(fade_gain)
 
     bs = hex_layout(cfg.n_cells, cfg.inter_site_distance, cfg.region)
     dist = _distance(ue, bs, cfg)

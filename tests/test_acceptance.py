@@ -18,7 +18,7 @@ from nesua.baselines import (
     associate_oracle,
     associate_rsrp,
 )
-from nesua.power import PowerParams, network_power_hard, network_power_soft, radio_power
+from nesua.power import PowerParams, network_power_hard, network_power_soft, radio_coefficients
 from nesua.scenario import (
     GraphInstance,
     ScenarioConfig,
@@ -176,8 +176,8 @@ def test_gradients_match_finite_differences():
 
 
 def test_radio_power_closed_forms():
-    lo = radio_power(0.0, PARAMS)
-    hi = radio_power(1.0, PARAMS)
+    c0, c1 = radio_coefficients(PARAMS)
+    lo, hi = c0, c0 + c1  # the radio draw c0 + c1*eta at eta 0 and 1
     ok_lo = abs(lo - 320.0 / 3.0) <= 1e-9 * (320.0 / 3.0)
     ok_hi = abs(hi - 112.0) <= 1e-9 * 112.0
     _report(2, "radio closed forms", ok_lo and ok_hi,

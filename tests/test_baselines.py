@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import enumerate_oracle
+from helpers import enumerate_oracle, reference_generate_scenario
 from nesua import baselines as bl
 from nesua import gat
 from nesua import scenario as sc
@@ -105,7 +105,7 @@ def test_flat_channel_makes_subsinr_match_rsrp():
     cfg = sc.ScenarioConfig(n_cells=3, n_ues=25, region=(2500.0, 2500.0),
                             inter_site_distance=900.0, reuse_factor=1.0 / 3.0)
     for seed in range(10):
-        s = sc.generate_scenario(cfg, seed, fading=False)
+        s = reference_generate_scenario(cfg, seed, fading=False)
         a = bl.associate_rsrp(s).assignment
         b = bl.associate_ga_subsinr(s).assignment
         np.testing.assert_array_equal(a, b)

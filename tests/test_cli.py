@@ -1,5 +1,6 @@
 """End-to-end command behavior: files, exit codes, reproducibility."""
 
+import base64
 import json
 import math
 import os
@@ -579,9 +580,8 @@ def test_sweep_bandwidth_end_to_end(tmp_path):
     assert code == 0
     assert (out / "w20" / "DONE").exists()
     assert (out / "w20" / "checkpoint_best.json").exists()
-    tables = list(out.glob("sweep_bandwidth_*.csv"))
-    assert len(tables) == 1
-    lines = tables[0].read_text().splitlines()
+    assert [p.name for p in out.glob("sweep_*.csv")] == ["sweep_bandwidth.csv"]
+    lines = (out / "sweep_bandwidth.csv").read_text().splitlines()
     assert len(lines) == 1 + 2  # header + |W| * |K| rows
     header = lines[0].split(",")
     assert header[:3] == ["bandwidth_mhz", "n_ues", "n_instances"]
@@ -601,7 +601,9 @@ def test_sweep_bandwidth_trains_on_the_samples_it_generated(tmp_path, monkeypatc
         for kind, grid in (("bandwidth", "w=20,40;k=2"), ("lambda", "ratio=1")):
             code = cli.main(["sweep", kind, "--config", cfg, "--out", str(out), "--grid", grid])
             assert code == 0
-    assert len(list(out.glob("sweep_*.csv"))) == 2
+    assert sorted(p.name for p in out.glob("sweep_*.csv")) == [
+        "sweep_bandwidth.csv", "sweep_lambda_ratio.csv",
+    ]
     assert not list(out.rglob("dataset.jsonl")) and not list(out.rglob("manifest.json"))
     # `gen` and `train` from a point's config.json give its bytes
     for point in ("w20", "ratio1"):
@@ -627,9 +629,8 @@ def test_sweep_lambda_end_to_end(tmp_path):
     assert code == 0
     assert (out / "ratio0" / "DONE").exists()
     assert (out / "ratio1" / "DONE").exists()
-    tables = list(out.glob("sweep_lambda_ratio_*.csv"))
-    assert len(tables) == 1
-    lines = tables[0].read_text().splitlines()
+    assert [p.name for p in out.glob("sweep_*.csv")] == ["sweep_lambda_ratio.csv"]
+    lines = (out / "sweep_lambda_ratio.csv").read_text().splitlines()
     assert len(lines) == 1 + 2
     assert lines[0].split(",")[0] == "lambda_ratio"
 
@@ -688,17 +689,18 @@ def test_sweep_resume_skips_completed_points(tmp_path):
         "--grid", "ratio=0,1",
     ]
     assert cli.main(args) == 0
+    first = (out / "sweep_lambda_ratio.csv").read_bytes()
     # doctor one finished sub-run; a resumed sweep must not retrain it
     doctored = out / "ratio0" / "checkpoint_best.json"
     doc = json.loads(doctored.read_text())
     doc["sentinel"] = "left by test"
     doctored.write_text(json.dumps(doc))
     marker = doctored.read_bytes()
-    for table in out.glob("sweep_lambda_ratio_*.csv"):
-        table.unlink()
     assert cli.main(args) == 0
     assert doctored.read_bytes() == marker
-    assert len(list(out.glob("sweep_lambda_ratio_*.csv"))) == 1
+    # the rerun rewrites the one table, to the same bytes
+    assert [p.name for p in out.glob("sweep_*.csv")] == ["sweep_lambda_ratio.csv"]
+    assert (out / "sweep_lambda_ratio.csv").read_bytes() == first
 
 
 def test_sweep_parallel_workers(tmp_path, monkeypatch):
@@ -990,10 +992,11 @@ def test_old_decimal_list_artifacts_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, index, bad",
     [
-        ("m", 0, np.zeros(16)),  # gat1.W is (4, 6): no broadcast fits
-        ("m", 5, np.zeros(1)),  # readout.B is (2,): (1,) would broadcast
-        ("v", 5, np.zeros(1)),
-        ("m", 1, np.zeros(8, dtype=np.int64)),  # right shape, not float64
+        ("m", 0, encode_array(np.zeros(16))),  # gat1.W is (4, 6): no broadcast fits
+        ("m", 5, encode_array(np.zeros(1))),  # readout.B is (2,): (1,) would broadcast
+        ("v", 5, encode_array(np.zeros(1))),
+        # right shape, not float64
+        ("m", 1, {"dtype": "<i8", "shape": [8], "b64": base64.b64encode(bytes(64)).decode()}),
         ("v", None, None),  # one moment short
     ],
 )
@@ -1007,7 +1010,7 @@ def test_resume_with_mismatched_adam_moments_exits_2(
     if index is None:
         doc["adam"][section].pop()
     else:
-        doc["adam"][section][index] = encode_array(bad)
+        doc["adam"][section][index] = bad
     last.write_text(json.dumps(doc))
     capsys.readouterr()
     code = cli.main([
@@ -1127,8 +1130,8 @@ def test_eval_rebuilds_the_sinr_cube_from_the_record_seed(tmp_path):
 
 def test_a_dataset_in_the_earlier_five_array_format_trains_and_evals_alike(tmp_path):
     # records used to store the cell layout (`bs_xy`) and the PRB demand
-    # (`prb`) as well; every output of train and eval on such a dataset is
-    # the bytes of the one on the dataset gen writes now
+    # (`prb`, int64) as well; every output of train and eval on such a
+    # dataset is the bytes of the one on the dataset gen writes now
     cfg_path = _write_cfg(tmp_path, scenario={"n_ues": 4})
     cfg = RunConfig.from_dict(_cfg_dict(scenario={"n_ues": 4}))
     new = tmp_path / "new"
@@ -1141,8 +1144,11 @@ def test_a_dataset_in_the_earlier_five_array_format_trains_and_evals_alike(tmp_p
     for line in (new / "dataset.jsonl").read_text().splitlines():
         rec = json.loads(line)
         s = generate_scenario(cfg.scenario, rec["seed"])
-        records.append({**rec, "bs_xy": encode_array(s.bs_positions),
-                        "prb": encode_array(s.prb_demand)})
+        prb = s.prb_demand.astype("<i8")
+        records.append({**rec, "bs_xy": encode_array(s.bs_positions), "prb": {
+            "dtype": "<i8", "shape": list(prb.shape),
+            "b64": base64.b64encode(prb.tobytes()).decode("ascii"),
+        }})
     write_jsonl(old / "dataset.jsonl", records)
     outputs = {}
     for data in (new, old):

@@ -74,7 +74,7 @@ def test_report_totals_reconcile():
         n = int(rng.integers(1, 5))
         prb = rng.integers(1, 8, size=(k, n))
         assoc = HardAssociation(rng.integers(0, n, size=k), n)
-        rep = ev.evaluate_policy(assoc, _hand_scenario(prb), DEFAULTS)
+        rep = ev.evaluate_policy(assoc, _hand_scenario(prb), DEFAULTS, 5.0, "hand")
         assert abs(rep.total_power_w - rep.cell_power_w.sum()) <= 1e-9
         assert rep.switched_off_count <= n
 
@@ -82,7 +82,7 @@ def test_report_totals_reconcile():
 def test_empty_cell_reports_sleep_power():
     params = PowerParams(p_sleep_w=3.0)
     s = _hand_scenario([[2, 2], [2, 2]])
-    rep = ev.evaluate_policy(HardAssociation(np.array([0, 0]), 2), s, params)
+    rep = ev.evaluate_policy(HardAssociation(np.array([0, 0]), 2), s, params, 5.0, "hand")
     assert rep.cell_power_w[1] == 3.0
     assert rep.switched_off_count == 1
     assert rep.switched_off_cells.tolist() == [1]
@@ -96,7 +96,7 @@ def test_switch_off_count_matches_distinct_cells():
         assign = rng.integers(0, n, size=k)
         prb = rng.integers(1, 5, size=(k, n))
         rep = ev.evaluate_policy(
-            HardAssociation(assign, n), _hand_scenario(prb), DEFAULTS
+            HardAssociation(assign, n), _hand_scenario(prb), DEFAULTS, 5.0, "hand"
         )
         assert rep.switched_off_count == n - len(set(assign.tolist()))
 
@@ -104,7 +104,7 @@ def test_switch_off_count_matches_distinct_cells():
 def test_no_overload_serves_full_demand():
     s = _hand_scenario([[2, 2], [3, 3], [1, 1]], n_prb_total=10)
     rep = ev.evaluate_policy(
-        HardAssociation(np.array([0, 0, 1]), 2), s, DEFAULTS, demand_mbps=5.0
+        HardAssociation(np.array([0, 0, 1]), 2), s, DEFAULTS, 5.0, "hand"
     )
     assert rep.served_bps == 3 * 5e6
     assert rep.gbr_satisfied
@@ -116,29 +116,17 @@ def test_overloaded_cell_halves_served_throughput():
     t = 10
     s = _hand_scenario([[t, t], [t, t]], n_prb_total=t)
     rep = ev.evaluate_policy(
-        HardAssociation(np.array([0, 0]), 2), s, DEFAULTS, demand_mbps=8.0
+        HardAssociation(np.array([0, 0]), 2), s, DEFAULTS, 8.0, "hand"
     )
     assert rep.overload.tolist() == [True, False]
     assert rep.served_bps == pytest.approx(8e6, rel=1e-12)  # half of 2 * 8e6
     assert not rep.gbr_satisfied
 
 
-def test_gbr_subset_only_counts_marked_ues():
-    # UE 1 is crushed by overload but only UE 0 carries a guarantee
-    t = 10
-    s = _hand_scenario([[1, t], [1, t]], n_prb_total=t)
-    both_on_1 = HardAssociation(np.array([1, 1]), 2)
-    rep_all = ev.evaluate_policy(both_on_1, s, DEFAULTS)
-    rep_none = ev.evaluate_policy(both_on_1, s, DEFAULTS, gbr_ues=[])
-    assert not rep_all.gbr_satisfied
-    assert rep_none.gbr_satisfied
-    assert rep_none.gbr_required_bps == 0.0
-
-
 def test_association_shape_mismatch_rejected():
     s = _hand_scenario([[1, 1], [1, 1]])
     with pytest.raises(ContractError):
-        ev.evaluate_policy(HardAssociation(np.array([0, 0, 0]), 2), s, DEFAULTS)
+        ev.evaluate_policy(HardAssociation(np.array([0, 0, 0]), 2), s, DEFAULTS, 5.0, "hand")
 
 
 def test_gain_percent_values():
@@ -170,13 +158,14 @@ def test_oracle_dominates_all_policies_on_reports():
         model = gat.init_model(sample.graph.features.shape[1], s.n_cells,
                                gat.GatConfig(hidden_dim=4), seed=s.seed)
         oracle = associate_oracle(s, DEFAULTS)
-        best = ev.evaluate_policy(oracle.association, s, DEFAULTS)
+        demand = cfg.ue_demand_mbps
+        best = ev.evaluate_policy(oracle.association, s, DEFAULTS, demand, "oracle")
         for assoc in (
             gat.harden(gat.forward(sample.graph, model)),
             associate_rsrp(s),
             associate_ga_subsinr(s),
         ):
-            rep = ev.evaluate_policy(assoc, s, DEFAULTS)
+            rep = ev.evaluate_policy(assoc, s, DEFAULTS, demand, "policy")
             assert best.total_power_w <= rep.total_power_w
 
 
@@ -207,7 +196,7 @@ def test_sweep_bandwidth_row_count_and_columns(tmp_path):
             samples = _samples(cfg, 3, seed0=10 * w + k)
             model = model or _model(samples)
             points.append(({"bandwidth_mhz": w, "n_ues": k}, _rows(model, samples, cfg)))
-    path = ev.write_sweep_csv("bandwidth", points, 2, tmp_path, timestamp="fixed")
+    path = ev.write_sweep_csv("bandwidth", points, 2, tmp_path)
     header, rows = _table(path)
     assert len(rows) == len(ws) * len(ks)
     metrics = [f"{stat}_{col}" for col in ev.SWEEP_COLUMNS for stat in ("mean", "stderr")]
@@ -226,7 +215,7 @@ def test_sweep_lambda_structure(tmp_path):
         ({"lambda_ratio": r}, _rows(_model(samples, seed=i), samples, cfg))
         for i, r in enumerate(ratios)
     ]
-    path = ev.write_sweep_csv("lambda_ratio", points, 2, tmp_path, timestamp="fixed")
+    path = ev.write_sweep_csv("lambda_ratio", points, 2, tmp_path)
     _, rows = _table(path)
     assert [float(row["lambda_ratio"]) for row in rows] == ratios
     for row in rows:
@@ -240,8 +229,8 @@ def test_sweep_csv_round_trip(tmp_path):
     samples = _samples(cfg, 3)
     rows = _rows(_model(samples), samples, cfg)
     points = [({"bandwidth_mhz": 20, "n_ues": 2}, rows)]
-    path = ev.write_sweep_csv("bandwidth", points, 2, tmp_path, timestamp="fixed")
-    assert os.path.basename(path) == "sweep_bandwidth_fixed.csv"
+    path = ev.write_sweep_csv("bandwidth", points, 2, tmp_path)
+    assert path == os.path.join(tmp_path, "sweep_bandwidth.csv")
     header, table = _table(path)
     assert header[:3] == ["bandwidth_mhz", "n_ues", "n_instances"]
     assert f"mean_{ev.SWEEP_COLUMNS[0]}" in header
@@ -254,13 +243,12 @@ def test_export_heatmaps_file_contract(tmp_path):
     cfg = _cfg(n_ues=4)
     s = generate_scenario(cfg, 3)
     reports = [
-        ev.evaluate_policy(associate_rsrp(s), s, DEFAULTS, policy_name=name)
+        ev.evaluate_policy(associate_rsrp(s), s, DEFAULTS, cfg.ue_demand_mbps, name)
         for name in ("gnn", "rsrp", "ga subsinr")
     ]
-    paths = ev.export_heatmaps(s, reports, tmp_path)
-    assert len(paths) == 5  # sinr + 3 associations + coordinates
-    names = sorted(os.path.basename(p) for p in paths)
-    assert names == [
+    ev.export_heatmaps(s, reports, tmp_path)
+    # sinr + 3 associations + coordinates
+    assert sorted(os.listdir(tmp_path)) == [
         "coordinates.csv",
         "heatmap_ga_subsinr.csv",
         "heatmap_gnn.csv",
@@ -288,7 +276,7 @@ def test_export_heatmaps_rejects_foreign_report(tmp_path):
     cfg = _cfg(n_ues=4)
     s = generate_scenario(cfg, 3)
     other = generate_scenario(_cfg(n_ues=6), 4)
-    rep = ev.evaluate_policy(associate_rsrp(other), other, DEFAULTS)
+    rep = ev.evaluate_policy(associate_rsrp(other), other, DEFAULTS, 5.0, "rsrp")
     with pytest.raises(ContractError):
         ev.export_heatmaps(s, [rep], tmp_path)
 
@@ -296,6 +284,6 @@ def test_export_heatmaps_rejects_foreign_report(tmp_path):
 def test_export_heatmaps_unwritable_path(tmp_path):
     cfg = _cfg(n_ues=2)
     s = generate_scenario(cfg, 1)
-    rep = ev.evaluate_policy(associate_rsrp(s), s, DEFAULTS)
+    rep = ev.evaluate_policy(associate_rsrp(s), s, DEFAULTS, 5.0, "rsrp")
     with pytest.raises(OSError):
         ev.export_heatmaps(s, [rep], tmp_path / "missing" / "nested")

@@ -12,15 +12,27 @@ from helpers import finite_difference_grad
 DEFAULTS = pw.PowerParams()
 
 
+# the radio draw is c0 + c1*eta; with the defaults (4 chains, a 40 W
+# amplifier, epsilon 0.5, sigma_max 0.5) c0 = 4*0.5*40/0.75 = 320/3 W and
+# c1 = 4/0.75 = 16/3 W, so a full cell's radio draws 112 W; the rest of an
+# active cell's draw is 100 W fixed plus 10 + 20*eta W baseband
+ON_AT_ZERO_W = 110.0 + 320.0 / 3.0
+ON_SLOPE_W = 20.0 + 16.0 / 3.0
+
+
+def _on_w(eta):
+    return ON_AT_ZERO_W + ON_SLOPE_W * eta
+
+
 def test_radio_power_closed_forms():
-    assert pw.radio_power(0.0, DEFAULTS) == pytest.approx(106.6666666667, rel=1e-9)
-    assert pw.radio_power(1.0, DEFAULTS) == pytest.approx(112.0, rel=1e-9)
+    c0, c1 = pw.radio_coefficients(DEFAULTS)
+    assert c0 == pytest.approx(106.6666666667, rel=1e-9)
+    assert c0 + c1 == pytest.approx(112.0, rel=1e-9)
 
 
 def test_radio_power_identity_reduction():
     p = pw.PowerParams(epsilon=0.0, sigma_max=1.0, n_tx=1)
-    for eta in (0.0, 0.25, 0.7, 1.0):
-        assert pw.radio_power(eta, p) == pytest.approx(eta, abs=1e-15)
+    assert pw.radio_coefficients(p) == (0.0, 1.0)
 
 
 def test_radio_power_is_affine():
@@ -32,47 +44,38 @@ def test_radio_power_is_affine():
             p_max_pa_w=rng.uniform(1.0, 80.0),
             n_tx=int(rng.integers(1, 9)),
         )
-        eta = rng.uniform(0.0, 1.0)
-        slope = p.n_tx / ((1.0 + p.epsilon) * p.sigma_max)
-        assert pw.radio_power(eta, p) - pw.radio_power(0.0, p) == pytest.approx(
-            eta * slope, rel=1e-12
+        load = rng.uniform(0.0, 51.0, size=2)
+        slope = p.n_tx / ((1.0 + p.epsilon) * p.sigma_max) + p.p_bb_slope_w
+        draw = pw.cell_draw(load, p, 51)
+        assert draw[1] - draw[0] == pytest.approx(
+            (load[1] - load[0]) / 51.0 * slope, rel=1e-9, abs=1e-9
         )
-
-
-def test_radio_power_rejects_out_of_range_eta():
-    with pytest.raises(ContractError):
-        pw.radio_power(-0.1, DEFAULTS)
-    with pytest.raises(ContractError):
-        pw.radio_power(1.1, DEFAULTS)
 
 
 def test_eta_as_pout_scales_the_slope():
     p = pw.PowerParams(eta_as_pout=True)
-    assert pw.radio_power(0.0, p) == pytest.approx(106.6666666667, rel=1e-9)
+    c0, c1 = pw.radio_coefficients(p)
+    assert c0 == pytest.approx(106.6666666667, rel=1e-9)
     # slope becomes n_tx * p_max_pa / ((1+eps) * sigma_max) = 4*40/0.75
-    assert pw.radio_power(1.0, p) - pw.radio_power(0.0, p) == pytest.approx(
-        160.0 / 0.75, rel=1e-12
-    )
+    assert c1 == pytest.approx(160.0 / 0.75, rel=1e-12)
 
 
 def test_utilization_and_overload():
-    assert pw.utilization(0, 51) == 0.0
-    assert pw.utilization(51, 51) == 1.0
-    assert pw.utilization(60, 51) == 1.0
-    assert pw.is_overload(60, 51)
-    assert not pw.is_overload(51, 51)
-    with pytest.raises(ContractError):
-        pw.utilization(10, 0)
-    with pytest.raises(ContractError):
-        pw.utilization(-1, 51)
+    # utilization is clipped at 1: a cell asked for more PRBs than it has
+    # draws what a full one does, and only then is it flagged overloaded
+    draw = pw.cell_draw(np.array([0.0, 51.0, 60.0]), DEFAULTS, 51)
+    np.testing.assert_allclose(draw, [0.0, 242.0, 242.0], rtol=1e-12)
+    res = pw.network_power_hard(np.eye(2), np.array([[51.0, 1.0], [1.0, 60.0]]), DEFAULTS, 51)
+    assert res.overload.tolist() == [False, True]
+    np.testing.assert_allclose(res.cell_w, [242.0, 242.0], rtol=1e-12)
 
 
 def test_bs_power_values():
-    assert pw.bs_power(0.9, False, DEFAULTS) == DEFAULTS.p_sleep_w
-    assert pw.bs_power(0.0, True, DEFAULTS) == pytest.approx(
-        100.0 + 10.0 + 106.6666666667, rel=1e-9
-    )
-    assert pw.bs_power(0.5, True, DEFAULTS) == pytest.approx(229.3333333333, rel=1e-9)
+    p = pw.PowerParams(p_sleep_w=7.5)
+    draw = pw.cell_draw(np.array([0.0, 1e-12, 25.5]), p, 51)
+    assert draw[0] == 7.5  # an empty cell sleeps
+    assert draw[1] == pytest.approx(100.0 + 10.0 + 106.6666666667, rel=1e-9)
+    assert draw[2] == pytest.approx(229.3333333333, rel=1e-9)
 
 
 def test_power_params_validation():
@@ -105,8 +108,7 @@ def test_network_power_hard_switch_off_accounting():
     res = pw.network_power_hard(s, prb, params, n_prb_total=51)
     assert res.active.tolist() == [False, True, False]
     assert res.cell_w[0] == 5.0 and res.cell_w[2] == 5.0
-    eta = 24.0 / 51.0
-    assert res.cell_w[1] == pytest.approx(pw.bs_power(eta, True, params), rel=1e-12)
+    assert res.cell_w[1] == pytest.approx(_on_w(24.0 / 51.0), rel=1e-12)
     assert res.total_w == pytest.approx(res.cell_w.sum(), rel=1e-12)
 
 
@@ -123,7 +125,7 @@ def test_network_power_hard_two_cell_hand_value():
     s = np.eye(2)
     res = pw.network_power_hard(s, prb, DEFAULTS, t)
     np.testing.assert_allclose(res.load_prb, [10.0, 5.0])
-    expected = pw.bs_power(10 / t, True, DEFAULTS) + pw.bs_power(5 / t, True, DEFAULTS)
+    expected = _on_w(10 / t) + _on_w(5 / t)
     assert res.total_w == pytest.approx(expected, rel=1e-12)
 
 
@@ -140,7 +142,7 @@ def test_network_power_hard_flags_overload():
     prb = np.full((3, 1), 30.0)
     res = pw.network_power_hard(s, prb, DEFAULTS, n_prb_total=51)
     assert res.overload.tolist() == [True]
-    assert res.cell_w[0] == pytest.approx(pw.bs_power(1.0, True, DEFAULTS), rel=1e-12)
+    assert res.cell_w[0] == pytest.approx(242.0, rel=1e-12)
 
 
 def test_network_power_hard_monotone_in_each_demand_entry():
@@ -181,14 +183,11 @@ def test_switch_off_benefit_identity():
         moved[lone, b] = 1.0
         after = pw.network_power_hard(moved, prb, params, t)
 
-        eta_a = pw.utilization(before.load_prb[a], t)
-        eta_b = pw.utilization(before.load_prb[b], t)
-        eta_b_new = pw.utilization(after.load_prb[b], t)
-        b_active_before = before.active[b]
-        gain_b = pw.bs_power(eta_b_new, True, params) - pw.bs_power(
-            eta_b, b_active_before, params
-        )
-        drop_a = pw.bs_power(eta_a, True, params) - params.p_sleep_w
+        def draw(load, active):
+            return _on_w(min(1.0, load / t)) if active else params.p_sleep_w
+
+        gain_b = draw(after.load_prb[b], True) - draw(before.load_prb[b], before.active[b])
+        drop_a = draw(before.load_prb[a], True) - params.p_sleep_w
         assert after.total_w - before.total_w == pytest.approx(
             gain_b - drop_a, abs=1e-9
         )

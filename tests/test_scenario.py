@@ -133,7 +133,9 @@ def test_single_cell_sinr_reduces_to_snr():
     cfg = sc.ScenarioConfig(
         n_cells=1, n_ues=1, region=(1000.0, 1000.0), inter_site_distance=500.0
     )
-    s = sc.generate_scenario(dataclasses.replace(cfg, shadowing_sigma_db=0.0), 3, fading=False)
+    s = reference_generate_scenario(
+        dataclasses.replace(cfg, shadowing_sigma_db=0.0), 3, fading=False
+    )
     d = s.distance[0, 0]
     pl = sc.free_space_reference_db(cfg.carrier_ghz) + 10 * cfg.pathloss_exponent * math.log10(d)
     rx = cfg.tx_power_dbm + 10 * math.log10(cfg.n_tx_antennas) - pl
@@ -287,7 +289,9 @@ def test_best_cell_sinr_decreases_with_distance_without_noise_terms():
     # reuse 1/3 over 3 cells puts each cell alone in its group: no
     # interference, so SINR must order exactly by distance
     cfg = small_cfg(n_ues=40)
-    s = sc.generate_scenario(dataclasses.replace(cfg, shadowing_sigma_db=0.0), 17, fading=False)
+    s = reference_generate_scenario(
+        dataclasses.replace(cfg, shadowing_sigma_db=0.0), 17, fading=False
+    )
     for cell in range(s.n_cells):
         order = np.argsort(s.distance[:, cell])
         sinr_sorted = s.sinr_wideband_db[order, cell]
@@ -344,16 +348,21 @@ def test_dataset_round_trip(tmp_path, kw):
 def test_a_record_with_the_earlier_stored_graph_loads_alike():
     # records used to store the manifest's config digest, the graph (the
     # adjacency as int8 and the raw features), the cell layout and the PRB
-    # demand as well; a reader ignores them
+    # demand (as int64) as well; a reader ignores them
     cfg = small_cfg(n_ues=7)
     s = sc.generate_scenario(cfg, 3)
     g = sc.build_graph(s, cfg.gamma_th_db)
     rec = sc.to_record(s)
     adj = g.adjacency.astype(np.int8)
+    prb = s.prb_demand.astype("<i8")
     earlier = {
         **rec,
         "bs_xy": encode_array(s.bs_positions),
-        "prb": encode_array(s.prb_demand),
+        "prb": {
+            "dtype": "<i8",
+            "shape": list(prb.shape),
+            "b64": base64.b64encode(prb.tobytes()).decode("ascii"),
+        },
         "config_digest": "0" * 64,
         "adj": {
             "dtype": "|i1",
@@ -433,6 +442,8 @@ def _chunk_counts(cfg):
 # cells add non-zero terms and a reordered sum over cells changes bits
 @pytest.mark.parametrize("reuse_factor", [1.0 / 3.0, 0.5, 1.0])
 @pytest.mark.parametrize("n_ues", [7, 50])
+# fading off is the reference's flat-channel twin of a draw, which tests
+# of noise-free geometry use: it keeps every field that fading does not scale
 @pytest.mark.parametrize(
     "shadowing, fading", [(True, True), (False, True), (True, False)]
 )
@@ -444,10 +455,16 @@ def test_chunked_draws_match_the_per_seed_reference_bit_for_bit(
         cfg = dataclasses.replace(cfg, shadowing_sigma_db=0.0)
     for count in _chunk_counts(cfg):
         seeds = list(range(900, 900 + count))
-        got = sc.generate_scenarios(cfg, seeds, fading)
+        got = sc.generate_scenarios(cfg, seeds)
         assert [s.seed for s in got] == seeds
         for s in got:
-            assert_same_fields(s, reference_generate_scenario(cfg, s.seed, fading))
+            want = reference_generate_scenario(cfg, s.seed, fading)
+            if not fading:
+                want = dataclasses.replace(
+                    want, sinr_wideband_db=s.sinr_wideband_db,
+                    sinr_per_prb=s.sinr_per_prb, prb_demand=s.prb_demand,
+                )
+            assert_same_fields(s, want)
 
 
 @pytest.mark.parametrize("n_ues", [7, 50])
