@@ -69,9 +69,11 @@ def _scenarios(cfg: RunConfig):
 
 
 def cmd_gen(cfg: RunConfig) -> int:
-    """Write dataset.jsonl, then the manifest.json `_load_pairs` checks it against."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    """Write dataset.jsonl, then the manifest.json `_load_pairs` checks it
+    against. The records are drawn first, so a draw the config cannot make
+    leaves no output directory."""
     records = [to_record(s) for s in _scenarios(cfg)]
+    os.makedirs(cfg.out_dir, exist_ok=True)
     dataset_path = os.path.join(cfg.out_dir, "dataset.jsonl")
     write_jsonl(dataset_path, records)
     manifest = {

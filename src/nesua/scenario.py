@@ -84,6 +84,19 @@ class ScenarioConfig:
             raise ConfigError(f"shadowing_sigma_db must be >= 0, got {self.shadowing_sigma_db}")
         if self.ue_demand_mbps <= 0:
             raise ConfigError(f"ue_demand_mbps must be > 0, got {self.ue_demand_mbps}")
+        if self.pathloss_exponent <= 0:  # the signal would grow with distance
+            raise ConfigError(f"pathloss_exponent must be > 0, got {self.pathloss_exponent}")
+        if self.guard_khz < 0:  # the usable band would outgrow the carrier
+            raise ConfigError(f"guard_khz must be >= 0, got {self.guard_khz}")
+        try:
+            noise_mw = self.noise_mw
+        except OverflowError:
+            noise_mw = math.inf
+        if not 0.0 < noise_mw < math.inf:
+            raise ConfigError(
+                f"noise_figure_db {self.noise_figure_db} gives a per-PRB noise "
+                f"power a float cannot hold"
+            )
         if self.n_prb_total < 1:
             raise ConfigError(
                 f"bandwidth_mhz {self.bandwidth_mhz} leaves no usable PRB "
@@ -102,6 +115,10 @@ class ScenarioConfig:
     @property
     def n_reuse_groups(self) -> int:
         return math.ceil(1.0 / self.reuse_factor - 1e-9)
+
+    @property
+    def noise_mw(self) -> float:
+        return 10.0 ** (noise_power_dbm(self) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -239,6 +256,9 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     return generate_scenarios(cfg, [seed])[0]
 
 
+# a link budget out of a float's range is reported by the finite check,
+# as a ConfigError, not as numpy warnings before it
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def generate_scenarios(cfg: ScenarioConfig, seeds) -> list[Scenario]:
     """`generate_scenario` of each seed, computed as one chunk.
 
@@ -252,6 +272,20 @@ def generate_scenarios(cfg: ScenarioConfig, seeds) -> list[Scenario]:
     one seed, so each scenario's bits are those of a chunk of one. Each
     scenario gets its own copy of the base-station positions; its other
     arrays are views of the chunk's, disjoint from the other scenarios'.
+    The received powers and SINR are laid out cell-major, so
+    `sinr_per_prb` is a strided (K, N, T) view.
+
+    The interference at a serving cell sums only its co-channel cells'
+    received power: its first partner's, then each other partner's, in
+    ascending cell order. Float addition does not associate, so that order
+    is part of the output: at reuse 1 all N - 1 other cells add non-zero
+    terms, and any other order changes the last bits of the SINR, which
+    datasets store and `eval` regenerates and compares byte for byte. It
+    is the order a dense (N, N) 0/1 contraction accumulates in, so the
+    bits are also those of datasets drawn with one.
+
+    A chunk whose wideband SINR or RSRP is not finite (a link budget out
+    of a float's range) raises ConfigError naming its first such seed.
     """
     seeds = list(seeds)
     b, k, n, t = len(seeds), cfg.n_ues, cfg.n_cells, cfg.n_prb_total
@@ -277,20 +311,35 @@ def generate_scenarios(cfg: ScenarioConfig, seeds) -> list[Scenario]:
     pathloss_db = pl0 + 10.0 * cfg.pathloss_exponent * np.log10(dist)
     array_gain_db = 10.0 * math.log10(cfg.n_tx_antennas)
     rx_mean_dbm = cfg.tx_power_dbm + array_gain_db - pathloss_db - shadow_db
-    # the fading draws become the received powers in place
-    rx_mw = np.multiply(10.0 ** (rx_mean_dbm[..., None] / 10.0), fade_gain, out=fade_gain)
-
-    noise_mw = 10.0 ** (noise_power_dbm(cfg) / 10.0)
-    groups = reuse_groups(cfg)
-    same_group = groups[None, :] == groups[:, None]  # (N, N)
-    interferers = same_group & ~np.eye(cfg.n_cells, dtype=bool)
-    # interference at UE k for serving cell n: co-channel received powers;
-    # the buffer then holds the SINR
-    sinr = np.einsum("bkmt,nm->bknt", rx_mw, interferers.astype(float))
-    np.add(noise_mw, sinr, out=sinr)
-    np.divide(rx_mw, sinr, out=sinr)
-    sinr_wideband_db = 10.0 * np.log10(sinr.mean(axis=3))
+    # received powers cell-major, (N, B*K*T): each cell's powers are one
+    # contiguous row, so the interference sums run over whole rows
+    rx_mw = np.empty((n, b * k * t))
+    np.multiply(
+        (10.0 ** (rx_mean_dbm / 10.0)).transpose(2, 0, 1)[..., None],
+        fade_gain.transpose(2, 0, 1, 3),
+        out=rx_mw.reshape(n, b, k, t),
+    )
+    # the spent fading buffer takes interference plus noise, and the
+    # received powers become the SINR in place
+    denominator = fade_gain.reshape(n, b * k * t)
+    _co_channel_sum(rx_mw, cfg.n_reuse_groups, denominator)
+    denominator += cfg.noise_mw
+    np.divide(rx_mw, denominator, out=rx_mw)
+    sinr = rx_mw.reshape(n, b, k, t).transpose(1, 2, 0, 3)  # (B, K, N, T) view
+    # C order like the other (B, K, N) arrays: the mean of the view is
+    # strided, and a later sum over a strided axis could run in another order
+    sinr_wideband_db = 10.0 * np.log10(np.ascontiguousarray(sinr.mean(axis=3)))
     rsrp_dbm = cfg.tx_power_dbm - pathloss_db - shadow_db
+    finite = np.isfinite(sinr_wideband_db).all(axis=(1, 2)) & np.isfinite(rsrp_dbm).all(
+        axis=(1, 2)
+    )
+    if not finite.all():
+        raise ConfigError(
+            f"seed {seeds[int(np.argmin(finite))]} draws a non-finite wideband "
+            f"SINR or RSRP: the link budget (scenario keys tx_power_dbm, "
+            f"n_tx_antennas, carrier_ghz, pathloss_exponent, shadowing_sigma_db, "
+            f"noise_figure_db) leaves a float's range"
+        )
     prb_demand = _prb_demand(sinr_wideband_db, cfg.ue_demand_mbps, cfg, t)
 
     return [
@@ -307,6 +356,33 @@ def generate_scenarios(cfg: ScenarioConfig, seeds) -> list[Scenario]:
         )
         for i, seed in enumerate(seeds)
     ]
+
+
+def _co_channel_sum(rx, n_groups: int, out) -> None:
+    """Fill row c of out (N, M) with the sum of rows m of rx (N, M) over
+    the other cells m of cell c's reuse group, in ascending m: the first
+    partner's row, then each further partner's added in turn. A cell with
+    no partner gets 0.0.
+
+    Cell c is in group c % n_groups (`reuse_groups`), so member j of every
+    group is the cell range [j*G, j*G + G): each step below is one slice
+    operation over all groups, and the steps follow from N and G alone.
+    Member j starts from the sum of the members below it (the previous
+    member's start plus that member's row), then adds each member above it
+    in turn.
+    """
+    n, g = len(out), n_groups
+    out[max(0, n - g):min(g, n)] = 0.0  # groups of one cell
+    pairs = min(g, n - g)  # groups with a second member
+    if pairs > 0:
+        out[:pairs] = rx[g:g + pairs]
+        out[g:g + pairs] = rx[:pairs]
+    for j in range(2, -(-n // g)):
+        lo, width = j * g, min(g, n - j * g)
+        below = slice(lo - g, lo - g + width)
+        np.add(out[below], rx[below], out=out[lo:lo + width])
+        members_below = out[:lo].reshape(j, g, -1)[:, :width]
+        members_below += rx[lo:lo + width]
 
 
 def _distance(ue, bs, cfg: ScenarioConfig) -> np.ndarray:

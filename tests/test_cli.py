@@ -821,6 +821,10 @@ def test_a_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, valu
         ({}, "w=inf;k=3", "grid value for key 'w'"),
         ({"scenario": {"shadowing_sigma_db": -6.0}}, None,
          "shadowing_sigma_db must be >= 0, got -6.0"),
+        # finite keys whose link budget is not: a noise power 10**1e307 mW,
+        # and received powers that overflow to a NaN SINR in every record
+        ({"scenario": {"noise_figure_db": 1e308}}, None, "noise_figure_db"),
+        ({"scenario": {"tx_power_dbm": 4000.0}}, None, "tx_power_dbm"),
     ],
 )
 def test_a_non_finite_number_exits_2(tmp_path, capsys, over, grid, named):

@@ -53,6 +53,21 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="shadowing_sigma_db must be >= 0, got -6.0"):
         small_cfg(shadowing_sigma_db=-6.0)
     small_cfg(shadowing_sigma_db=0.0)
+    # a negative guard widens the usable band past the carrier: -1000 kHz
+    # would give 61 PRBs in 20 MHz
+    with pytest.raises(ConfigError, match="guard_khz must be >= 0, got -1000.0"):
+        small_cfg(guard_khz=-1000.0)
+    assert small_cfg(guard_khz=0.0).n_prb_total == 55
+    # a gain that does not fall with distance
+    for exponent in (0.0, -3.0):
+        with pytest.raises(ConfigError, match=f"pathloss_exponent must be > 0, got {exponent}"):
+            small_cfg(pathloss_exponent=exponent)
+    # a per-PRB noise power that overflows or underflows a float
+    for figure in (1e308, 4000.0, -4000.0):
+        with pytest.raises(ConfigError, match="noise_figure_db"):
+            small_cfg(noise_figure_db=figure)
+    small_cfg(noise_figure_db=300.0)
+    small_cfg(noise_figure_db=-300.0)
 
 
 def test_reuse_group_count_is_stable_against_float_noise():
@@ -514,3 +529,94 @@ def test_in_place_draws_match_the_reference_over_many_seeds(sigma):
         seeds = range(7000, 7000 + count)
         for s in sc.iter_scenarios(cfg, seeds):
             assert_same_fields(s, reference_generate_scenario(cfg, s.seed))
+
+
+def _region_for_13_sites(**kw):
+    # 13 sites at 800 m spacing span about 3.2 km, so a 4 km square holds them
+    return sc.ScenarioConfig(region=(4000.0, 4000.0), inter_site_distance=800.0, **kw)
+
+
+def _received_mw(cfg, s):
+    """Per-PRB received power (K, N, T) in mW of scenario s's draw, computed
+    as `reference_generate_scenario` computes it."""
+    rng = np.random.default_rng(s.seed)
+    rng.uniform((0.0, 0.0), cfg.region, size=(cfg.n_ues, 2))
+    shadow_db = rng.normal(0.0, cfg.shadowing_sigma_db, size=s.distance.shape)
+    fade_gain = rng.exponential(1.0, size=(cfg.n_ues, cfg.n_cells, cfg.n_prb_total))
+    pathloss_db = sc.free_space_reference_db(cfg.carrier_ghz) + (
+        10.0 * cfg.pathloss_exponent * np.log10(s.distance)
+    )
+    rx_mean_dbm = (
+        cfg.tx_power_dbm + 10.0 * math.log10(cfg.n_tx_antennas) - pathloss_db - shadow_db
+    )
+    return 10.0 ** (rx_mean_dbm[:, :, None] / 10.0) * fade_gain
+
+
+# every co-channel layout: from one cell to 13, and groups of one cell (no
+# interferer) up to all 13 cells (12 interferers each, where the order of
+# the sum shows in the bits)
+@pytest.mark.parametrize("reuse_factor", [1.0, 0.5, 1.0 / 3.0, 0.25, 1.0 / 7.0])
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 7, 13])
+@pytest.mark.parametrize("n_ues", [7, 50])
+def test_every_co_channel_layout_matches_the_reference_bit_for_bit(
+    n_ues, n_cells, reuse_factor
+):
+    cfg = _region_for_13_sites(n_cells=n_cells, n_ues=n_ues, reuse_factor=reuse_factor)
+    for count in (1, sc.chunk_size(cfg)):
+        seeds = list(range(300, 300 + count))
+        got = sc.generate_scenarios(cfg, seeds)
+        assert [s.seed for s in got] == seeds
+        for s in got:
+            assert_same_fields(s, reference_generate_scenario(cfg, s.seed))
+
+
+@pytest.mark.parametrize(
+    "n_cells, reuse_factor, alone",
+    [(1, 1.0, [0]), (2, 1.0 / 3.0, [0, 1]), (7, 0.25, [3]),
+     (7, 1.0 / 7.0, list(range(7))), (13, 1.0 / 7.0, [6])],
+)
+def test_a_cell_without_co_channel_partner_sees_only_noise(n_cells, reuse_factor, alone):
+    cfg = _region_for_13_sites(n_cells=n_cells, n_ues=7, reuse_factor=reuse_factor)
+    others = [c for c in range(n_cells) if c not in alone]
+    for s in sc.generate_scenarios(cfg, range(40, 44)):
+        snr = _received_mw(cfg, s) / cfg.noise_mw
+        assert s.sinr_per_prb[:, alone].tobytes() == snr[:, alone].tobytes()
+        # a cell with partners hears them: its SINR is below its SNR
+        assert (s.sinr_per_prb[:, others] < snr[:, others]).all()
+
+
+def test_the_interference_sum_order_shows_in_the_bits():
+    # at reuse 1 each of 13 cells sums 12 interferers; the draw sums them
+    # in ascending cell order, and the descending sum differs in the bits
+    cfg = _region_for_13_sites(n_cells=13, n_ues=50, reuse_factor=1.0)
+    s = sc.generate_scenario(cfg, 8)
+    rx = _received_mw(cfg, s)
+    sums = {}
+    for order in ("ascending", "descending"):
+        cells = range(13) if order == "ascending" else range(12, -1, -1)
+        interference = np.zeros_like(rx)
+        for c in range(13):
+            for m in cells:
+                if m != c:
+                    interference[:, c] += rx[:, m]
+        sums[order] = (rx / (cfg.noise_mw + interference)).tobytes()
+    assert s.sinr_per_prb.tobytes() == sums["ascending"]
+    assert s.sinr_per_prb.tobytes() != sums["descending"]
+
+
+def test_a_chunk_out_of_a_floats_range_names_its_first_seed():
+    # a 3000 dB shadowing spread: a draw past about one sigma takes the
+    # received power past a float's range, so some seeds draw and some fail
+    cfg = small_cfg(n_cells=1, n_ues=1, shadowing_sigma_db=3000.0)
+    failing = []
+    for seed in range(12):
+        try:
+            sc.generate_scenario(cfg, seed)
+        except ConfigError as exc:
+            assert "tx_power_dbm" in str(exc) and "shadowing_sigma_db" in str(exc)
+            failing.append(seed)
+    assert 0 < len(failing) < 12 and failing[0] > 0
+    for start in (0, failing[0] + 1):
+        first = min(seed for seed in failing if seed >= start)
+        with pytest.raises(ConfigError, match=f"^seed {first} draws a non-finite"):
+            sc.generate_scenarios(cfg, range(start, 12))
