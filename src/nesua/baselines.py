@@ -28,28 +28,13 @@ _TIE_RTOL = 1e-9
 _MAX_SET_CELLS = 10
 
 
-@dataclass(frozen=True)
-class HardAssociation:
-    """One cell index per UE."""
-
-    assignment: np.ndarray  # (K,) int
-    n_cells: int
-
-    def as_matrix(self) -> np.ndarray:
-        s = np.zeros((self.assignment.shape[0], self.n_cells))
-        s[np.arange(self.assignment.shape[0]), self.assignment] = 1.0
-        return s
-
-
-def associate_rsrp(s: Scenario) -> HardAssociation:
+def associate_rsrp(s: Scenario) -> np.ndarray:
     """Each UE on its strongest wideband received power; ties to the
     lowest cell index."""
-    return HardAssociation(
-        assignment=np.argmax(s.rsrp_dbm, axis=1), n_cells=s.n_cells
-    )
+    return np.argmax(s.rsrp_dbm, axis=1)
 
 
-def associate_ga_subsinr(s: Scenario, agg: str = "max") -> HardAssociation:
+def associate_ga_subsinr(s: Scenario, agg: str = "max") -> np.ndarray:
     """Each UE on the cell with the best per-PRB SINR profile.
 
     agg picks the profile summary of the linear per-PRB SINR: the single
@@ -71,14 +56,14 @@ def associate_ga_subsinr(s: Scenario, agg: str = "max") -> HardAssociation:
         score = top.mean(axis=2)
     else:
         raise ConfigError(f"unknown sub-band aggregation {agg!r}")
-    return HardAssociation(assignment=np.argmax(score, axis=1), n_cells=s.n_cells)
+    return np.argmax(score, axis=1)
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Outcome of the exact search."""
 
-    association: HardAssociation
+    assignment: np.ndarray  # (K,) cell index per UE
     power_w: float
     feasible: bool  # False when every assignment overloads some cell
 
@@ -108,11 +93,9 @@ def oracle_assignment(
     feasible = search.run(capacity=True)
     if not feasible:
         search.run(capacity=False)
-    assoc = HardAssociation(
-        assignment=np.array(search.best, dtype=np.int64).reshape(k), n_cells=n
-    )
-    power_w = network_power_hard(assoc.as_matrix(), prb, p, n_prb_total).total_w
-    return OracleResult(association=assoc, power_w=power_w, feasible=feasible)
+    assignment = np.array(search.best, dtype=np.int64).reshape(k)
+    power_w = network_power_hard(assignment, prb, p, n_prb_total).total_w
+    return OracleResult(assignment=assignment, power_w=power_w, feasible=feasible)
 
 
 class _Search:

@@ -246,14 +246,12 @@ def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
     normalized for `model`. Returns the `eval.csv` row without its seed, a
     column -> value dict, and the policy reports in heatmap order."""
     s = sample.scenario
-    demand = cfg.scenario.ue_demand_mbps
     gnn = evaluate_policy(
-        gat_mod.harden(gat_mod.forward(sample.graph, model)),
-        s, cfg.power, demand, policy_name="gnn",
+        gat_mod.harden(gat_mod.forward(sample.graph, model)), s, cfg.power, policy_name="gnn"
     )
-    rsrp = evaluate_policy(associate_rsrp(s), s, cfg.power, demand, policy_name="rsrp")
+    rsrp = evaluate_policy(associate_rsrp(s), s, cfg.power, policy_name="rsrp")
     sub = evaluate_policy(
-        associate_ga_subsinr(s, agg=cfg.eval.subsinr_agg), s, cfg.power, demand,
+        associate_ga_subsinr(s, agg=cfg.eval.subsinr_agg), s, cfg.power,
         policy_name="ga_subsinr",
     )
     row = {
@@ -264,9 +262,7 @@ def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
     reports = [gnn, rsrp, sub]
     if with_oracle:
         oracle = associate_oracle(s, cfg.power, budget=cfg.eval.oracle_budget)
-        orep = evaluate_policy(
-            oracle.association, s, cfg.power, demand, policy_name="oracle"
-        )
+        orep = evaluate_policy(oracle.assignment, s, cfg.power, policy_name="oracle")
         row["oracle_power_w"] = orep.total_power_w
         row["oracle_feasible"] = int(oracle.feasible)
         reports.append(orep)

@@ -37,8 +37,9 @@ class EvalConfig:
     """Evaluation-side knobs shared by the eval and sweep commands."""
 
     subsinr_agg: str = "max"        # sub-band aggregation of the genie baseline
-    # eval runs the exact oracle when N^K fits; a search on a larger
-    # instance stops once it has visited this many nodes
+    # eval runs the exact oracle only when N^K fits; a library call of
+    # `associate_oracle` on a larger instance stops once its search has
+    # visited this many nodes
     oracle_budget: int = ORACLE_BUDGET
     n_instances: int = 50            # held-out instances a sweep scores per row
 

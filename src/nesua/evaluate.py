@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import HardAssociation
 from .codec import write_table
 from .errors import ContractError
 from .power import PowerParams, network_power_hard
@@ -41,57 +40,30 @@ class PolicyReport:
 
     policy_name: str
     total_power_w: float
-    cell_power_w: np.ndarray       # per-cell draw, length N
-    switched_off_cells: np.ndarray  # indices of cells serving no UE
-    overload: np.ndarray           # bool per cell, demand exceeds the carrier
-    served_bps: float              # aggregate throughput actually granted
-    gbr_required_bps: float        # demand total of the guaranteed-rate UEs
-    gbr_satisfied: bool
-    association: np.ndarray        # (K, N) one-hot
-
-    @property
-    def switched_off_count(self) -> int:
-        return int(self.switched_off_cells.size)
+    switched_off_count: int  # cells serving no UE
+    gbr_satisfied: bool      # no cell's assigned PRBs exceed the carrier
+    assignment: np.ndarray   # (K,) cell index per UE
 
 
 def evaluate_policy(
-    assoc: HardAssociation,
+    assignment: np.ndarray,
     s: Scenario,
     params: PowerParams,
-    demand_mbps: float,
     policy_name: str,
 ) -> PolicyReport:
-    """Score a hard association: power, switch-off, and served throughput.
+    """Score a hard association: power, switch-off and the rate guarantee.
 
-    A UE's served rate is its demand scaled by its cell's admission ratio
-    min(1, capacity / assigned PRBs); an overloaded cell degrades all of its
-    UEs proportionally.  Every UE holds the rate guarantee: the served sum
-    must reach the demand total.
+    Every UE holds the rate guarantee, and a cell serves its UEs' demand in
+    full only while their PRBs fit its carrier, so the guarantee is met
+    exactly when no cell is overloaded.
     """
-    mat = assoc.as_matrix().astype(np.float64)
-    if mat.shape != s.prb_demand.shape:
-        raise ContractError(
-            f"association {mat.shape} does not match scenario "
-            f"demand {s.prb_demand.shape}"
-        )
-    npw = network_power_hard(mat, s.prb_demand, params, s.n_prb_total)
-    scale = np.where(
-        npw.load_prb > s.n_prb_total, s.n_prb_total / np.maximum(npw.load_prb, 1e-300), 1.0
-    )
-    demand_bps = demand_mbps * 1e6
-    served_per_ue = demand_bps * scale[assoc.assignment]
-    gbr_required = demand_bps * s.n_ues
-    served = float(served_per_ue.sum())
+    npw = network_power_hard(assignment, s.prb_demand, params, s.n_prb_total)
     return PolicyReport(
         policy_name=policy_name,
         total_power_w=npw.total_w,
-        cell_power_w=npw.cell_w,
-        switched_off_cells=np.flatnonzero(~npw.active),
-        overload=npw.overload,
-        served_bps=served,
-        gbr_required_bps=gbr_required,
-        gbr_satisfied=served >= gbr_required - 1e-6,
-        association=mat,
+        switched_off_count=int(np.count_nonzero(~npw.active)),
+        gbr_satisfied=not npw.overload.any(),
+        assignment=np.asarray(assignment),
     )
 
 
@@ -149,13 +121,14 @@ def write_sweep_csv(variable: str, points, n_cells: int, out_dir):
 
 
 def export_heatmaps(s: Scenario, reports, out_dir):
-    """Write plotting data: the SINR matrix, one association matrix per
-    policy, and the node coordinates: len(reports) + 2 files."""
+    """Write plotting data: the SINR matrix, one one-hot association grid
+    per policy, and the node coordinates: len(reports) + 2 files."""
     for rep in reports:
-        if rep.association.shape != (s.n_ues, s.n_cells):
+        a = rep.assignment
+        if a.shape != (s.n_ues,) or ((a < 0) | (a >= s.n_cells)).any():
             raise ContractError(
-                f"report {rep.policy_name!r} association shape "
-                f"{rep.association.shape} does not match the scenario"
+                f"report {rep.policy_name!r} does not assign the scenario's "
+                f"{s.n_ues} UEs to its {s.n_cells} cells"
             )
     write_table(os.path.join(out_dir, "heatmap_sinr.csv"), s.sinr_wideband_db.tolist())
     for rep in reports:
@@ -163,7 +136,7 @@ def export_heatmaps(s: Scenario, reports, out_dir):
         if not slug:
             raise ContractError("policy_name must contain at least one word")
         path = os.path.join(out_dir, f"heatmap_{slug}.csv")
-        write_table(path, rep.association.astype(np.int64).tolist())
+        write_table(path, np.eye(s.n_cells, dtype=np.int64)[rep.assignment].tolist())
     coords = [("bs", i, x, y) for i, (x, y) in enumerate(s.bs_positions.tolist())]
     coords += [("ue", i, x, y) for i, (x, y) in enumerate(s.ue_positions.tolist())]
     write_table(os.path.join(out_dir, "coordinates.csv"), coords, ["kind", "index", "x", "y"])

@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .baselines import HardAssociation
 from .codec import decode_packed, encode_array, write_json
 from .errors import ConfigError, ShapeError
 from .scenario import GraphInstance
@@ -178,12 +177,10 @@ def forward(g: GraphInstance, model: GatModel, saved=None) -> np.ndarray:
     return readout(h, model, saved)
 
 
-def harden(s) -> HardAssociation:
-    """Per-row argmax of the soft association; ties to the lowest index."""
-    values = np.asarray(s)
-    return HardAssociation(
-        assignment=np.argmax(values, axis=1), n_cells=values.shape[1]
-    )
+def harden(s) -> np.ndarray:
+    """Per-row argmax of the soft association, one cell index per UE; ties
+    to the lowest index."""
+    return np.argmax(np.asarray(s), axis=1)
 
 
 # ---------------------------------------------------------------------------

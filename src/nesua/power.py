@@ -69,31 +69,36 @@ class NetworkPower:
     overload: np.ndarray    # bool, assigned PRBs exceed the carrier
 
 
-def _check_one_hot(s_hard: np.ndarray):
-    if s_hard.ndim != 2:
-        raise ContractError(f"association matrix must be 2-D, got shape {s_hard.shape}")
-    binary = (s_hard == 0.0) | (s_hard == 1.0)
-    if not binary.all() or not np.all(s_hard.sum(axis=1) == 1.0):
-        bad = int(np.argmax(~(binary.all(axis=1) & (s_hard.sum(axis=1) == 1.0))))
-        raise ContractError(f"association row {bad} is not one-hot")
+def _check_assignment(assignment: np.ndarray, k: int, n: int):
+    if assignment.shape != (k,) or not np.issubdtype(assignment.dtype, np.integer):
+        raise ContractError(
+            f"association must be {k} integer cell indices, got "
+            f"{assignment.dtype} shaped {assignment.shape}"
+        )
+    outside = (assignment < 0) | (assignment >= n)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise ContractError(
+            f"association entry {bad} is cell {assignment[bad]}, not one of {n}"
+        )
 
 
 def network_power_hard(
-    s_hard: np.ndarray, prb: np.ndarray, p: PowerParams, n_prb_total: int
+    assignment: np.ndarray, prb: np.ndarray, p: PowerParams, n_prb_total: int
 ) -> NetworkPower:
-    """Network draw for a hard (one-hot per UE) association.
+    """Network draw for a hard association, one cell index per UE.
 
     A cell is active iff it serves at least one UE; its utilization is the
-    assigned PRB count over the carrier's, clipped to 1.
+    assigned PRB count over the carrier's, clipped to 1. Each cell's load
+    adds its UEs' PRBs in UE order.
     """
-    s_hard = np.asarray(s_hard, dtype=np.float64)
+    assignment = np.asarray(assignment)
     prb = np.asarray(prb, dtype=np.float64)
-    _check_one_hot(s_hard)
-    if s_hard.shape != prb.shape:
-        raise ContractError(
-            f"association {s_hard.shape} and PRB demand {prb.shape} differ"
-        )
-    load = (s_hard * prb).sum(axis=0)
+    if prb.ndim != 2:
+        raise ContractError(f"PRB demand must be 2-D, got shape {prb.shape}")
+    k, n = prb.shape
+    _check_assignment(assignment, k, n)
+    load = np.bincount(assignment, weights=prb[np.arange(k), assignment], minlength=n)
     cell_w = cell_draw(load, p, n_prb_total)
     return NetworkPower(
         total_w=float(cell_w.sum()),
@@ -120,11 +125,11 @@ def network_power_soft(
 
     Each cell's on/off state is relaxed to the gate g_n = 1 - prod_k(1 - S_kn)
     and its load to the S-weighted PRB sum; both the load-dependent terms and
-    the constant on-cost are scaled by the gate, so the expression reproduces
-    network_power_hard exactly at one-hot corners (a gate of 0 must erase the
-    radio draw of an empty cell, not just its fixed part). The whole draw is
-    one op, `autodiff.gated_load_cost`, which appends its record to a list
-    `saved` when given one.
+    the constant on-cost are scaled by the gate, so at one-hot corners the
+    expression equals network_power_hard up to rounding (a gate of 0 must
+    erase the radio draw of an empty cell, not just its fixed part). The
+    whole draw is one op, `autodiff.gated_load_cost`, which appends its
+    record to a list `saved` when given one.
     """
     if s.ndim != 2:
         raise ContractError(f"association matrix must be 2-D, got shape {s.shape}")

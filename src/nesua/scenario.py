@@ -225,11 +225,6 @@ def noise_power_dbm(cfg: ScenarioConfig) -> float:
     )
 
 
-def reuse_groups(cfg: ScenarioConfig) -> np.ndarray:
-    """Co-channel group id per cell; same-group cells interfere."""
-    return np.arange(cfg.n_cells) % cfg.n_reuse_groups
-
-
 def chunk_size(cfg: ScenarioConfig) -> int:
     """Seeds per `generate_scenarios` call: as many as keep the chunk's
     per-PRB cube within `CHUNK_CUBE_BYTES`, and at least one."""
@@ -364,9 +359,10 @@ def _co_channel_sum(rx, n_groups: int, out) -> None:
     partner's row, then each further partner's added in turn. A cell with
     no partner gets 0.0.
 
-    Cell c is in group c % n_groups (`reuse_groups`), so member j of every
-    group is the cell range [j*G, j*G + G): each step below is one slice
-    operation over all groups, and the steps follow from N and G alone.
+    Cell c is in reuse group c % n_groups, and only cells of one group
+    interfere with each other. So member j of every group is the cell
+    range [j*G, j*G + G): each step below is one slice operation over all
+    groups, and the steps follow from N and G alone.
     Member j starts from the sum of the members below it (the previous
     member's start plus that member's row), then adds each member above it
     in turn.

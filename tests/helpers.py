@@ -24,7 +24,6 @@ from nesua.scenario import (
     hex_layout,
     iter_scenarios,
     noise_power_dbm,
-    reuse_groups,
 )
 from nesua.training import Sample
 
@@ -754,9 +753,7 @@ def enumerate_oracle(prb, n_prb_total, p, chunk=1 << 16):
     found = best_feasible[1] >= 0
     chosen = best_feasible[1] if found else best_any[1]
     assignment = ((chosen // place) % n).astype(np.int64)
-    s_hard = np.zeros((k, n))
-    s_hard[np.arange(k), assignment] = 1.0
-    power_w = network_power_hard(s_hard, prb, p, n_prb_total).total_w
+    power_w = network_power_hard(assignment, prb, p, n_prb_total).total_w
     return assignment, power_w, found
 
 
@@ -792,7 +789,7 @@ def reference_generate_scenario(cfg, seed, fading=True):
     rx_mw = 10.0 ** (rx_mean_dbm[:, :, None] / 10.0) * fade_gain
 
     noise_mw = 10.0 ** (noise_power_dbm(cfg) / 10.0)
-    groups = reuse_groups(cfg)
+    groups = np.arange(cfg.n_cells) % cfg.n_reuse_groups
     same_group = groups[None, :] == groups[:, None]  # (N, N)
     interferers = same_group & ~np.eye(cfg.n_cells, dtype=bool)
     interf_mw = np.einsum("kmt,nm->knt", rx_mw, interferers.astype(float))

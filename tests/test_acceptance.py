@@ -44,7 +44,7 @@ def _report(num, name, ok, detail=""):
 
 def _hard_power(assignment, scenario):
     return network_power_hard(
-        assignment.as_matrix(), scenario.prb_demand, PARAMS, scenario.n_prb_total
+        assignment, scenario.prb_demand, PARAMS, scenario.n_prb_total
     ).total_w
 
 
@@ -344,7 +344,7 @@ def test_balance_weight_sweep_removes_switch_off():
         offs = []
         for smp in test_split:
             assoc = gat.harden(gat.forward(smp.graph, result.best_model))
-            counts = np.bincount(assoc.assignment, minlength=cfg.n_cells)
+            counts = np.bincount(assoc, minlength=cfg.n_cells)
             offs.append(int((counts == 0).sum()))
         means.append(float(np.mean(offs)))
     moving = [float(np.mean(means[max(0, i - 1):i + 2])) for i in range(len(means))]
@@ -370,7 +370,7 @@ def test_one_hot_soft_power_matches_hard():
         one_hot = np.zeros((n_ues, n_cells))
         one_hot[np.arange(n_ues), assignment] = 1.0
         soft = network_power_soft(one_hot, prb, PARAMS, 51)
-        hard = network_power_hard(one_hot, prb, PARAMS, 51).total_w
+        hard = network_power_hard(assignment, prb, PARAMS, 51).total_w
         worst = max(worst, abs(soft - hard) / hard)
         sharpness = ad.association_penalties(one_hot, prb, 1.0, 0.0)[0]
         assert sharpness == 0.0

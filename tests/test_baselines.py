@@ -38,13 +38,13 @@ def _scenario(sinr_db=None, rsrp=None, per_prb_db=None, prb=None, t=51):
 
 def test_rsrp_tie_breaks_to_lowest_index():
     s = _scenario(sinr_db=np.zeros((1, 2)), rsrp=np.array([[-80.0, -80.0]]))
-    assert bl.associate_rsrp(s).assignment.tolist() == [0]
+    assert bl.associate_rsrp(s).tolist() == [0]
 
 
 def test_rsrp_hand_matrix():
     rsrp = np.array([[-70.0, -90.0], [-95.0, -60.0], [-80.0, -79.0]])
     s = _scenario(sinr_db=np.zeros((3, 2)), rsrp=rsrp)
-    assert bl.associate_rsrp(s).assignment.tolist() == [0, 1, 1]
+    assert bl.associate_rsrp(s).tolist() == [0, 1, 1]
 
 
 def test_rsrp_follows_distance_without_shadowing():
@@ -52,13 +52,13 @@ def test_rsrp_follows_distance_without_shadowing():
                             inter_site_distance=900.0, shadowing_sigma_db=0.0)
     s = sc.generate_scenario(cfg, 40)
     nearest = np.argmin(s.distance, axis=1)
-    assert bl.associate_rsrp(s).assignment.tolist() == nearest.tolist()
+    assert bl.associate_rsrp(s).tolist() == nearest.tolist()
 
 
 def test_ga_subsinr_single_cell():
     per = np.zeros((4, 1, 5))
     s = _scenario(per_prb_db=per)
-    assert bl.associate_ga_subsinr(s).assignment.tolist() == [0, 0, 0, 0]
+    assert bl.associate_ga_subsinr(s).tolist() == [0, 0, 0, 0]
 
 
 def test_ga_subsinr_prefers_one_clean_prb():
@@ -67,7 +67,7 @@ def test_ga_subsinr_prefers_one_clean_prb():
     per[0, 0] = [10.0, 10.0, 10.0, 10.0]
     per[0, 1] = [-20.0, -20.0, 15.0, -20.0]
     s = _scenario(per_prb_db=per)
-    assert bl.associate_ga_subsinr(s).assignment.tolist() == [1]
+    assert bl.associate_ga_subsinr(s).tolist() == [1]
     # the wideband view disagrees: mean favors cell 0
     assert np.argmax(s.sinr_wideband_db[0]) == 0
 
@@ -75,8 +75,8 @@ def test_ga_subsinr_prefers_one_clean_prb():
 def test_ga_subsinr_tie_and_agg_switch():
     per = np.tile(np.linspace(0.0, 3.0, 6), (2, 3, 1))
     s = _scenario(per_prb_db=per)
-    assert bl.associate_ga_subsinr(s).assignment.tolist() == [0, 0]
-    assert bl.associate_ga_subsinr(s, agg="mean_top8").assignment.tolist() == [0, 0]
+    assert bl.associate_ga_subsinr(s).tolist() == [0, 0]
+    assert bl.associate_ga_subsinr(s, agg="mean_top8").tolist() == [0, 0]
     with pytest.raises(ConfigError):
         bl.associate_ga_subsinr(s, agg="median")
 
@@ -87,8 +87,8 @@ def test_ga_subsinr_mean_top8_can_differ_from_max():
     per[0, 1] = -30.0
     per[0, 1, 0] = 9.0         # one lucky PRB, rest dreadful
     s = _scenario(per_prb_db=per)
-    assert bl.associate_ga_subsinr(s, agg="max").assignment.tolist() == [1]
-    assert bl.associate_ga_subsinr(s, agg="mean_top8").assignment.tolist() == [0]
+    assert bl.associate_ga_subsinr(s, agg="max").tolist() == [1]
+    assert bl.associate_ga_subsinr(s, agg="mean_top8").tolist() == [0]
 
 
 def test_ga_subsinr_refuses_a_scenario_without_its_cube():
@@ -106,8 +106,8 @@ def test_flat_channel_makes_subsinr_match_rsrp():
                             inter_site_distance=900.0, reuse_factor=1.0 / 3.0)
     for seed in range(10):
         s = reference_generate_scenario(cfg, seed, fading=False)
-        a = bl.associate_rsrp(s).assignment
-        b = bl.associate_ga_subsinr(s).assignment
+        a = bl.associate_rsrp(s)
+        b = bl.associate_ga_subsinr(s)
         np.testing.assert_array_equal(a, b)
 
 
@@ -115,9 +115,7 @@ def _independent_best(prb, t, p):
     k, n = prb.shape
     best = None
     for tup in itertools.product(range(n), repeat=k):
-        m = np.zeros((k, n))
-        m[np.arange(k), tup] = 1.0
-        res = network_power_hard(m, prb, p, t)
+        res = network_power_hard(np.array(tup), prb, p, t)
         key = (not (res.load_prb <= t).all(), res.total_w)
         if best is None or key < best[0]:
             best = (key, tup, res.total_w)
@@ -126,7 +124,7 @@ def _independent_best(prb, t, p):
 
 def test_oracle_symmetric_tie_goes_lexicographic():
     res = bl.oracle_assignment(np.array([[10.0, 10.0]]), 51, DEFAULTS)
-    assert res.association.assignment.tolist() == [0]
+    assert res.assignment.tolist() == [0]
     assert res.feasible
 
 
@@ -134,7 +132,7 @@ def test_oracle_two_ue_hand_enumeration():
     prb = np.array([[1.0, 50.0], [50.0, 1.0]])
     res = bl.oracle_assignment(prb, 51, DEFAULTS)
     _, tup, pw = _independent_best(prb, 51, DEFAULTS)
-    assert res.association.assignment.tolist() == list(tup)
+    assert res.assignment.tolist() == list(tup)
     assert res.power_w == pytest.approx(pw, rel=1e-12)
 
 
@@ -142,7 +140,7 @@ def test_oracle_consolidates_when_fixed_power_dominates():
     p = PowerParams(p_fixed_w=500.0, p_sleep_w=0.0)
     prb = np.ones((3, 2))
     res = bl.oracle_assignment(prb, 51, p)
-    assert res.association.assignment.tolist() == [0, 0, 0]
+    assert res.assignment.tolist() == [0, 0, 0]
     assert res.feasible
 
 
@@ -157,7 +155,7 @@ def test_oracle_matches_independent_enumeration():
         p = PowerParams(p_sleep_w=float(rng.choice([0.0, 10.0])))
         res = bl.oracle_assignment(prb, 51, p)
         key, tup, pw = _independent_best(prb, 51, p)
-        assert res.association.assignment.tolist() == list(tup), f"trial {trial}"
+        assert res.assignment.tolist() == list(tup), f"trial {trial}"
         assert res.power_w == pytest.approx(pw, rel=1e-12)
         assert res.feasible == (not key[0])
 
@@ -165,7 +163,7 @@ def test_oracle_matches_independent_enumeration():
 def _assert_same_as_enumeration(prb, t, p, msg=""):
     res = bl.oracle_assignment(prb, t, p)
     assignment, power_w, feasible = enumerate_oracle(prb, t, p)
-    assert res.association.assignment.tolist() == assignment.tolist(), msg
+    assert res.assignment.tolist() == assignment.tolist(), msg
     assert res.power_w == power_w, msg
     assert res.feasible == feasible, msg
     return res
@@ -176,7 +174,7 @@ def test_oracle_crosses_chunk_boundaries_consistently():
     prb = np.linspace(1.0, 12.0, 9 * 4).reshape(9, 4)
     res = _assert_same_as_enumeration(prb, 51, DEFAULTS)
     chunked = enumerate_oracle(prb, 51, DEFAULTS, chunk=1000)
-    assert res.association.assignment.tolist() == chunked[0].tolist()
+    assert res.assignment.tolist() == chunked[0].tolist()
     assert res.power_w == chunked[1]
 
 
@@ -244,7 +242,7 @@ def test_oracle_overload_fallback_is_flagged():
     res = bl.oracle_assignment(prb, 51, DEFAULTS)
     assert not res.feasible
     _, tup, pw = _independent_best(prb, 51, DEFAULTS)
-    assert res.association.assignment.tolist() == list(tup)
+    assert res.assignment.tolist() == list(tup)
     assert res.power_w == pytest.approx(pw, rel=1e-12)
 
 
@@ -254,7 +252,7 @@ def test_oracle_budget_refusal():
     with pytest.raises(BudgetExceededError):
         bl.oracle_assignment(prb, 51, DEFAULTS, budget=50)
     res = bl.oracle_assignment(prb, 51, DEFAULTS)  # ~200 nodes
-    assert res.association.assignment.tolist() == [0] * 30
+    assert res.assignment.tolist() == [0] * 30
 
 
 def test_oracle_never_refuses_within_enumeration_budget():
@@ -262,7 +260,7 @@ def test_oracle_never_refuses_within_enumeration_budget():
     # than the 7^2 assignments, yet a budget of N^K must still solve it
     prb = np.full((2, 7), 30.0)
     res = bl.oracle_assignment(prb, 51, DEFAULTS, budget=7**2)
-    assert res.association.assignment.tolist() == [0, 1]
+    assert res.assignment.tolist() == [0, 1]
     with pytest.raises(BudgetExceededError):
         bl.oracle_assignment(prb, 51, DEFAULTS, budget=7**2 - 1)
 
@@ -285,7 +283,7 @@ def test_oracle_solves_paper_defaults_at_k20():
         }
         for name, policy in policies.items():
             net = network_power_hard(
-                policy.as_matrix(), s.prb_demand, DEFAULTS, s.n_prb_total
+                policy, s.prb_demand, DEFAULTS, s.n_prb_total
             )
             if net.overload.any():
                 # clipped draw: no feasible assignment competes with that; only
@@ -304,16 +302,9 @@ def test_oracle_dominates_signal_strength_policies():
         oracle = bl.associate_oracle(s, DEFAULTS)
         for policy in (bl.associate_rsrp(s), bl.associate_ga_subsinr(s)):
             pw = network_power_hard(
-                policy.as_matrix(), s.prb_demand, DEFAULTS, s.n_prb_total
+                policy, s.prb_demand, DEFAULTS, s.n_prb_total
             ).total_w
             assert oracle.power_w <= pw + 1e-9
-
-
-def test_hard_association_matrix_is_one_hot():
-    a = bl.HardAssociation(assignment=np.array([2, 0, 1]), n_cells=3)
-    m = a.as_matrix()
-    np.testing.assert_array_equal(m.sum(axis=1), np.ones(3))
-    np.testing.assert_array_equal(m[0], [0, 0, 1.0])
 
 
 # a scenario holds the per-PRB SINR as a linear ratio; the GA baseline
@@ -330,6 +321,6 @@ def test_ga_subsinr_on_the_linear_cube_equals_it_through_db(
         cube_db = np.multiply(10.0, np.log10(s.sinr_per_prb))
         via_db = dataclasses.replace(s, sinr_per_prb=10.0 ** (cube_db / 10.0))
         assert (
-            bl.associate_ga_subsinr(s, agg).assignment.tobytes()
-            == bl.associate_ga_subsinr(via_db, agg).assignment.tobytes()
+            bl.associate_ga_subsinr(s, agg).tobytes()
+            == bl.associate_ga_subsinr(via_db, agg).tobytes()
         ), s.seed

@@ -8,15 +8,10 @@ import pytest
 
 from nesua import cli, gat
 from nesua import evaluate as ev
-from nesua.baselines import (
-    HardAssociation,
-    associate_ga_subsinr,
-    associate_oracle,
-    associate_rsrp,
-)
+from nesua.baselines import associate_ga_subsinr, associate_oracle, associate_rsrp
 from nesua.config import RunConfig
 from nesua.errors import ContractError
-from nesua.power import PowerParams
+from nesua.power import PowerParams, cell_draw, network_power_hard
 from nesua.scenario import (
     Scenario,
     ScenarioConfig,
@@ -67,25 +62,33 @@ def _samples(cfg, count, seed0=0):
     return [Sample(s, normalize_features(g, stats)) for s, g in pairs]
 
 
+def _hand_loads(assignment, prb, n):
+    """Each cell's PRBs, added up one UE at a time."""
+    loads = np.zeros(n)
+    for ue, cell in enumerate(assignment.tolist()):
+        loads[cell] += prb[ue][cell]
+    return loads
+
+
 def test_report_totals_reconcile():
     rng = np.random.default_rng(11)
     for _ in range(50):
         k = int(rng.integers(1, 10))
         n = int(rng.integers(1, 5))
         prb = rng.integers(1, 8, size=(k, n))
-        assoc = HardAssociation(rng.integers(0, n, size=k), n)
-        rep = ev.evaluate_policy(assoc, _hand_scenario(prb), DEFAULTS, 5.0, "hand")
-        assert abs(rep.total_power_w - rep.cell_power_w.sum()) <= 1e-9
+        assign = rng.integers(0, n, size=k)
+        rep = ev.evaluate_policy(assign, _hand_scenario(prb), DEFAULTS, "hand")
+        cell_w = cell_draw(_hand_loads(assign, prb, n), DEFAULTS, 10)
+        assert abs(rep.total_power_w - cell_w.sum()) <= 1e-9
         assert rep.switched_off_count <= n
 
 
 def test_empty_cell_reports_sleep_power():
     params = PowerParams(p_sleep_w=3.0)
     s = _hand_scenario([[2, 2], [2, 2]])
-    rep = ev.evaluate_policy(HardAssociation(np.array([0, 0]), 2), s, params, 5.0, "hand")
-    assert rep.cell_power_w[1] == 3.0
+    rep = ev.evaluate_policy(np.array([0, 0]), s, params, "hand")
+    assert rep.total_power_w == cell_draw(np.array([4.0]), params, 10)[0] + 3.0
     assert rep.switched_off_count == 1
-    assert rep.switched_off_cells.tolist() == [1]
 
 
 def test_switch_off_count_matches_distinct_cells():
@@ -95,38 +98,64 @@ def test_switch_off_count_matches_distinct_cells():
         n = int(rng.integers(1, 6))
         assign = rng.integers(0, n, size=k)
         prb = rng.integers(1, 5, size=(k, n))
-        rep = ev.evaluate_policy(
-            HardAssociation(assign, n), _hand_scenario(prb), DEFAULTS, 5.0, "hand"
-        )
+        rep = ev.evaluate_policy(assign, _hand_scenario(prb), DEFAULTS, "hand")
         assert rep.switched_off_count == n - len(set(assign.tolist()))
+
+
+def _overload(assign, s):
+    return network_power_hard(assign, s.prb_demand, DEFAULTS, s.n_prb_total).overload
 
 
 def test_no_overload_serves_full_demand():
     s = _hand_scenario([[2, 2], [3, 3], [1, 1]], n_prb_total=10)
-    rep = ev.evaluate_policy(
-        HardAssociation(np.array([0, 0, 1]), 2), s, DEFAULTS, 5.0, "hand"
-    )
-    assert rep.served_bps == 3 * 5e6
+    assign = np.array([0, 0, 1])
+    rep = ev.evaluate_policy(assign, s, DEFAULTS, "hand")
     assert rep.gbr_satisfied
-    assert not rep.overload.any()
+    assert not _overload(assign, s).any()
 
 
 def test_overloaded_cell_halves_served_throughput():
     # both UEs demand the full carrier from cell 0: load 2T -> each served 1/2
     t = 10
     s = _hand_scenario([[t, t], [t, t]], n_prb_total=t)
-    rep = ev.evaluate_policy(
-        HardAssociation(np.array([0, 0]), 2), s, DEFAULTS, 8.0, "hand"
-    )
-    assert rep.overload.tolist() == [True, False]
-    assert rep.served_bps == pytest.approx(8e6, rel=1e-12)  # half of 2 * 8e6
+    assign = np.array([0, 0])
+    rep = ev.evaluate_policy(assign, s, DEFAULTS, "hand")
+    assert _overload(assign, s).tolist() == [True, False]
     assert not rep.gbr_satisfied
+
+
+def test_an_overloaded_cell_misses_the_rate_guarantee_at_a_tiny_demand():
+    # at 1e-13 Mb/s every UE still needs one PRB, so 60 UEs on one cell
+    # overload its 51 PRBs: the guarantee is missed, however small the
+    # shortfall in bps (9e-7)
+    cfg = ScenarioConfig(n_ues=60, ue_demand_mbps=1e-13)
+    s = generate_scenario(cfg, 1)
+    assert (s.prb_demand == 1).all() and s.n_prb_total == 51
+    assign = np.zeros(60, dtype=np.int64)
+    assert _overload(assign, s).tolist() == [True] + [False] * 6
+    assert not ev.evaluate_policy(assign, s, DEFAULTS, "hand").gbr_satisfied
+
+
+def test_rate_guarantee_is_met_exactly_when_no_cell_is_overloaded():
+    rng = np.random.default_rng(23)
+    met = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 5))
+        t = int(rng.integers(1, 12))
+        prb = rng.integers(1, t + 1, size=(k, n))
+        assign = rng.integers(0, n, size=k)
+        rep = ev.evaluate_policy(assign, _hand_scenario(prb, n_prb_total=t), DEFAULTS, "hand")
+        overloaded = (_hand_loads(assign, prb, n) > t).any()
+        assert rep.gbr_satisfied == (not overloaded)
+        met += rep.gbr_satisfied
+    assert 0 < met < 300  # both outcomes are drawn
 
 
 def test_association_shape_mismatch_rejected():
     s = _hand_scenario([[1, 1], [1, 1]])
     with pytest.raises(ContractError):
-        ev.evaluate_policy(HardAssociation(np.array([0, 0, 0]), 2), s, DEFAULTS, 5.0, "hand")
+        ev.evaluate_policy(np.array([0, 0, 0]), s, DEFAULTS, "hand")
 
 
 def test_gain_percent_values():
@@ -158,14 +187,13 @@ def test_oracle_dominates_all_policies_on_reports():
         model = gat.init_model(sample.graph.features.shape[1], s.n_cells,
                                gat.GatConfig(hidden_dim=4), seed=s.seed)
         oracle = associate_oracle(s, DEFAULTS)
-        demand = cfg.ue_demand_mbps
-        best = ev.evaluate_policy(oracle.association, s, DEFAULTS, demand, "oracle")
+        best = ev.evaluate_policy(oracle.assignment, s, DEFAULTS, "oracle")
         for assoc in (
             gat.harden(gat.forward(sample.graph, model)),
             associate_rsrp(s),
             associate_ga_subsinr(s),
         ):
-            rep = ev.evaluate_policy(assoc, s, DEFAULTS, demand, "policy")
+            rep = ev.evaluate_policy(assoc, s, DEFAULTS, "policy")
             assert best.total_power_w <= rep.total_power_w
 
 
@@ -243,7 +271,7 @@ def test_export_heatmaps_file_contract(tmp_path):
     cfg = _cfg(n_ues=4)
     s = generate_scenario(cfg, 3)
     reports = [
-        ev.evaluate_policy(associate_rsrp(s), s, DEFAULTS, cfg.ue_demand_mbps, name)
+        ev.evaluate_policy(associate_rsrp(s), s, DEFAULTS, name)
         for name in ("gnn", "rsrp", "ga subsinr")
     ]
     ev.export_heatmaps(s, reports, tmp_path)
@@ -266,6 +294,7 @@ def test_export_heatmaps_file_contract(tmp_path):
     mat = np.array([[int(v) for v in row.split(",")] for row in rows])
     assert mat.shape == (s.n_ues, s.n_cells)
     assert np.array_equal(mat.sum(axis=1), np.ones(s.n_ues, dtype=int))
+    assert np.array_equal(mat.argmax(axis=1), associate_rsrp(s))
 
     coords = (tmp_path / "coordinates.csv").read_text().splitlines()
     assert coords[0] == "kind,index,x,y"
@@ -276,14 +305,20 @@ def test_export_heatmaps_rejects_foreign_report(tmp_path):
     cfg = _cfg(n_ues=4)
     s = generate_scenario(cfg, 3)
     other = generate_scenario(_cfg(n_ues=6), 4)
-    rep = ev.evaluate_policy(associate_rsrp(other), other, DEFAULTS, 5.0, "rsrp")
+    rep = ev.evaluate_policy(associate_rsrp(other), other, DEFAULTS, "rsrp")
     with pytest.raises(ContractError):
         ev.export_heatmaps(s, [rep], tmp_path)
+    # as many UEs, but on a cell the scenario does not have
+    wider = generate_scenario(_cfg(n_ues=4, n_cells=7), 4)
+    rep = ev.evaluate_policy(np.full(4, 6), wider, DEFAULTS, "wider")
+    with pytest.raises(ContractError):
+        ev.export_heatmaps(s, [rep], tmp_path)
+    assert os.listdir(tmp_path) == []
 
 
 def test_export_heatmaps_unwritable_path(tmp_path):
     cfg = _cfg(n_ues=2)
     s = generate_scenario(cfg, 1)
-    rep = ev.evaluate_policy(associate_rsrp(s), s, DEFAULTS, 5.0, "rsrp")
+    rep = ev.evaluate_policy(associate_rsrp(s), s, DEFAULTS, "rsrp")
     with pytest.raises(OSError):
         ev.export_heatmaps(s, [rep], tmp_path / "missing" / "nested")

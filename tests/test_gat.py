@@ -298,8 +298,8 @@ def test_locality_two_layers_exact_beyond_two_hops():
 
 
 def test_harden_rules():
-    assert gat.harden(np.array([[0.2, 0.5, 0.3]])).assignment.tolist() == [1]
-    assert gat.harden(np.array([[0.5, 0.5]])).assignment.tolist() == [0]
+    assert gat.harden(np.array([[0.2, 0.5, 0.3]])).tolist() == [1]
+    assert gat.harden(np.array([[0.5, 0.5]])).tolist() == [0]
 
 
 def test_harden_invariant_under_monotone_row_transforms():
@@ -307,10 +307,10 @@ def test_harden_invariant_under_monotone_row_transforms():
     for _ in range(50):
         s = rng.uniform(size=(6, 4))
         s /= s.sum(axis=1, keepdims=True)
-        base = gat.harden(s).assignment
+        base = gat.harden(s)
         # strictly increasing map: scaled exp keeps the order of entries
         warped = np.exp(s * rng.uniform(0.5, 3.0)) * rng.uniform(0.1, 2.0)
-        np.testing.assert_array_equal(gat.harden(warped).assignment, base)
+        np.testing.assert_array_equal(gat.harden(warped), base)
 
 
 def test_end_to_end_gradients_match_finite_differences():

@@ -65,7 +65,8 @@ def test_utilization_and_overload():
     # draws what a full one does, and only then is it flagged overloaded
     draw = pw.cell_draw(np.array([0.0, 51.0, 60.0]), DEFAULTS, 51)
     np.testing.assert_allclose(draw, [0.0, 242.0, 242.0], rtol=1e-12)
-    res = pw.network_power_hard(np.eye(2), np.array([[51.0, 1.0], [1.0, 60.0]]), DEFAULTS, 51)
+    prb = np.array([[51.0, 1.0], [1.0, 60.0]])
+    res = pw.network_power_hard(np.array([0, 1]), prb, DEFAULTS, 51)
     assert res.overload.tolist() == [False, True]
     np.testing.assert_allclose(res.cell_w, [242.0, 242.0], rtol=1e-12)
 
@@ -94,18 +95,16 @@ def test_power_params_validation():
 
 
 def _one_hot(rows, n, rng):
-    s = np.zeros((rows, n))
-    s[np.arange(rows), rng.integers(0, n, size=rows)] = 1.0
-    return s
+    """A random association: its cell indices and its (rows, n) one-hot matrix."""
+    assignment = rng.integers(0, n, size=rows)
+    return assignment, np.eye(n)[assignment]
 
 
 def test_network_power_hard_switch_off_accounting():
     params = pw.PowerParams(p_sleep_w=5.0)
     k, n = 4, 3
-    s = np.zeros((k, n))
-    s[:, 1] = 1.0
     prb = np.full((k, n), 6.0)
-    res = pw.network_power_hard(s, prb, params, n_prb_total=51)
+    res = pw.network_power_hard(np.ones(k, dtype=np.int64), prb, params, n_prb_total=51)
     assert res.active.tolist() == [False, True, False]
     assert res.cell_w[0] == 5.0 and res.cell_w[2] == 5.0
     assert res.cell_w[1] == pytest.approx(_on_w(24.0 / 51.0), rel=1e-12)
@@ -114,7 +113,7 @@ def test_network_power_hard_switch_off_accounting():
 
 def test_network_power_hard_empty_network():
     params = pw.PowerParams(p_sleep_w=3.0)
-    res = pw.network_power_hard(np.zeros((0, 4)), np.zeros((0, 4)), params, 51)
+    res = pw.network_power_hard(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), params, 51)
     assert res.total_w == pytest.approx(4 * 3.0)
     assert not res.active.any()
 
@@ -122,25 +121,29 @@ def test_network_power_hard_empty_network():
 def test_network_power_hard_two_cell_hand_value():
     t = 51
     prb = np.array([[10.0, 20.0], [30.0, 5.0]])
-    s = np.eye(2)
-    res = pw.network_power_hard(s, prb, DEFAULTS, t)
+    res = pw.network_power_hard(np.array([0, 1]), prb, DEFAULTS, t)
     np.testing.assert_allclose(res.load_prb, [10.0, 5.0])
     expected = _on_w(10 / t) + _on_w(5 / t)
     assert res.total_w == pytest.approx(expected, rel=1e-12)
 
 
-def test_network_power_hard_rejects_non_one_hot():
-    prb = np.ones((2, 2))
-    with pytest.raises(ContractError):
-        pw.network_power_hard(np.array([[0.5, 0.5], [1.0, 0.0]]), prb, DEFAULTS, 51)
-    with pytest.raises(ContractError):
-        pw.network_power_hard(np.array([[1.0, 1.0], [1.0, 0.0]]), prb, DEFAULTS, 51)
+def test_network_power_hard_rejects_anything_but_one_cell_index_per_ue():
+    for assignment in (
+        np.eye(2),                 # a one-hot matrix, not one index per UE
+        np.array([0.0, 1.0]),      # float indices
+        np.array([True, False]),   # bool flags
+        np.array([0]),             # too few UEs
+        np.array([0, 1, 1]),       # too many UEs
+        np.array([0, 2]),          # a cell past the last one
+        np.array([-1, 0]),         # a negative cell
+    ):
+        with pytest.raises(ContractError):
+            pw.network_power_hard(assignment, np.ones((2, 2)), DEFAULTS, 51)
 
 
 def test_network_power_hard_flags_overload():
-    s = np.ones((3, 1))
     prb = np.full((3, 1), 30.0)
-    res = pw.network_power_hard(s, prb, DEFAULTS, n_prb_total=51)
+    res = pw.network_power_hard(np.zeros(3, dtype=np.int64), prb, DEFAULTS, n_prb_total=51)
     assert res.overload.tolist() == [True]
     assert res.cell_w[0] == pytest.approx(242.0, rel=1e-12)
 
@@ -150,7 +153,7 @@ def test_network_power_hard_monotone_in_each_demand_entry():
     for _ in range(200):
         k = int(rng.integers(1, 7))
         n = int(rng.integers(1, 5))
-        s = _one_hot(k, n, rng)
+        s, _ = _one_hot(k, n, rng)
         prb = rng.integers(1, 40, size=(k, n)).astype(float)
         base = pw.network_power_hard(s, prb, DEFAULTS, 51).total_w
         i, j = int(rng.integers(0, k)), int(rng.integers(0, n))
@@ -170,17 +173,16 @@ def test_switch_off_benefit_identity():
         a, b = (int(c) for c in rng.permutation(n)[:2])
         lone = int(rng.integers(0, k))
         others = [c for c in range(n) if c != a]
-        s = np.zeros((k, n))
-        s[lone, a] = 1.0  # cell a serves exactly this one UE
+        s = np.zeros(k, dtype=np.int64)
+        s[lone] = a  # cell a serves exactly this one UE
         for row in range(k):
             if row != lone:
-                s[row, int(rng.choice(others))] = 1.0
+                s[row] = int(rng.choice(others))
         prb = rng.integers(1, 12, size=(k, n)).astype(float)
         before = pw.network_power_hard(s, prb, params, t)
 
         moved = s.copy()
-        moved[lone, a] = 0.0
-        moved[lone, b] = 1.0
+        moved[lone] = b
         after = pw.network_power_hard(moved, prb, params, t)
 
         def draw(load, active):
@@ -199,9 +201,9 @@ def test_soft_matches_hard_on_one_hot_associations():
         k = int(rng.integers(1, 9))
         n = int(rng.integers(1, 6))
         params = pw.PowerParams(p_sleep_w=float(rng.choice([0.0, 7.5])))
-        s = _one_hot(k, n, rng)
+        assignment, s = _one_hot(k, n, rng)
         prb = rng.integers(1, 60, size=(k, n)).astype(float)
-        hard = pw.network_power_hard(s, prb, params, 51).total_w
+        hard = pw.network_power_hard(assignment, prb, params, 51).total_w
         soft = pw.network_power_soft(s, prb, params, 51)
         assert abs(soft - hard) <= 1e-9 * hard, f"trial {trial}: {soft} vs {hard}"
 

@@ -212,7 +212,7 @@ def test_single_instance_learns_the_cheap_cell():
         n_prb_total=51,
     )
     best = oracle_assignment(prb, 51, params)
-    assert best.association.assignment.tolist() == [0, 0]
+    assert best.assignment.tolist() == [0, 0]
     assert best.feasible
 
     tc = tr.TrainConfig(dataset_size=2, epochs=200, lr=2e-2, lambda1=5.0, lambda2=0.0)
@@ -222,7 +222,7 @@ def test_single_instance_learns_the_cheap_cell():
         seed=0, gat_cfg=gcfg, test=[],
     )
     s = gat.forward(g, res.model)
-    assert gat.harden(s).assignment.tolist() == best.association.assignment.tolist()
+    assert gat.harden(s).tolist() == best.assignment.tolist()
     assert s[:, 0].min() > 0.99  # hardened, not merely leaning
 
 
