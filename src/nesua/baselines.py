@@ -13,12 +13,11 @@ power through the clipped utilization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, ContractError
-from .power import PowerParams, cell_draw, network_power_hard, radio_coefficients
+from .power import PowerParams, cell_draw, on_cost
 from .scenario import Scenario
 
 ORACLE_BUDGET = 10_000_000
@@ -59,29 +58,22 @@ def associate_ga_subsinr(s: Scenario, agg: str = "max") -> np.ndarray:
     return np.argmax(score, axis=1)
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Outcome of the exact search."""
-
-    assignment: np.ndarray  # (K,) cell index per UE
-    power_w: float
-    feasible: bool  # False when every assignment overloads some cell
-
-
 def oracle_assignment(
     prb: np.ndarray,
     n_prb_total: int,
     p: PowerParams,
     budget: int = ORACLE_BUDGET,
-) -> OracleResult:
-    """Cheapest feasible assignment, found by exact branch and bound.
+) -> np.ndarray:
+    """Cheapest feasible assignment, one cell index per UE, found by exact
+    branch and bound.
 
-    Feasible means no cell holds more PRBs than the carrier. If nothing
-    is feasible the cheapest overloaded assignment is returned, flagged.
-    Ties go to the lexicographically smallest assignment, UE 0 being the
-    most significant digit, and leaves are scored exactly as
-    `network_power_hard` scores them, so the result is the one a full
-    enumeration of all N^K assignments would pick.
+    Feasible means no cell holds more PRBs than the carrier. If nothing is
+    feasible the cheapest overloaded assignment is returned, so an
+    overloaded result means no assignment fits. Ties go to the
+    lexicographically smallest assignment, UE 0 being the most significant
+    digit, and leaves are scored exactly as `network_power_hard` scores
+    them, so the result is the one a full enumeration of all N^K
+    assignments would pick.
 
     Instances with N^K <= budget are always solved. Above that the search
     raises `BudgetExceededError` once it has visited more than `budget`
@@ -90,12 +82,9 @@ def oracle_assignment(
     prb = np.asarray(prb, dtype=np.float64)
     k, n = prb.shape
     search = _Search(prb, n_prb_total, p, None if n**k <= budget else budget)
-    feasible = search.run(capacity=True)
-    if not feasible:
+    if not search.run(capacity=True):
         search.run(capacity=False)
-    assignment = np.array(search.best, dtype=np.int64).reshape(k)
-    power_w = network_power_hard(assignment, prb, p, n_prb_total).total_w
-    return OracleResult(assignment=assignment, power_w=power_w, feasible=feasible)
+    return np.array(search.best, dtype=np.int64).reshape(k)
 
 
 class _Search:
@@ -126,9 +115,8 @@ class _Search:
         self.n_prb_total = n_prb_total
         self.p = p
         self.node_budget = node_budget
-        c0, c1 = radio_coefficients(p)
-        self.wake_w = p.p_fixed_w + p.p_bb0_w + c0 - p.p_sleep_w
-        self.w_per_prb = (p.p_bb_slope_w + c1) / n_prb_total
+        self.wake_w, slope = on_cost(p)
+        self.w_per_prb = slope / n_prb_total
         self.nodes = 0
         self.best_w = math.inf
         self.limit = math.inf
@@ -244,5 +232,6 @@ class _Search:
 
 def associate_oracle(
     s: Scenario, p: PowerParams, budget: int = ORACLE_BUDGET
-) -> OracleResult:
+) -> np.ndarray:
+    """`oracle_assignment` of the scenario's PRB demand: each UE's cell."""
     return oracle_assignment(s.prb_demand, s.n_prb_total, p, budget)

@@ -3,10 +3,13 @@
 Every command reads one merged configuration (file plus flag overrides),
 writes it back into the output directory, and writes no timestamp, in a
 file or in a file name, so a rerun with the same settings reproduces the
-same bytes.  `eval` and both sweeps score every instance through one policy
-comparison, `_compare`; `eval` writes its rows.  A sweep trains each grid
-point on the scenarios it draws, writing no dataset, and aggregates the
-rows of `eval.n_instances` held-out instances per point
+same bytes.  `train` rebuilds each dataset record with `from_record`.
+`eval` instead draws each record's scenario once from its seed, checks the
+stored arrays against that draw and scores it; both sweeps score the
+scenarios they draw.  Every instance is scored, one at a time, through one
+policy comparison, `_compare`; `eval` writes its rows.  A sweep trains each
+grid point on the scenarios it draws, writing no dataset, and aggregates
+the rows of `eval.n_instances` held-out instances per point
 (`evaluate.write_sweep_csv`).  Exit codes: 0 success, 2 configuration
 error, 3 I/O error, 4 numeric abort.
 """
@@ -24,8 +27,8 @@ from . import gat as gat_mod
 from .baselines import associate_ga_subsinr, associate_oracle, associate_rsrp
 from .codec import write_table
 from .config import (
-    EVAL_CHECKPOINT, MANIFEST, RESUME_CHECKPOINT, STAMP, RunConfig, load_config, read_artifact,
-    read_json, require_finite, require_same, write_config, write_doc,
+    EVAL_CHECKPOINT, MANIFEST, RECORD, RESUME_CHECKPOINT, STAMP, RunConfig, load_config,
+    read_artifact, read_json, require_finite, require_same, write_config, write_doc,
 )
 from .errors import (
     BudgetExceededError,
@@ -69,7 +72,7 @@ def _scenarios(cfg: RunConfig):
 
 
 def cmd_gen(cfg: RunConfig) -> int:
-    """Write dataset.jsonl, then the manifest.json `_load_pairs` checks it
+    """Write dataset.jsonl, then the manifest.json `_read_dataset` checks it
     against. The records are drawn first, so a draw the config cannot make
     leaves no output directory."""
     records = [to_record(s) for s in _scenarios(cfg)]
@@ -88,15 +91,15 @@ def cmd_gen(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _architectures(model, cfg: RunConfig, pairs) -> tuple[dict, dict]:
-    """The model's architecture and the one the run config and its dataset
-    call for, as stamps: a `gat` section with the cell count and the
-    feature width."""
+def _architectures(model, cfg: RunConfig, graph) -> tuple[dict, dict]:
+    """The model's architecture and the one the run config and a graph of
+    its dataset call for, as stamps: a `gat` section with the cell count
+    and the feature width."""
     return (
         {"gat": {**dataclasses.asdict(model.config), "n_cells": model.n_cells,
                  "feat_dim": model.feat_dim}},
         {"gat": {**dataclasses.asdict(cfg.gat), "n_cells": cfg.scenario.n_cells,
-                 "feat_dim": pairs[0].graph.features.shape[1]}},
+                 "feat_dim": graph.features.shape[1]}},
     )
 
 
@@ -109,10 +112,10 @@ def _resumable(stamp: dict) -> dict:
     return doc
 
 
-def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
-    """Read a dataset after checking the manifest.json next to it: it must
-    have been written for the run config's scenario section, and its
-    record count must match the dataset's."""
+def _read_dataset(dataset_path, cfg: RunConfig, config_path=None) -> list:
+    """A dataset's records, after checking the manifest.json next to it:
+    it must have been written for the run config's scenario section, and
+    its record count must match the dataset's."""
     manifest_path = os.path.join(os.path.dirname(dataset_path), "manifest.json")
     where = f"manifest {manifest_path}"
     manifest = read_artifact(read_json(manifest_path, where), MANIFEST, where)
@@ -126,27 +129,26 @@ def _load_pairs(dataset_path, cfg: RunConfig, config_path=None) -> list:
             f"dataset {dataset_path} holds {len(records)} records but "
             f"{manifest_path} says {manifest['count']}"
         )
-    pairs = []
-    for i, rec in enumerate(records, 1):
-        s = from_record(rec, cfg.scenario, f"dataset {dataset_path} record {i}")
-        pairs.append(Sample(s, build_graph(s, cfg.scenario.gamma_th_db)))
-    return pairs
+    return records
 
 
-def _with_sinr_cube(s, number, dataset_path, cfg: RunConfig):
-    """The scenario of record `number` with the per-PRB SINR that records
-    do not store, regenerated from its seed under the run config's
-    `scenario` section. Every array the record does store must be
-    bit-equal to the regenerated one, or ConfigError names the field."""
-    fresh = generate_scenario(cfg.scenario, s.seed)
-    for key, name in RECORD_FIELDS.items():
-        # `from_record` read each array at the dtype and shape of the config
-        if getattr(s, name).tobytes() != getattr(fresh, name).tobytes():
-            raise ConfigError(
-                f"dataset {dataset_path} record {number}: stored {key} is not "
-                f"what seed {s.seed} generates under the run config"
-            )
-    return dataclasses.replace(s, sinr_per_prb=fresh.sinr_per_prb)
+def _drawn(records, dataset_path, cfg: RunConfig):
+    """The scenario of each record, drawn from its seed under the run
+    config's `scenario` section, one at a time. Each record is read by the
+    `config.RECORD` table, and every array it stores must be bit-equal to
+    the drawn one, or ConfigError names the dataset, the record and the key."""
+    sc = cfg.scenario
+    for number, rec in enumerate(records, 1):
+        where = f"dataset {dataset_path} record {number}"
+        arr = read_artifact(rec, RECORD, where, n_cells=sc.n_cells, n_ues=sc.n_ues)
+        s = generate_scenario(sc, arr["seed"])
+        for key, name in RECORD_FIELDS.items():
+            if arr[key].tobytes() != getattr(s, name).tobytes():
+                raise ConfigError(
+                    f"{where}: stored {key} is not what seed {s.seed} "
+                    f"generates under the run config"
+                )
+        yield s
 
 
 def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=None):
@@ -172,7 +174,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
         resume = read_artifact(leftover, RESUME_CHECKPOINT, where, epochs=cfg.train.epochs)
         shapes = [p.shape for p in model.params.values()]
         adam = ad.AdamState.from_dict(leftover["adam"], shapes, f"{where}: adam")
-        built, wanted = _architectures(model, cfg, pairs)
+        built, wanted = _architectures(model, cfg, pairs[0].graph)
         require_same(
             where, {**_resumable(resume["config"]), **built},
             {**_resumable(cfg.stamp()), **wanted}, config_path,
@@ -220,7 +222,10 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
 
 
 def cmd_train(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
-    pairs = _load_pairs(dataset_path, cfg, config_path)
+    pairs = []
+    for number, rec in enumerate(_read_dataset(dataset_path, cfg, config_path), 1):
+        s = from_record(rec, cfg.scenario, f"dataset {dataset_path} record {number}")
+        pairs.append(Sample(s, build_graph(s, cfg.scenario.gamma_th_db)))
     res = _train_to_dir(
         cfg, pairs, cfg.out_dir, checkpoint=checkpoint, config_path=config_path
     )
@@ -242,9 +247,10 @@ def _load_model(path) -> tuple:
 def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
     """Score one instance under every policy: the model's hardened
     association, strongest RSRP, sub-band SINR and, when asked, the exact
-    oracle. `sample` holds the scenario with its per-PRB SINR and the graph
-    normalized for `model`. Returns the `eval.csv` row without its seed, a
-    column -> value dict, and the policy reports in heatmap order."""
+    oracle, each scored once. `sample` holds a drawn scenario, with its
+    per-PRB SINR, and its graph normalized for `model`. Returns the
+    `eval.csv` row without its seed, a column -> value dict, and the policy
+    reports in heatmap order."""
     s = sample.scenario
     gnn = evaluate_policy(
         gat_mod.harden(gat_mod.forward(sample.graph, model)), s, cfg.power, policy_name="gnn"
@@ -262,9 +268,11 @@ def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
     reports = [gnn, rsrp, sub]
     if with_oracle:
         oracle = associate_oracle(s, cfg.power, budget=cfg.eval.oracle_budget)
-        orep = evaluate_policy(oracle.assignment, s, cfg.power, policy_name="oracle")
+        orep = evaluate_policy(oracle, s, cfg.power, policy_name="oracle")
         row["oracle_power_w"] = orep.total_power_w
-        row["oracle_feasible"] = int(oracle.feasible)
+        # the search is exact: its answer overloads a cell only when every
+        # assignment does
+        row["oracle_feasible"] = int(orep.gbr_satisfied)
         reports.append(orep)
     row["gain_vs_rsrp_pct"] = gain_percent(gnn.total_power_w, rsrp.total_power_w)
     row["gain_vs_subsinr_pct"] = gain_percent(gnn.total_power_w, sub.total_power_w)
@@ -274,22 +282,26 @@ def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
 
 
 def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
+    """Score every record's scenario, drawn once from its seed, under each
+    policy. The model's architecture is checked against the first graph
+    before any forward pass; nothing is written until every record scores."""
     model, stats = _load_model(checkpoint)
-    pairs = _load_pairs(dataset_path, cfg, config_path)
-    require_same(f"checkpoint {checkpoint}", *_architectures(model, cfg, pairs), config_path)
-    scenario = pairs[0].scenario
-    with_oracle = scenario.n_cells**scenario.n_ues <= cfg.eval.oracle_budget
+    records = _read_dataset(dataset_path, cfg, config_path)
+    with_oracle = cfg.scenario.n_cells**cfg.scenario.n_ues <= cfg.eval.oracle_budget
 
     rows = []
-    first_reports = None
-    for number, sample in enumerate(pairs, 1):
-        s = _with_sinr_cube(sample.scenario, number, dataset_path, cfg)
+    for s in _drawn(records, dataset_path, cfg):
+        graph = build_graph(s, cfg.scenario.gamma_th_db)
+        if not rows:  # the first graph, before any forward pass
+            require_same(
+                f"checkpoint {checkpoint}", *_architectures(model, cfg, graph), config_path
+            )
         row, reports = _compare(
-            Sample(s, normalize_features(sample.graph, stats)), model, cfg, with_oracle
+            Sample(s, normalize_features(graph, stats)), model, cfg, with_oracle
         )
-        rows.append((s.seed, row))
-        if first_reports is None:
+        if not rows:
             first_reports = (s, reports)
+        rows.append((s.seed, row))
 
     header = list(rows[0][1])
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -307,7 +319,7 @@ def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     export_heatmaps(first_reports[0], first_reports[1], cfg.out_dir)
     write_config(cfg, os.path.join(cfg.out_dir, "config.json"))
     print(
-        f"evaluated {len(pairs)} instances; mean gnn power "
+        f"evaluated {len(rows)} instances; mean gnn power "
         f"{summary['mean_gnn_power_w']:.3f} W; outputs in {cfg.out_dir}"
     )
     return EXIT_OK
@@ -404,16 +416,6 @@ def _train_points(cfg: RunConfig, points, config_path=None):
         list(pool.map(_train_point, *zip(*todo)))
 
 
-def _eval_samples(cfg: RunConfig, stats: FeatureStats) -> list:
-    """cfg's `eval.n_instances` held-out instances, normalized by `stats`."""
-    samples = []
-    first = cfg.seed + EVAL_SEED_OFFSET
-    for s in iter_scenarios(cfg.scenario, range(first, first + cfg.eval.n_instances)):
-        g = build_graph(s, cfg.scenario.gamma_th_db)
-        samples.append(Sample(s, normalize_features(g, stats)))
-    return samples
-
-
 def _with_grid_value(cfg: RunConfig, key: str, name: str, value) -> RunConfig:
     """cfg with `scenario.<name>` set to a value of grid key `key`, read
     under the run file's rules, so a value the key cannot take exits 2."""
@@ -460,8 +462,14 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
     for sub, _, scored in points:
         model, stats = _load_model(os.path.join(sub, "checkpoint_best.json"))
         for values, scored_cfg in scored:
-            samples = _eval_samples(scored_cfg, stats)
-            table.append((values, [_compare(x, model, scored_cfg)[0] for x in samples]))
+            first = scored_cfg.seed + EVAL_SEED_OFFSET
+            seeds = range(first, first + scored_cfg.eval.n_instances)
+            rows = []
+            for s in iter_scenarios(scored_cfg.scenario, seeds):
+                graph = build_graph(s, scored_cfg.scenario.gamma_th_db)
+                x = Sample(s, normalize_features(graph, stats))
+                rows.append(_compare(x, model, scored_cfg)[0])
+            table.append((values, rows))
     path = write_sweep_csv(variable, table, cfg.scenario.n_cells, cfg.out_dir)
     print(f"sweep table written to {path}")
     return EXIT_OK

@@ -7,7 +7,9 @@ model exists in two forms: the per-cell array draw `cell_draw` and
 `network_power_hard`, which the baselines and policy scoring (`evaluate`)
 use; and a relaxed form (`network_power_soft`) for the training loss,
 whose gradient `autodiff.gated_load_cost_backward` gives. Both take the
-radio draw's constant and slope from `radio_coefficients`.
+radio draw's constant and slope from `radio_coefficients`; the relaxed form
+and the exact search's bounds (`baselines`) take an active cell's cost
+above sleep from `on_cost`.
 """
 
 from __future__ import annotations
@@ -58,13 +60,18 @@ def radio_coefficients(p: PowerParams) -> tuple[float, float]:
     return c0, c1
 
 
+def on_cost(p: PowerParams) -> tuple[float, float]:
+    """What an active cell draws above sleep power: a constant, and a slope
+    per unit of utilization."""
+    c0, c1 = radio_coefficients(p)
+    return p.p_fixed_w - p.p_sleep_w + p.p_bb0_w + c0, p.p_bb_slope_w + c1
+
+
 @dataclass(frozen=True)
 class NetworkPower:
-    """Total network draw with its per-cell decomposition."""
+    """Total network draw and each cell's state."""
 
     total_w: float
-    cell_w: np.ndarray      # per-cell draw, length N
-    load_prb: np.ndarray    # per-cell assigned PRBs, length N
     active: np.ndarray      # bool, cell serves at least one UE
     overload: np.ndarray    # bool, assigned PRBs exceed the carrier
 
@@ -99,11 +106,8 @@ def network_power_hard(
     k, n = prb.shape
     _check_assignment(assignment, k, n)
     load = np.bincount(assignment, weights=prb[np.arange(k), assignment], minlength=n)
-    cell_w = cell_draw(load, p, n_prb_total)
     return NetworkPower(
-        total_w=float(cell_w.sum()),
-        cell_w=cell_w,
-        load_prb=load,
+        total_w=float(cell_draw(load, p, n_prb_total).sum()),
         active=load > 0.0,
         overload=load > n_prb_total,
     )
@@ -137,11 +141,6 @@ def network_power_soft(
     prb = np.asarray(prb, dtype=np.float64)
     if prb.shape != (k, n):
         raise ContractError(f"association {s.shape} and PRB demand {prb.shape} differ")
-    c0, c1 = radio_coefficients(p)
     return ad.gated_load_cost(
-        s, prb, n_prb_total,
-        on_const=p.p_fixed_w - p.p_sleep_w + p.p_bb0_w + c0,
-        on_slope=p.p_bb_slope_w + c1,
-        offset=n * p.p_sleep_w,
-        saved=saved,
+        s, prb, n_prb_total, *on_cost(p), offset=n * p.p_sleep_w, saved=saved
     )

@@ -131,8 +131,8 @@ class Scenario:
     distance: np.ndarray           # (K, N) m, 3-D including antenna heights
     sinr_wideband_db: np.ndarray   # (K, N)
     # (K, N, n_prb_total) linear ratio; None in a scenario read back by
-    # `from_record`, since records do not store it: `generate_scenario` at
-    # the same seed and config rebuilds it
+    # `from_record`, since records do not store it. `eval` scores the
+    # scenario `generate_scenario` draws from the record's seed instead
     sinr_per_prb: np.ndarray | None
     rsrp_dbm: np.ndarray           # (K, N)
     prb_demand: np.ndarray         # (K, N) int, in [1, n_prb_total]

@@ -232,7 +232,7 @@ def test_oracle_dominates_every_policy():
             n_ues=n_ues, tx_power_dbm=46.0,
         )
         s = generate_scenario(cfg, 5000 + i)
-        oracle = associate_oracle(s, PARAMS)
+        oracle_w = _hard_power(associate_oracle(s, PARAMS), s)
         model = gat.init_model(3 * n_cells, n_cells,
                                gat.GatConfig(hidden_dim=8), seed=i)
         g = build_graph(s, cfg.gamma_th_db)
@@ -242,7 +242,7 @@ def test_oracle_dominates_every_policy():
             gat.harden(gat.forward(g, model)),
         )
         for assoc in policies:
-            assert oracle.power_w <= _hard_power(assoc, s), f"instance {i}"
+            assert oracle_w <= _hard_power(assoc, s), f"instance {i}"
         checked += 1
     _report(4, "oracle dominance", checked == 200,
             "200 instances, exact comparison")
@@ -270,7 +270,7 @@ def test_small_instance_learning_tracks_oracle():
     for smp in test_split:
         assoc = gat.harden(gat.forward(smp.graph, result.best_model))
         gnn_w.append(_hard_power(assoc, smp.scenario))
-        oracle_w.append(associate_oracle(smp.scenario, PARAMS).power_w)
+        oracle_w.append(_hard_power(associate_oracle(smp.scenario, PARAMS), smp.scenario))
         rsrp_w.append(_hard_power(associate_rsrp(smp.scenario), smp.scenario))
     gnn, oracle, rsrp = map(float, map(np.mean, (gnn_w, oracle_w, rsrp_w)))
     ok = gnn <= 1.05 * oracle and gnn < rsrp

@@ -116,32 +116,41 @@ def _independent_best(prb, t, p):
     best = None
     for tup in itertools.product(range(n), repeat=k):
         res = network_power_hard(np.array(tup), prb, p, t)
-        key = (not (res.load_prb <= t).all(), res.total_w)
+        load = np.bincount(tup, weights=prb[np.arange(k), tup], minlength=n)
+        key = (not (load <= t).all(), res.total_w)
         if best is None or key < best[0]:
             best = (key, tup, res.total_w)
     return best
 
 
+def _oracle(prb, t, p, **kwargs):
+    """The oracle's assignment, its draw, and whether it fits the carrier,
+    both read from `network_power_hard`."""
+    assignment = bl.oracle_assignment(prb, t, p, **kwargs)
+    net = network_power_hard(assignment, prb, p, t)
+    return assignment, net.total_w, not net.overload.any()
+
+
 def test_oracle_symmetric_tie_goes_lexicographic():
-    res = bl.oracle_assignment(np.array([[10.0, 10.0]]), 51, DEFAULTS)
-    assert res.assignment.tolist() == [0]
-    assert res.feasible
+    assignment, _, feasible = _oracle(np.array([[10.0, 10.0]]), 51, DEFAULTS)
+    assert assignment.tolist() == [0]
+    assert feasible
 
 
 def test_oracle_two_ue_hand_enumeration():
     prb = np.array([[1.0, 50.0], [50.0, 1.0]])
-    res = bl.oracle_assignment(prb, 51, DEFAULTS)
+    assignment, power_w, _ = _oracle(prb, 51, DEFAULTS)
     _, tup, pw = _independent_best(prb, 51, DEFAULTS)
-    assert res.assignment.tolist() == list(tup)
-    assert res.power_w == pytest.approx(pw, rel=1e-12)
+    assert assignment.tolist() == list(tup)
+    assert power_w == pytest.approx(pw, rel=1e-12)
 
 
 def test_oracle_consolidates_when_fixed_power_dominates():
     p = PowerParams(p_fixed_w=500.0, p_sleep_w=0.0)
     prb = np.ones((3, 2))
-    res = bl.oracle_assignment(prb, 51, p)
-    assert res.assignment.tolist() == [0, 0, 0]
-    assert res.feasible
+    assignment, _, feasible = _oracle(prb, 51, p)
+    assert assignment.tolist() == [0, 0, 0]
+    assert feasible
 
 
 def test_oracle_matches_independent_enumeration():
@@ -153,19 +162,19 @@ def test_oracle_matches_independent_enumeration():
             continue
         prb = rng.integers(1, 35, size=(k, n)).astype(float)
         p = PowerParams(p_sleep_w=float(rng.choice([0.0, 10.0])))
-        res = bl.oracle_assignment(prb, 51, p)
+        assignment, power_w, feasible = _oracle(prb, 51, p)
         key, tup, pw = _independent_best(prb, 51, p)
-        assert res.assignment.tolist() == list(tup), f"trial {trial}"
-        assert res.power_w == pytest.approx(pw, rel=1e-12)
-        assert res.feasible == (not key[0])
+        assert assignment.tolist() == list(tup), f"trial {trial}"
+        assert power_w == pytest.approx(pw, rel=1e-12)
+        assert feasible == (not key[0])
 
 
 def _assert_same_as_enumeration(prb, t, p, msg=""):
-    res = bl.oracle_assignment(prb, t, p)
+    res = _oracle(prb, t, p)
     assignment, power_w, feasible = enumerate_oracle(prb, t, p)
-    assert res.assignment.tolist() == assignment.tolist(), msg
-    assert res.power_w == power_w, msg
-    assert res.feasible == feasible, msg
+    assert res[0].tolist() == assignment.tolist(), msg
+    assert res[1] == power_w, msg
+    assert res[2] == feasible, msg
     return res
 
 
@@ -174,8 +183,8 @@ def test_oracle_crosses_chunk_boundaries_consistently():
     prb = np.linspace(1.0, 12.0, 9 * 4).reshape(9, 4)
     res = _assert_same_as_enumeration(prb, 51, DEFAULTS)
     chunked = enumerate_oracle(prb, 51, DEFAULTS, chunk=1000)
-    assert res.assignment.tolist() == chunked[0].tolist()
-    assert res.power_w == chunked[1]
+    assert res[0].tolist() == chunked[0].tolist()
+    assert res[1] == chunked[1]
 
 
 def _random_instance(rng, trial):
@@ -211,8 +220,8 @@ def test_oracle_matches_enumeration_on_random_instances():
     infeasible = fractional = 0
     for trial in range(320):
         prb, t, p = _random_instance(rng, trial)
-        res = _assert_same_as_enumeration(prb, t, p, f"trial {trial}")
-        infeasible += not res.feasible
+        _, _, feasible = _assert_same_as_enumeration(prb, t, p, f"trial {trial}")
+        infeasible += not feasible
         fractional += bool((prb != np.round(prb)).any())
     assert infeasible >= 20 and fractional >= 50
 
@@ -239,11 +248,11 @@ def test_oracle_matches_enumeration_beyond_per_set_search():
 
 def test_oracle_overload_fallback_is_flagged():
     prb = np.full((2, 2), 60.0)  # every assignment overloads some cell
-    res = bl.oracle_assignment(prb, 51, DEFAULTS)
-    assert not res.feasible
+    assignment, power_w, feasible = _oracle(prb, 51, DEFAULTS)
+    assert not feasible
     _, tup, pw = _independent_best(prb, 51, DEFAULTS)
-    assert res.assignment.tolist() == list(tup)
-    assert res.power_w == pytest.approx(pw, rel=1e-12)
+    assert assignment.tolist() == list(tup)
+    assert power_w == pytest.approx(pw, rel=1e-12)
 
 
 def test_oracle_budget_refusal():
@@ -251,16 +260,14 @@ def test_oracle_budget_refusal():
     prb = np.ones((30, 7))
     with pytest.raises(BudgetExceededError):
         bl.oracle_assignment(prb, 51, DEFAULTS, budget=50)
-    res = bl.oracle_assignment(prb, 51, DEFAULTS)  # ~200 nodes
-    assert res.assignment.tolist() == [0] * 30
+    assert bl.oracle_assignment(prb, 51, DEFAULTS).tolist() == [0] * 30  # ~200 nodes
 
 
 def test_oracle_never_refuses_within_enumeration_budget():
     # two 30-PRB UEs cannot share a cell: the search visits more nodes
     # than the 7^2 assignments, yet a budget of N^K must still solve it
     prb = np.full((2, 7), 30.0)
-    res = bl.oracle_assignment(prb, 51, DEFAULTS, budget=7**2)
-    assert res.assignment.tolist() == [0, 1]
+    assert bl.oracle_assignment(prb, 51, DEFAULTS, budget=7**2).tolist() == [0, 1]
     with pytest.raises(BudgetExceededError):
         bl.oracle_assignment(prb, 51, DEFAULTS, budget=7**2 - 1)
 
@@ -273,8 +280,10 @@ def test_oracle_solves_paper_defaults_at_k20():
     )
     for seed in range(3):
         s = sc.generate_scenario(cfg, 300 + seed)
-        res = bl.associate_oracle(s, DEFAULTS)
-        assert res.feasible
+        best = network_power_hard(
+            bl.associate_oracle(s, DEFAULTS), s.prb_demand, DEFAULTS, s.n_prb_total
+        )
+        assert not best.overload.any()
         g = sc.build_graph(s, cfg.gamma_th_db)
         policies = {
             "rsrp": bl.associate_rsrp(s),
@@ -290,7 +299,7 @@ def test_oracle_solves_paper_defaults_at_k20():
                 # the untrained model piles every UE onto one cell
                 assert name == "gnn", f"seed {seed}"
                 continue
-            assert res.power_w <= net.total_w, f"seed {seed} {name}"
+            assert best.total_w <= net.total_w, f"seed {seed} {name}"
 
 
 def test_oracle_dominates_signal_strength_policies():
@@ -299,12 +308,15 @@ def test_oracle_dominates_signal_strength_policies():
                             tx_power_dbm=46.0)
     for seed in range(25):
         s = sc.generate_scenario(cfg, 100 + seed)
-        oracle = bl.associate_oracle(s, DEFAULTS)
-        for policy in (bl.associate_rsrp(s), bl.associate_ga_subsinr(s)):
-            pw = network_power_hard(
-                policy, s.prb_demand, DEFAULTS, s.n_prb_total
-            ).total_w
-            assert oracle.power_w <= pw + 1e-9
+        oracle, rsrp, subsinr = (
+            network_power_hard(policy, s.prb_demand, DEFAULTS, s.n_prb_total).total_w
+            for policy in (
+                bl.associate_oracle(s, DEFAULTS), bl.associate_rsrp(s),
+                bl.associate_ga_subsinr(s),
+            )
+        )
+        for pw in (rsrp, subsinr):
+            assert oracle <= pw + 1e-9
 
 
 # a scenario holds the per-PRB SINR as a linear ratio; the GA baseline

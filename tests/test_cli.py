@@ -1,6 +1,7 @@
 """End-to-end command behavior: files, exit codes, reproducibility."""
 
 import base64
+import dataclasses
 import json
 import math
 import os
@@ -1114,22 +1115,71 @@ def test_eval_refuses_a_record_its_seed_does_not_regenerate(tmp_path, capsys, ke
     assert not (tmp_path / "ev").exists()
 
 
-def test_eval_rebuilds_the_sinr_cube_from_the_record_seed(tmp_path):
+def test_eval_scores_each_record_as_its_seed_draws_it(tmp_path, monkeypatch):
+    # one draw per record, no decoding back into a scenario, and each
+    # scored scenario is the seed's draw, field for field
     cfg_path = _write_cfg(tmp_path)
-    data_dir = tmp_path / "data"
-    assert cli.main(["gen", "--config", cfg_path, "--out", str(data_dir)]) == 0
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg_path)
     cfg = RunConfig.from_dict(_cfg_dict())
-    dataset = str(data_dir / "dataset.jsonl")
-    pairs = cli._load_pairs(dataset, cfg)
-    assert len(pairs) == 6
-    for number, sample in enumerate(pairs, 1):
-        assert sample.scenario.sinr_per_prb is None
-        rebuilt = cli._with_sinr_cube(sample.scenario, number, dataset, cfg)
-        fresh = generate_scenario(cfg.scenario, sample.scenario.seed)
-        cube = rebuilt.sinr_per_prb
-        assert cube.dtype == fresh.sinr_per_prb.dtype
-        assert cube.shape == fresh.sinr_per_prb.shape
-        assert cube.tobytes() == fresh.sinr_per_prb.tobytes()
+    draws, scored = [], []
+    compare = cli._compare
+
+    def counted_draw(scenario_cfg, seed):
+        draws.append(seed)
+        return generate_scenario(scenario_cfg, seed)
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("eval rebuilt a record with from_record")
+
+    def recorded_compare(sample, *args, **kwargs):
+        scored.append(sample.scenario)
+        return compare(sample, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_scenario", counted_draw)
+    monkeypatch.setattr(cli, "from_record", no_decoding)
+    monkeypatch.setattr(cli, "_compare", recorded_compare)
+    code = cli.main([
+        "eval", "--config", cfg_path, "--out", str(tmp_path / "ev"),
+        "--dataset", str(data_dir / "dataset.jsonl"),
+        "--checkpoint", str(run_dir / "checkpoint_best.json"),
+    ])
+    assert code == 0
+    lines = (data_dir / "dataset.jsonl").read_text().splitlines()
+    seeds = [json.loads(line)["seed"] for line in lines]
+    assert len(seeds) == 6
+    assert draws == seeds
+    assert [s.seed for s in scored] == seeds
+    for s in scored:
+        fresh = generate_scenario(cfg.scenario, s.seed)
+        for field in dataclasses.fields(fresh):
+            got, want = getattr(s, field.name), getattr(fresh, field.name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+                assert got.tobytes() == want.tobytes(), field.name
+            else:
+                assert got == want, field.name
+
+
+def test_eval_flags_the_oracle_infeasible_only_when_no_assignment_fits(tmp_path):
+    # at 500 Mbps a UE needs a full carrier at either cell, so two of the
+    # three UEs share one cell and overload it, whatever the assignment
+    for name, scenario, flag in (
+        ("full", {"ue_demand_mbps": 500.0}, "0"),
+        ("light", {}, "1"),
+    ):
+        cfg = _write_cfg(tmp_path, name=f"{name}.json", scenario=scenario)
+        (tmp_path / name).mkdir()
+        data_dir, run_dir = _gen_and_train(tmp_path / name, cfg)
+        out = tmp_path / name / "ev"
+        code = cli.main([
+            "eval", "--config", cfg, "--out", str(out),
+            "--dataset", str(data_dir / "dataset.jsonl"),
+            "--checkpoint", str(run_dir / "checkpoint_best.json"),
+        ])
+        assert code == 0
+        lines = (out / "eval.csv").read_text().splitlines()
+        column = lines[0].split(",").index("oracle_feasible")
+        assert [line.split(",")[column] for line in lines[1:]] == [flag] * 6, name
 
 
 def test_a_dataset_in_the_earlier_five_array_format_trains_and_evals_alike(tmp_path):

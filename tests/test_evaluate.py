@@ -186,8 +186,7 @@ def test_oracle_dominates_all_policies_on_reports():
         s = sample.scenario
         model = gat.init_model(sample.graph.features.shape[1], s.n_cells,
                                gat.GatConfig(hidden_dim=4), seed=s.seed)
-        oracle = associate_oracle(s, DEFAULTS)
-        best = ev.evaluate_policy(oracle.assignment, s, DEFAULTS, "oracle")
+        best = ev.evaluate_policy(associate_oracle(s, DEFAULTS), s, DEFAULTS, "oracle")
         for assoc in (
             gat.harden(gat.forward(sample.graph, model)),
             associate_rsrp(s),

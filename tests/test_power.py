@@ -24,6 +24,13 @@ def _on_w(eta):
     return ON_AT_ZERO_W + ON_SLOPE_W * eta
 
 
+def _per_cell(assignment, prb, p, t):
+    """Each cell's PRB load and draw under a hard association."""
+    k, n = prb.shape
+    load = np.bincount(assignment, weights=prb[np.arange(k), assignment], minlength=n)
+    return load, pw.cell_draw(load, p, t)
+
+
 def test_radio_power_closed_forms():
     c0, c1 = pw.radio_coefficients(DEFAULTS)
     assert c0 == pytest.approx(106.6666666667, rel=1e-9)
@@ -68,7 +75,9 @@ def test_utilization_and_overload():
     prb = np.array([[51.0, 1.0], [1.0, 60.0]])
     res = pw.network_power_hard(np.array([0, 1]), prb, DEFAULTS, 51)
     assert res.overload.tolist() == [False, True]
-    np.testing.assert_allclose(res.cell_w, [242.0, 242.0], rtol=1e-12)
+    _, cell_w = _per_cell(np.array([0, 1]), prb, DEFAULTS, 51)
+    np.testing.assert_allclose(cell_w, [242.0, 242.0], rtol=1e-12)
+    assert res.total_w == cell_w.sum()
 
 
 def test_bs_power_values():
@@ -104,11 +113,13 @@ def test_network_power_hard_switch_off_accounting():
     params = pw.PowerParams(p_sleep_w=5.0)
     k, n = 4, 3
     prb = np.full((k, n), 6.0)
-    res = pw.network_power_hard(np.ones(k, dtype=np.int64), prb, params, n_prb_total=51)
+    assignment = np.ones(k, dtype=np.int64)
+    res = pw.network_power_hard(assignment, prb, params, n_prb_total=51)
     assert res.active.tolist() == [False, True, False]
-    assert res.cell_w[0] == 5.0 and res.cell_w[2] == 5.0
-    assert res.cell_w[1] == pytest.approx(_on_w(24.0 / 51.0), rel=1e-12)
-    assert res.total_w == pytest.approx(res.cell_w.sum(), rel=1e-12)
+    _, cell_w = _per_cell(assignment, prb, params, 51)
+    assert cell_w[0] == 5.0 and cell_w[2] == 5.0
+    assert cell_w[1] == pytest.approx(_on_w(24.0 / 51.0), rel=1e-12)
+    assert res.total_w == pytest.approx(cell_w.sum(), rel=1e-12)
 
 
 def test_network_power_hard_empty_network():
@@ -122,7 +133,7 @@ def test_network_power_hard_two_cell_hand_value():
     t = 51
     prb = np.array([[10.0, 20.0], [30.0, 5.0]])
     res = pw.network_power_hard(np.array([0, 1]), prb, DEFAULTS, t)
-    np.testing.assert_allclose(res.load_prb, [10.0, 5.0])
+    np.testing.assert_allclose(_per_cell(np.array([0, 1]), prb, DEFAULTS, t)[0], [10.0, 5.0])
     expected = _on_w(10 / t) + _on_w(5 / t)
     assert res.total_w == pytest.approx(expected, rel=1e-12)
 
@@ -143,9 +154,11 @@ def test_network_power_hard_rejects_anything_but_one_cell_index_per_ue():
 
 def test_network_power_hard_flags_overload():
     prb = np.full((3, 1), 30.0)
-    res = pw.network_power_hard(np.zeros(3, dtype=np.int64), prb, DEFAULTS, n_prb_total=51)
+    assignment = np.zeros(3, dtype=np.int64)
+    res = pw.network_power_hard(assignment, prb, DEFAULTS, n_prb_total=51)
     assert res.overload.tolist() == [True]
-    assert res.cell_w[0] == pytest.approx(242.0, rel=1e-12)
+    assert _per_cell(assignment, prb, DEFAULTS, 51)[1][0] == pytest.approx(242.0, rel=1e-12)
+    assert res.total_w == pytest.approx(242.0, rel=1e-12)
 
 
 def test_network_power_hard_monotone_in_each_demand_entry():
@@ -188,8 +201,10 @@ def test_switch_off_benefit_identity():
         def draw(load, active):
             return _on_w(min(1.0, load / t)) if active else params.p_sleep_w
 
-        gain_b = draw(after.load_prb[b], True) - draw(before.load_prb[b], before.active[b])
-        drop_a = draw(before.load_prb[a], True) - params.p_sleep_w
+        load_before, _ = _per_cell(s, prb, params, t)
+        load_after, _ = _per_cell(moved, prb, params, t)
+        gain_b = draw(load_after[b], True) - draw(load_before[b], before.active[b])
+        drop_a = draw(load_before[a], True) - params.p_sleep_w
         assert after.total_w - before.total_w == pytest.approx(
             gain_b - drop_a, abs=1e-9
         )

@@ -11,7 +11,7 @@ from nesua import gat
 from nesua import training as tr
 from nesua.baselines import oracle_assignment
 from nesua.errors import ConfigError, ContractError, ShapeError, TrainingDiverged
-from nesua.power import PowerParams, network_power_soft
+from nesua.power import PowerParams, network_power_hard, network_power_soft
 from nesua.scenario import GraphInstance, ScenarioConfig
 
 from helpers import (
@@ -212,8 +212,8 @@ def test_single_instance_learns_the_cheap_cell():
         n_prb_total=51,
     )
     best = oracle_assignment(prb, 51, params)
-    assert best.assignment.tolist() == [0, 0]
-    assert best.feasible
+    assert best.tolist() == [0, 0]
+    assert not network_power_hard(best, prb, params, 51).overload.any()
 
     tc = tr.TrainConfig(dataset_size=2, epochs=200, lr=2e-2, lambda1=5.0, lambda2=0.0)
     gcfg = gat.GatConfig(hidden_dim=8, readout_activation="identity")
@@ -222,7 +222,7 @@ def test_single_instance_learns_the_cheap_cell():
         seed=0, gat_cfg=gcfg, test=[],
     )
     s = gat.forward(g, res.model)
-    assert gat.harden(s).tolist() == best.assignment.tolist()
+    assert gat.harden(s).tolist() == best.tolist()
     assert s[:, 0].min() > 0.99  # hardened, not merely leaning
 
 
