@@ -21,6 +21,14 @@ transformed features of a layer get the aggregation gradient, then the
 source and destination score gradients; the association gets the gate,
 load, trace and load-norm gradients, in that order.
 
+Every forward also takes its array arguments with a leading instance
+axis, (B, K, d) for (K, d), and returns the values of the B instances
+stacked, each with the bits of its own 2-D call: matrix products are
+numpy's stacked `@`, which calls BLAS once per instance (flattening to
+(B*K, d) would block the rows otherwise and change bits), sums over UEs
+reduce `axis=-2` and softmaxes run over `axis=-1`. Backward rules read one
+instance's records, so a stacked call with `saved` raises ShapeError.
+
 `AdamState` keeps Adam's step counter and its two moments, each one more
 buffer of the parameter layout, and one `adam_step` over the four buffers
 updates every parameter under the `train` section's settings.
@@ -76,9 +84,9 @@ def _leaky_scale(x, negative_slope):
 def _softmax_rows(x, keep=None):
     """Softmax of each row of x over its kept entries (all when keep is None)."""
     shifted = x if keep is None else np.where(keep, x, -np.inf)
-    shifted = shifted - np.maximum.reduce(shifted, axis=1, keepdims=True)
+    shifted = shifted - np.maximum.reduce(shifted, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_rows_grad(s, g):
@@ -99,16 +107,24 @@ def _leave_one_out_products(q):
     return prefix, suffix
 
 
+def _stacked(op, shape):
+    """The error for an op given `saved` and a stacked input: backward
+    rules read one instance."""
+    return ShapeError(f"{op}: a stacked input {shape} cannot be recorded for backward")
+
+
 # ---------------------------------------------------------------------------
 # the ops of a step: forward, then backward rule
 
 
 def linear(x, w, saved=None):
-    """x @ w.T for rows x (K, d_in) and a weight matrix w (d_out, d_in)."""
-    if x.ndim != 2 or w.ndim != 2:
+    """x @ w.T for rows x (..., K, d_in) and a weight matrix w (d_out, d_in)."""
+    if x.ndim < 2 or w.ndim != 2:
         raise ShapeError(f"linear: expected matrices, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[1]:
+    if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: widths differ, {x.shape} vs weight {w.shape}")
+    if saved is not None and x.ndim > 2:
+        raise _stacked("linear", x.shape)
     if saved is not None:
         saved.append(Linear(x, w))
     return x @ w.T
@@ -127,7 +143,7 @@ def linear_backward(rec, g, g_w, want_x=True):
 
 
 def attention_round(hw, a, adjacency, negative_slope, relu, saved=None):
-    """One graph attention round over transformed node features hw (K, d).
+    """One graph attention round over transformed node features hw (..., K, d).
 
     The scorer a (2d,) splits into a source and a destination half, so
     the K-by-K pair scores are the broadcast sum of two length-K
@@ -135,16 +151,21 @@ def attention_round(hw, a, adjacency, negative_slope, relu, saved=None):
     act(softmax(leaky_relu(scores)) @ hw): the softmax runs over each row's
     neighbours, the True entries of the bool mask `adjacency`, at least one
     per row (`GraphInstance` checks that), and act is relu or the identity.
+    A stacked hw takes a mask (..., K, K) with the same leading axes.
     """
-    k, d = hw.shape
+    k, d = hw.shape[-2:]
     if a.shape != (2 * d,):
         raise ShapeError(f"attention vector {a.shape} does not fit width {d}")
-    if adjacency.shape != (k, k):
-        raise ShapeError(f"attention_round: mask {adjacency.shape} vs input {(k, k)}")
+    if adjacency.shape != hw.shape[:-1] + (k,):
+        raise ShapeError(
+            f"attention_round: mask {adjacency.shape} vs input {hw.shape[:-1] + (k,)}"
+        )
+    if saved is not None and hw.ndim > 2:
+        raise _stacked("attention_round", hw.shape)
     # copies, as the primitive chain's slices were: the products see
     # operands of their own
     a_src, a_dst = a[:d].copy(), a[d:].copy()
-    pair = (hw @ a_src).reshape(k, 1) + (hw @ a_dst).reshape(1, k)
+    pair = (hw @ a_src)[..., :, None] + (hw @ a_dst)[..., None, :]
     scale = _leaky_scale(pair, negative_slope)
     att = _softmax_rows(pair * scale, adjacency)
     mixed = att @ hw
@@ -178,14 +199,16 @@ def attention_round_backward(rec, g, g_a):
 
 
 def softmax_readout(h, q, b, relu, saved=None):
-    """Row softmax of act(h @ q + b) for rows h (K, d), weights q (d, N)
+    """Row softmax of act(h @ q + b) for rows h (..., K, d), weights q (d, N)
     and a bias b (N,); act is relu or the identity."""
-    if h.ndim != 2 or q.ndim != 2:
+    if h.ndim < 2 or q.ndim != 2:
         raise ShapeError(f"softmax_readout: expected matrices, got {h.shape} and {q.shape}")
-    if h.shape[1] != q.shape[0]:
+    if h.shape[-1] != q.shape[0]:
         raise ShapeError(f"softmax_readout: inner dims differ, {h.shape} @ {q.shape}")
     if b.shape != (q.shape[1],):
         raise ShapeError(f"softmax_readout: bias {b.shape} does not fit {q.shape[1]} cells")
+    if saved is not None and h.ndim > 2:
+        raise _stacked("softmax_readout", h.shape)
     logits = h @ q + b
     s = _softmax_rows(_relu(logits) if relu else logits)
     if saved is not None:
@@ -207,9 +230,11 @@ def softmax_readout_backward(rec, g, g_q, g_b):
     return g_h
 
 
-def _check_association(op, s, demand):
-    if s.ndim != 2 or np.shape(demand) != s.shape:
+def _check_association(op, s, demand, saved):
+    if s.ndim < 2 or np.shape(demand) != s.shape:
         raise ShapeError(f"{op}: association {s.shape} and demand {np.shape(demand)} differ")
+    if saved is not None and s.ndim > 2:
+        raise _stacked(op, s.shape)
 
 
 def gated_load_cost(s, demand, capacity, on_const, on_slope, offset, saved=None):
@@ -217,16 +242,16 @@ def gated_load_cost(s, demand, capacity, on_const, on_slope, offset, saved=None)
     s (K, N) and a demand of the same shape: gate_n = 1 - prod_k (1 - s_kn)
     is 0 for an empty column and 1 as soon as an entry is 1, and
     eta_n = clip(load_n / capacity, 0, 1) with load the column sums of
-    s * demand."""
-    _check_association("gated_load_cost", s, demand)
-    scaled = np.add.reduce((s * demand).T, axis=1) * float(1.0 / capacity)
+    s * demand. A stacked s (..., K, N) gives one cost per instance."""
+    _check_association("gated_load_cost", s, demand, saved)
+    scaled = np.add.reduce(s * demand, axis=-2) * float(1.0 / capacity)
     per_cell = scaled.clip(0.0, 1.0) * float(on_slope) + float(on_const)
     q = 1.0 - s
-    gate = 1.0 - np.multiply.reduce(q, axis=0)
+    gate = 1.0 - np.multiply.reduce(q, axis=-2)
     if saved is not None:
         saved.append(LoadCost(s, demand, capacity, on_const, on_slope, offset, scaled, q,
                               gate, per_cell))
-    return np.add.reduce(gate * per_cell, axis=None) + np.asarray(offset)
+    return np.add.reduce(gate * per_cell, axis=-1) + np.asarray(offset)
 
 
 def gated_load_cost_backward(rec, g):
@@ -250,19 +275,21 @@ def gated_load_cost_backward(rec, g):
 def association_penalties(s, demand, lambda1, lambda2, saved=None):
     """The weighted regularisers of an association s (K, N), one entry per
     positive weight, in this order: lambda1 (K - Tr(s s^T)) and
-    lambda2 |p_hat|_2, p_hat being the column sums of s * demand."""
-    _check_association("association_penalties", s, demand)
+    lambda2 |p_hat|_2, p_hat being the column sums of s * demand. For a
+    stacked s (..., K, N), each entry holds one value per instance."""
+    _check_association("association_penalties", s, demand, saved)
     lambda1, lambda2 = float(lambda1), float(lambda2)
     terms, p_hat, norm = [], None, 0.0
     if lambda1 > 0.0:
-        terms.append((float(s.shape[0]) + np.add.reduce(s**2, axis=None) * -1.0) * lambda1)
+        sharpness = float(s.shape[-2]) + np.add.reduce(s**2, axis=(-2, -1)) * -1.0
+        terms.append(sharpness * lambda1)
     if lambda2 > 0.0:
-        p_hat = np.add.reduce((s * demand).T, axis=1)
-        norm = float(np.sqrt(np.add.reduce(p_hat**2)))
+        p_hat = np.add.reduce(s * demand, axis=-2)
+        norm = np.sqrt(np.add.reduce(p_hat**2, axis=-1))
         terms.append(norm * lambda2)
     if saved is not None:
-        saved.append(Penalties(s, demand, lambda1, lambda2, p_hat, norm))
-    return np.array(terms)
+        saved.append(Penalties(s, demand, lambda1, lambda2, p_hat, float(norm)))
+    return np.array(terms) if terms else np.zeros((0, *s.shape[:-2]))
 
 
 def association_penalties_backward(rec, g, g_s):
@@ -277,12 +304,16 @@ def association_penalties_backward(rec, g, g_s):
 
 
 def add_terms(total, terms, saved=None):
-    """A scalar total plus each entry of the vector terms, left to right."""
-    if np.shape(total) != () or np.ndim(terms) != 1:
+    """A scalar total plus each entry of the vector terms, left to right;
+    a stacked total (B,) takes terms (n, B), one value per instance each."""
+    lead, shape = np.shape(total), np.shape(terms)
+    if not shape or shape[1:] != lead:
         raise ShapeError(
-            f"add_terms: expected a scalar and a vector, "
-            f"got {np.shape(total)} and {np.shape(terms)}"
+            f"add_terms: expected a scalar and a vector, or their stacks, "
+            f"got {lead} and {shape}"
         )
+    if saved is not None and lead:
+        raise _stacked("add_terms", lead)
     value = total
     for t in terms:
         value = value + t
@@ -401,7 +432,7 @@ class AdamState:
 # Elements per Adam block. Two scratch blocks of 256 KB stay in cache and
 # are allocated once per step, where scratch the size of a 512x512 weight
 # (2 MB each) was faulted back in from the OS every step.
-_ADAM_BLOCK = 32768
+ADAM_BLOCK = 32768
 
 
 def adam_step(p: np.ndarray, grad: np.ndarray, state: AdamState, train):
@@ -414,7 +445,7 @@ def adam_step(p: np.ndarray, grad: np.ndarray, state: AdamState, train):
     m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g**2;
     p -= lr (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps),
     so the bits equal those of the expressions written out. The buffers
-    are walked in slices of at most `_ADAM_BLOCK` elements, and every
+    are walked in slices of at most `ADAM_BLOCK` elements, and every
     slice runs the whole sequence through two scratch arrays of at most one
     block each, allocated once per call. Adam is elementwise, so the blocking
     does not change a bit. The gradient is not written to.
@@ -428,10 +459,10 @@ def adam_step(p: np.ndarray, grad: np.ndarray, state: AdamState, train):
     t = state.step
     b1, b2 = train.beta1, train.beta2
     bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
-    scratch1, scratch2 = np.empty(min(p.size, _ADAM_BLOCK)), np.empty(min(p.size, _ADAM_BLOCK))
+    scratch1, scratch2 = np.empty(min(p.size, ADAM_BLOCK)), np.empty(min(p.size, ADAM_BLOCK))
     g = np.asarray(grad, dtype=np.float64)
-    for start in range(0, p.size, _ADAM_BLOCK):
-        block = slice(start, start + _ADAM_BLOCK)
+    for start in range(0, p.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
         pb, gb, mb, vb = p[block], g[block], state.m[block], state.v[block]
         s1, s2 = scratch1[: pb.size], scratch2[: pb.size]
         np.multiply(mb, b1, out=mb)

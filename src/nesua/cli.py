@@ -3,7 +3,8 @@
 Every command reads one merged configuration (file plus flag overrides),
 writes it back into the output directory, and writes no timestamp, in a
 file or in a file name, so a rerun with the same settings reproduces the
-same bytes.  `train` rebuilds each dataset record with `from_record`.
+same bytes.  `train` rebuilds each dataset record with `from_record`, then
+builds and z-scores the graphs of all of them as one stack.
 `eval` instead draws each record's scenario once from its seed, checks the
 stored arrays against that draw and scores it; both sweeps score the
 scenarios they draw.  Every instance is scored, one at a time, through one
@@ -93,13 +94,13 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def _architectures(model, cfg: RunConfig, graph) -> tuple[dict, dict]:
     """The model's architecture and the one the run config and a graph of
-    its dataset call for, as stamps: a `gat` section with the cell count
-    and the feature width."""
+    its dataset (one instance or stacked) call for, as stamps: a `gat`
+    section with the cell count and the feature width."""
     return (
         {"gat": {**dataclasses.asdict(model.config), "n_cells": model.n_cells,
                  "feat_dim": model.feat_dim}},
         {"gat": {**dataclasses.asdict(cfg.gat), "n_cells": cfg.scenario.n_cells,
-                 "feat_dim": graph.features.shape[1]}},
+                 "feat_dim": graph.features.shape[-1]}},
     )
 
 
@@ -151,8 +152,9 @@ def _drawn(records, dataset_path, cfg: RunConfig):
         yield s
 
 
-def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=None):
-    """Split, train (optionally resuming), and persist the run artifacts.
+def _train_to_dir(cfg: RunConfig, scenarios, out_dir, checkpoint=None, config_path=None):
+    """Build the scenarios' graphs as one stack, split, train (optionally
+    resuming), and persist the run artifacts.
 
     Resuming continues the epoch count from the checkpoint; best-model
     tracking restarts from the resume point. The checkpoint must be the
@@ -161,8 +163,9 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
     run config and the dataset's feature width, and its Adam moments
     float64 arrays shaped like the parameters they belong to.
     """
+    graphs = build_graph(scenarios, cfg.scenario.gamma_th_db)
     train_s, test_s, stats = split_and_normalize(
-        pairs, cfg.train.split_fraction, cfg.seed
+        scenarios, graphs, cfg.train.split_fraction, cfg.seed
     )
     model = None
     adam = None
@@ -174,7 +177,7 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
         resume = read_artifact(leftover, RESUME_CHECKPOINT, where, epochs=cfg.train.epochs)
         shapes = [p.shape for p in model.params.values()]
         adam = ad.AdamState.from_dict(leftover["adam"], shapes, f"{where}: adam")
-        built, wanted = _architectures(model, cfg, pairs[0].graph)
+        built, wanted = _architectures(model, cfg, graphs)
         require_same(
             where, {**_resumable(resume["config"]), **built},
             {**_resumable(cfg.stamp()), **wanted}, config_path,
@@ -222,12 +225,12 @@ def _train_to_dir(cfg: RunConfig, pairs, out_dir, checkpoint=None, config_path=N
 
 
 def cmd_train(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
-    pairs = []
-    for number, rec in enumerate(_read_dataset(dataset_path, cfg, config_path), 1):
-        s = from_record(rec, cfg.scenario, f"dataset {dataset_path} record {number}")
-        pairs.append(Sample(s, build_graph(s, cfg.scenario.gamma_th_db)))
+    scenarios = [
+        from_record(rec, cfg.scenario, f"dataset {dataset_path} record {number}")
+        for number, rec in enumerate(_read_dataset(dataset_path, cfg, config_path), 1)
+    ]
     res = _train_to_dir(
-        cfg, pairs, cfg.out_dir, checkpoint=checkpoint, config_path=config_path
+        cfg, scenarios, cfg.out_dir, checkpoint=checkpoint, config_path=config_path
     )
     print(
         f"trained to epoch {cfg.train.epochs}; best epoch {res.best_epoch}; "
@@ -373,12 +376,9 @@ def _train_point(cfg_dict: dict, sub_dir) -> None:
     """Sweep worker: train one point's config into its directory on the
     scenarios it draws, which `gen` writes from the point's config.json."""
     cfg = RunConfig.from_dict(cfg_dict)
-    pairs = []
-    for s in _scenarios(cfg):
-        # training reads no per-PRB SINR, so the cube is not kept for it
-        s = dataclasses.replace(s, sinr_per_prb=None)
-        pairs.append(Sample(s, build_graph(s, cfg.scenario.gamma_th_db)))
-    _train_to_dir(cfg, pairs, sub_dir)
+    # training reads no per-PRB SINR, so the cube is not kept for it
+    scenarios = [dataclasses.replace(s, sinr_per_prb=None) for s in _scenarios(cfg)]
+    _train_to_dir(cfg, scenarios, sub_dir)
     with open(os.path.join(sub_dir, "DONE"), "w", encoding="utf-8") as fh:
         fh.write("ok\n")
 

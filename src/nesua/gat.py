@@ -8,7 +8,9 @@ same hw with those weights and apply the nonlinearity. The readout maps
 final embeddings to one soft association row per UE on the cell simplex
 with one `autodiff.softmax_readout`. A forward pass is plain numpy; given
 a list `saved`, each of its five ops appends the record its backward rule
-reads, for `autodiff.backward`.
+reads, for `autodiff.backward`. The same `forward` scores a stacked
+`GraphInstance`, one soft association per instance, each with the bits of
+the instance's own pass; only a single instance can be recorded.
 
 One table lays out the parameters: `param_shapes(feat_dim, n_cells, cfg)`
 maps each of the six names, in order, to its shape. A model is its
@@ -160,11 +162,12 @@ def readout(h_final, model: GatModel, saved=None):
 
 
 def forward(g: GraphInstance, model: GatModel, saved=None) -> np.ndarray:
-    """Soft association matrix S for one graph instance. With a list
-    `saved`, the records of its five ops are appended to it."""
-    if g.features.shape[1] != model.feat_dim:
+    """Soft association matrix S (K, N) for one graph instance, or S
+    (B, K, N) for a stacked one. With a list `saved`, the records of its
+    five ops are appended to it."""
+    if g.features.shape[-1] != model.feat_dim:
         raise ShapeError(
-            f"feature width {g.features.shape[1]} vs model "
+            f"feature width {g.features.shape[-1]} vs model "
             f"width {model.feat_dim}"
         )
     p, cfg = model.params, model.config

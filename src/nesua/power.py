@@ -133,13 +133,14 @@ def network_power_soft(
     expression equals network_power_hard up to rounding (a gate of 0 must
     erase the radio draw of an empty cell, not just its fixed part). The
     whole draw is one op, `autodiff.gated_load_cost`, which appends its
-    record to a list `saved` when given one.
+    record to a list `saved` when given one. A stacked s (..., K, N), with
+    a demand of the same shape, gives one draw per instance.
     """
-    if s.ndim != 2:
-        raise ContractError(f"association matrix must be 2-D, got shape {s.shape}")
-    k, n = s.shape
+    if s.ndim < 2:
+        raise ContractError(f"association matrix must be (..., K, N), got shape {s.shape}")
+    n = s.shape[-1]
     prb = np.asarray(prb, dtype=np.float64)
-    if prb.shape != (k, n):
+    if prb.shape != s.shape:
         raise ContractError(f"association {s.shape} and PRB demand {prb.shape} differ")
     return ad.gated_load_cost(
         s, prb, n_prb_total, *on_cost(p), offset=n * p.p_sleep_w, saved=saved

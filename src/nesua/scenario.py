@@ -4,7 +4,10 @@ A scenario is one frozen snapshot: base stations on a hexagonal grid,
 UEs dropped uniformly, distances, per-PRB and wideband SINR, RSRP, and
 per-UE-per-cell PRB demand. The graph view connects UEs that share at
 least one cell where both clear an SINR threshold, with node features
-built from the PRB, distance, and SINR rows.
+built from the PRB, distance, and SINR rows. `build_graph` of a list of
+scenarios builds their graphs at once, as one `GraphInstance` stacked on
+a leading instance axis, and `normalize_features` z-scores such a stack in
+one call; each stacked graph has the bits of its own build.
 
 Scenarios are drawn a chunk of seeds at a time (`generate_scenarios`,
 `iter_scenarios`). Each seed keeps its own random stream, so a scenario's
@@ -147,25 +150,55 @@ class Scenario:
         return self.bs_positions.shape[0]
 
 
+def _one_carrier(items) -> int:
+    """The PRB count all items (scenarios or graphs) share, to be stacked."""
+    carriers = {x.n_prb_total for x in items}
+    if len(carriers) != 1:
+        raise ContractError(f"stacked graphs need one carrier, got {sorted(carriers)}")
+    return carriers.pop()
+
+
 @dataclass(frozen=True)
 class GraphInstance:
-    """UE graph over one scenario: features, adjacency, PRB demand."""
+    """UE graph over one scenario: features, adjacency, PRB demand.
 
-    features: np.ndarray     # (K, 3N)
-    adjacency: np.ndarray    # (K, K) bool, symmetric, unit diagonal
-    prb_matrix: np.ndarray   # (K, N) float copy of the demand
+    A stacked instance holds the graphs of B scenarios of one size and
+    carrier, each array with a leading instance axis of length B (`stack`,
+    `build_graph` of a list). Indexing a stacked instance on that axis,
+    `g[i]` or `g[rows]`, gives one instance or a stack of those rows.
+    """
+
+    features: np.ndarray     # (..., K, 3N)
+    adjacency: np.ndarray    # (..., K, K) bool, symmetric, unit diagonal
+    prb_matrix: np.ndarray   # (..., K, N) float copy of the demand
     n_prb_total: int
 
     def __post_init__(self):
         # the mask each attention round softmaxes over, checked once per graph
-        k, adj = len(self.features), self.adjacency
-        if getattr(adj, "dtype", None) != bool or adj.shape != (k, k):
+        adj = self.adjacency
+        wanted = (*self.features.shape[:-1], self.features.shape[-2])
+        if getattr(adj, "dtype", None) != bool or adj.shape != wanted:
             raise ContractError(
-                f"adjacency must be a ({k}, {k}) bool mask, got "
+                f"adjacency must be a {wanted} bool mask, got "
                 f"{np.asarray(adj).dtype} {np.shape(adj)}"
             )
-        if not adj.any(axis=1).all():
+        if not adj.any(axis=-1).all():
             raise ContractError("adjacency has a row with no neighbour")
+
+    @classmethod
+    def stack(cls, graphs):
+        """The graphs, of one size and carrier, as one stacked instance."""
+        return cls(
+            *(np.stack([getattr(g, name) for g in graphs])
+              for name in ("features", "adjacency", "prb_matrix")),
+            _one_carrier(graphs),
+        )
+
+    def __getitem__(self, index):
+        return GraphInstance(
+            self.features[index], self.adjacency[index], self.prb_matrix[index],
+            self.n_prb_total,
+        )
 
 
 def hex_layout(n_cells: int, inter_site_distance: float, region) -> np.ndarray:
@@ -406,23 +439,31 @@ def _prb_demand(sinr_wideband_db, demand_mbps, cfg: ScenarioConfig, n_prb_total)
     return np.clip(need, 1, n_prb_total).astype(np.int64)
 
 
-def build_graph(s: Scenario, gamma_th_db: float) -> GraphInstance:
+def build_graph(s, gamma_th_db: float) -> GraphInstance:
     """Assemble the UE graph: two UEs are adjacent when some cell hears
     both above the threshold. Features are the raw [PRB, distance, SINR]
     rows; normalization is applied later with training-split statistics.
+
+    `s` is one scenario, or a list of scenarios of one size and carrier,
+    whose graphs come back as one instance stacked in list order. Every
+    step is exact or elementwise, so a stacked graph is bit-equal to the
+    graph of its scenario alone.
     """
-    passing = s.sinr_wideband_db > gamma_th_db
-    adj = (passing @ passing.T) > 0
-    np.fill_diagonal(adj, True)
-    features = np.concatenate(
-        [s.prb_demand.astype(np.float64), s.distance, s.sinr_wideband_db], axis=1
-    )
-    return GraphInstance(
-        features=features,
-        adjacency=adj,
-        prb_matrix=s.prb_demand.astype(np.float64),
-        n_prb_total=s.n_prb_total,
-    )
+    if isinstance(s, Scenario):
+        sinr, distance, demand, t = s.sinr_wideband_db, s.distance, s.prb_demand, s.n_prb_total
+    else:
+        t = _one_carrier(s)
+        sinr, distance, demand = (
+            np.stack([getattr(x, name) for x in s])
+            for name in ("sinr_wideband_db", "distance", "prb_demand")
+        )
+    passing = sinr > gamma_th_db
+    adj = (passing @ np.swapaxes(passing, -1, -2)) > 0
+    diagonal = np.arange(adj.shape[-1])
+    adj[..., diagonal, diagonal] = True
+    prb = demand.astype(np.float64)
+    features = np.concatenate([prb, distance, sinr], axis=-1)
+    return GraphInstance(features=features, adjacency=adj, prb_matrix=prb, n_prb_total=t)
 
 
 @dataclass(frozen=True)
@@ -437,14 +478,19 @@ class FeatureStats:
 
 
 def feature_stats(graphs) -> FeatureStats:
-    """Column statistics pooled over all nodes of the given graphs."""
-    stacked = np.concatenate([g.features for g in graphs], axis=0)
+    """Column statistics pooled over all nodes of the given graphs, each
+    one instance or stacked, in order."""
+    stacked = np.concatenate(
+        [g.features.reshape(-1, g.features.shape[-1]) for g in graphs], axis=0
+    )
     std = stacked.std(axis=0)
     std = np.where(std < MIN_STD, 1.0, std)  # constant columns stay untouched
     return FeatureStats(mean=stacked.mean(axis=0), std=std)
 
 
 def normalize_features(g: GraphInstance, stats: FeatureStats) -> GraphInstance:
+    """g, one instance or stacked, with its feature columns z-scored by
+    stats; elementwise, so a stack normalizes to the bits of its instances."""
     feat = (g.features - stats.mean) / stats.std
     if not np.isfinite(feat).all():
         raise ContractError("normalized features contain non-finite values")

@@ -7,10 +7,21 @@ epoch is one shuffled pass over the training split. A step is one
 `gat.forward` and one `loss` that leave the records of their ops in a
 list, one `autodiff.backward` that writes the loss gradient into the
 gradient buffer, and one `autodiff.adam_step`.
+
+Where instances share no state, they are handled stacked on a leading
+instance axis, with the bits each would get alone: `split_and_normalize`
+z-scores the dataset's stacked graphs in one `normalize_features` call,
+and each epoch scores the test split with one `gat.forward` and one `loss`
+per chunk. `train` stacks the test split once per call, in runs of
+consecutive instances of one size and carrier, cut into chunks whose
+(chunk, K, hidden) activations fit one Adam block (`autodiff.ADAM_BLOCK`
+elements, 256 KiB): 146 instances at K=7 and hidden 32, one at K=50 and
+hidden 512.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -19,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from . import gat as gat_mod
 from .codec import write_table
-from .errors import ConfigError, ContractError, TrainingDiverged
+from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from .power import PowerParams, network_power_soft
 from .scenario import (
     FeatureStats,
@@ -74,7 +85,7 @@ def loss(
     tc: TrainConfig,
     n_prb_total: int,
     saved=None,
-) -> float:
+):
     """Soft network power + lambda1*(K - Tr(S S^T)) + lambda2*|p_hat|_2.
 
     The power (`network_power_soft`), then, with a positive weight, the
@@ -82,13 +93,15 @@ def loss(
     (`autodiff.add_terms`), which adds the terms to the power in that
     order, weighted by `tc.lambda1` and `tc.lambda2`. With a list `saved`,
     the records of those ops are appended to it (`autodiff.loss_backward`).
+    Returns a float, or for a stacked s (B, K, N) and prb a list of the B
+    instances' losses.
     """
     total = network_power_soft(s, prb, params, n_prb_total, saved)
     if tc.lambda1 > 0.0 or tc.lambda2 > 0.0:
         prb = np.asarray(prb, dtype=np.float64)
         penalties = ad.association_penalties(s, prb, tc.lambda1, tc.lambda2, saved)
         total = ad.add_terms(total, penalties, saved)
-    return float(total)
+    return total.tolist() if isinstance(total, np.ndarray) else float(total)
 
 
 @dataclass(frozen=True)
@@ -100,25 +113,30 @@ class Sample:
 
 
 def split_and_normalize(
-    pairs: list[Sample], split: float, seed: int
+    scenarios: list[Scenario], graphs: GraphInstance, split: float, seed: int
 ) -> tuple[list[Sample], list[Sample], FeatureStats]:
-    """Shuffle, split, and z-score samples; statistics come from the
-    training split alone and are applied to both splits."""
-    size = len(pairs)
+    """Shuffle, split, and z-score a dataset: its scenarios and their
+    graphs, stacked in the same order (`build_graph` of the list).
+
+    The statistics come from the training split alone. One
+    `normalize_features` call applies them to the whole stack, and each
+    sample's graph is its instance of the normalized stack.
+    """
+    size = len(scenarios)
     if size < 2:
         raise ContractError(f"dataset size must be >= 2, got {size}")
     if not 0.0 < split < 1.0:
         raise ContractError(f"split must be in (0, 1), got {split}")
+    if graphs.features.shape[:-2] != (size,):
+        raise ContractError(
+            f"{size} scenarios, but graphs stacked {graphs.features.shape[:-2]}"
+        )
     order = np.random.default_rng(seed).permutation(size)
     n_train = min(max(int(size * split), 1), size - 1)
-    train_raw = [pairs[i] for i in order[:n_train]]
-    test_raw = [pairs[i] for i in order[n_train:]]
-    stats = feature_stats([p.graph for p in train_raw])
-    train = [
-        Sample(p.scenario, normalize_features(p.graph, stats)) for p in train_raw
-    ]
-    test = [Sample(p.scenario, normalize_features(p.graph, stats)) for p in test_raw]
-    return train, test, stats
+    stats = feature_stats([graphs[order[:n_train]]])
+    normalized = normalize_features(graphs, stats)
+    samples = [Sample(scenarios[i], normalized[i]) for i in order]
+    return samples[:n_train], samples[n_train:], stats
 
 
 @dataclass
@@ -135,11 +153,32 @@ def clone_model(model: gat_mod.GatModel) -> gat_mod.GatModel:
     return replace(model, flat=model.flat.copy())
 
 
-def _mean_loss(instances, model, tc: TrainConfig, params: PowerParams) -> float:
+def _test_chunks(test: list[GraphInstance], model: gat_mod.GatModel) -> list[GraphInstance]:
+    """The test split stacked for scoring, in order: each run of
+    consecutive instances of one size and carrier, cut into chunks of as
+    many as keep the (chunk, K, hidden) activations within
+    `autodiff.ADAM_BLOCK` elements, and at least one. An instance whose
+    feature width is not the model's raises ShapeError."""
+    for i, g in enumerate(test):
+        if g.features.shape[-1] != model.feat_dim:
+            raise ShapeError(
+                f"test instance {i}: feature width {g.features.shape[-1]} vs model "
+                f"width {model.feat_dim}"
+            )
+    chunks = []
+    for (k, _), run in itertools.groupby(test, lambda g: (len(g.features), g.n_prb_total)):
+        run = list(run)
+        size = max(1, ad.ADAM_BLOCK // (k * model.config.hidden_dim))
+        chunks += [GraphInstance.stack(run[i:i + size]) for i in range(0, len(run), size)]
+    return chunks
+
+
+def _mean_loss(chunks, model, tc: TrainConfig, params: PowerParams) -> float:
+    """The mean of the per-instance losses of the stacked chunks, in
+    order; nan for none."""
     values = []
-    for g in instances:
-        s = gat_mod.forward(g, model)
-        values.append(loss(s, g.prb_matrix, params, tc, g.n_prb_total))
+    for g in chunks:
+        values += loss(gat_mod.forward(g, model), g.prb_matrix, params, tc, g.n_prb_total)
     return float(np.mean(values)) if values else math.nan
 
 
@@ -156,6 +195,8 @@ def train(
 ) -> TrainResult:
     """Optimize a model over the dataset, scoring each epoch on `test`
     (the splits of `split_and_normalize`); deterministic for fixed seeds.
+    The test split is stacked once, before the first step (`_test_chunks`),
+    so an instance the model cannot score is refused before any training.
     Passing model/adam_state/start_epoch resumes a prior run: the
     per-epoch shuffle is keyed by (shuffle_seed, epoch), so a resumed run
     walks the same instance order an uninterrupted run would.
@@ -182,6 +223,7 @@ def train(
         )
     if adam_state is None:
         adam_state = ad.AdamState.for_params(model.flat)
+    test_chunks = _test_chunks(test_set, model)
 
     history = []
     best_model = clone_model(model)
@@ -208,7 +250,7 @@ def train(
             epoch_losses.append(value)
 
         mean_train = float(np.mean(epoch_losses))
-        mean_test = _mean_loss(test_set, model, tc, params)
+        mean_test = _mean_loss(test_chunks, model, tc, params)
         if test_set and not math.isfinite(mean_test):
             raise TrainingDiverged(f"non-finite test-split loss at epoch {epoch}")
         history.append((epoch, mean_train, mean_test, tc.lr))

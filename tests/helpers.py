@@ -25,17 +25,14 @@ from nesua.scenario import (
     iter_scenarios,
     noise_power_dbm,
 )
-from nesua.training import Sample
 
 
-def dataset_samples(cfg, size, seed):
-    """The samples of a `size`-record dataset that `gen` draws from seed
-    `seed` on, each scenario with its graph, as `train` reads them back
-    before `training.split_and_normalize`."""
-    return [
-        Sample(s, build_graph(s, cfg.gamma_th_db))
-        for s in iter_scenarios(cfg, range(seed, seed + size))
-    ]
+def dataset(cfg, size, seed):
+    """The scenarios of a `size`-record dataset that `gen` draws from seed
+    `seed` on and their graphs, stacked in the same order, as `train`
+    builds them before `training.split_and_normalize`."""
+    scenarios = list(iter_scenarios(cfg, range(seed, seed + size)))
+    return scenarios, build_graph(scenarios, cfg.gamma_th_db)
 
 
 def finite_difference_grad(f, x, h_scale=1e-5):

@@ -29,7 +29,7 @@ from nesua.scenario import (
 from nesua.training import TrainConfig, loss, split_and_normalize, train
 
 import helpers as tape
-from helpers import check_grad, dataset_samples, finite_difference_grad
+from helpers import check_grad, dataset, finite_difference_grad
 
 PARAMS = PowerParams()
 
@@ -257,7 +257,7 @@ def test_small_instance_learning_tracks_oracle():
         n_cells=3, inter_site_distance=500.0, region=(2200.0, 2200.0),
         n_ues=6,
     )
-    train_split, test_split, _ = split_and_normalize(dataset_samples(cfg, 250, 100), 0.8, 100)
+    train_split, test_split, _ = split_and_normalize(*dataset(cfg, 250, 100), 0.8, 100)
     result = train(
         [smp.graph for smp in train_split],
         TrainConfig(dataset_size=250, epochs=80, lr=1e-3, lambda2=0.0),
@@ -292,7 +292,7 @@ def test_learned_policy_beats_rsrp_across_grid():
             n_ues=20, bandwidth_mhz=w_mhz,
         )
         train_split, test_split, stats = split_and_normalize(
-            dataset_samples(cfg, 200, 100), 0.8, 100
+            *dataset(cfg, 200, 100), 0.8, 100
         )
         result = train(
             [smp.graph for smp in train_split],
@@ -329,7 +329,7 @@ def test_balance_weight_sweep_removes_switch_off():
         n_cells=7, inter_site_distance=500.0, region=(2200.0, 2200.0),
         n_ues=100, ue_demand_mbps=20.0, gamma_th_db=15.0,
     )
-    train_split, test_split, _ = split_and_normalize(dataset_samples(cfg, 200, 100), 0.8, 100)
+    train_split, test_split, _ = split_and_normalize(*dataset(cfg, 200, 100), 0.8, 100)
     ratios = (0.0, 4.0, 64.0, 1024.0, 4096.0)
     means = []
     for ratio in ratios:

@@ -386,7 +386,7 @@ def test_adam_step_matches_reference_bit_for_bit():
     _check_adam_against_reference([(4, 3), (3,), (2, 2), ()], seed=12)
 
 
-_BLOCK = ad._ADAM_BLOCK
+_BLOCK = ad.ADAM_BLOCK
 
 
 @pytest.mark.parametrize(

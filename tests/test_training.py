@@ -18,7 +18,7 @@ from helpers import (
     FUSED_NODES,
     REFERENCE_NODES,
     assert_packed,
-    dataset_samples,
+    dataset,
     finite_difference_grad,
     linear,
     reference_adam_step,
@@ -130,7 +130,7 @@ def _tiny_cfg(**kw):
 
 def test_split_and_normalize_splits_and_normalizes():
     cfg = _tiny_cfg()
-    train, test, stats = tr.split_and_normalize(dataset_samples(cfg, 10, 5), 0.8, 5)
+    train, test, stats = tr.split_and_normalize(*dataset(cfg, 10, 5), 0.8, 5)
     assert len(train) == 8 and len(test) == 2
     seeds = {s.scenario.seed for s in train} | {s.scenario.seed for s in test}
     assert len(seeds) == 10  # disjoint splits, nothing duplicated
@@ -138,7 +138,7 @@ def test_split_and_normalize_splits_and_normalizes():
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(pooled.var(axis=0), 1.0, atol=1e-6)
 
-    again = tr.split_and_normalize(dataset_samples(cfg, 10, 5), 0.8, 5)
+    again = tr.split_and_normalize(*dataset(cfg, 10, 5), 0.8, 5)
     np.testing.assert_array_equal(
         train[0].graph.features, again[0][0].graph.features
     )
@@ -146,9 +146,9 @@ def test_split_and_normalize_splits_and_normalizes():
 
 def test_split_and_normalize_argument_errors():
     with pytest.raises(ContractError):
-        tr.split_and_normalize(dataset_samples(_tiny_cfg(), 1, 0), 0.8, 0)
+        tr.split_and_normalize(*dataset(_tiny_cfg(), 1, 0), 0.8, 0)
     with pytest.raises(ContractError):
-        tr.split_and_normalize(dataset_samples(_tiny_cfg(), 5, 0), 1.5, 0)
+        tr.split_and_normalize(*dataset(_tiny_cfg(), 5, 0), 1.5, 0)
 
 
 def _graphs(cfg, count, seed0=0):
@@ -166,7 +166,7 @@ def _graphs(cfg, count, seed0=0):
 
 def _split(cfg, size, seed=0):
     """The train and test graphs `split_and_normalize` makes of a dataset."""
-    train, test, _ = tr.split_and_normalize(dataset_samples(cfg, size, seed), 0.8, seed)
+    train, test, _ = tr.split_and_normalize(*dataset(cfg, size, seed), 0.8, seed)
     return [p.graph for p in train], [p.graph for p in test]
 
 
