@@ -4,7 +4,8 @@ Every command reads one merged configuration (file plus flag overrides),
 writes it back into the output directory, and writes no timestamp, in a
 file or in a file name, so a rerun with the same settings reproduces the
 same bytes.  `train` rebuilds each dataset record with `from_record`, then
-builds and z-scores the graphs of all of them as one stack.
+builds the graphs of all of them as one stack, which it shuffles, splits
+and z-scores whole and trains on (`training.split_and_normalize`).
 `eval` instead draws each record's scenario once from its seed, checks the
 stored arrays against that draw and scores it; both sweeps score the
 scenarios they draw.  Every instance is scored, one at a time, through one
@@ -56,7 +57,7 @@ from .scenario import (
     to_record,
     write_jsonl,
 )
-from .training import Sample, split_and_normalize, train, write_history
+from .training import split_and_normalize, train, write_history
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -164,9 +165,7 @@ def _train_to_dir(cfg: RunConfig, scenarios, out_dir, checkpoint=None, config_pa
     float64 arrays shaped like the parameters they belong to.
     """
     graphs = build_graph(scenarios, cfg.scenario.gamma_th_db)
-    train_s, test_s, stats = split_and_normalize(
-        scenarios, graphs, cfg.train.split_fraction, cfg.seed
-    )
+    train_g, test_g, stats = split_and_normalize(graphs, cfg.train.split_fraction, cfg.seed)
     model = None
     adam = None
     start_epoch = 0
@@ -185,12 +184,12 @@ def _train_to_dir(cfg: RunConfig, scenarios, out_dir, checkpoint=None, config_pa
         start_epoch = resume["epoch"]
         prior_history = [(int(row[0]), *row[1:]) for row in resume["history"].tolist()]
     res = train(
-        [p.graph for p in train_s],
+        train_g,
         cfg.train,
         cfg.power,
         seed=cfg.seed,
         gat_cfg=cfg.gat,
-        test=[p.graph for p in test_s],
+        test=test_g,
         model=model,
         adam_state=adam,
         start_epoch=start_epoch,
@@ -225,10 +224,16 @@ def _train_to_dir(cfg: RunConfig, scenarios, out_dir, checkpoint=None, config_pa
 
 
 def cmd_train(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
+    """Train on a dataset of at least two records, one for each split."""
     scenarios = [
         from_record(rec, cfg.scenario, f"dataset {dataset_path} record {number}")
         for number, rec in enumerate(_read_dataset(dataset_path, cfg, config_path), 1)
     ]
+    if len(scenarios) < 2:
+        raise ConfigError(
+            f"dataset {dataset_path} holds {len(scenarios)} record; train needs at "
+            f"least 2, one for each split"
+        )
     res = _train_to_dir(
         cfg, scenarios, cfg.out_dir, checkpoint=checkpoint, config_path=config_path
     )
@@ -247,16 +252,15 @@ def _load_model(path) -> tuple:
     return model, FeatureStats(**doc["norm_stats"])
 
 
-def _compare(sample: Sample, model, cfg: RunConfig, with_oracle=False):
+def _compare(s, graph, model, cfg: RunConfig, with_oracle=False):
     """Score one instance under every policy: the model's hardened
     association, strongest RSRP, sub-band SINR and, when asked, the exact
-    oracle, each scored once. `sample` holds a drawn scenario, with its
-    per-PRB SINR, and its graph normalized for `model`. Returns the
+    oracle, each scored once. `s` is a drawn scenario, with its per-PRB
+    SINR, and `graph` its graph normalized for `model`. Returns the
     `eval.csv` row without its seed, a column -> value dict, and the policy
     reports in heatmap order."""
-    s = sample.scenario
     gnn = evaluate_policy(
-        gat_mod.harden(gat_mod.forward(sample.graph, model)), s, cfg.power, policy_name="gnn"
+        gat_mod.harden(gat_mod.forward(graph, model)), s, cfg.power, policy_name="gnn"
     )
     rsrp = evaluate_policy(associate_rsrp(s), s, cfg.power, policy_name="rsrp")
     sub = evaluate_policy(
@@ -299,9 +303,7 @@ def cmd_eval(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
             require_same(
                 f"checkpoint {checkpoint}", *_architectures(model, cfg, graph), config_path
             )
-        row, reports = _compare(
-            Sample(s, normalize_features(graph, stats)), model, cfg, with_oracle
-        )
+        row, reports = _compare(s, normalize_features(graph, stats), model, cfg, with_oracle)
         if not rows:
             first_reports = (s, reports)
         rows.append((s.seed, row))
@@ -466,9 +468,8 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
             seeds = range(first, first + scored_cfg.eval.n_instances)
             rows = []
             for s in iter_scenarios(scored_cfg.scenario, seeds):
-                graph = build_graph(s, scored_cfg.scenario.gamma_th_db)
-                x = Sample(s, normalize_features(graph, stats))
-                rows.append(_compare(x, model, scored_cfg)[0])
+                graph = normalize_features(build_graph(s, scored_cfg.scenario.gamma_th_db), stats)
+                rows.append(_compare(s, graph, model, scored_cfg)[0])
             table.append((values, rows))
     path = write_sweep_csv(variable, table, cfg.scenario.n_cells, cfg.out_dir)
     print(f"sweep table written to {path}")

@@ -181,9 +181,9 @@ def forward(g: GraphInstance, model: GatModel, saved=None) -> np.ndarray:
 
 
 def harden(s) -> np.ndarray:
-    """Per-row argmax of the soft association, one cell index per UE; ties
-    to the lowest index."""
-    return np.argmax(np.asarray(s), axis=1)
+    """Per-row argmax of the soft association, one cell index per UE, (K,)
+    for one instance or (B, K) for a stack; ties to the lowest index."""
+    return np.argmax(np.asarray(s), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ per-UE-per-cell PRB demand. The graph view connects UEs that share at
 least one cell where both clear an SINR threshold, with node features
 built from the PRB, distance, and SINR rows. `build_graph` of a list of
 scenarios builds their graphs at once, as one `GraphInstance` stacked on
-a leading instance axis, and `normalize_features` z-scores such a stack in
-one call; each stacked graph has the bits of its own build.
+a leading instance axis: a training dataset is such a stack, and
+`feature_stats` and `normalize_features` take it whole. Each stacked
+graph has the bits of its own build.
 
 Scenarios are drawn a chunk of seeds at a time (`generate_scenarios`,
 `iter_scenarios`). Each seed keeps its own random stream, so a scenario's
@@ -150,22 +151,15 @@ class Scenario:
         return self.bs_positions.shape[0]
 
 
-def _one_carrier(items) -> int:
-    """The PRB count all items (scenarios or graphs) share, to be stacked."""
-    carriers = {x.n_prb_total for x in items}
-    if len(carriers) != 1:
-        raise ContractError(f"stacked graphs need one carrier, got {sorted(carriers)}")
-    return carriers.pop()
-
-
 @dataclass(frozen=True)
 class GraphInstance:
     """UE graph over one scenario: features, adjacency, PRB demand.
 
     A stacked instance holds the graphs of B scenarios of one size and
-    carrier, each array with a leading instance axis of length B (`stack`,
-    `build_graph` of a list). Indexing a stacked instance on that axis,
-    `g[i]` or `g[rows]`, gives one instance or a stack of those rows.
+    carrier, each array with a leading instance axis of length B
+    (`build_graph` of a list). Indexing a stacked instance on that axis,
+    `g[i]`, `g[rows]` or `g[i:j]`, gives one instance or a stack of those
+    rows; a training dataset and its splits are such stacks.
     """
 
     features: np.ndarray     # (..., K, 3N)
@@ -184,15 +178,6 @@ class GraphInstance:
             )
         if not adj.any(axis=-1).all():
             raise ContractError("adjacency has a row with no neighbour")
-
-    @classmethod
-    def stack(cls, graphs):
-        """The graphs, of one size and carrier, as one stacked instance."""
-        return cls(
-            *(np.stack([getattr(g, name) for g in graphs])
-              for name in ("features", "adjacency", "prb_matrix")),
-            _one_carrier(graphs),
-        )
 
     def __getitem__(self, index):
         return GraphInstance(
@@ -452,7 +437,10 @@ def build_graph(s, gamma_th_db: float) -> GraphInstance:
     if isinstance(s, Scenario):
         sinr, distance, demand, t = s.sinr_wideband_db, s.distance, s.prb_demand, s.n_prb_total
     else:
-        t = _one_carrier(s)
+        carriers = {x.n_prb_total for x in s}
+        if len(carriers) != 1:
+            raise ContractError(f"stacked graphs need one carrier, got {sorted(carriers)}")
+        t = carriers.pop()
         sinr, distance, demand = (
             np.stack([getattr(x, name) for x in s])
             for name in ("sinr_wideband_db", "distance", "prb_demand")
@@ -477,15 +465,13 @@ class FeatureStats:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
 
-def feature_stats(graphs) -> FeatureStats:
-    """Column statistics pooled over all nodes of the given graphs, each
-    one instance or stacked, in order."""
-    stacked = np.concatenate(
-        [g.features.reshape(-1, g.features.shape[-1]) for g in graphs], axis=0
-    )
-    std = stacked.std(axis=0)
+def feature_stats(g: GraphInstance) -> FeatureStats:
+    """Column statistics pooled over all nodes of g, one instance or
+    stacked."""
+    pooled = g.features.reshape(-1, g.features.shape[-1])
+    std = pooled.std(axis=0)
     std = np.where(std < MIN_STD, 1.0, std)  # constant columns stay untouched
-    return FeatureStats(mean=stacked.mean(axis=0), std=std)
+    return FeatureStats(mean=pooled.mean(axis=0), std=std)
 
 
 def normalize_features(g: GraphInstance, stats: FeatureStats) -> GraphInstance:

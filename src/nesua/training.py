@@ -8,20 +8,19 @@ epoch is one shuffled pass over the training split. A step is one
 list, one `autodiff.backward` that writes the loss gradient into the
 gradient buffer, and one `autodiff.adam_step`.
 
-Where instances share no state, they are handled stacked on a leading
-instance axis, with the bits each would get alone: `split_and_normalize`
-z-scores the dataset's stacked graphs in one `normalize_features` call,
-and each epoch scores the test split with one `gat.forward` and one `loss`
-per chunk. `train` stacks the test split once per call, in runs of
-consecutive instances of one size and carrier, cut into chunks whose
-(chunk, K, hidden) activations fit one Adam block (`autodiff.ADAM_BLOCK`
-elements, 256 KiB): 146 instances at K=7 and hidden 32, one at K=50 and
-hidden 512.
+A dataset is one `GraphInstance` stacked on a leading instance axis
+(`build_graph` of its scenarios), and so are its splits: slices of the
+one stack `split_and_normalize` shuffles and z-scores in one
+`normalize_features` call. A training step views one instance of its
+split; each epoch scores the test split with one `gat.forward` and one
+`loss` per chunk, slices whose (chunk, K, hidden) activations fit one
+Adam block (`autodiff.ADAM_BLOCK` elements, 256 KiB): 146 instances at
+K=7 and hidden 32, one at K=50 and hidden 512. Stacked, each instance
+gets the bits it would get alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -32,13 +31,7 @@ from . import gat as gat_mod
 from .codec import write_table
 from .errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from .power import PowerParams, network_power_soft
-from .scenario import (
-    FeatureStats,
-    GraphInstance,
-    Scenario,
-    feature_stats,
-    normalize_features,
-)
+from .scenario import FeatureStats, GraphInstance, feature_stats, normalize_features
 
 
 @dataclass(frozen=True)
@@ -104,39 +97,30 @@ def loss(
     return total.tolist() if isinstance(total, np.ndarray) else float(total)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One dataset element: the realization and its graph view."""
-
-    scenario: Scenario
-    graph: GraphInstance
-
-
 def split_and_normalize(
-    scenarios: list[Scenario], graphs: GraphInstance, split: float, seed: int
-) -> tuple[list[Sample], list[Sample], FeatureStats]:
-    """Shuffle, split, and z-score a dataset: its scenarios and their
-    graphs, stacked in the same order (`build_graph` of the list).
+    graphs: GraphInstance, split: float, seed: int
+) -> tuple[GraphInstance, GraphInstance, FeatureStats]:
+    """Shuffle, split, and z-score a dataset's stacked graphs (`build_graph`
+    of its scenarios).
 
-    The statistics come from the training split alone. One
-    `normalize_features` call applies them to the whole stack, and each
-    sample's graph is its instance of the normalized stack.
+    The stack is indexed once in the order `default_rng(seed).permutation`,
+    its first `n_train` instances give the statistics, and one
+    `normalize_features` call applies them to the whole permuted stack.
+    Returns the train and test splits, slices of that stack, and the
+    statistics.
     """
-    size = len(scenarios)
-    if size < 2:
-        raise ContractError(f"dataset size must be >= 2, got {size}")
+    if graphs.features.ndim != 3 or len(graphs.features) < 2:
+        raise ContractError(
+            f"a dataset is a stack of >= 2 graphs, got features {graphs.features.shape}"
+        )
     if not 0.0 < split < 1.0:
         raise ContractError(f"split must be in (0, 1), got {split}")
-    if graphs.features.shape[:-2] != (size,):
-        raise ContractError(
-            f"{size} scenarios, but graphs stacked {graphs.features.shape[:-2]}"
-        )
-    order = np.random.default_rng(seed).permutation(size)
+    size = len(graphs.features)
+    shuffled = graphs[np.random.default_rng(seed).permutation(size)]
     n_train = min(max(int(size * split), 1), size - 1)
-    stats = feature_stats([graphs[order[:n_train]]])
-    normalized = normalize_features(graphs, stats)
-    samples = [Sample(scenarios[i], normalized[i]) for i in order]
-    return samples[:n_train], samples[n_train:], stats
+    stats = feature_stats(shuffled[:n_train])
+    normalized = normalize_features(shuffled, stats)
+    return normalized[:n_train], normalized[n_train:], stats
 
 
 @dataclass
@@ -153,24 +137,18 @@ def clone_model(model: gat_mod.GatModel) -> gat_mod.GatModel:
     return replace(model, flat=model.flat.copy())
 
 
-def _test_chunks(test: list[GraphInstance], model: gat_mod.GatModel) -> list[GraphInstance]:
-    """The test split stacked for scoring, in order: each run of
-    consecutive instances of one size and carrier, cut into chunks of as
-    many as keep the (chunk, K, hidden) activations within
-    `autodiff.ADAM_BLOCK` elements, and at least one. An instance whose
-    feature width is not the model's raises ShapeError."""
-    for i, g in enumerate(test):
-        if g.features.shape[-1] != model.feat_dim:
-            raise ShapeError(
-                f"test instance {i}: feature width {g.features.shape[-1]} vs model "
-                f"width {model.feat_dim}"
-            )
-    chunks = []
-    for (k, _), run in itertools.groupby(test, lambda g: (len(g.features), g.n_prb_total)):
-        run = list(run)
-        size = max(1, ad.ADAM_BLOCK // (k * model.config.hidden_dim))
-        chunks += [GraphInstance.stack(run[i:i + size]) for i in range(0, len(run), size)]
-    return chunks
+def _test_chunks(test: GraphInstance, model: gat_mod.GatModel) -> list[GraphInstance]:
+    """The test stack sliced for scoring, in order: chunks of as many
+    instances as keep the (chunk, K, hidden) activations within
+    `autodiff.ADAM_BLOCK` elements, and at least one. A feature width that
+    is not the model's raises ShapeError."""
+    if test.features.shape[-1] != model.feat_dim:
+        raise ShapeError(
+            f"test split: feature width {test.features.shape[-1]} vs model "
+            f"width {model.feat_dim}"
+        )
+    size = max(1, ad.ADAM_BLOCK // (test.features.shape[-2] * model.config.hidden_dim))
+    return [test[i:i + size] for i in range(0, len(test.features), size)]
 
 
 def _mean_loss(chunks, model, tc: TrainConfig, params: PowerParams) -> float:
@@ -183,23 +161,23 @@ def _mean_loss(chunks, model, tc: TrainConfig, params: PowerParams) -> float:
 
 
 def train(
-    dataset: list[GraphInstance],
+    dataset: GraphInstance,
     tc: TrainConfig,
     params: PowerParams,
     seed: int,
-    test: list[GraphInstance],
+    test: GraphInstance,
     gat_cfg: gat_mod.GatConfig | None = None,
     model: gat_mod.GatModel | None = None,
     adam_state: ad.AdamState | None = None,
     start_epoch: int = 0,
 ) -> TrainResult:
-    """Optimize a model over the dataset, scoring each epoch on `test`
-    (the splits of `split_and_normalize`); deterministic for fixed seeds.
-    The test split is stacked once, before the first step (`_test_chunks`),
-    so an instance the model cannot score is refused before any training.
-    Passing model/adam_state/start_epoch resumes a prior run: the
-    per-epoch shuffle is keyed by (shuffle_seed, epoch), so a resumed run
-    walks the same instance order an uninterrupted run would.
+    """Optimize a model over the stacked dataset, scoring each epoch on the
+    stacked `test` (the splits of `split_and_normalize`); deterministic
+    for fixed seeds. The test stack is sliced once, before the first step
+    (`_test_chunks`), so a split the model cannot score is refused before
+    any training. Passing model/adam_state/start_epoch resumes a prior
+    run: the per-epoch shuffle is keyed by (shuffle_seed, epoch), so a
+    resumed run walks the same instance order an uninterrupted run would.
 
     Everything a step updates is laid out by the one parameter table
     (`gat.param_shapes`): each step runs one `adam_step` over the model's
@@ -208,22 +186,23 @@ def train(
     two moment buffers. The model and adam_state passed in are the ones
     updated, in place.
     """
-    if not dataset:
+    if dataset.features.ndim != 3 or test.features.ndim != 3:
+        raise ContractError("train takes the dataset and the test split as stacks")
+    if not len(dataset.features):
         raise ContractError("training dataset is empty")
-    train_set, test_set = list(dataset), list(test)
-
-    widths = {g.prb_matrix.shape[1] for g in train_set + test_set}
-    if len(widths) != 1:
-        raise ContractError(f"instances disagree on cell count: {sorted(widths)}")
+    n_cells = dataset.prb_matrix.shape[-1]
+    if test.prb_matrix.shape[-1] != n_cells:
+        raise ContractError(
+            f"the splits disagree on cell count: {n_cells} vs {test.prb_matrix.shape[-1]}"
+        )
 
     if model is None:
         gat_cfg = gat_cfg or gat_mod.GatConfig()
-        model = gat_mod.init_model(
-            train_set[0].features.shape[1], widths.pop(), gat_cfg, seed
-        )
+        model = gat_mod.init_model(dataset.features.shape[-1], n_cells, gat_cfg, seed)
     if adam_state is None:
         adam_state = ad.AdamState.for_params(model.flat)
-    test_chunks = _test_chunks(test_set, model)
+    test_chunks = _test_chunks(test, model)
+    steps = [dataset[i] for i in range(len(dataset.features))]
 
     history = []
     best_model = clone_model(model)
@@ -233,11 +212,11 @@ def train(
 
     for epoch in range(start_epoch + 1, tc.epochs + 1):
         perm = np.random.default_rng([tc.shuffle_seed, epoch]).permutation(
-            len(train_set)
+            len(steps)
         )
         epoch_losses = []
         for i in perm:
-            g = train_set[int(i)]
+            g = steps[int(i)]
             saved = []
             s = gat_mod.forward(g, model, saved)
             value = loss(s, g.prb_matrix, params, tc, g.n_prb_total, saved)
@@ -251,11 +230,11 @@ def train(
 
         mean_train = float(np.mean(epoch_losses))
         mean_test = _mean_loss(test_chunks, model, tc, params)
-        if test_set and not math.isfinite(mean_test):
+        if test_chunks and not math.isfinite(mean_test):
             raise TrainingDiverged(f"non-finite test-split loss at epoch {epoch}")
         history.append((epoch, mean_train, mean_test, tc.lr))
 
-        selector = mean_test if test_set else mean_train
+        selector = mean_test if test_chunks else mean_train
         if selector < best_test:
             best_test = selector
             best_model = clone_model(model)

@@ -257,21 +257,28 @@ def test_small_instance_learning_tracks_oracle():
         n_cells=3, inter_site_distance=500.0, region=(2200.0, 2200.0),
         n_ues=6,
     )
-    train_split, test_split, _ = split_and_normalize(*dataset(cfg, 250, 100), 0.8, 100)
+    scenarios, graphs = dataset(cfg, 250, 100)
+    train_split, test_split, stats = split_and_normalize(graphs, 0.8, 100)
+    # the test split's scenarios, in the split's permutation order
+    order = np.random.default_rng(100).permutation(250)
+    test_scenarios = [scenarios[i] for i in order[200:]]
+    rebuilt = normalize_features(build_graph(test_scenarios, cfg.gamma_th_db), stats)
+    for name in ("features", "adjacency", "prb_matrix"):
+        assert getattr(rebuilt, name).tobytes() == getattr(test_split, name).tobytes(), name
     result = train(
-        [smp.graph for smp in train_split],
+        train_split,
         TrainConfig(dataset_size=250, epochs=80, lr=1e-3, lambda2=0.0),
         PARAMS,
         seed=0,
         gat_cfg=gat.GatConfig(hidden_dim=32, readout_activation="identity"),
-        test=[smp.graph for smp in test_split],
+        test=test_split,
     )
     gnn_w, oracle_w, rsrp_w = [], [], []
-    for smp in test_split:
-        assoc = gat.harden(gat.forward(smp.graph, result.best_model))
-        gnn_w.append(_hard_power(assoc, smp.scenario))
-        oracle_w.append(_hard_power(associate_oracle(smp.scenario, PARAMS), smp.scenario))
-        rsrp_w.append(_hard_power(associate_rsrp(smp.scenario), smp.scenario))
+    assocs = gat.harden(gat.forward(test_split, result.best_model))
+    for assoc, s in zip(assocs, test_scenarios, strict=True):
+        gnn_w.append(_hard_power(assoc, s))
+        oracle_w.append(_hard_power(associate_oracle(s, PARAMS), s))
+        rsrp_w.append(_hard_power(associate_rsrp(s), s))
     gnn, oracle, rsrp = map(float, map(np.mean, (gnn_w, oracle_w, rsrp_w)))
     ok = gnn <= 1.05 * oracle and gnn < rsrp
     _report(5, "small-instance learning", ok,
@@ -292,15 +299,15 @@ def test_learned_policy_beats_rsrp_across_grid():
             n_ues=20, bandwidth_mhz=w_mhz,
         )
         train_split, test_split, stats = split_and_normalize(
-            *dataset(cfg, 200, 100), 0.8, 100
+            dataset(cfg, 200, 100)[1], 0.8, 100
         )
         result = train(
-            [smp.graph for smp in train_split],
+            train_split,
             TrainConfig(dataset_size=200, epochs=40, lr=1e-3, lambda2=0.0),
             PARAMS,
             seed=0,
             gat_cfg=gat.GatConfig(hidden_dim=32, readout_activation="identity"),
-            test=[smp.graph for smp in test_split],
+            test=test_split,
         )
         for n_ues in (20, 50):
             eval_cfg = replace(cfg, n_ues=n_ues)
@@ -329,21 +336,20 @@ def test_balance_weight_sweep_removes_switch_off():
         n_cells=7, inter_site_distance=500.0, region=(2200.0, 2200.0),
         n_ues=100, ue_demand_mbps=20.0, gamma_th_db=15.0,
     )
-    train_split, test_split, _ = split_and_normalize(*dataset(cfg, 200, 100), 0.8, 100)
+    train_split, test_split, _ = split_and_normalize(dataset(cfg, 200, 100)[1], 0.8, 100)
     ratios = (0.0, 4.0, 64.0, 1024.0, 4096.0)
     means = []
     for ratio in ratios:
         result = train(
-            [smp.graph for smp in train_split],
+            train_split,
             TrainConfig(dataset_size=200, epochs=100, lr=1e-3, lambda2=ratio),
             PARAMS,
             seed=0,
             gat_cfg=gat.GatConfig(hidden_dim=32, readout_activation="identity"),
-            test=[smp.graph for smp in test_split],
+            test=test_split,
         )
         offs = []
-        for smp in test_split:
-            assoc = gat.harden(gat.forward(smp.graph, result.best_model))
+        for assoc in gat.harden(gat.forward(test_split, result.best_model)):
             counts = np.bincount(assoc, minlength=cfg.n_cells)
             offs.append(int((counts == 0).sum()))
         means.append(float(np.mean(offs)))

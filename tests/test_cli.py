@@ -949,6 +949,32 @@ def test_dataset_shorter_than_manifest_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_train_on_a_one_record_dataset_exits_2_and_eval_scores_it(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    data_dir, run_dir = _gen_and_train(tmp_path, cfg)
+    dataset = data_dir / "dataset.jsonl"
+    dataset.write_text(dataset.read_text().splitlines()[0] + "\n")
+    manifest_path = data_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["count"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = cli.main([
+        "train", "--config", cfg, "--out", str(tmp_path / "o"), "--dataset", str(dataset),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert str(dataset) in err and "holds 1 record" in err
+    assert not (tmp_path / "o").exists()
+    code = cli.main([
+        "eval", "--config", cfg, "--out", str(tmp_path / "ev"), "--dataset", str(dataset),
+        "--checkpoint", str(run_dir / "checkpoint_best.json"),
+    ])
+    assert code == 0
+    assert len((tmp_path / "ev" / "eval.csv").read_text().splitlines()) == 2
+
+
 def test_old_decimal_list_artifacts_exit_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     data_dir, run_dir = _gen_and_train(tmp_path, cfg)
@@ -1131,9 +1157,9 @@ def test_eval_scores_each_record_as_its_seed_draws_it(tmp_path, monkeypatch):
     def no_decoding(*args, **kwargs):
         raise AssertionError("eval rebuilt a record with from_record")
 
-    def recorded_compare(sample, *args, **kwargs):
-        scored.append(sample.scenario)
-        return compare(sample, *args, **kwargs)
+    def recorded_compare(s, *args, **kwargs):
+        scored.append(s)
+        return compare(s, *args, **kwargs)
 
     monkeypatch.setattr(cli, "generate_scenario", counted_draw)
     monkeypatch.setattr(cli, "from_record", no_decoding)

@@ -20,7 +20,6 @@ from nesua.scenario import (
     generate_scenario,
     normalize_features,
 )
-from nesua.training import Sample
 
 DEFAULTS = PowerParams()
 
@@ -54,12 +53,11 @@ def _cfg(**kw):
 
 
 def _samples(cfg, count, seed0=0):
-    pairs = []
-    for i in range(count):
-        s = generate_scenario(cfg, seed0 + i)
-        pairs.append((s, build_graph(s, cfg.gamma_th_db)))
-    stats = feature_stats([g for _, g in pairs])
-    return [Sample(s, normalize_features(g, stats)) for s, g in pairs]
+    """(scenario, graph) pairs, the graphs z-scored by their own statistics."""
+    scenarios = [generate_scenario(cfg, seed0 + i) for i in range(count)]
+    graphs = build_graph(scenarios, cfg.gamma_th_db)
+    normalized = normalize_features(graphs, feature_stats(graphs))
+    return [(s, normalized[i]) for i, s in enumerate(scenarios)]
 
 
 def _hand_loads(assignment, prb, n):
@@ -182,13 +180,12 @@ def test_gain_percent_rejects_nonpositive_base():
 
 def test_oracle_dominates_all_policies_on_reports():
     cfg = _cfg(n_ues=5, tx_power_dbm=46.0)
-    for sample in _samples(cfg, 20):
-        s = sample.scenario
-        model = gat.init_model(sample.graph.features.shape[1], s.n_cells,
+    for s, g in _samples(cfg, 20):
+        model = gat.init_model(g.features.shape[1], s.n_cells,
                                gat.GatConfig(hidden_dim=4), seed=s.seed)
         best = ev.evaluate_policy(associate_oracle(s, DEFAULTS), s, DEFAULTS, "oracle")
         for assoc in (
-            gat.harden(gat.forward(sample.graph, model)),
+            gat.harden(gat.forward(g, model)),
             associate_rsrp(s),
             associate_ga_subsinr(s),
         ):
@@ -198,13 +195,13 @@ def test_oracle_dominates_all_policies_on_reports():
 
 def _model(samples, seed=0):
     return gat.init_model(
-        samples[0].graph.features.shape[1], 2, gat.GatConfig(hidden_dim=4), seed=seed
+        samples[0][1].features.shape[1], 2, gat.GatConfig(hidden_dim=4), seed=seed
     )
 
 
 def _rows(model, samples, cfg):
     run = RunConfig(scenario=cfg)
-    return [cli._compare(sample, model, run)[0] for sample in samples]
+    return [cli._compare(s, g, model, run)[0] for s, g in samples]
 
 
 def _table(path):

@@ -20,8 +20,8 @@ def _library_example() -> str:
 def test_the_library_example_runs_and_draws_a_plausible_power():
     scope = {}
     exec(compile(_library_example(), str(README), "exec"), scope)
-    watts, cfg, sample = scope["watts"], scope["cfg"], scope["sample"]
-    p, t = PowerParams(), sample.scenario.n_prb_total
+    watts, cfg, g = scope["watts"], scope["cfg"], scope["g"]
+    p, t = PowerParams(), g.n_prb_total
     full_cell_w = float(cell_draw(np.array([float(t)]), p, t)[0])
     assert math.isfinite(watts)
     assert cfg.n_cells * p.p_sleep_w <= watts <= cfg.n_cells * full_cell_w

@@ -315,13 +315,13 @@ def test_best_cell_sinr_decreases_with_distance_without_noise_terms():
 
 def test_feature_normalization_round_trip():
     cfg = small_cfg(n_ues=12)
-    graphs = [sc.build_graph(sc.generate_scenario(cfg, s), 0.0) for s in range(6)]
+    graphs = sc.build_graph([sc.generate_scenario(cfg, s) for s in range(6)], 0.0)
     stats = sc.feature_stats(graphs[:4])
-    normed = [sc.normalize_features(g, stats) for g in graphs]
-    pooled = np.concatenate([g.features for g in normed[:4]], axis=0)
+    normed = sc.normalize_features(graphs, stats)
+    pooled = normed.features[:4].reshape(-1, normed.features.shape[-1])
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-9)
-    for g in normed:
-        assert np.isfinite(g.features).all()
+    for i in range(6):
+        assert np.isfinite(normed[i].features).all()
     clone = sc.FeatureStats(
         **read_artifact(stats.to_dict(), NORM_STATS, "norm_stats", feat_dim=stats.mean.size)
     )

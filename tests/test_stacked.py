@@ -1,6 +1,7 @@
-"""Stacked instances: every forward op, the loss, the graph build and the
-z-score take a leading instance axis and give each instance the bytes of
-its own call; `train` scores its test split stacked, in chunks."""
+"""Stacked instances: every forward op, the loss, the graph build, the
+z-score and the hardening take a leading instance axis and give each
+instance the bytes of its own call; `train` scores its test stack in
+chunks."""
 
 import dataclasses
 import math
@@ -47,7 +48,7 @@ def _drawn(k, n, count, seed0=0):
 
 def _normalized(k, n, count, seed0=0):
     graphs = _drawn(k, n, count, seed0)[1]
-    return normalize_features(graphs, feature_stats([graphs]))
+    return normalize_features(graphs, feature_stats(graphs))
 
 
 def _model(graphs, hidden, activation="relu", seed=0):
@@ -69,14 +70,15 @@ def _rows(stacked):
 def test_graphs_build_and_normalize_stacked_as_alone(k, n):
     cfg = ScenarioConfig(n_cells=n, n_ues=k)
     scenarios, graphs = _drawn(k, n, 3)
-    stats = feature_stats([graphs[np.array([2, 0])]])
+    stats = feature_stats(graphs[np.array([2, 0])])
     normalized = normalize_features(graphs, stats)
     for i, s in enumerate(scenarios):
         alone = build_graph(s, cfg.gamma_th_db)
         _same_graph(graphs[i], alone)
         _same_graph(normalized[i], normalize_features(alone, stats))
-    _same(stats.mean, feature_stats([graphs[2], graphs[0]]).mean, "mean")
-    _same(stats.std, feature_stats([graphs[2], graphs[0]]).std, "std")
+    built = feature_stats(build_graph([scenarios[2], scenarios[0]], cfg.gamma_th_db))
+    _same(stats.mean, built.mean, "mean")
+    _same(stats.std, built.std, "std")
 
 
 @pytest.mark.parametrize("activation", ["relu", "identity"])
@@ -126,6 +128,17 @@ def test_loss_ops_stacked_as_alone(k, n, lambdas):
         _same(losses[i], alone, "loss")
 
 
+def test_a_stack_hardens_to_one_cell_index_per_ue_and_instance():
+    g = _normalized(7, 7, 5)
+    s = gat.forward(g, _model(g, 32))
+    rand = np.random.default_rng(0).random((2, 3, 4))
+    for stacked in (s, rand):
+        hard = gat.harden(stacked)
+        assert hard.shape == stacked.shape[:2]
+        for i, one in enumerate(stacked):
+            _same(hard[i], gat.harden(one), "harden")
+
+
 def test_forty_instances_at_oracle_scale_score_as_alone():
     # K=7, hidden 32: flattened to (B*K, d), OpenBLAS blocks the rows of
     # these products otherwise than one call per instance, and the bits differ
@@ -152,44 +165,43 @@ def _alone_mean(test, model, tc):
 
 def test_test_chunks_fit_an_adam_block():
     # 32768 // (7 * 32) = 146 instances at K=7 and hidden 32
-    test = _rows(_normalized(7, 7, 300))
-    chunks = tr._test_chunks(test, _model(test[0], 32))
+    test = _normalized(7, 7, 300)
+    chunks = tr._test_chunks(test, _model(test, 32))
     assert [len(c.features) for c in chunks] == [146, 146, 8]
     for chunk, start in zip(chunks, (0, 146, 292)):
         _same_graph(chunk[0], test[start])
-    assert len(tr._test_chunks(test[:40], _model(test[0], 32))) == 1
+    assert len(tr._test_chunks(test[:40], _model(test, 32))) == 1
 
 
 def test_a_chunk_boundary_keeps_the_mean():
     # K=50 and hidden 512: one instance's activations fill the block
-    test = _rows(_normalized(50, 7, 3))
-    model, tc = _model(test[0], 512), tr.TrainConfig()
+    test = _normalized(50, 7, 3)
+    model, tc = _model(test, 512), tr.TrainConfig()
     chunks = tr._test_chunks(test, model)
     assert [len(c.features) for c in chunks] == [1, 1, 1]
-    assert tr._mean_loss(chunks, model, tc, PARAMS) == _alone_mean(test, model, tc)
+    assert tr._mean_loss(chunks, model, tc, PARAMS) == _alone_mean(_rows(test), model, tc)
 
 
-def test_a_test_split_of_mixed_sizes_gives_the_per_instance_mean():
-    three = _rows(_normalized(3, 2, 3))
-    five = _rows(_normalized(5, 2, 2, seed0=10))
-    test = [three[0], three[1], five[0], three[2], five[1]]
-    model, tc = _model(three[0], 4), tr.TrainConfig(dataset_size=5, epochs=1)
-    chunks = tr._test_chunks(test, model)
-    assert [len(c.features) for c in chunks] == [2, 1, 1, 1]
-    res = tr.train(three[:2], tc, PARAMS, seed=0, test=test, model=model)
-    assert res.history[0][2] == _alone_mean(test, res.model, tc)
-    empty = tr.train(three[:2], tc, PARAMS, seed=0, test=[], gat_cfg=gat.GatConfig(hidden_dim=4))
+def test_the_test_column_is_the_per_instance_mean_or_nan_for_none():
+    # 150 test instances at K=7 and hidden 32: chunks of 146 and 4
+    g = _normalized(7, 7, 152)
+    tc, gcfg = tr.TrainConfig(dataset_size=152, epochs=1), gat.GatConfig(hidden_dim=32)
+    res = tr.train(g[:2], tc, PARAMS, seed=0, test=g[2:], gat_cfg=gcfg)
+    assert res.history[0][2] == _alone_mean(_rows(g[2:]), res.model, tc)
+    empty = tr.train(g[:2], tc, PARAMS, seed=0, test=g[:0], gat_cfg=gcfg)
     assert math.isnan(empty.history[0][2])
 
 
 def test_a_test_instance_the_model_cannot_take_stops_before_any_step(monkeypatch):
-    graphs = _rows(_normalized(3, 2, 3))
-    wide = dataclasses.replace(graphs[2], features=np.hstack([graphs[2].features] * 2))
+    graphs = _normalized(3, 2, 3)
+    wide = dataclasses.replace(
+        graphs[1:], features=np.concatenate([graphs[1:].features] * 2, axis=-1)
+    )
     steps = []
     monkeypatch.setattr(ad, "adam_step", lambda *args: steps.append(args))
     tc = tr.TrainConfig(dataset_size=3, epochs=2)
-    with pytest.raises(ShapeError, match="test instance 1: feature width 12 vs model width 6"):
-        tr.train(graphs[:2], tc, PARAMS, seed=0, test=[graphs[2], wide],
+    with pytest.raises(ShapeError, match="test split: feature width 12 vs model width 6"):
+        tr.train(graphs[:2], tc, PARAMS, seed=0, test=wide,
                  gat_cfg=gat.GatConfig(hidden_dim=4))
     assert steps == []
 
@@ -237,6 +249,3 @@ def test_stacking_needs_one_carrier():
     other = dataclasses.replace(other, n_prb_total=other.n_prb_total + 1)
     with pytest.raises(ContractError, match="one carrier"):
         build_graph([one, other], 0.0)
-    graphs = [build_graph(one, 0.0), build_graph(other, 0.0)]
-    with pytest.raises(ContractError, match="one carrier"):
-        GraphInstance.stack(graphs)

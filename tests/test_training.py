@@ -12,7 +12,13 @@ from nesua import training as tr
 from nesua.baselines import oracle_assignment
 from nesua.errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from nesua.power import PowerParams, network_power_hard, network_power_soft
-from nesua.scenario import GraphInstance, ScenarioConfig
+from nesua.scenario import (
+    GraphInstance,
+    ScenarioConfig,
+    build_graph,
+    feature_stats,
+    normalize_features,
+)
 
 from helpers import (
     FUSED_NODES,
@@ -130,44 +136,52 @@ def _tiny_cfg(**kw):
 
 def test_split_and_normalize_splits_and_normalizes():
     cfg = _tiny_cfg()
-    train, test, stats = tr.split_and_normalize(*dataset(cfg, 10, 5), 0.8, 5)
-    assert len(train) == 8 and len(test) == 2
-    seeds = {s.scenario.seed for s in train} | {s.scenario.seed for s in test}
-    assert len(seeds) == 10  # disjoint splits, nothing duplicated
-    pooled = np.concatenate([s.graph.features for s in train], axis=0)
+    train, test, stats = tr.split_and_normalize(dataset(cfg, 10, 5)[1], 0.8, 5)
+    assert len(train.features) == 8 and len(test.features) == 2
+    rows = np.concatenate([train.features, test.features])
+    assert len({row.tobytes() for row in rows}) == 10  # disjoint splits, nothing duplicated
+    pooled = train.features.reshape(-1, train.features.shape[-1])
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(pooled.var(axis=0), 1.0, atol=1e-6)
 
-    again = tr.split_and_normalize(*dataset(cfg, 10, 5), 0.8, 5)
-    np.testing.assert_array_equal(
-        train[0].graph.features, again[0][0].graph.features
-    )
+    again = tr.split_and_normalize(dataset(cfg, 10, 5)[1], 0.8, 5)
+    np.testing.assert_array_equal(train.features[0], again[0].features[0])
+
+
+def test_the_splits_are_the_graphs_in_permutation_order():
+    # row i of train, then of test, is the graph of scenario order[i],
+    # normalized alone, byte for byte
+    cfg = _tiny_cfg()
+    scenarios, graphs = dataset(cfg, 10, 5)
+    train, test, stats = tr.split_and_normalize(graphs, 0.8, 5)
+    order = np.random.default_rng(5).permutation(10)
+    rows = [train[i] for i in range(8)] + [test[i] for i in range(2)]
+    for row, i in zip(rows, order, strict=True):
+        alone = normalize_features(build_graph(scenarios[i], cfg.gamma_th_db), stats)
+        for name in ("features", "adjacency", "prb_matrix"):
+            got, want = getattr(row, name), getattr(alone, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        assert row.n_prb_total == alone.n_prb_total
 
 
 def test_split_and_normalize_argument_errors():
     with pytest.raises(ContractError):
-        tr.split_and_normalize(*dataset(_tiny_cfg(), 1, 0), 0.8, 0)
+        tr.split_and_normalize(dataset(_tiny_cfg(), 1, 0)[1], 0.8, 0)
     with pytest.raises(ContractError):
-        tr.split_and_normalize(*dataset(_tiny_cfg(), 5, 0), 1.5, 0)
+        tr.split_and_normalize(dataset(_tiny_cfg(), 5, 0)[1], 1.5, 0)
 
 
 def _graphs(cfg, count, seed0=0):
-    from nesua.scenario import (
-        build_graph, feature_stats, generate_scenario, normalize_features,
-    )
-
-    raw = []
-    for i in range(count):
-        s = generate_scenario(cfg, seed0 + i)
-        raw.append(build_graph(s, cfg.gamma_th_db))
-    stats = feature_stats(raw)
-    return [normalize_features(g, stats) for g in raw]
+    """The stacked graphs of `count` scenarios from seed `seed0` on,
+    z-scored by their own statistics."""
+    raw = dataset(cfg, count, seed0)[1]
+    return normalize_features(raw, feature_stats(raw))
 
 
 def _split(cfg, size, seed=0):
-    """The train and test graphs `split_and_normalize` makes of a dataset."""
-    train, test, _ = tr.split_and_normalize(*dataset(cfg, size, seed), 0.8, seed)
-    return [p.graph for p in train], [p.graph for p in test]
+    """The train and test stacks `split_and_normalize` makes of a dataset."""
+    return tr.split_and_normalize(dataset(cfg, size, seed)[1], 0.8, seed)[:2]
 
 
 def test_zero_epochs_returns_initialization():
@@ -218,8 +232,8 @@ def test_single_instance_learns_the_cheap_cell():
     tc = tr.TrainConfig(dataset_size=2, epochs=200, lr=2e-2, lambda1=5.0, lambda2=0.0)
     gcfg = gat.GatConfig(hidden_dim=8, readout_activation="identity")
     res = tr.train(
-        [g], tc, params,
-        seed=0, gat_cfg=gcfg, test=[],
+        g[None], tc, params,
+        seed=0, gat_cfg=gcfg, test=g[None][:0],
     )
     s = gat.forward(g, res.model)
     assert gat.harden(s).tolist() == best.tolist()
@@ -250,12 +264,12 @@ def test_history_shape_and_loss_trend():
 
 def test_gradient_reaches_every_parameter_group():
     cfg = _tiny_cfg(n_ues=5)
-    g = _graphs(cfg, 1)[0]
+    graphs = _graphs(cfg, 1)
     gcfg = gat.GatConfig(hidden_dim=6, readout_activation="identity")
     tc = tr.TrainConfig(dataset_size=2, epochs=1, lr=1e-3)
-    fresh = gat.init_model(g.features.shape[1], 2, gcfg, 8)
+    fresh = gat.init_model(graphs.features.shape[-1], 2, gcfg, 8)
     res = tr.train(
-        [g], tc, DEFAULTS, seed=8, gat_cfg=gcfg, test=[],
+        graphs, tc, DEFAULTS, seed=8, gat_cfg=gcfg, test=graphs[:0],
     )
     for (name, before), after in zip(
         fresh.params.items(), res.model.params.values()
@@ -556,7 +570,7 @@ def test_divergence_is_reported_with_location():
     with pytest.raises(TrainingDiverged, match="epoch"):
         tr.train(
             graphs, tc, DEFAULTS, seed=0,
-            gat_cfg=gcfg, test=[],
+            gat_cfg=gcfg, test=graphs[:0],
         )
 
 
@@ -567,22 +581,33 @@ def test_a_non_finite_test_split_loss_stops_training():
     # finite but near the float64 limit, overflow the forward
     cfg = _tiny_cfg()
     graphs = _graphs(cfg, 3)
-    huge = dataclasses.replace(graphs[2], features=graphs[2].features * 1e308)
+    huge = dataclasses.replace(graphs[2:], features=graphs[2:].features * 1e308)
     assert np.isfinite(huge.features).all()
     tc = tr.TrainConfig(dataset_size=3, epochs=2)
     gcfg = gat.GatConfig(hidden_dim=4, activation="identity", readout_activation="identity")
     with pytest.raises(TrainingDiverged, match="test-split loss at epoch 1"):
-        tr.train(graphs[:2], tc, DEFAULTS, seed=0, gat_cfg=gcfg, test=[huge])
+        tr.train(graphs[:2], tc, DEFAULTS, seed=0, gat_cfg=gcfg, test=huge)
     res = tr.train(graphs[:2], tc, DEFAULTS, seed=0, gat_cfg=gcfg, test=graphs[2:])
     assert all(math.isfinite(row[2]) for row in res.history)
 
 
 def test_mixed_cell_counts_rejected():
-    a = _graphs(_tiny_cfg(), 1)[0]
-    b = _graphs(_tiny_cfg(n_cells=3, region=(2600.0, 2600.0)), 1, seed0=5)[0]
+    a = _graphs(_tiny_cfg(), 1)
+    b = _graphs(_tiny_cfg(n_cells=3, region=(2600.0, 2600.0)), 1, seed0=5)
     tc = tr.TrainConfig(dataset_size=2, epochs=1)
     with pytest.raises(ContractError):
-        tr.train([a, b], tc, DEFAULTS, seed=0, test=[])
+        tr.train(a, tc, DEFAULTS, seed=0, test=b)
+
+
+def test_an_unstacked_graph_is_refused_as_a_dataset_or_split():
+    graphs = _graphs(_tiny_cfg(), 3)
+    tc = tr.TrainConfig(dataset_size=3, epochs=1)
+    with pytest.raises(ContractError, match="as stacks"):
+        tr.train(graphs[0], tc, DEFAULTS, seed=0, test=graphs[2:])
+    with pytest.raises(ContractError, match="as stacks"):
+        tr.train(graphs[:2], tc, DEFAULTS, seed=0, test=graphs[2])
+    with pytest.raises(ContractError, match="a stack of >= 2 graphs"):
+        tr.split_and_normalize(dataset(_tiny_cfg(), 3, 0)[1][0], 0.8, 0)
 
 
 def test_write_history_round_trips(tmp_path):
