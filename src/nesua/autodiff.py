@@ -1,11 +1,12 @@
 """The loss gradient of one train step, written out, and Adam.
 
-A train step always runs the same chain of eight ops: per GAT layer a
+A train step always runs the same chain of seven ops: per GAT layer a
 transform `linear` and an `attention_round` (score, mask, softmax and
 aggregate), then `softmax_readout`, and the loss's `gated_load_cost` (the
-network power), `association_penalties` (the two regularisers) and
-`add_terms`. Each op is a numpy forward that returns its values; given a
-list `saved`, it also appends a record of what its backward rule needs.
+network power) and `association_penalties` (the two regularisers, whose
+terms `training.loss` adds to the power). Each op is a numpy forward that
+returns its values; given a list `saved`, it also appends a record of what
+its backward rule needs.
 `backward(saved, grad)` is the chain's reverse pass in a fixed order, with
 no tape: it runs each op's backward rule (`linear_backward`, ...) once and
 writes every parameter's gradient into its view of `grad`, one buffer laid
@@ -56,7 +57,6 @@ LoadCost = namedtuple(
     "LoadCost", "s demand capacity on_const on_slope offset scaled q gate per_cell"
 )
 Penalties = namedtuple("Penalties", "s demand lambda1 lambda2 p_hat norm")
-Terms = namedtuple("Terms", "n")
 
 
 def _relu(x):
@@ -273,23 +273,23 @@ def gated_load_cost_backward(rec, g):
 
 
 def association_penalties(s, demand, lambda1, lambda2, saved=None):
-    """The weighted regularisers of an association s (K, N), one entry per
-    positive weight, in this order: lambda1 (K - Tr(s s^T)) and
-    lambda2 |p_hat|_2, p_hat being the column sums of s * demand. For a
-    stacked s (..., K, N), each entry holds one value per instance."""
+    """The weighted regularisers of an association s (K, N) as a tuple,
+    one term per positive weight, in this order: lambda1 (K - Tr(s s^T))
+    and lambda2 |p_hat|_2, p_hat being the column sums of s * demand. For a
+    stacked s (..., K, N), each term holds one value per instance."""
     _check_association("association_penalties", s, demand, saved)
     lambda1, lambda2 = float(lambda1), float(lambda2)
-    terms, p_hat, norm = [], None, 0.0
+    terms, p_hat, norm = (), None, 0.0
     if lambda1 > 0.0:
         sharpness = float(s.shape[-2]) + np.add.reduce(s**2, axis=(-2, -1)) * -1.0
-        terms.append(sharpness * lambda1)
+        terms += (sharpness * lambda1,)
     if lambda2 > 0.0:
         p_hat = np.add.reduce(s * demand, axis=-2)
         norm = np.sqrt(np.add.reduce(p_hat**2, axis=-1))
-        terms.append(norm * lambda2)
+        terms += (norm * lambda2,)
     if saved is not None:
         saved.append(Penalties(s, demand, lambda1, lambda2, p_hat, float(norm)))
-    return np.array(terms) if terms else np.zeros((0, *s.shape[:-2]))
+    return terms
 
 
 def association_penalties_backward(rec, g, g_s):
@@ -303,45 +303,17 @@ def association_penalties_backward(rec, g, g_s):
         g_s += g_hat[None, :] * rec.demand
 
 
-def add_terms(total, terms, saved=None):
-    """A scalar total plus each entry of the vector terms, left to right;
-    a stacked total (B,) takes terms (n, B), one value per instance each."""
-    lead, shape = np.shape(total), np.shape(terms)
-    if not shape or shape[1:] != lead:
-        raise ShapeError(
-            f"add_terms: expected a scalar and a vector, or their stacks, "
-            f"got {lead} and {shape}"
-        )
-    if saved is not None and lead:
-        raise _stacked("add_terms", lead)
-    value = total
-    for t in terms:
-        value = value + t
-    if saved is not None:
-        saved.append(Terms(len(terms)))
-    return value
-
-
-def add_terms_backward(rec, g):
-    """The upstream gradient g passed on: to the total, and to every term."""
-    return float(g) + 0.0, np.full(rec.n, float(g))
-
-
 # ---------------------------------------------------------------------------
 # reverse pass
 
 
 def loss_backward(records):
     """The loss's gradient at the association, from the records of its
-    ops: the power's alone, or the power's, penalties' and their sum's."""
-    power, *rest = records
-    g_total = 1.0
-    if rest:
-        penalties, terms = rest
-        g_total, g_terms = add_terms_backward(terms, g_total)
-    g_s = gated_load_cost_backward(power, g_total)
-    if rest:
-        association_penalties_backward(penalties, g_terms, g_s)
+    ops: the power's, then the penalties' added to it. The loss is their
+    plain sum (`training.loss`), so each gets an upstream gradient of 1."""
+    power, penalties = records
+    g_s = gated_load_cost_backward(power, 1.0)
+    association_penalties_backward(penalties, (1.0, 1.0), g_s)
     return g_s
 
 

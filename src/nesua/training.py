@@ -81,19 +81,17 @@ def loss(
 ):
     """Soft network power + lambda1*(K - Tr(S S^T)) + lambda2*|p_hat|_2.
 
-    The power (`network_power_soft`), then, with a positive weight, the
-    penalties (`autodiff.association_penalties`) and their sum
-    (`autodiff.add_terms`), which adds the terms to the power in that
-    order, weighted by `tc.lambda1` and `tc.lambda2`. With a list `saved`,
-    the records of those ops are appended to it (`autodiff.loss_backward`).
-    Returns a float, or for a stacked s (B, K, N) and prb a list of the B
-    instances' losses.
+    The power (`network_power_soft`) plus each term of the penalties
+    (`autodiff.association_penalties`, weighted by `tc.lambda1` and
+    `tc.lambda2`; none at zero weight), added left to right. With a list
+    `saved`, the records of those two ops are appended to it
+    (`autodiff.loss_backward`). Returns a float, or for a stacked
+    s (B, K, N) and prb a list of the B instances' losses.
     """
     total = network_power_soft(s, prb, params, n_prb_total, saved)
-    if tc.lambda1 > 0.0 or tc.lambda2 > 0.0:
-        prb = np.asarray(prb, dtype=np.float64)
-        penalties = ad.association_penalties(s, prb, tc.lambda1, tc.lambda2, saved)
-        total = ad.add_terms(total, penalties, saved)
+    prb = np.asarray(prb, dtype=np.float64)
+    for term in ad.association_penalties(s, prb, tc.lambda1, tc.lambda2, saved):
+        total = total + term
     return total.tolist() if isinstance(total, np.ndarray) else float(total)
 
 

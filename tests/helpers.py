@@ -513,10 +513,11 @@ def gated_load_cost(s, demand, capacity, on_const, on_slope, offset):
 
 
 def association_penalties(s, demand, lambda1, lambda2):
-    """`ad.association_penalties` on the tape. Its rule adds each term's
-    gradient to s's in turn, as a chain of nodes would."""
+    """`ad.association_penalties` on the tape, its terms as one vector.
+    Its rule adds each term's gradient to s's in turn, as a chain of nodes
+    would."""
     saved = []
-    values = ad.association_penalties(s.values, demand, lambda1, lambda2, saved)
+    values = np.array(ad.association_penalties(s.values, demand, lambda1, lambda2, saved))
 
     def backward(g):
         if s.grad is None:
@@ -526,21 +527,23 @@ def association_penalties(s, demand, lambda1, lambda2):
     return _result(values, (s,), backward)
 
 
-def add_terms(total, terms):
-    """`ad.add_terms` on the tape; the total comes first among the
-    parents, so `backward` runs the total's own rule before that of the
-    node that made the terms."""
-    saved = []
-    values = ad.add_terms(total.values, terms.values, saved)
+def sum_terms(total, terms):
+    """The scalar total plus each entry of the vector terms, left to right,
+    as `training.loss` adds the penalties to the power: one node, which
+    passes its upstream gradient to the total and to every term. The total
+    comes first among the parents, so `backward` runs the total's own rule
+    before that of the node that made the terms."""
+    value = total.values
+    for t in terms.values:
+        value = value + t
 
     def backward(g):
-        g_total, g_terms = ad.add_terms_backward(saved[0], g)
         if total.requires_grad:
-            total.accumulate(np.asarray(g_total))
+            total.accumulate(np.asarray(float(g) + 0.0))
         if terms.requires_grad:
-            terms.accumulate(g_terms)
+            terms.accumulate(np.full(terms.shape, float(g)))
 
-    return _result(values, (total, terms), backward)
+    return _result(value, (total, terms), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +602,8 @@ def reference_gated_load_cost(s, demand, capacity, on_const, on_slope, offset):
 
 
 def reference_association_penalties(s, demand, lambda1, lambda2):
-    """Reference for `ad.association_penalties`, composed from primitives.
-    Returns a list of scalar tensors, which only `reference_add_terms`
-    takes."""
+    """Reference for `ad.association_penalties`, composed from primitives:
+    the vector of its scalar terms, empty when both weights are 0."""
     terms = []
     if lambda1 > 0.0:
         sharpness = add(constant(np.asarray(float(s.shape[0]))), scale(trace_of_gram(s), -1.0))
@@ -609,15 +611,9 @@ def reference_association_penalties(s, demand, lambda1, lambda2):
     if lambda2 > 0.0:
         p_hat = row_sum(transpose(multiply(s, constant(demand))))
         terms.append(scale(l2_norm(p_hat), lambda2))
-    return terms
-
-
-def reference_add_terms(total, terms):
-    """Reference for `ad.add_terms` over `reference_association_penalties`:
-    one `add` node per term."""
-    for term in terms:
-        total = add(total, term)
-    return total
+    if not terms:
+        return constant(np.zeros(0))
+    return concat([reshape(t, (1,)) for t in terms])
 
 
 # every fused op on the tape, and the composed reference that it replaces
@@ -626,14 +622,12 @@ FUSED_NODES = {
     "softmax_readout": softmax_readout,
     "gated_load_cost": gated_load_cost,
     "association_penalties": association_penalties,
-    "add_terms": add_terms,
 }
 REFERENCE_NODES = {
     "attention_round": reference_attention_round,
     "softmax_readout": reference_softmax_readout,
     "gated_load_cost": reference_gated_load_cost,
     "association_penalties": reference_association_penalties,
-    "add_terms": reference_add_terms,
 }
 
 
@@ -653,7 +647,7 @@ def tape_loss(saved, nodes=FUSED_NODES, transform=linear):
     """The loss of the train step whose op records `saved` holds, rebuilt
     on the tape from the records' arguments. Returns the loss tensor and
     the six parameter tensors, over the step's own parameter arrays."""
-    lin1, att1, lin2, att2, head, power, *rest = saved
+    lin1, att1, lin2, att2, head, power, pen = saved
     params = [parameter(v) for v in (lin1.w, att1.a, lin2.w, att2.a, head.q, head.b)]
     h = constant(lin1.x)
     for att, w, a in ((att1, params[0], params[1]), (att2, params[2], params[3])):
@@ -662,11 +656,8 @@ def tape_loss(saved, nodes=FUSED_NODES, transform=linear):
     total = nodes["gated_load_cost"](
         s, power.demand, power.capacity, power.on_const, power.on_slope, power.offset
     )
-    if rest:
-        pen = rest[0]
-        penalties = nodes["association_penalties"](s, pen.demand, pen.lambda1, pen.lambda2)
-        total = nodes["add_terms"](total, penalties)
-    return total, params
+    penalties = nodes["association_penalties"](s, pen.demand, pen.lambda1, pen.lambda2)
+    return sum_terms(total, penalties), params
 
 
 def tape_backward(saved, grad, nodes=REFERENCE_NODES, transform=reference_transformed):

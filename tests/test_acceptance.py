@@ -97,8 +97,6 @@ def _check_primitives(rng):
     np.fill_diagonal(adjacency, True)
     bias = fused.normal(0.0, 1.0, (2,))
     demand = fused.uniform(1.0, 20.0, (3, 4))
-    total = np.asarray(fused.normal(0.0, 1.0))
-    terms = fused.normal(0.0, 1.0, (2,))
 
     cases = [
         (lambda p: _weighted_sum(tape.add(p[0], p[1]), rng), [a, b]),
@@ -128,7 +126,6 @@ def _check_primitives(rng):
         (lambda p: tape.gated_load_cost(p[0], demand, 200.0, 150.0, 30.0, 7.0), [gate_in]),
         (lambda p: _weighted_sum(tape.association_penalties(p[0], demand, 0.7, 0.3), rng),
          [gate_in]),
-        (lambda p: tape.add_terms(p[0], p[1]), [total, terms]),
     ]
     for build, arrays in cases:
         check_grad(build, arrays, rtol=1e-4, atol=1e-6)

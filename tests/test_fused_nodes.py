@@ -78,17 +78,7 @@ def _penalties(lambda1, lambda2, zero=False, n=3):
     def build(nodes, p):
         # s also feeds the total, as the association feeds the power
         penalties = nodes["association_penalties"](p[0], demand, lambda1, lambda2)
-        return nodes["add_terms"](_weighted(p[0]), penalties)
-
-    return arrays, build
-
-
-def _terms():
-    def arrays(rng):
-        return [np.asarray(rng.normal()), rng.normal(size=(3,))]
-
-    def build(nodes, p):
-        return nodes["add_terms"](p[0], p[1])
+        return tape.sum_terms(_weighted(p[0]), penalties)
 
     return arrays, build
 
@@ -113,7 +103,7 @@ CASES = {
     "penalties-lambda2-0": _penalties(0.7, 0.0),
     "penalties-zero-load": _penalties(0.7, 0.3, zero=True),
     "penalties-one-cell": _penalties(0.7, 0.3, n=1),
-    "add-terms": _terms(),
+    "penalties-no-term": _penalties(0.0, 0.0),
 }
 
 
@@ -127,13 +117,7 @@ PAPER_CASES = {
 }
 
 
-# `add_terms` is checked against its reference in the penalties cases: the
-# reference sums the list of scalar tensors that the penalties reference makes
-
-
-@pytest.mark.parametrize(
-    "case", [c for c in CASES if c != "add-terms"] + list(PAPER_CASES)
-)
+@pytest.mark.parametrize("case", list(CASES) + list(PAPER_CASES))
 def test_fused_node_is_bit_equal_to_its_reference(case):
     arrays_of, build = {**CASES, **PAPER_CASES}[case]
     for seed in range(5):
@@ -229,8 +213,6 @@ def test_loss_nodes_check_the_association():
         ad.gated_load_cost(s, np.ones((4, 2)), 51, 1.0, 1.0, 0.0)
     with pytest.raises(ShapeError):
         ad.association_penalties(s, np.ones((3, 3)), 1.0, 1.0)
-    with pytest.raises(ShapeError):
-        ad.add_terms(s, np.ones(2))
     # network_power_soft keeps its own contract errors in front of the op
     with pytest.raises(ContractError):
         network_power_soft(np.ones(3), np.ones(3), PowerParams(), 51)

@@ -52,7 +52,7 @@ def test_backward_matches_the_tape_bit_for_bit(k, activation, readout_activation
         graph = _graph(k, 3, rng)
         model = gat.init_model(9, 3, cfg, seed)
         value, grad, saved = _step(graph, model, tc)
-        assert len(saved) == (8 if tc.lambda1 > 0.0 or tc.lambda2 > 0.0 else 6)
+        assert len(saved) == 7
         reference = np.full(grad.shape, np.nan)
         reference_value = tape_backward(saved, reference)
         assert np.isfinite(grad).all()  # every slot written

@@ -36,6 +36,9 @@ from helpers import (
 )
 
 DEFAULTS = PowerParams()
+# loss weights whose `Penalties` record holds no term, one or both
+LAYOUTS = [(0.0, 0.0), (1.0, 0.0), (0.0, 0.2), (1.0, 0.2)]
+LAYOUT_IDS = ["no-term", "lambda1", "lambda2", "both"]
 
 
 def test_config_validation():
@@ -111,10 +114,11 @@ def test_loss_lower_bound_and_t1_range():
         assert -1e-12 <= sharp <= k * (1.0 - 1.0 / n) + 1e-12
 
 
-def test_loss_gradient_matches_finite_differences():
+@pytest.mark.parametrize("lambdas", LAYOUTS, ids=LAYOUT_IDS)
+def test_loss_gradient_matches_finite_differences(lambdas):
     rng = np.random.default_rng(82)
     prb = rng.integers(1, 10, size=(4, 3)).astype(float)
-    tc = tr.TrainConfig(lambda1=2.0, lambda2=0.5)
+    tc = tr.TrainConfig(lambda1=lambdas[0], lambda2=lambdas[1])
     s = _rand_stochastic(4, 3, rng)
     saved = []
     tr.loss(s, prb, DEFAULTS, tc, 51, saved)
@@ -334,20 +338,21 @@ def test_training_matches_reference_kernels_bit_for_bit(monkeypatch):
             assert x.tobytes() == y.tobytes()
 
 
-def _run_and_resume(graphs, gcfg, tmp_path, tag):
+def _run_and_resume(graphs, gcfg, tmp_path, tag, lambdas):
     """train for 4 epochs, then 2 epochs resumed to 4 through a checkpoint
-    file; the results of both"""
+    file, under the loss weights `lambdas`; the results of both"""
+    def tc(epochs):
+        return tr.TrainConfig(dataset_size=10, epochs=epochs, lr=1e-3, shuffle_seed=5,
+                              lambda1=lambdas[0], lambda2=lambdas[1])
+
     kw = dict(params=DEFAULTS, seed=3, test=graphs[8:])
-    full = tr.train(graphs[:8], tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3,
-                                               shuffle_seed=5, lambda2=0.2), gat_cfg=gcfg, **kw)
-    half = tr.train(graphs[:8], tr.TrainConfig(dataset_size=10, epochs=2, lr=1e-3,
-                                               shuffle_seed=5, lambda2=0.2), gat_cfg=gcfg, **kw)
+    full = tr.train(graphs[:8], tc(4), gat_cfg=gcfg, **kw)
+    half = tr.train(graphs[:8], tc(2), gat_cfg=gcfg, **kw)
     path = tmp_path / f"{tag}.json"
     gat.save_checkpoint(path, half.model, {"adam": half.adam_state.to_dict(shapes_of(half.model))})
     loaded, leftover = gat.load_checkpoint(path)
-    tc = tr.TrainConfig(dataset_size=10, epochs=4, lr=1e-3, shuffle_seed=5, lambda2=0.2)
     resumed = tr.train(
-        graphs[:8], tc, model=loaded,
+        graphs[:8], tc(4), model=loaded,
         adam_state=ad.AdamState.from_dict(leftover["adam"], shapes_of(loaded)),
         start_epoch=2, **kw,
     )
@@ -367,14 +372,15 @@ def _fingerprint(res):
     )
 
 
-def test_fused_nodes_train_and_resume_like_their_references(reference_nodes, tmp_path):
+@pytest.mark.parametrize("lambdas", LAYOUTS, ids=LAYOUT_IDS)
+def test_fused_nodes_train_and_resume_like_their_references(reference_nodes, tmp_path, lambdas):
     # K=7 and hidden 32, the scale at which the per-node cost dominated
     graphs = _graphs(_tiny_cfg(n_ues=7), 10)
     gcfg = gat.GatConfig(hidden_dim=32)
-    shipped = _run_and_resume(graphs, gcfg, tmp_path, "shipped")
+    shipped = _run_and_resume(graphs, gcfg, tmp_path, "shipped", lambdas)
     assert len({row[1] for row in shipped[0].history}) == 4  # the model does learn
     reference_nodes()
-    reference = _run_and_resume(graphs, gcfg, tmp_path, "reference")
+    reference = _run_and_resume(graphs, gcfg, tmp_path, "reference", lambdas)
     for ours, theirs in zip(shipped, reference):
         assert _fingerprint(ours) == _fingerprint(theirs)
 
@@ -391,20 +397,27 @@ def _nodes_with_backward(root):
     return count
 
 
-def test_a_train_step_is_at_most_eight_backward_nodes():
+@pytest.mark.parametrize(
+    "lambdas, chain_nodes",
+    [((0.0, 0.0), 40), ((0.7, 0.0), 46), ((0.0, 0.3), 47), ((0.7, 0.3), 52)],
+    ids=LAYOUT_IDS,
+)
+def test_a_train_step_is_seven_ops_at_every_weight(lambdas, chain_nodes):
     graph = _graphs(_tiny_cfg(n_ues=7), 1)[0]
     model = gat.init_model(graph.features.shape[1], 2, gat.GatConfig(hidden_dim=32), 0)
     saved = []
     s = gat.forward(graph, model, saved)
-    tr.loss(s, graph.prb_matrix, DEFAULTS, tr.TrainConfig(), graph.n_prb_total, saved)
-    # two transforms, two attention rounds, the readout, the power, the
-    # penalties and their sum: one backward rule each, and as many nodes
-    # on the tape, where the chains they stand for are 50
+    tc = tr.TrainConfig(lambda1=lambdas[0], lambda2=lambdas[1])
+    tr.loss(s, graph.prb_matrix, DEFAULTS, tc, graph.n_prb_total, saved)
+    # two transforms, two attention rounds, the readout, the power and the
+    # penalties, with or without a term: one backward rule each; on the
+    # tape, one node each plus the terms' sum, where the chains they stand
+    # for are 40 to 52
     assert [type(r).__name__ for r in saved] == [
-        "Linear", "Attention", "Linear", "Attention", "Readout", "LoadCost", "Penalties", "Terms",
+        "Linear", "Attention", "Linear", "Attention", "Readout", "LoadCost", "Penalties",
     ]
     assert _nodes_with_backward(tape_loss(saved)[0]) == 8
-    assert _nodes_with_backward(tape_loss(saved, REFERENCE_NODES, linear)[0]) == 50
+    assert _nodes_with_backward(tape_loss(saved, REFERENCE_NODES, linear)[0]) == chain_nodes
 
 
 def test_resumed_adam_moments_are_trained_in_their_decoded_buffer():
