@@ -153,9 +153,9 @@ def _drawn(records, dataset_path, cfg: RunConfig):
         yield s
 
 
-def _train_to_dir(cfg: RunConfig, scenarios, out_dir, checkpoint=None, config_path=None):
-    """Build the scenarios' graphs as one stack, split, train (optionally
-    resuming), and persist the run artifacts.
+def _train_to_dir(cfg: RunConfig, graphs, out_dir, checkpoint=None, config_path=None):
+    """Split the dataset's stacked graphs (`build_graph` of its scenarios),
+    train (optionally resuming), and persist the run artifacts.
 
     Resuming continues the epoch count from the checkpoint; best-model
     tracking restarts from the resume point. The checkpoint must be the
@@ -164,7 +164,6 @@ def _train_to_dir(cfg: RunConfig, scenarios, out_dir, checkpoint=None, config_pa
     run config and the dataset's feature width, and its Adam moments
     float64 arrays shaped like the parameters they belong to.
     """
-    graphs = build_graph(scenarios, cfg.scenario.gamma_th_db)
     train_g, test_g, stats = split_and_normalize(graphs, cfg.train.split_fraction, cfg.seed)
     model = None
     adam = None
@@ -225,18 +224,19 @@ def _train_to_dir(cfg: RunConfig, scenarios, out_dir, checkpoint=None, config_pa
 
 def cmd_train(cfg: RunConfig, dataset_path, checkpoint, config_path=None) -> int:
     """Train on a dataset of at least two records, one for each split."""
-    scenarios = [
-        from_record(rec, cfg.scenario, f"dataset {dataset_path} record {number}")
-        for number, rec in enumerate(_read_dataset(dataset_path, cfg, config_path), 1)
-    ]
-    if len(scenarios) < 2:
+    records = _read_dataset(dataset_path, cfg, config_path)
+    if len(records) < 2:
         raise ConfigError(
-            f"dataset {dataset_path} holds {len(scenarios)} record; train needs at "
+            f"dataset {dataset_path} holds {len(records)} record; train needs at "
             f"least 2, one for each split"
         )
-    res = _train_to_dir(
-        cfg, scenarios, cfg.out_dir, checkpoint=checkpoint, config_path=config_path
+    graphs = build_graph(
+        (from_record(rec, cfg.scenario, f"dataset {dataset_path} record {number}")
+         for number, rec in enumerate(records, 1)),
+        cfg.scenario.gamma_th_db,
     )
+    del records  # training reads only the graphs
+    res = _train_to_dir(cfg, graphs, cfg.out_dir, checkpoint=checkpoint, config_path=config_path)
     print(
         f"trained to epoch {cfg.train.epochs}; best epoch {res.best_epoch}; "
         f"outputs in {cfg.out_dir}"
@@ -378,9 +378,7 @@ def _train_point(cfg_dict: dict, sub_dir) -> None:
     """Sweep worker: train one point's config into its directory on the
     scenarios it draws, which `gen` writes from the point's config.json."""
     cfg = RunConfig.from_dict(cfg_dict)
-    # training reads no per-PRB SINR, so the cube is not kept for it
-    scenarios = [dataclasses.replace(s, sinr_per_prb=None) for s in _scenarios(cfg)]
-    _train_to_dir(cfg, scenarios, sub_dir)
+    _train_to_dir(cfg, build_graph(_scenarios(cfg), cfg.scenario.gamma_th_db), sub_dir)
     with open(os.path.join(sub_dir, "DONE"), "w", encoding="utf-8") as fh:
         fh.write("ok\n")
 
@@ -418,11 +416,11 @@ def _train_points(cfg: RunConfig, points, config_path=None):
         list(pool.map(_train_point, *zip(*todo)))
 
 
-def _with_grid_value(cfg: RunConfig, key: str, name: str, value) -> RunConfig:
-    """cfg with `scenario.<name>` set to a value of grid key `key`, read
+def _with_grid_value(cfg: RunConfig, key: str, section: str, name: str, value) -> RunConfig:
+    """cfg with `<section>.<name>` set to a value of grid key `key`, read
     under the run file's rules, so a value the key cannot take exits 2."""
     doc = cfg.to_dict()
-    doc["scenario"][name] = value
+    doc[section][name] = value
     try:
         return RunConfig.from_dict(doc)
     except ConfigError as exc:
@@ -439,9 +437,10 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
         if set(grid) != {"w", "k"}:
             raise ConfigError(f"bandwidth sweep grid needs keys w and k, got {sorted(grid)}")
         for w in grid["w"]:
-            trained = _with_grid_value(cfg, "w", "bandwidth_mhz", w)
+            trained = _with_grid_value(cfg, "w", "scenario", "bandwidth_mhz", w)
             scored = [
-                ({"bandwidth_mhz": w, "n_ues": k}, _with_grid_value(trained, "k", "n_ues", k))
+                ({"bandwidth_mhz": w, "n_ues": k},
+                 _with_grid_value(trained, "k", "scenario", "n_ues", k))
                 for k in grid["k"]
             ]
             points.append((os.path.join(cfg.out_dir, f"w{w!r}"), trained, scored))
@@ -450,9 +449,7 @@ def cmd_sweep(cfg: RunConfig, kind: str, grid_text: str, config_path=None) -> in
         if set(grid) != {"ratio"}:
             raise ConfigError(f"lambda sweep grid needs key ratio, got {sorted(grid)}")
         for r in grid["ratio"]:
-            trained = dataclasses.replace(
-                cfg, train=dataclasses.replace(cfg.train, lambda2=r * cfg.train.lambda1)
-            )
+            trained = _with_grid_value(cfg, "ratio", "train", "lambda2", r * cfg.train.lambda1)
             sub = os.path.join(cfg.out_dir, f"ratio{r!r}")
             points.append((sub, trained, [({"lambda_ratio": r}, trained)]))
         variable = "lambda_ratio"

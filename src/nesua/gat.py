@@ -10,7 +10,8 @@ with one `autodiff.softmax_readout`. A forward pass is plain numpy; given
 a list `saved`, each of its five ops appends the record its backward rule
 reads, for `autodiff.backward`. The same `forward` scores a stacked
 `GraphInstance`, one soft association per instance, each with the bits of
-the instance's own pass; only a single instance can be recorded.
+the instance's own pass; only a single instance can be recorded. A stack
+of any size is one call: `forward` bounds its activations by chunking it.
 
 One table lays out the parameters: `param_shapes(feat_dim, n_cells, cfg)`
 maps each of the six names, in order, to its shape. A model is its
@@ -164,12 +165,27 @@ def readout(h_final, model: GatModel, saved=None):
 def forward(g: GraphInstance, model: GatModel, saved=None) -> np.ndarray:
     """Soft association matrix S (K, N) for one graph instance, or S
     (B, K, N) for a stacked one. With a list `saved`, the records of its
-    five ops are appended to it."""
+    five ops are appended to it.
+
+    A stack runs in order in chunks of as many instances as keep the
+    (chunk, K, hidden) activations within `autodiff.ADAM_BLOCK` elements,
+    and at least one: 146 at K=7 and hidden 32, one at K=50 and hidden 512.
+    """
     if g.features.shape[-1] != model.feat_dim:
         raise ShapeError(
             f"feature width {g.features.shape[-1]} vs model "
             f"width {model.feat_dim}"
         )
+    if g.features.ndim == 3:
+        size = max(1, ad.ADAM_BLOCK // (g.features.shape[1] * model.config.hidden_dim))
+        if len(g.features) > size:
+            starts = range(0, len(g.features), size)
+            return np.concatenate([_layers(g[i:i + size], model, saved) for i in starts])
+    return _layers(g, model, saved)
+
+
+def _layers(g: GraphInstance, model: GatModel, saved) -> np.ndarray:
+    """`forward`'s two attention rounds and readout over g as given."""
     p, cfg = model.params, model.config
     h = g.features
     for layer in ("gat1", "gat2"):

@@ -429,22 +429,22 @@ def build_graph(s, gamma_th_db: float) -> GraphInstance:
     both above the threshold. Features are the raw [PRB, distance, SINR]
     rows; normalization is applied later with training-split statistics.
 
-    `s` is one scenario, or a list of scenarios of one size and carrier,
-    whose graphs come back as one instance stacked in list order. Every
-    step is exact or elementwise, so a stacked graph is bit-equal to the
-    graph of its scenario alone.
+    `s` is one scenario, or a sequence of scenarios of one size and
+    carrier, whose graphs come back as one instance stacked in order. A
+    sequence is read in one pass, keeping only each scenario's three
+    arrays, so a generator's scenarios (and their per-PRB cubes) are freed
+    as it goes. Every step is exact or elementwise, so a stacked graph is
+    bit-equal to the graph of its scenario alone.
     """
     if isinstance(s, Scenario):
         sinr, distance, demand, t = s.sinr_wideband_db, s.distance, s.prb_demand, s.n_prb_total
     else:
-        carriers = {x.n_prb_total for x in s}
+        rows = [(x.sinr_wideband_db, x.distance, x.prb_demand, x.n_prb_total) for x in s]
+        carriers = {row[3] for row in rows}
         if len(carriers) != 1:
             raise ContractError(f"stacked graphs need one carrier, got {sorted(carriers)}")
         t = carriers.pop()
-        sinr, distance, demand = (
-            np.stack([getattr(x, name) for x in s])
-            for name in ("sinr_wideband_db", "distance", "prb_demand")
-        )
+        sinr, distance, demand = (np.stack([row[i] for row in rows]) for i in range(3))
     passing = sinr > gamma_th_db
     adj = (passing @ np.swapaxes(passing, -1, -2)) > 0
     diagonal = np.arange(adj.shape[-1])

@@ -12,11 +12,9 @@ A dataset is one `GraphInstance` stacked on a leading instance axis
 (`build_graph` of its scenarios), and so are its splits: slices of the
 one stack `split_and_normalize` shuffles and z-scores in one
 `normalize_features` call. A training step views one instance of its
-split; each epoch scores the test split with one `gat.forward` and one
-`loss` per chunk, slices whose (chunk, K, hidden) activations fit one
-Adam block (`autodiff.ADAM_BLOCK` elements, 256 KiB): 146 instances at
-K=7 and hidden 32, one at K=50 and hidden 512. Stacked, each instance
-gets the bits it would get alone.
+split; each epoch scores the whole test split with one `gat.forward`,
+which bounds the stack's activations itself, and one `loss`. Stacked,
+each instance gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -135,29 +133,6 @@ def clone_model(model: gat_mod.GatModel) -> gat_mod.GatModel:
     return replace(model, flat=model.flat.copy())
 
 
-def _test_chunks(test: GraphInstance, model: gat_mod.GatModel) -> list[GraphInstance]:
-    """The test stack sliced for scoring, in order: chunks of as many
-    instances as keep the (chunk, K, hidden) activations within
-    `autodiff.ADAM_BLOCK` elements, and at least one. A feature width that
-    is not the model's raises ShapeError."""
-    if test.features.shape[-1] != model.feat_dim:
-        raise ShapeError(
-            f"test split: feature width {test.features.shape[-1]} vs model "
-            f"width {model.feat_dim}"
-        )
-    size = max(1, ad.ADAM_BLOCK // (test.features.shape[-2] * model.config.hidden_dim))
-    return [test[i:i + size] for i in range(0, len(test.features), size)]
-
-
-def _mean_loss(chunks, model, tc: TrainConfig, params: PowerParams) -> float:
-    """The mean of the per-instance losses of the stacked chunks, in
-    order; nan for none."""
-    values = []
-    for g in chunks:
-        values += loss(gat_mod.forward(g, model), g.prb_matrix, params, tc, g.n_prb_total)
-    return float(np.mean(values)) if values else math.nan
-
-
 def train(
     dataset: GraphInstance,
     tc: TrainConfig,
@@ -170,12 +145,12 @@ def train(
     start_epoch: int = 0,
 ) -> TrainResult:
     """Optimize a model over the stacked dataset, scoring each epoch on the
-    stacked `test` (the splits of `split_and_normalize`); deterministic
-    for fixed seeds. The test stack is sliced once, before the first step
-    (`_test_chunks`), so a split the model cannot score is refused before
-    any training. Passing model/adam_state/start_epoch resumes a prior
-    run: the per-epoch shuffle is keyed by (shuffle_seed, epoch), so a
-    resumed run walks the same instance order an uninterrupted run would.
+    stacked `test` (the splits of `split_and_normalize`) with one
+    `gat.forward` and one `loss` per epoch; deterministic for fixed seeds.
+    A test split the model cannot score is refused before any training.
+    Passing model/adam_state/start_epoch resumes a prior run: the
+    per-epoch shuffle is keyed by (shuffle_seed, epoch), so a resumed run
+    walks the same instance order an uninterrupted run would.
 
     Everything a step updates is laid out by the one parameter table
     (`gat.param_shapes`): each step runs one `adam_step` over the model's
@@ -199,7 +174,11 @@ def train(
         model = gat_mod.init_model(dataset.features.shape[-1], n_cells, gat_cfg, seed)
     if adam_state is None:
         adam_state = ad.AdamState.for_params(model.flat)
-    test_chunks = _test_chunks(test, model)
+    if test.features.shape[-1] != model.feat_dim:
+        raise ShapeError(
+            f"test split: feature width {test.features.shape[-1]} vs model "
+            f"width {model.feat_dim}"
+        )
     steps = [dataset[i] for i in range(len(dataset.features))]
 
     history = []
@@ -227,12 +206,16 @@ def train(
             epoch_losses.append(value)
 
         mean_train = float(np.mean(epoch_losses))
-        mean_test = _mean_loss(test_chunks, model, tc, params)
-        if test_chunks and not math.isfinite(mean_test):
-            raise TrainingDiverged(f"non-finite test-split loss at epoch {epoch}")
+        mean_test = math.nan
+        if len(test.features):
+            mean_test = float(np.mean(loss(
+                gat_mod.forward(test, model), test.prb_matrix, params, tc, test.n_prb_total
+            )))
+            if not math.isfinite(mean_test):
+                raise TrainingDiverged(f"non-finite test-split loss at epoch {epoch}")
         history.append((epoch, mean_train, mean_test, tc.lr))
 
-        selector = mean_test if test_chunks else mean_train
+        selector = mean_test if len(test.features) else mean_train
         if selector < best_test:
             best_test = selector
             best_model = clone_model(model)

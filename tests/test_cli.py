@@ -860,18 +860,19 @@ def test_a_float_key_takes_json_numbers_only(tmp_path, capsys, over, named):
 
 
 @pytest.mark.parametrize(
-    "grid, named",
+    "kind, grid, named",
     [
-        ("w=20;k=2.5", "grid key 'k': scenario.n_ues must be an integer, got 2.5"),
-        ("w=20;k=3,0", "grid key 'k': n_ues must be >= 1, got 0"),
+        ("bandwidth", "w=20;k=2.5", "grid key 'k': scenario.n_ues must be an integer, got 2.5"),
+        ("bandwidth", "w=20;k=3,0", "grid key 'k': n_ues must be >= 1, got 0"),
+        ("lambda", "ratio=1,-1", "grid key 'ratio': lambda2 must be finite and >= 0, got -1.0"),
     ],
-    ids=["fractional-k", "zero-k"],
+    ids=["fractional-k", "zero-k", "negative-ratio"],
 )
-def test_a_grid_value_its_config_key_cannot_take_exits_2(tmp_path, capsys, grid, named):
+def test_a_grid_value_its_config_key_cannot_take_exits_2(tmp_path, capsys, kind, grid, named):
     # checked before any point trains, as a run file's value would be
     cfg = _sweep_cfg(tmp_path)
     out = tmp_path / "sw"
-    code = cli.main(["sweep", "bandwidth", "--config", cfg, "--out", str(out), "--grid", grid])
+    code = cli.main(["sweep", kind, "--config", cfg, "--out", str(out), "--grid", grid])
     assert code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()

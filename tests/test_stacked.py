@@ -1,10 +1,11 @@
 """Stacked instances: every forward op, the loss, the graph build, the
 z-score and the hardening take a leading instance axis and give each
-instance the bytes of its own call; `train` scores its test stack in
-chunks."""
+instance the bytes of its own call; `gat.forward` runs a large stack in
+chunks, so `train` scores its test stack in one call."""
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from nesua.scenario import (
     ScenarioConfig,
     build_graph,
     feature_stats,
+    generate_scenario,
     iter_scenarios,
     normalize_features,
 )
@@ -162,27 +164,46 @@ def _alone_mean(test, model, tc):
     ]))
 
 
-def test_test_chunks_fit_an_adam_block():
+def _forward_recording(monkeypatch, g, model):
+    """gat.forward of g, and the leading size of each attention round's
+    input, in call order."""
+    sizes, attention_round = [], ad.attention_round
+
+    def recording(hw, *args):
+        sizes.append(hw.shape[0])
+        return attention_round(hw, *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ad, "attention_round", recording)
+        return gat.forward(g, model), sizes
+
+
+def test_forward_chunks_a_stack_to_fit_an_adam_block(monkeypatch):
     # 32768 // (7 * 32) = 146 instances at K=7 and hidden 32
     test = _normalized(7, 7, 300)
-    chunks = tr._test_chunks(test, _model(test, 32))
-    assert [len(c.features) for c in chunks] == [146, 146, 8]
-    for chunk, start in zip(chunks, (0, 146, 292)):
-        _same_graph(chunk[0], test[start])
-    assert len(tr._test_chunks(test[:40], _model(test, 32))) == 1
+    model = _model(test, 32)
+    s, sizes = _forward_recording(monkeypatch, test, model)
+    assert sizes == [146, 146, 146, 146, 8, 8]
+    for i, one in enumerate(_rows(test)):
+        _same(s[i], gat.forward(one, model), "gat.forward")
+    assert _forward_recording(monkeypatch, test[:146], model)[1] == [146, 146]
 
 
-def test_a_chunk_boundary_keeps_the_mean():
+def test_a_chunk_boundary_keeps_the_test_mean(monkeypatch):
     # K=50 and hidden 512: one instance's activations fill the block
-    test = _normalized(50, 7, 3)
-    model, tc = _model(test, 512), tr.TrainConfig()
-    chunks = tr._test_chunks(test, model)
-    assert [len(c.features) for c in chunks] == [1, 1, 1]
-    assert tr._mean_loss(chunks, model, tc, PARAMS) == _alone_mean(_rows(test), model, tc)
+    g = _normalized(50, 7, 5)
+    test, model = g[2:], _model(g, 512)
+    s, sizes = _forward_recording(monkeypatch, test, model)
+    assert sizes == [1] * 6
+    for i, one in enumerate(_rows(test)):
+        _same(s[i], gat.forward(one, model), "gat.forward")
+    tc = tr.TrainConfig(dataset_size=5, epochs=1)
+    res = tr.train(g[:2], tc, PARAMS, seed=0, test=test, gat_cfg=model.config)
+    assert res.history[0][2] == _alone_mean(_rows(test), res.model, tc)
 
 
 def test_the_test_column_is_the_per_instance_mean_or_nan_for_none():
-    # 150 test instances at K=7 and hidden 32: chunks of 146 and 4
+    # 150 test instances at K=7 and hidden 32: forwarded in chunks of 146 and 4
     g = _normalized(7, 7, 152)
     tc, gcfg = tr.TrainConfig(dataset_size=152, epochs=1), gat.GatConfig(hidden_dim=32)
     res = tr.train(g[:2], tc, PARAMS, seed=0, test=g[2:], gat_cfg=gcfg)
@@ -230,6 +251,12 @@ def test_a_stacked_call_is_not_recorded_for_backward():
         with pytest.raises(ShapeError, match="cannot be recorded"):
             call(saved)
         assert saved == []
+    # K=50 and hidden 512: two instances are two chunks
+    big = _normalized(50, 7, 2)
+    saved = []
+    with pytest.raises(ShapeError, match="cannot be recorded"):
+        gat.forward(big, _model(big, 512), saved)
+    assert saved == []
 
 
 def test_a_stacked_graph_checks_every_instance_mask():
@@ -247,3 +274,23 @@ def test_stacking_needs_one_carrier():
     other = dataclasses.replace(other, n_prb_total=other.n_prb_total + 1)
     with pytest.raises(ContractError, match="one carrier"):
         build_graph([one, other], 0.0)
+    with pytest.raises(ContractError, match="one carrier"):
+        build_graph((s for s in (one, other)), 0.0)
+
+
+def test_a_generator_builds_in_one_pass_and_frees_each_cube():
+    cfg = ScenarioConfig(n_cells=3, n_ues=4)
+    cubes = []
+
+    def drawn():
+        for seed in range(5):
+            # every scenario before the one last read is gone, with its cube
+            assert [cube() is None for cube in cubes[:-1]] == [True] * (len(cubes) - 1)
+            s = generate_scenario(cfg, seed)
+            cubes.append(weakref.ref(s.sinr_per_prb.base))
+            yield s
+            del s
+
+    graphs = build_graph(drawn(), cfg.gamma_th_db)
+    assert [cube() is None for cube in cubes] == [True] * 5
+    _same_graph(graphs, _drawn(4, 3, 5)[1])
